@@ -33,7 +33,11 @@ Rules
                         literal must either name a declared sysno or
                         belong to the frozen census baseline below
                         (catches typo'd rows that would silently fail
-                        to classify a new syscall)
+                        to classify a new syscall); every declared
+                        syscall number must also have a
+                        {sysno::x, Role::...} row in kSysnoRoles, the
+                        Producer/Consumer table the GPU wrappers'
+                        relaxed barrier placement reads
   ring-raw-counter      SQ/CQ ring head/tail/claimed counters are
                         touched only through the acquire/release
                         accessor helpers in src/core/ring.hh
@@ -100,6 +104,8 @@ CLASSIFICATION_FILE = "src/osk/classification.cc"
 SYSNO_DECL_RE = re.compile(
     r"\binline\s+constexpr\s+int\s+(\w+)\s*=\s*\d+\s*;")
 STRING_LITERAL_RE = re.compile(r'"(\w+)"')
+ROLE_ROW_RE = re.compile(
+    r"\{\s*sysno::(\w+)\s*,\s*Role::(?:Producer|Consumer)\s*\}")
 
 # Frozen baseline for the reverse direction of sysno-classified: the
 # single-word literals in classification.cc at the time the rule was
@@ -445,6 +451,29 @@ def check_sysno_classified(raw_by_path, scrubbed_by_path,
     return findings
 
 
+def check_sysno_roles(scrubbed_by_path):
+    """Every syscall number in the sysno namespace needs a role row in
+    kSysnoRoles (same file); a missing one would panic the first GPU
+    wrapper that dispatches it. Both are matched in the scrubbed
+    header, so commented-out rows don't count."""
+    findings = []
+    syscalls = scrubbed_by_path.get(SYSNO_FILE)
+    if syscalls is None:
+        return findings
+    roles = set(ROLE_ROW_RE.findall(syscalls))
+    for m in SYSNO_DECL_RE.finditer(syscalls):
+        name = m.group(1)
+        if name not in roles:
+            findings.append(Finding(
+                SYSNO_FILE, line_of(syscalls, m.start()),
+                "sysno-classified",
+                "syscall 'sysno::%s' has no role row; add "
+                "{sysno::%s, Role::Producer} (read-like) or "
+                "{sysno::%s, Role::Consumer} (write-like) to "
+                "kSysnoRoles" % (name, name, name)))
+    return findings
+
+
 def apply_allows(findings, raw_by_path):
     kept = []
     for f in findings:
@@ -471,6 +500,7 @@ def run_lint():
         findings.extend(check_file(rel, body, unordered_names))
     findings.extend(
         check_sysno_classified(raw_by_path, scrubbed_by_path))
+    findings.extend(check_sysno_roles(scrubbed_by_path))
     findings = apply_allows(findings, raw_by_path)
 
     for f in findings:
@@ -631,6 +661,31 @@ SYSNO_SELF_TEST_CASES = [
 ]
 
 
+# (name, syscalls.hh text, expected finding count for the role-row
+# half of sysno-classified)
+SYSNO_ROLE_SELF_TEST_CASES = [
+    ("every sysno has a role",
+     "inline constexpr int read = 0;\n"
+     "inline constexpr int write = 1;\n"
+     "inline constexpr SysnoRole kSysnoRoles[] = {\n"
+     "    {sysno::read, Role::Producer},\n"
+     "    {sysno::write, Role::Consumer},\n"
+     "};", 0),
+    ("missing role",
+     "inline constexpr int read = 0;\n"
+     "inline constexpr int frobnicate = 99;\n"
+     "inline constexpr SysnoRole kSysnoRoles[] = {\n"
+     "    {sysno::read, Role::Producer},\n"
+     "};", 1),
+    ("commented-out role row does not count",
+     "inline constexpr int read = 0;\n"
+     "// {sysno::read, Role::Producer},", 1),
+    ("no table at all flags every sysno",
+     "inline constexpr int read = 0;\n"
+     "inline constexpr int write = 1;", 2),
+]
+
+
 def run_self_test():
     failures = 0
     for name, rel, snippet, expected in SELF_TEST_CASES:
@@ -660,7 +715,17 @@ def run_self_test():
                   % (name, expected,
                      sorted(f.render() for f in findings) or "clean"))
             failures += 1
-    total = len(SELF_TEST_CASES) + len(SYSNO_SELF_TEST_CASES)
+    for name, sys_text, expected in SYSNO_ROLE_SELF_TEST_CASES:
+        raw = {SYSNO_FILE: sys_text}
+        findings = check_sysno_roles({SYSNO_FILE: scrub(sys_text)})
+        findings = apply_allows(findings, raw)
+        if len(findings) != expected:
+            print("self-test FAIL: %s: want %d finding(s), got %s"
+                  % (name, expected,
+                     sorted(f.render() for f in findings) or "clean"))
+            failures += 1
+    total = (len(SELF_TEST_CASES) + len(SYSNO_SELF_TEST_CASES) +
+             len(SYSNO_ROLE_SELF_TEST_CASES))
     print("glint self-test: %d case(s), %d failure(s)"
           % (total, failures))
     return 1 if failures else 0

@@ -103,7 +103,7 @@ class InterruptBackend : public ServiceBackend
     std::uint64_t batches_ = 0;
     std::uint64_t inFlight_ = 0;
     std::uint64_t ringSuppressed_ = 0;
-    stats::Distribution batchSizes_{"genesys.batch_size"};
+    stats::Distribution batchSizes_;
     std::unique_ptr<sim::WaitQueue> drainWait_;
 };
 

@@ -699,312 +699,14 @@ GpuSyscalls::invokeWorkItemsVectored(
         std::move(on_result));
 }
 
-// --------------------------------------------------------- POSIX wrappers
-
-namespace
-{
-
-Invocation
-withRole(Invocation inv, Role role)
-{
-    inv.role = role;
-    return inv;
-}
-
-} // namespace
-
 sim::Task<std::int64_t>
-GpuSyscalls::open(gpu::WavefrontCtx &ctx, Invocation inv,
-                  const char *path, int flags)
+GpuSyscalls::call(gpu::WavefrontCtx &ctx, Invocation inv, int sysno,
+                  osk::SyscallArgs args)
 {
-    const auto args = osk::makeArgs(path, flags);
-    inv = withRole(inv, Role::Producer);
+    inv.role = osk::sysnoRole(sysno);
     if (inv.granularity == Granularity::Kernel)
-        return invokeKernel(ctx, inv, osk::sysno::open, args);
-    return invokeWorkGroup(ctx, inv, osk::sysno::open, args);
-}
-
-sim::Task<std::int64_t>
-GpuSyscalls::close(gpu::WavefrontCtx &ctx, Invocation inv, int fd)
-{
-    const auto args = osk::makeArgs(fd);
-    inv = withRole(inv, Role::Consumer);
-    if (inv.granularity == Granularity::Kernel)
-        return invokeKernel(ctx, inv, osk::sysno::close, args);
-    return invokeWorkGroup(ctx, inv, osk::sysno::close, args);
-}
-
-sim::Task<std::int64_t>
-GpuSyscalls::read(gpu::WavefrontCtx &ctx, Invocation inv, int fd,
-                  void *buf, std::uint64_t len)
-{
-    const auto args = osk::makeArgs(fd, buf, len);
-    inv = withRole(inv, Role::Producer);
-    if (inv.granularity == Granularity::Kernel)
-        return invokeKernel(ctx, inv, osk::sysno::read, args);
-    return invokeWorkGroup(ctx, inv, osk::sysno::read, args);
-}
-
-sim::Task<std::int64_t>
-GpuSyscalls::write(gpu::WavefrontCtx &ctx, Invocation inv, int fd,
-                   const void *buf, std::uint64_t len)
-{
-    const auto args = osk::makeArgs(fd, buf, len);
-    inv = withRole(inv, Role::Consumer);
-    if (inv.granularity == Granularity::Kernel)
-        return invokeKernel(ctx, inv, osk::sysno::write, args);
-    return invokeWorkGroup(ctx, inv, osk::sysno::write, args);
-}
-
-sim::Task<std::int64_t>
-GpuSyscalls::pread(gpu::WavefrontCtx &ctx, Invocation inv, int fd,
-                   void *buf, std::uint64_t len, std::int64_t offset)
-{
-    const auto args = osk::makeArgs(fd, buf, len, offset);
-    inv = withRole(inv, Role::Producer);
-    if (inv.granularity == Granularity::Kernel)
-        return invokeKernel(ctx, inv, osk::sysno::pread64, args);
-    return invokeWorkGroup(ctx, inv, osk::sysno::pread64, args);
-}
-
-sim::Task<std::int64_t>
-GpuSyscalls::pwrite(gpu::WavefrontCtx &ctx, Invocation inv, int fd,
-                    const void *buf, std::uint64_t len,
-                    std::int64_t offset)
-{
-    const auto args = osk::makeArgs(fd, buf, len, offset);
-    inv = withRole(inv, Role::Consumer);
-    if (inv.granularity == Granularity::Kernel)
-        return invokeKernel(ctx, inv, osk::sysno::pwrite64, args);
-    return invokeWorkGroup(ctx, inv, osk::sysno::pwrite64, args);
-}
-
-sim::Task<std::int64_t>
-GpuSyscalls::lseek(gpu::WavefrontCtx &ctx, Invocation inv, int fd,
-                   std::int64_t offset, int whence)
-{
-    const auto args = osk::makeArgs(fd, offset, whence);
-    inv = withRole(inv, Role::Producer);
-    if (inv.granularity == Granularity::Kernel)
-        return invokeKernel(ctx, inv, osk::sysno::lseek, args);
-    return invokeWorkGroup(ctx, inv, osk::sysno::lseek, args);
-}
-
-sim::Task<std::int64_t>
-GpuSyscalls::mmap(gpu::WavefrontCtx &ctx, Invocation inv,
-                  std::uint64_t length, int fd)
-{
-    const auto args = osk::makeArgs(0, length, 3, 0x22, fd, 0);
-    inv = withRole(inv, Role::Producer);
-    if (inv.granularity == Granularity::Kernel)
-        return invokeKernel(ctx, inv, osk::sysno::mmap, args);
-    return invokeWorkGroup(ctx, inv, osk::sysno::mmap, args);
-}
-
-sim::Task<std::int64_t>
-GpuSyscalls::munmap(gpu::WavefrontCtx &ctx, Invocation inv,
-                    std::uint64_t addr, std::uint64_t length)
-{
-    const auto args = osk::makeArgs(addr, length);
-    inv = withRole(inv, Role::Consumer);
-    if (inv.granularity == Granularity::Kernel)
-        return invokeKernel(ctx, inv, osk::sysno::munmap, args);
-    return invokeWorkGroup(ctx, inv, osk::sysno::munmap, args);
-}
-
-sim::Task<std::int64_t>
-GpuSyscalls::madvise(gpu::WavefrontCtx &ctx, Invocation inv,
-                     std::uint64_t addr, std::uint64_t length,
-                     int advice)
-{
-    const auto args = osk::makeArgs(addr, length, advice);
-    inv = withRole(inv, Role::Consumer);
-    if (inv.granularity == Granularity::Kernel)
-        return invokeKernel(ctx, inv, osk::sysno::madvise, args);
-    return invokeWorkGroup(ctx, inv, osk::sysno::madvise, args);
-}
-
-sim::Task<std::int64_t>
-GpuSyscalls::getrusage(gpu::WavefrontCtx &ctx, Invocation inv,
-                       osk::RUsage *usage)
-{
-    const auto args = osk::makeArgs(0, usage);
-    inv = withRole(inv, Role::Producer);
-    if (inv.granularity == Granularity::Kernel)
-        return invokeKernel(ctx, inv, osk::sysno::getrusage, args);
-    return invokeWorkGroup(ctx, inv, osk::sysno::getrusage, args);
-}
-
-sim::Task<std::int64_t>
-GpuSyscalls::rtSigqueueinfo(gpu::WavefrontCtx &ctx, Invocation inv,
-                            int pid, int signo,
-                            const osk::SigInfo *info)
-{
-    const auto args = osk::makeArgs(pid, signo, info);
-    inv = withRole(inv, Role::Consumer);
-    if (inv.granularity == Granularity::Kernel)
-        return invokeKernel(ctx, inv, osk::sysno::rt_sigqueueinfo, args);
-    return invokeWorkGroup(ctx, inv, osk::sysno::rt_sigqueueinfo, args);
-}
-
-sim::Task<std::int64_t>
-GpuSyscalls::sendto(gpu::WavefrontCtx &ctx, Invocation inv, int fd,
-                    const void *buf, std::uint64_t len,
-                    const osk::SockAddr *dest)
-{
-    const auto args = osk::makeArgs(fd, buf, len, 0, dest, 8);
-    inv = withRole(inv, Role::Consumer);
-    if (inv.granularity == Granularity::Kernel)
-        return invokeKernel(ctx, inv, osk::sysno::sendto, args);
-    return invokeWorkGroup(ctx, inv, osk::sysno::sendto, args);
-}
-
-sim::Task<std::int64_t>
-GpuSyscalls::recvfrom(gpu::WavefrontCtx &ctx, Invocation inv, int fd,
-                      void *buf, std::uint64_t len, osk::SockAddr *src)
-{
-    const auto args = osk::makeArgs(fd, buf, len, 0, src, 8);
-    inv = withRole(inv, Role::Producer);
-    if (inv.granularity == Granularity::Kernel)
-        return invokeKernel(ctx, inv, osk::sysno::recvfrom, args);
-    return invokeWorkGroup(ctx, inv, osk::sysno::recvfrom, args);
-}
-
-sim::Task<std::int64_t>
-GpuSyscalls::ioctl(gpu::WavefrontCtx &ctx, Invocation inv, int fd,
-                   std::uint64_t request, void *argp)
-{
-    const auto args = osk::makeArgs(fd, request, argp);
-    inv = withRole(inv, Role::Producer);
-    if (inv.granularity == Granularity::Kernel)
-        return invokeKernel(ctx, inv, osk::sysno::ioctl, args);
-    return invokeWorkGroup(ctx, inv, osk::sysno::ioctl, args);
-}
-
-sim::Task<std::int64_t>
-GpuSyscalls::readv(gpu::WavefrontCtx &ctx, Invocation inv, int fd,
-                   const osk::IoVec *iov, int cnt)
-{
-    const auto args = osk::makeArgs(fd, iov, cnt);
-    inv = withRole(inv, Role::Producer);
-    if (inv.granularity == Granularity::Kernel)
-        return invokeKernel(ctx, inv, osk::sysno::readv, args);
-    return invokeWorkGroup(ctx, inv, osk::sysno::readv, args);
-}
-
-sim::Task<std::int64_t>
-GpuSyscalls::writev(gpu::WavefrontCtx &ctx, Invocation inv, int fd,
-                    const osk::IoVec *iov, int cnt)
-{
-    const auto args = osk::makeArgs(fd, iov, cnt);
-    inv = withRole(inv, Role::Consumer);
-    if (inv.granularity == Granularity::Kernel)
-        return invokeKernel(ctx, inv, osk::sysno::writev, args);
-    return invokeWorkGroup(ctx, inv, osk::sysno::writev, args);
-}
-
-sim::Task<std::int64_t>
-GpuSyscalls::sendmsg(gpu::WavefrontCtx &ctx, Invocation inv, int fd,
-                     const osk::IoVec *iov, int cnt,
-                     std::uint64_t flags)
-{
-    const auto args = osk::makeArgs(fd, iov, cnt, flags);
-    inv = withRole(inv, Role::Consumer);
-    if (inv.granularity == Granularity::Kernel)
-        return invokeKernel(ctx, inv, osk::sysno::sendmsg, args);
-    return invokeWorkGroup(ctx, inv, osk::sysno::sendmsg, args);
-}
-
-sim::Task<std::int64_t>
-GpuSyscalls::recvmsg(gpu::WavefrontCtx &ctx, Invocation inv, int fd,
-                     osk::IoVec *iov, int cnt, std::uint64_t flags)
-{
-    const auto args = osk::makeArgs(fd, iov, cnt, flags);
-    inv = withRole(inv, Role::Producer);
-    if (inv.granularity == Granularity::Kernel)
-        return invokeKernel(ctx, inv, osk::sysno::recvmsg, args);
-    return invokeWorkGroup(ctx, inv, osk::sysno::recvmsg, args);
-}
-
-sim::Task<std::int64_t>
-GpuSyscalls::connect(gpu::WavefrontCtx &ctx, Invocation inv, int fd,
-                     const osk::SockAddr *addr)
-{
-    const auto args = osk::makeArgs(fd, addr, 8);
-    inv = withRole(inv, Role::Consumer);
-    if (inv.granularity == Granularity::Kernel)
-        return invokeKernel(ctx, inv, osk::sysno::connect, args);
-    return invokeWorkGroup(ctx, inv, osk::sysno::connect, args);
-}
-
-sim::Task<std::int64_t>
-GpuSyscalls::listen(gpu::WavefrontCtx &ctx, Invocation inv, int fd,
-                    int backlog)
-{
-    const auto args = osk::makeArgs(fd, backlog);
-    inv = withRole(inv, Role::Consumer);
-    if (inv.granularity == Granularity::Kernel)
-        return invokeKernel(ctx, inv, osk::sysno::listen, args);
-    return invokeWorkGroup(ctx, inv, osk::sysno::listen, args);
-}
-
-sim::Task<std::int64_t>
-GpuSyscalls::accept(gpu::WavefrontCtx &ctx, Invocation inv, int fd,
-                    osk::SockAddr *peer)
-{
-    const auto args = osk::makeArgs(fd, peer, 8);
-    inv = withRole(inv, Role::Producer);
-    if (inv.granularity == Granularity::Kernel)
-        return invokeKernel(ctx, inv, osk::sysno::accept, args);
-    return invokeWorkGroup(ctx, inv, osk::sysno::accept, args);
-}
-
-sim::Task<std::int64_t>
-GpuSyscalls::shutdown(gpu::WavefrontCtx &ctx, Invocation inv, int fd,
-                      int how)
-{
-    const auto args = osk::makeArgs(fd, how);
-    inv = withRole(inv, Role::Consumer);
-    if (inv.granularity == Granularity::Kernel)
-        return invokeKernel(ctx, inv, osk::sysno::shutdown, args);
-    return invokeWorkGroup(ctx, inv, osk::sysno::shutdown, args);
-}
-
-sim::Task<std::int64_t>
-GpuSyscalls::epollCreate(gpu::WavefrontCtx &ctx, Invocation inv)
-{
-    const auto args = osk::makeArgs(1);
-    inv = withRole(inv, Role::Producer);
-    if (inv.granularity == Granularity::Kernel)
-        return invokeKernel(ctx, inv, osk::sysno::epoll_create, args);
-    return invokeWorkGroup(ctx, inv, osk::sysno::epoll_create, args);
-}
-
-sim::Task<std::int64_t>
-GpuSyscalls::epollCtl(gpu::WavefrontCtx &ctx, Invocation inv,
-                      int epfd, int op, int fd,
-                      const osk::EpollEvent *event)
-{
-    const auto args = osk::makeArgs(epfd, op, fd, event);
-    inv = withRole(inv, Role::Consumer);
-    if (inv.granularity == Granularity::Kernel)
-        return invokeKernel(ctx, inv, osk::sysno::epoll_ctl, args);
-    return invokeWorkGroup(ctx, inv, osk::sysno::epoll_ctl, args);
-}
-
-sim::Task<std::int64_t>
-GpuSyscalls::epollWait(gpu::WavefrontCtx &ctx, Invocation inv,
-                       int epfd, osk::EpollEvent *events,
-                       int max_events, std::int64_t timeout_ns)
-{
-    // arg[4]: waiter hint (this wave's hardware slot) for per-shard
-    // readiness fanout accounting — the epoll slot payload layout.
-    const auto args = osk::makeArgs(epfd, events, max_events,
-                                    timeout_ns, ctx.hwWaveSlot());
-    inv = withRole(inv, Role::Producer);
-    if (inv.granularity == Granularity::Kernel)
-        return invokeKernel(ctx, inv, osk::sysno::epoll_wait, args);
-    return invokeWorkGroup(ctx, inv, osk::sysno::epoll_wait, args);
+        return invokeKernel(ctx, inv, sysno, args);
+    return invokeWorkGroup(ctx, inv, sysno, args);
 }
 
 } // namespace genesys::core

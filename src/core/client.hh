@@ -21,7 +21,8 @@
  *  - kernel granularity requires relaxed ordering (strong would
  *    deadlock a grid larger than the device's residency).
  *
- * POSIX wrappers cover the system calls GENESYS implements.
+ * POSIX wrappers cover the system calls GENESYS implements; each one
+ * only packs its arguments, and the role comes from osk::kSysnoRoles.
  */
 
 #ifndef GENESYS_CORE_CLIENT_HH
@@ -62,11 +63,7 @@ enum class Blocking
 };
 
 /** Data-flow direction of the call, for relaxed barrier placement. */
-enum class Role
-{
-    Producer, ///< read-like: the call produces data the GPU consumes
-    Consumer, ///< write-like: the call consumes data the GPU produced
-};
+using Role = osk::Role;
 
 struct Invocation
 {
@@ -155,96 +152,199 @@ class GpuSyscalls
         std::function<void(std::uint32_t, std::int64_t)> on_result = {});
 
     // ---- POSIX wrappers (work-group/kernel granularity) -----------
-    sim::Task<std::int64_t> open(gpu::WavefrontCtx &, Invocation,
-                                 const char *path, int flags);
-    sim::Task<std::int64_t> close(gpu::WavefrontCtx &, Invocation,
-                                  int fd);
-    sim::Task<std::int64_t> read(gpu::WavefrontCtx &, Invocation,
-                                 int fd, void *buf, std::uint64_t len);
-    sim::Task<std::int64_t> write(gpu::WavefrontCtx &, Invocation,
-                                  int fd, const void *buf,
-                                  std::uint64_t len);
-    sim::Task<std::int64_t> pread(gpu::WavefrontCtx &, Invocation,
-                                  int fd, void *buf, std::uint64_t len,
-                                  std::int64_t offset);
-    sim::Task<std::int64_t> pwrite(gpu::WavefrontCtx &, Invocation,
-                                   int fd, const void *buf,
-                                   std::uint64_t len,
-                                   std::int64_t offset);
-    sim::Task<std::int64_t> lseek(gpu::WavefrontCtx &, Invocation,
-                                  int fd, std::int64_t offset,
-                                  int whence);
-    sim::Task<std::int64_t> mmap(gpu::WavefrontCtx &, Invocation,
-                                 std::uint64_t length, int fd);
-    sim::Task<std::int64_t> munmap(gpu::WavefrontCtx &, Invocation,
-                                   std::uint64_t addr,
-                                   std::uint64_t length);
-    sim::Task<std::int64_t> madvise(gpu::WavefrontCtx &, Invocation,
-                                    std::uint64_t addr,
-                                    std::uint64_t length, int advice);
-    sim::Task<std::int64_t> getrusage(gpu::WavefrontCtx &, Invocation,
-                                      osk::RUsage *usage);
-    sim::Task<std::int64_t> rtSigqueueinfo(gpu::WavefrontCtx &,
-                                           Invocation, int pid,
-                                           int signo,
-                                           const osk::SigInfo *info);
-    sim::Task<std::int64_t> sendto(gpu::WavefrontCtx &, Invocation,
-                                   int fd, const void *buf,
-                                   std::uint64_t len,
-                                   const osk::SockAddr *dest);
-    sim::Task<std::int64_t> recvfrom(gpu::WavefrontCtx &, Invocation,
-                                     int fd, void *buf,
-                                     std::uint64_t len,
-                                     osk::SockAddr *src);
-    sim::Task<std::int64_t> ioctl(gpu::WavefrontCtx &, Invocation,
-                                  int fd, std::uint64_t request,
-                                  void *argp);
+    sim::Task<std::int64_t>
+    open(gpu::WavefrontCtx &ctx, Invocation inv, const char *path,
+         int flags)
+    {
+        return call(ctx, inv, osk::sysno::open, osk::makeArgs(path, flags));
+    }
+    sim::Task<std::int64_t>
+    close(gpu::WavefrontCtx &ctx, Invocation inv, int fd)
+    {
+        return call(ctx, inv, osk::sysno::close, osk::makeArgs(fd));
+    }
+    sim::Task<std::int64_t>
+    read(gpu::WavefrontCtx &ctx, Invocation inv, int fd, void *buf,
+         std::uint64_t len)
+    {
+        return call(ctx, inv, osk::sysno::read, osk::makeArgs(fd, buf, len));
+    }
+    sim::Task<std::int64_t>
+    write(gpu::WavefrontCtx &ctx, Invocation inv, int fd,
+          const void *buf, std::uint64_t len)
+    {
+        return call(ctx, inv, osk::sysno::write,
+                    osk::makeArgs(fd, buf, len));
+    }
+    sim::Task<std::int64_t>
+    pread(gpu::WavefrontCtx &ctx, Invocation inv, int fd, void *buf,
+          std::uint64_t len, std::int64_t offset)
+    {
+        return call(ctx, inv, osk::sysno::pread64,
+                    osk::makeArgs(fd, buf, len, offset));
+    }
+    sim::Task<std::int64_t>
+    pwrite(gpu::WavefrontCtx &ctx, Invocation inv, int fd,
+           const void *buf, std::uint64_t len, std::int64_t offset)
+    {
+        return call(ctx, inv, osk::sysno::pwrite64,
+                    osk::makeArgs(fd, buf, len, offset));
+    }
+    sim::Task<std::int64_t>
+    lseek(gpu::WavefrontCtx &ctx, Invocation inv, int fd,
+          std::int64_t offset, int whence)
+    {
+        return call(ctx, inv, osk::sysno::lseek,
+                    osk::makeArgs(fd, offset, whence));
+    }
+    /** Anonymous-or-file mapping: PROT_READ|PROT_WRITE (3),
+     *  MAP_PRIVATE|MAP_ANONYMOUS (0x22), offset 0. */
+    sim::Task<std::int64_t>
+    mmap(gpu::WavefrontCtx &ctx, Invocation inv, std::uint64_t length,
+         int fd)
+    {
+        return call(ctx, inv, osk::sysno::mmap,
+                    osk::makeArgs(0, length, 3, 0x22, fd, 0));
+    }
+    sim::Task<std::int64_t>
+    munmap(gpu::WavefrontCtx &ctx, Invocation inv, std::uint64_t addr,
+           std::uint64_t length)
+    {
+        return call(ctx, inv, osk::sysno::munmap,
+                    osk::makeArgs(addr, length));
+    }
+    sim::Task<std::int64_t>
+    madvise(gpu::WavefrontCtx &ctx, Invocation inv, std::uint64_t addr,
+            std::uint64_t length, int advice)
+    {
+        return call(ctx, inv, osk::sysno::madvise,
+                    osk::makeArgs(addr, length, advice));
+    }
+    sim::Task<std::int64_t>
+    getrusage(gpu::WavefrontCtx &ctx, Invocation inv, osk::RUsage *usage)
+    {
+        return call(ctx, inv, osk::sysno::getrusage,
+                    osk::makeArgs(0, usage));
+    }
+    sim::Task<std::int64_t>
+    rtSigqueueinfo(gpu::WavefrontCtx &ctx, Invocation inv, int pid,
+                   int signo, const osk::SigInfo *info)
+    {
+        return call(ctx, inv, osk::sysno::rt_sigqueueinfo,
+                    osk::makeArgs(pid, signo, info));
+    }
+    /** The sockaddr length is always 8 (the collapsed SockAddr). */
+    sim::Task<std::int64_t>
+    sendto(gpu::WavefrontCtx &ctx, Invocation inv, int fd,
+           const void *buf, std::uint64_t len, const osk::SockAddr *dest)
+    {
+        return call(ctx, inv, osk::sysno::sendto,
+                    osk::makeArgs(fd, buf, len, 0, dest, 8));
+    }
+    sim::Task<std::int64_t>
+    recvfrom(gpu::WavefrontCtx &ctx, Invocation inv, int fd, void *buf,
+             std::uint64_t len, osk::SockAddr *src)
+    {
+        return call(ctx, inv, osk::sysno::recvfrom,
+                    osk::makeArgs(fd, buf, len, 0, src, 8));
+    }
+    sim::Task<std::int64_t>
+    ioctl(gpu::WavefrontCtx &ctx, Invocation inv, int fd,
+          std::uint64_t request, void *argp)
+    {
+        return call(ctx, inv, osk::sysno::ioctl,
+                    osk::makeArgs(fd, request, argp));
+    }
 
     // ---- vectored I/O (work-group/kernel granularity) --------------
-    sim::Task<std::int64_t> readv(gpu::WavefrontCtx &, Invocation,
-                                  int fd, const osk::IoVec *iov,
-                                  int cnt);
-    sim::Task<std::int64_t> writev(gpu::WavefrontCtx &, Invocation,
-                                   int fd, const osk::IoVec *iov,
-                                   int cnt);
-    sim::Task<std::int64_t> sendmsg(gpu::WavefrontCtx &, Invocation,
-                                    int fd, const osk::IoVec *iov,
-                                    int cnt, std::uint64_t flags);
+    sim::Task<std::int64_t>
+    readv(gpu::WavefrontCtx &ctx, Invocation inv, int fd,
+          const osk::IoVec *iov, int cnt)
+    {
+        return call(ctx, inv, osk::sysno::readv,
+                    osk::makeArgs(fd, iov, cnt));
+    }
+    sim::Task<std::int64_t>
+    writev(gpu::WavefrontCtx &ctx, Invocation inv, int fd,
+           const osk::IoVec *iov, int cnt)
+    {
+        return call(ctx, inv, osk::sysno::writev,
+                    osk::makeArgs(fd, iov, cnt));
+    }
+    sim::Task<std::int64_t>
+    sendmsg(gpu::WavefrontCtx &ctx, Invocation inv, int fd,
+            const osk::IoVec *iov, int cnt, std::uint64_t flags)
+    {
+        return call(ctx, inv, osk::sysno::sendmsg,
+                    osk::makeArgs(fd, iov, cnt, flags));
+    }
     /**
      * Collapsed msghdr: (fd, iov, cnt, flags). With MSG_ZEROCOPY the
      * kernel rewrites @p iov in place to point into loaned wire
      * segments (see osk/tcp.hh); with MSG_DONTWAIT an empty receive
      * chain returns -EAGAIN — the edge-triggered drain primitive.
      */
-    sim::Task<std::int64_t> recvmsg(gpu::WavefrontCtx &, Invocation,
-                                    int fd, osk::IoVec *iov, int cnt,
-                                    std::uint64_t flags);
+    sim::Task<std::int64_t>
+    recvmsg(gpu::WavefrontCtx &ctx, Invocation inv, int fd,
+            osk::IoVec *iov, int cnt, std::uint64_t flags)
+    {
+        return call(ctx, inv, osk::sysno::recvmsg,
+                    osk::makeArgs(fd, iov, cnt, flags));
+    }
 
     // ---- gnet: stream sockets + readiness ---------------------------
-    sim::Task<std::int64_t> connect(gpu::WavefrontCtx &, Invocation,
-                                    int fd, const osk::SockAddr *addr);
-    sim::Task<std::int64_t> listen(gpu::WavefrontCtx &, Invocation,
-                                   int fd, int backlog);
-    sim::Task<std::int64_t> accept(gpu::WavefrontCtx &, Invocation,
-                                   int fd, osk::SockAddr *peer);
-    sim::Task<std::int64_t> shutdown(gpu::WavefrontCtx &, Invocation,
-                                     int fd, int how);
-    sim::Task<std::int64_t> epollCreate(gpu::WavefrontCtx &,
-                                        Invocation);
-    sim::Task<std::int64_t> epollCtl(gpu::WavefrontCtx &, Invocation,
-                                     int epfd, int op, int fd,
-                                     const osk::EpollEvent *event);
+    sim::Task<std::int64_t>
+    connect(gpu::WavefrontCtx &ctx, Invocation inv, int fd,
+            const osk::SockAddr *addr)
+    {
+        return call(ctx, inv, osk::sysno::connect,
+                    osk::makeArgs(fd, addr, 8));
+    }
+    sim::Task<std::int64_t>
+    listen(gpu::WavefrontCtx &ctx, Invocation inv, int fd, int backlog)
+    {
+        return call(ctx, inv, osk::sysno::listen,
+                    osk::makeArgs(fd, backlog));
+    }
+    sim::Task<std::int64_t>
+    accept(gpu::WavefrontCtx &ctx, Invocation inv, int fd,
+           osk::SockAddr *peer)
+    {
+        return call(ctx, inv, osk::sysno::accept,
+                    osk::makeArgs(fd, peer, 8));
+    }
+    sim::Task<std::int64_t>
+    shutdown(gpu::WavefrontCtx &ctx, Invocation inv, int fd, int how)
+    {
+        return call(ctx, inv, osk::sysno::shutdown, osk::makeArgs(fd, how));
+    }
+    sim::Task<std::int64_t>
+    epollCreate(gpu::WavefrontCtx &ctx, Invocation inv)
+    {
+        return call(ctx, inv, osk::sysno::epoll_create, osk::makeArgs(1));
+    }
+    sim::Task<std::int64_t>
+    epollCtl(gpu::WavefrontCtx &ctx, Invocation inv, int epfd, int op,
+             int fd, const osk::EpollEvent *event)
+    {
+        return call(ctx, inv, osk::sysno::epoll_ctl,
+                    osk::makeArgs(epfd, op, fd, event));
+    }
     /**
      * epoll_wait through a syscall slot: the slot payload carries the
      * requester's hardware wave slot (arg[4]) so readiness wake-ups
      * can be attributed per syscall-area shard. A blocked work-group
      * halts/polls exactly like any other blocking call.
      */
-    sim::Task<std::int64_t> epollWait(gpu::WavefrontCtx &, Invocation,
-                                      int epfd,
-                                      osk::EpollEvent *events,
-                                      int max_events,
-                                      std::int64_t timeout_ns);
+    sim::Task<std::int64_t>
+    epollWait(gpu::WavefrontCtx &ctx, Invocation inv, int epfd,
+              osk::EpollEvent *events, int max_events,
+              std::int64_t timeout_ns)
+    {
+        return call(ctx, inv, osk::sysno::epoll_wait,
+                    osk::makeArgs(epfd, events, max_events, timeout_ns,
+                                  ctx.hwWaveSlot()));
+    }
 
     /** Attach the happens-before sanitizer (may be null). */
     void setSanitizer(gsan::Sanitizer *gsan) { gsan_ = gsan; }
@@ -259,6 +359,14 @@ class GpuSyscalls
     std::uint64_t ringFullRetries() const { return ringFullRetries_; }
 
   private:
+    /**
+     * The dispatcher behind every POSIX wrapper: takes the call's role
+     * from osk::kSysnoRoles and invokes at kernel or work-group
+     * granularity, as @p inv asks.
+     */
+    sim::Task<std::int64_t> call(gpu::WavefrontCtx &ctx, Invocation inv,
+                                 int sysno, osk::SyscallArgs args);
+
     /**
      * Leader-lane recovery wrapper (the libc layer of the GPU client):
      * restarts -EINTR results, retries -EAGAIN with bounded

@@ -134,7 +134,6 @@ class GenesysHost
     }
 
   private:
-    osk::Kernel &kernel_;
     GenesysParams params_;
 
     std::unique_ptr<ServiceCore> core_;

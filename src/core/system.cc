@@ -6,12 +6,315 @@
 #include "system.hh"
 
 #include <cstdlib>
+#include <string>
+#include <type_traits>
+#include <vector>
 
 #include "osk/sysfs.hh"
 #include "support/logging.hh"
 
 namespace genesys::core
 {
+
+namespace
+{
+
+// S is the System a row reads (and a knob writes through).
+using S = const System &;
+using Shard = std::uint32_t;
+using Value = std::uint64_t;
+
+GenesysParams &
+params(S s)
+{
+    return s.host().params();
+}
+
+osk::FaultConfig &
+fault(S s)
+{
+    return s.kernel().faults().config();
+}
+
+/** A knob value its row has already range-checked. */
+std::uint32_t
+u32(Value v)
+{
+    return static_cast<std::uint32_t>(v);
+}
+
+/**
+ * One counter or knob, registered once for both surfaces. @c path is
+ * its file under /sys/genesys/ ("%u" expands once per syscall-area
+ * shard; nullptr = report only) and @c report its statsReport() name
+ * (nullptr = sysfs only). A knob's @c set sees only values in
+ * [lo, hi] and may still refuse one. @c real stands in for @c get on
+ * the report's non-integer lines.
+ */
+struct Metric
+{
+    const char *path = nullptr;
+    const char *report = nullptr;
+    Value (*get)(S, Shard) = nullptr;
+    bool (*set)(S, Value) = nullptr;
+    Value lo = 0;
+    Value hi = UINT64_MAX;
+    double (*real)(S) = nullptr;
+};
+
+/** A knob over one plain field of the struct @p Holder returns. */
+template <auto Holder, auto Field>
+constexpr Metric
+field(const char *path, Value lo = 0, Value hi = UINT64_MAX)
+{
+    return {path, nullptr,
+            [](S s, Shard) { return static_cast<Value>(Holder(s).*Field); },
+            [](S s, Value v) {
+                auto &f = Holder(s).*Field;
+                f = static_cast<std::remove_reference_t<decltype(f)>>(v);
+                return true;
+            },
+            lo, hi};
+}
+
+constexpr Value kPpm = 1'000'000;
+
+/** In statsReport() order; sysfs-only rows sit beside their kin. */
+const Metric kMetrics[] = {
+    {nullptr, "gpu.kernels_launched",
+     [](S s, Shard) { return s.gpu().launchedKernels(); }},
+    {nullptr, "gpu.workgroups_launched",
+     [](S s, Shard) { return s.gpu().launchedWorkGroups(); }},
+    {nullptr, "gpu.wavefronts_launched",
+     [](S s, Shard) { return s.gpu().launchedWavefronts(); }},
+    {nullptr, "gpu.l2_hits", [](S s, Shard) { return s.gpu().l2().hits(); }},
+    {nullptr, "gpu.l2_misses",
+     [](S s, Shard) { return s.gpu().l2().misses(); }},
+
+    // The paper's coalescing knobs (Section VI), then the service
+    // path's counters, shard geometry and per-shard dirs (DESIGN.md
+    // §10).
+    field<params, &GenesysParams::coalesceWindow>("coalesce_window_ns"),
+    field<params, &GenesysParams::coalesceMaxBatch>("coalesce_max_batch",
+                                                    1, UINT32_MAX),
+    {nullptr, "genesys.requests_issued",
+     [](S s, Shard) { return s.gpuSys().issuedRequests(); }},
+    {nullptr, "genesys.interrupts",
+     [](S s, Shard) { return s.host().interrupts(); }},
+    {nullptr, "genesys.batches",
+     [](S s, Shard) { return s.host().batches(); }},
+    {nullptr, "genesys.syscalls_processed",
+     [](S s, Shard) { return s.host().processedSyscalls(); }},
+    {.report = "genesys.batch_size_mean",
+     .real = [](S s) { return s.host().batchSizes().mean(); }},
+    {nullptr, "genesys.syscall_retries",
+     [](S s, Shard) { return s.gpuSys().syscallRetries(); }},
+    {nullptr, "genesys.short_transfers",
+     [](S s, Shard) { return s.gpuSys().shortTransfers(); }},
+    {nullptr, "genesys.host_restarts",
+     [](S s, Shard) { return s.host().hostRestarts(); }},
+    {"shards/count", "genesys.area_shards",
+     [](S s, Shard) -> Value { return s.syscallArea().shardCount(); }},
+    {"shards/%u/issued", nullptr,
+     [](S s, Shard i) { return s.syscallArea().issuedOnShard(i); }},
+    {"shards/%u/processed", nullptr,
+     [](S s, Shard i) { return s.syscallArea().processedOnShard(i); }},
+    {"shards/%u/interrupts", nullptr,
+     [](S s, Shard i) { return s.host().interruptsOnShard(i); }},
+
+    // Ring submission (DESIGN.md §13). Mode and geometry are fixed at
+    // construction (rings are sized with the area), so both files are
+    // read-only; the next consume task reads the lingering knobs live.
+    {"rings/enabled", "genesys.rings_enabled",
+     [](S s, Shard) -> Value {
+         return s.syscallArea().ringsEnabled() ? 1 : 0;
+     }},
+    {"rings/batches", "genesys.ring_batches",
+     [](S s, Shard) { return s.syscallArea().ringBatchesTotal(); }},
+    {"rings/entries_submitted", "genesys.ring_entries",
+     [](S s, Shard) { return s.syscallArea().ringEntriesTotal(); }},
+    {.report = "genesys.ring_batch_occupancy",
+     .real = [](S s) { return s.syscallArea().ringBatchOccupancy(); }},
+    {"rings/doorbells_suppressed", "genesys.ring_doorbells_suppressed",
+     [](S s, Shard) { return s.host().ringDoorbellsSuppressed(); }},
+    {"rings/cq_posted", "genesys.ring_cq_posted",
+     [](S s, Shard) { return s.host().ringCqPosted(); }},
+    {"rings/entries", nullptr,
+     [](S s, Shard) -> Value { return s.syscallArea().sq(0).capacity(); }},
+    {"rings/sq_full_retries", nullptr,
+     [](S s, Shard) { return s.gpuSys().ringFullRetries(); }},
+    field<params, &GenesysParams::ringConsumerGrace>(
+        "rings/consumer_grace_ns"),
+    field<params, &GenesysParams::ringConsumerPoll>("rings/consumer_poll_ns"),
+    {"rings/%u/sq_head", nullptr,
+     [](S s, Shard i) { return s.syscallArea().sq(i).loadHeadAcquire(); }},
+    {"rings/%u/sq_tail", nullptr,
+     [](S s, Shard i) { return s.syscallArea().sq(i).loadTailAcquire(); }},
+    {"rings/%u/cq_head", nullptr,
+     [](S s, Shard i) { return s.syscallArea().cq(i).loadHeadAcquire(); }},
+    {"rings/%u/cq_tail", nullptr,
+     [](S s, Shard i) { return s.syscallArea().cq(i).loadTailAcquire(); }},
+    {"rings/%u/batches", nullptr,
+     [](S s, Shard i) { return s.syscallArea().ringBatchesOnShard(i); }},
+    {"rings/%u/entries", nullptr,
+     [](S s, Shard i) { return s.syscallArea().ringEntriesOnShard(i); }},
+    {"rings/%u/cq_reclaims", nullptr,
+     [](S s, Shard i) { return s.syscallArea().cq(i).reclaims(); }},
+
+    // Fault injection (osk/fault.hh); rates are per dispatch, in ppm.
+    {"fault/injected", "osk.faults_injected",
+     [](S s, Shard) { return s.kernel().faults().injected(); }},
+    field<fault, &osk::FaultConfig::eintrPpm>("fault/eintr_ppm", 0, kPpm),
+    field<fault, &osk::FaultConfig::eagainPpm>("fault/eagain_ppm", 0, kPpm),
+    field<fault, &osk::FaultConfig::shortPpm>("fault/short_ppm", 0, kPpm),
+    field<fault, &osk::FaultConfig::errnoPpm>("fault/errno_ppm", 0, kPpm),
+    field<fault, &osk::FaultConfig::deviceDelayPpm>("fault/device_delay_ppm",
+                                                    0, kPpm),
+    field<fault, &osk::FaultConfig::seed>("fault/seed"),
+    field<fault, &osk::FaultConfig::errnoValue>("fault/errno_value", 1, 4095),
+    field<fault, &osk::FaultConfig::atomicTransferBytes>(
+        "fault/atomic_transfer_bytes", 0, UINT32_MAX),
+    field<fault, &osk::FaultConfig::deviceDelay>("fault/device_delay_ns"),
+
+    // gsan (DESIGN.md §9): runtime switch, report cap, report counts.
+    {"gsan/enabled", "gsan.enabled",
+     [](S s, Shard) -> Value { return s.gsan().enabled() ? 1 : 0; },
+     [](S s, Value v) { s.gsan().setEnabled(v == 1); return true; }, 0, 1},
+    {"gsan/max_reports", nullptr,
+     [](S s, Shard) -> Value { return s.gsan().maxStoredReports(); },
+     [](S s, Value v) { s.gsan().setMaxStoredReports(u32(v)); return true; },
+     0, UINT32_MAX},
+    {"gsan/reports", "gsan.reports",
+     [](S s, Shard) { return s.gsan().reportCount(); }},
+    {"gsan/payload_races", "gsan.payload_races",
+     [](S s, Shard) {
+         return s.gsan().countOf(gsan::ReportKind::PayloadRace);
+     }},
+    {"gsan/ordering_violations", "gsan.ordering_violations",
+     [](S s, Shard) {
+         return s.gsan().countOf(gsan::ReportKind::OrderingViolation);
+     }},
+    {"gsan/lost_wakeups", "gsan.lost_wakeups",
+     [](S s, Shard) {
+         return s.gsan().countOf(gsan::ReportKind::LostWakeup);
+     }},
+    {nullptr, "gsan.threads",
+     [](S s, Shard) -> Value { return s.gsan().threadCount(); }},
+
+    // gnet (DESIGN.md §12): UDP delivery, the TCP wire and its
+    // zero-copy ledger (copied_bytes stays flat on a serving path that
+    // never copies), the loss knob, and epoll wait/wake statistics
+    // with the per-shard readiness-wake fanout.
+    {"net/udp/delivered", "net.udp_delivered",
+     [](S s, Shard) { return s.kernel().udp().deliveredDatagrams(); }},
+    {"net/udp/dropped", "net.udp_dropped",
+     [](S s, Shard) { return s.kernel().udp().dropped(); }},
+    {"net/udp/unroutable", nullptr,
+     [](S s, Shard) { return s.kernel().udp().unroutable(); }},
+    {"net/tcp/segs_sent", "net.tcp_segs_sent",
+     [](S s, Shard) { return s.kernel().tcp().counters().segsSent; }},
+    {"net/tcp/retransmits", "net.tcp_retransmits",
+     [](S s, Shard) { return s.kernel().tcp().counters().retransmits; }},
+    {"net/tcp/backpressure_stalls", "net.tcp_backpressure_stalls",
+     [](S s, Shard) {
+         return s.kernel().tcp().counters().backpressureStalls;
+     }},
+    {"net/tcp/resets", "net.tcp_resets",
+     [](S s, Shard) { return s.kernel().tcp().counters().resets; }},
+    {"net/tcp/copied_bytes", "net.tcp_copied_bytes",
+     [](S s, Shard) { return s.kernel().tcp().counters().copiedBytes; }},
+    {"net/tcp/zerocopy_bytes", "net.tcp_zerocopy_bytes",
+     [](S s, Shard) { return s.kernel().tcp().counters().zerocopyBytes; }},
+    {"net/tcp/segs_lost", nullptr,
+     [](S s, Shard) { return s.kernel().tcp().counters().segsLost; }},
+    {"net/tcp/accepts", nullptr,
+     [](S s, Shard) { return s.kernel().tcp().counters().accepts; }},
+    {"net/tcp/connects", nullptr,
+     [](S s, Shard) { return s.kernel().tcp().counters().connects; }},
+    {"net/tcp/refused", nullptr,
+     [](S s, Shard) { return s.kernel().tcp().counters().refused; }},
+    {"net/tcp/loss_ppm", nullptr,
+     [](S s, Shard) -> Value { return s.kernel().tcp().lossPpm(); },
+     [](S s, Value v) { s.kernel().tcp().setLossPpm(u32(v)); return true; },
+     0, kPpm},
+    {"net/epoll/waits", "net.epoll_waits",
+     [](S s, Shard) { return s.kernel().epoll().waits(); }},
+    {"net/epoll/wakeups", "net.epoll_wakeups",
+     [](S s, Shard) { return s.kernel().epoll().wakeups(); }},
+    {"net/epoll/notifies", "net.epoll_notifies",
+     [](S s, Shard) { return s.kernel().epoll().notifies(); }},
+    {"net/epoll/timeouts", nullptr,
+     [](S s, Shard) { return s.kernel().epoll().timeouts(); }},
+    {"net/epoll/edges_recorded", nullptr,
+     [](S s, Shard) { return s.kernel().epoll().edgesRecorded(); }},
+    {"net/epoll/edges_delivered", nullptr,
+     [](S s, Shard) { return s.kernel().epoll().edgesDelivered(); }},
+    {"net/epoll/shards/%u/wakeups", nullptr,
+     [](S s, Shard i) { return s.epollShardWakes()[i]; }},
+
+    {nullptr, "mem.gpu_bytes",
+     [](S s, Shard) { return s.memBus().bytesMoved("gpu"); }},
+    {nullptr, "mem.cpu_bytes",
+     [](S s, Shard) { return s.memBus().bytesMoved("cpu"); }},
+    {.report = "cpu.utilization",
+     .real =
+         [](S s) { return s.kernel().cpus().utilization(0, s.sim().now()); }},
+
+    // The workqueue (DESIGN.md §10): the worker-count knob is bounded
+    // by the pool built at construction.
+    {nullptr, "osk.workqueue_tasks",
+     [](S s, Shard) { return s.kernel().workqueue().executedTasks(); }},
+    {"workqueue/max_workers", "osk.workqueue_max_workers",
+     [](S s, Shard) -> Value { return s.kernel().workqueue().maxWorkers(); },
+     [](S s, Value v) {
+         osk::WorkQueue &wq = s.kernel().workqueue();
+         if (v > wq.workerCap())
+             return false;
+         wq.setMaxWorkers(u32(v));
+         return true;
+     },
+     1, UINT32_MAX},
+    {"workqueue/steals", "osk.workqueue_steals",
+     [](S s, Shard) { return s.kernel().workqueue().steals(); }},
+    {"workqueue/spills", "osk.workqueue_spills",
+     [](S s, Shard) { return s.kernel().workqueue().spills(); }},
+    {"workqueue/queue_bound", nullptr,
+     [](S s, Shard) -> Value { return s.kernel().workqueue().queueBound(); },
+     [](S s, Value v) {
+         s.kernel().workqueue().setQueueBound(u32(v));
+         return true;
+     },
+     1, UINT32_MAX},
+
+    {nullptr, "sim.events_executed",
+     [](S s, Shard) { return s.sim().events().executedEvents(); }},
+    {nullptr, "sim.final_tick", [](S s, Shard) { return s.sim().now(); }},
+};
+
+/** A /sys/genesys file backed by one table row (and shard). */
+class MetricFile final : public osk::SysfsFile
+{
+  public:
+    MetricFile(const Metric &m, S sys, Shard shard)
+        : m_(m), sys_(sys), shard_(shard)
+    {}
+
+  private:
+    Value value() const override { return m_.get(sys_, shard_); }
+
+    bool
+    store(Value v) override
+    {
+        return m_.set != nullptr && v >= m_.lo && v <= m_.hi &&
+               m_.set(sys_, v);
+    }
+
+    const Metric &m_;
+    const System &sys_;
+    Shard shard_;
+};
+
+} // namespace
 
 System::System(const SystemConfig &config)
     : config_(config), sim_(std::make_unique<sim::Sim>(config.seed)),
@@ -28,9 +331,7 @@ System::System(const SystemConfig &config)
                                             config.genesys)),
       gsan_(std::make_unique<gsan::Sanitizer>())
 {
-    // Capture heap-stable pointers, never `this`: System is movable.
-    sim::Sim *sp = sim_.get();
-    gsan_->setNow([sp]() -> std::uint64_t { return sp->now(); });
+    gsan_->setNow([this]() -> std::uint64_t { return sim_->now(); });
     gpu_->setSanitizer(gsan_.get());
     area_->attachSanitizer(gsan_.get());
     host_->setSanitizer(gsan_.get());
@@ -40,23 +341,17 @@ System::System(const SystemConfig &config)
     // Readiness wake fanout accounting: map each woken GPU waiter
     // (cookie = hardware wave slot) to its syscall-area shard. Host
     // waiters carry kEpollHostWaiter and are not shard-attributed.
-    epollShardWakes_ = std::make_shared<std::vector<std::uint64_t>>(
-        area_->shardCount(), 0);
-    SyscallArea *ap = area_.get();
-    std::shared_ptr<std::vector<std::uint64_t>> wakes = epollShardWakes_;
-    kernel_->epoll().setWakeObserver([ap, wakes](std::uint64_t cookie) {
+    epollShardWakes_.assign(area_->shardCount(), 0);
+    kernel_->epoll().setWakeObserver([this](std::uint64_t cookie) {
         if (cookie == osk::kEpollHostWaiter)
             return;
         const std::uint32_t shard =
-            ap->shardOfWave(static_cast<std::uint32_t>(cookie));
-        if (shard < wakes->size())
-            ++(*wakes)[shard];
+            area_->shardOfWave(static_cast<std::uint32_t>(cookie));
+        if (shard < epollShardWakes_.size())
+            ++epollShardWakes_[shard];
     });
 
-    installGsanSysfs();
-    installShardSysfs();
-    installNetSysfs();
-    installRingSysfs();
+    installSysfs();
 
     // GENESYS_GSAN=1 turns the sanitizer on for a whole test/bench
     // run without touching code (the gsan-enabled CI job uses this).
@@ -68,248 +363,24 @@ System::System(const SystemConfig &config)
 }
 
 void
-System::installGsanSysfs()
+System::installSysfs()
 {
-    // Mirrors the fault subsystem's /sys/genesys/fault/ knob surface.
-    gsan::Sanitizer *g = gsan_.get();
-    kernel_->vfs().install(
-        "/sys/genesys/gsan/enabled",
-        std::make_shared<osk::SysfsFile>(
-            [g]() -> std::uint64_t { return g->enabled() ? 1 : 0; },
-            [g](std::uint64_t v) {
-                if (v > 1)
-                    return false;
-                g->setEnabled(v == 1);
-                return true;
-            }));
-    kernel_->vfs().install(
-        "/sys/genesys/gsan/max_reports",
-        std::make_shared<osk::SysfsFile>(
-            [g]() -> std::uint64_t { return g->maxStoredReports(); },
-            [g](std::uint64_t v) {
-                if (v > UINT32_MAX)
-                    return false;
-                g->setMaxStoredReports(static_cast<std::uint32_t>(v));
-                return true;
-            }));
-    auto counter = [this, g](const std::string &name,
-                             std::function<std::uint64_t()> read) {
-        kernel_->vfs().install(
-            "/sys/genesys/gsan/" + name,
-            std::make_shared<osk::SysfsFile>(
-                std::move(read), [](std::uint64_t) { return false; }));
-    };
-    counter("reports", [g] { return g->reportCount(); });
-    counter("payload_races",
-            [g] { return g->countOf(gsan::ReportKind::PayloadRace); });
-    counter("ordering_violations", [g] {
-        return g->countOf(gsan::ReportKind::OrderingViolation);
-    });
-    counter("lost_wakeups",
-            [g] { return g->countOf(gsan::ReportKind::LostWakeup); });
-}
-
-void
-System::installShardSysfs()
-{
-    // The service-path knob surface (DESIGN.md §10): shard geometry,
-    // per-shard counters, and the workqueue worker-count knob, all
-    // beside the coalescing files GenesysHost installs.
-    auto ro = [this](const std::string &path,
-                     std::function<std::uint64_t()> read) {
-        kernel_->vfs().install(
-            path, std::make_shared<osk::SysfsFile>(
-                      std::move(read),
-                      [](std::uint64_t) { return false; }));
-    };
-    SyscallArea *area = area_.get();
-    GenesysHost *host = host_.get();
-    ro("/sys/genesys/shards/count",
-       [area] { return std::uint64_t(area->shardCount()); });
-    for (std::uint32_t s = 0; s < area_->shardCount(); ++s) {
-        const std::string dir =
-            logging::format("/sys/genesys/shards/%u/", s);
-        ro(dir + "issued",
-           [area, s] { return area->issuedOnShard(s); });
-        ro(dir + "processed",
-           [area, s] { return area->processedOnShard(s); });
-        ro(dir + "interrupts",
-           [host, s] { return host->interruptsOnShard(s); });
-    }
-
-    osk::WorkQueue *wq = &kernel_->workqueue();
-    kernel_->vfs().install(
-        "/sys/genesys/workqueue/max_workers",
-        std::make_shared<osk::SysfsFile>(
-            [wq] { return std::uint64_t(wq->maxWorkers()); },
-            [wq](std::uint64_t v) {
-                if (v == 0 || v > wq->workerCap())
-                    return false;
-                wq->setMaxWorkers(static_cast<std::uint32_t>(v));
-                return true;
-            }));
-    kernel_->vfs().install(
-        "/sys/genesys/workqueue/queue_bound",
-        std::make_shared<osk::SysfsFile>(
-            [wq] { return std::uint64_t(wq->queueBound()); },
-            [wq](std::uint64_t v) {
-                if (v == 0 || v > UINT32_MAX)
-                    return false;
-                wq->setQueueBound(static_cast<std::uint32_t>(v));
-                return true;
-            }));
-    ro("/sys/genesys/workqueue/steals",
-       [wq] { return wq->steals(); });
-    ro("/sys/genesys/workqueue/spills",
-       [wq] { return wq->spills(); });
-}
-
-void
-System::installNetSysfs()
-{
-    // gnet counter surface (DESIGN.md §12): UDP delivery/drop, TCP
-    // wire/backpressure, and epoll wait/wake statistics, plus the
-    // per-shard readiness-wake fanout next to the shard dirs above.
-    auto ro = [this](const std::string &path,
-                     std::function<std::uint64_t()> read) {
-        kernel_->vfs().install(
-            path, std::make_shared<osk::SysfsFile>(
-                      std::move(read),
-                      [](std::uint64_t) { return false; }));
-    };
-    osk::UdpStack *udp = &kernel_->udp();
-    osk::TcpStack *tcp = &kernel_->tcp();
-    osk::EpollSystem *ep = &kernel_->epoll();
-
-    ro("/sys/genesys/net/udp/delivered",
-       [udp] { return udp->deliveredDatagrams(); });
-    ro("/sys/genesys/net/udp/unroutable",
-       [udp] { return udp->unroutable(); });
-    ro("/sys/genesys/net/udp/dropped", [udp] { return udp->dropped(); });
-
-    ro("/sys/genesys/net/tcp/segs_sent",
-       [tcp] { return tcp->counters().segsSent; });
-    ro("/sys/genesys/net/tcp/segs_lost",
-       [tcp] { return tcp->counters().segsLost; });
-    ro("/sys/genesys/net/tcp/retransmits",
-       [tcp] { return tcp->counters().retransmits; });
-    ro("/sys/genesys/net/tcp/backpressure_stalls",
-       [tcp] { return tcp->counters().backpressureStalls; });
-    ro("/sys/genesys/net/tcp/accepts",
-       [tcp] { return tcp->counters().accepts; });
-    ro("/sys/genesys/net/tcp/connects",
-       [tcp] { return tcp->counters().connects; });
-    ro("/sys/genesys/net/tcp/refused",
-       [tcp] { return tcp->counters().refused; });
-    ro("/sys/genesys/net/tcp/resets",
-       [tcp] { return tcp->counters().resets; });
-    // The zero-copy ledger: a serving path proves it never copied on
-    // its hot path by showing copied_bytes stayed flat while
-    // zerocopy_bytes carried the traffic.
-    ro("/sys/genesys/net/tcp/copied_bytes",
-       [tcp] { return tcp->counters().copiedBytes; });
-    ro("/sys/genesys/net/tcp/zerocopy_bytes",
-       [tcp] { return tcp->counters().zerocopyBytes; });
-
-    // The loss-rate knob is writable (tests and the ablation sweep set
-    // it from simulated code, mirroring the fault-injection knobs).
-    kernel_->vfs().install(
-        "/sys/genesys/net/tcp/loss_ppm",
-        std::make_shared<osk::SysfsFile>(
-            [tcp] { return std::uint64_t(tcp->lossPpm()); },
-            [tcp](std::uint64_t v) {
-                if (v > 1000000)
-                    return false;
-                tcp->setLossPpm(static_cast<std::uint32_t>(v));
-                return true;
-            }));
-
-    ro("/sys/genesys/net/epoll/waits", [ep] { return ep->waits(); });
-    ro("/sys/genesys/net/epoll/wakeups",
-       [ep] { return ep->wakeups(); });
-    ro("/sys/genesys/net/epoll/notifies",
-       [ep] { return ep->notifies(); });
-    ro("/sys/genesys/net/epoll/timeouts",
-       [ep] { return ep->timeouts(); });
-    ro("/sys/genesys/net/epoll/edges_recorded",
-       [ep] { return ep->edgesRecorded(); });
-    ro("/sys/genesys/net/epoll/edges_delivered",
-       [ep] { return ep->edgesDelivered(); });
-    std::shared_ptr<std::vector<std::uint64_t>> wakes = epollShardWakes_;
-    for (std::uint32_t s = 0; s < area_->shardCount(); ++s) {
-        ro(logging::format("/sys/genesys/net/epoll/shards/%u/wakeups",
-                           s),
-           [wakes, s] { return (*wakes)[s]; });
-    }
-}
-
-void
-System::installRingSysfs()
-{
-    // Ring submission knob surface (DESIGN.md §13): mode/geometry plus
-    // per-shard SQ/CQ cursors and batch counters, beside the shard
-    // dirs. Mode and geometry are fixed at construction (rings are
-    // sized with the area), so both files are read-only.
-    auto ro = [this](const std::string &path,
-                     std::function<std::uint64_t()> read) {
-        kernel_->vfs().install(
-            path, std::make_shared<osk::SysfsFile>(
-                      std::move(read),
-                      [](std::uint64_t) { return false; }));
-    };
-    SyscallArea *area = area_.get();
-    GenesysHost *host = host_.get();
-    GpuSyscalls *client = client_.get();
-    ro("/sys/genesys/rings/enabled",
-       [area] { return area->ringsEnabled() ? 1ull : 0ull; });
-    ro("/sys/genesys/rings/entries",
-       [area] { return std::uint64_t(area->sq(0).capacity()); });
-    ro("/sys/genesys/rings/batches",
-       [area] { return area->ringBatchesTotal(); });
-    ro("/sys/genesys/rings/entries_submitted",
-       [area] { return area->ringEntriesTotal(); });
-    ro("/sys/genesys/rings/doorbells_suppressed",
-       [host] { return host->ringDoorbellsSuppressed(); });
-    ro("/sys/genesys/rings/cq_posted",
-       [host] { return host->ringCqPosted(); });
-    ro("/sys/genesys/rings/sq_full_retries",
-       [client] { return client->ringFullRetries(); });
-    // Consumer lingering knobs are runtime-writable (like the
-    // coalescing window): the next consume task reads them live.
-    GenesysParams *gp = &host_->params();
-    kernel_->vfs().install(
-        "/sys/genesys/rings/consumer_grace_ns",
-        std::make_shared<osk::SysfsFile>(
-            [gp]() -> std::uint64_t { return gp->ringConsumerGrace; },
-            [gp](std::uint64_t v) {
-                gp->ringConsumerGrace = v;
-                return true;
-            }));
-    kernel_->vfs().install(
-        "/sys/genesys/rings/consumer_poll_ns",
-        std::make_shared<osk::SysfsFile>(
-            [gp]() -> std::uint64_t { return gp->ringConsumerPoll; },
-            [gp](std::uint64_t v) {
-                gp->ringConsumerPoll = v;
-                return true;
-            }));
-    for (std::uint32_t s = 0; s < area_->shardCount(); ++s) {
-        const std::string dir =
-            logging::format("/sys/genesys/rings/%u/", s);
-        ro(dir + "sq_head",
-           [area, s] { return area->sq(s).loadHeadAcquire(); });
-        ro(dir + "sq_tail",
-           [area, s] { return area->sq(s).loadTailAcquire(); });
-        ro(dir + "cq_head",
-           [area, s] { return area->cq(s).loadHeadAcquire(); });
-        ro(dir + "cq_tail",
-           [area, s] { return area->cq(s).loadTailAcquire(); });
-        ro(dir + "batches",
-           [area, s] { return area->ringBatchesOnShard(s); });
-        ro(dir + "entries",
-           [area, s] { return area->ringEntriesOnShard(s); });
-        ro(dir + "cq_reclaims",
-           [area, s] { return area->cq(s).reclaims(); });
+    for (const Metric &m : kMetrics) {
+        if (m.path == nullptr)
+            continue;
+        const std::string path = std::string("/sys/genesys/") + m.path;
+        const std::size_t at = path.find("%u");
+        if (at == std::string::npos) {
+            kernel_->vfs().install(
+                path, std::make_shared<MetricFile>(m, *this, 0));
+            continue;
+        }
+        for (Shard s = 0; s < area_->shardCount(); ++s) {
+            std::string file = path;
+            file.replace(at, 2, std::to_string(s));
+            kernel_->vfs().install(
+                file, std::make_shared<MetricFile>(m, *this, s));
+        }
     }
 }
 
@@ -324,98 +395,14 @@ std::string
 System::statsReport() const
 {
     std::string out;
-    auto line = [&out](const char *name, double v) {
-        out += logging::format("%-40s %.6g\n", name, v);
-    };
-    line("gpu.kernels_launched",
-         static_cast<double>(gpu_->launchedKernels()));
-    line("gpu.workgroups_launched",
-         static_cast<double>(gpu_->launchedWorkGroups()));
-    line("gpu.wavefronts_launched",
-         static_cast<double>(gpu_->launchedWavefronts()));
-    line("gpu.l2_hits", static_cast<double>(gpu_->l2().hits()));
-    line("gpu.l2_misses", static_cast<double>(gpu_->l2().misses()));
-    line("genesys.requests_issued",
-         static_cast<double>(client_->issuedRequests()));
-    line("genesys.interrupts",
-         static_cast<double>(host_->interrupts()));
-    line("genesys.batches", static_cast<double>(host_->batches()));
-    line("genesys.syscalls_processed",
-         static_cast<double>(host_->processedSyscalls()));
-    line("genesys.batch_size_mean", host_->batchSizes().mean());
-    line("genesys.syscall_retries",
-         static_cast<double>(client_->syscallRetries()));
-    line("genesys.short_transfers",
-         static_cast<double>(client_->shortTransfers()));
-    line("genesys.host_restarts",
-         static_cast<double>(host_->hostRestarts()));
-    line("genesys.area_shards",
-         static_cast<double>(area_->shardCount()));
-    line("genesys.rings_enabled", area_->ringsEnabled() ? 1.0 : 0.0);
-    line("genesys.ring_batches",
-         static_cast<double>(area_->ringBatchesTotal()));
-    line("genesys.ring_entries",
-         static_cast<double>(area_->ringEntriesTotal()));
-    line("genesys.ring_batch_occupancy", area_->ringBatchOccupancy());
-    line("genesys.ring_doorbells_suppressed",
-         static_cast<double>(host_->ringDoorbellsSuppressed()));
-    line("genesys.ring_cq_posted",
-         static_cast<double>(host_->ringCqPosted()));
-    line("osk.faults_injected",
-         static_cast<double>(kernel_->faults().injected()));
-    line("gsan.enabled", gsan_->enabled() ? 1.0 : 0.0);
-    line("gsan.reports", static_cast<double>(gsan_->reportCount()));
-    line("gsan.payload_races",
-         static_cast<double>(
-             gsan_->countOf(gsan::ReportKind::PayloadRace)));
-    line("gsan.ordering_violations",
-         static_cast<double>(
-             gsan_->countOf(gsan::ReportKind::OrderingViolation)));
-    line("gsan.lost_wakeups",
-         static_cast<double>(
-             gsan_->countOf(gsan::ReportKind::LostWakeup)));
-    line("gsan.threads", static_cast<double>(gsan_->threadCount()));
-    line("net.udp_delivered",
-         static_cast<double>(kernel_->udp().deliveredDatagrams()));
-    line("net.udp_dropped",
-         static_cast<double>(kernel_->udp().dropped()));
-    line("net.tcp_segs_sent",
-         static_cast<double>(kernel_->tcp().counters().segsSent));
-    line("net.tcp_retransmits",
-         static_cast<double>(kernel_->tcp().counters().retransmits));
-    line("net.tcp_backpressure_stalls",
-         static_cast<double>(
-             kernel_->tcp().counters().backpressureStalls));
-    line("net.tcp_resets",
-         static_cast<double>(kernel_->tcp().counters().resets));
-    line("net.tcp_copied_bytes",
-         static_cast<double>(kernel_->tcp().counters().copiedBytes));
-    line("net.tcp_zerocopy_bytes",
-         static_cast<double>(
-             kernel_->tcp().counters().zerocopyBytes));
-    line("net.epoll_waits",
-         static_cast<double>(kernel_->epoll().waits()));
-    line("net.epoll_wakeups",
-         static_cast<double>(kernel_->epoll().wakeups()));
-    line("net.epoll_notifies",
-         static_cast<double>(kernel_->epoll().notifies()));
-    line("mem.gpu_bytes",
-         static_cast<double>(memBus_->bytesMoved("gpu")));
-    line("mem.cpu_bytes",
-         static_cast<double>(memBus_->bytesMoved("cpu")));
-    line("cpu.utilization",
-         kernel_->cpus().utilization(0, sim_->now()));
-    line("osk.workqueue_tasks",
-         static_cast<double>(kernel_->workqueue().executedTasks()));
-    line("osk.workqueue_max_workers",
-         static_cast<double>(kernel_->workqueue().maxWorkers()));
-    line("osk.workqueue_steals",
-         static_cast<double>(kernel_->workqueue().steals()));
-    line("osk.workqueue_spills",
-         static_cast<double>(kernel_->workqueue().spills()));
-    line("sim.events_executed",
-         static_cast<double>(sim_->events().executedEvents()));
-    line("sim.final_tick", static_cast<double>(sim_->now()));
+    for (const Metric &m : kMetrics) {
+        if (m.report == nullptr)
+            continue;
+        const double v = m.real != nullptr
+                             ? m.real(*this)
+                             : static_cast<double>(m.get(*this, 0));
+        out += logging::format("%-40s %.6g\n", m.report, v);
+    }
     return out;
 }
 

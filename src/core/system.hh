@@ -48,14 +48,18 @@ class System
   public:
     explicit System(const SystemConfig &config = {});
 
-    sim::Sim &sim() { return *sim_; }
-    osk::Kernel &kernel() { return *kernel_; }
-    osk::Process &process() { return *proc_; }
-    gpu::GpuDevice &gpu() { return *gpu_; }
-    mem::MemBus &memBus() { return *memBus_; }
-    SyscallArea &syscallArea() { return *area_; }
-    GenesysHost &host() { return *host_; }
-    GpuSyscalls &gpuSys() { return *client_; }
+    // The /sys/genesys files hold the System's address.
+    System(const System &) = delete;
+    System &operator=(const System &) = delete;
+
+    sim::Sim &sim() const { return *sim_; }
+    osk::Kernel &kernel() const { return *kernel_; }
+    osk::Process &process() const { return *proc_; }
+    gpu::GpuDevice &gpu() const { return *gpu_; }
+    mem::MemBus &memBus() const { return *memBus_; }
+    SyscallArea &syscallArea() const { return *area_; }
+    GenesysHost &host() const { return *host_; }
+    GpuSyscalls &gpuSys() const { return *client_; }
     const SystemConfig &config() const { return config_; }
 
     /**
@@ -65,8 +69,13 @@ class System
      * environment variable, or `echo 1 > /sys/genesys/gsan/enabled`
      * from simulated code.
      */
-    gsan::Sanitizer &gsan() { return *gsan_; }
-    const gsan::Sanitizer &gsan() const { return *gsan_; }
+    gsan::Sanitizer &gsan() const { return *gsan_; }
+
+    /** Readiness wake-ups of GPU epoll waiters, per syscall-area shard. */
+    const std::vector<std::uint64_t> &epollShardWakes() const
+    {
+        return epollShardWakes_;
+    }
 
     /** Launch a GPU kernel (non-blocking; completes as sim runs). */
     void
@@ -94,16 +103,15 @@ class System
     /**
      * End-of-run statistics report across every component (gem5-style
      * stats dump): GPU dispatch counters, GENESYS host counters, L2
-     * and memory-bus traffic, CPU utilization.
+     * and memory-bus traffic, CPU utilization. Generated, like the
+     * /sys/genesys tree, from the metric table in system.cc.
      */
     std::string statsReport() const;
 
   private:
     sim::Task<> launchDrainTask(gpu::KernelLaunch launch);
-    void installGsanSysfs();
-    void installShardSysfs();
-    void installNetSysfs();
-    void installRingSysfs();
+    /** One /sys/genesys file per metric-table row with a path. */
+    void installSysfs();
 
     SystemConfig config_;
     std::unique_ptr<sim::Sim> sim_;
@@ -115,8 +123,8 @@ class System
     std::unique_ptr<GenesysHost> host_;
     std::unique_ptr<GpuSyscalls> client_;
     std::unique_ptr<gsan::Sanitizer> gsan_;
-    /// Per-shard epoll wake fanout (heap-stable: observer captures it).
-    std::shared_ptr<std::vector<std::uint64_t>> epollShardWakes_;
+    /// Per-shard epoll wake fanout.
+    std::vector<std::uint64_t> epollShardWakes_;
 };
 
 } // namespace genesys::core

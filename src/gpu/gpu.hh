@@ -38,7 +38,6 @@
 #include "sim/sim.hh"
 #include "sim/sync.hh"
 #include "sim/task.hh"
-#include "support/stats.hh"
 #include "support/types.hh"
 
 namespace genesys::gsan

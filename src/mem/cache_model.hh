@@ -19,7 +19,6 @@
 #include <unordered_map>
 #include <vector>
 
-#include "support/stats.hh"
 
 namespace genesys::mem
 {

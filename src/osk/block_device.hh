@@ -24,7 +24,6 @@
 #include "sim/event_queue.hh"
 #include "sim/sync.hh"
 #include "sim/task.hh"
-#include "support/stats.hh"
 #include "support/types.hh"
 
 namespace genesys::osk

@@ -1,10 +1,5 @@
 #include "osk/fault.hh"
 
-#include <memory>
-
-#include "osk/sysfs.hh"
-#include "osk/vfs.hh"
-
 namespace genesys::osk
 {
 
@@ -127,77 +122,6 @@ FaultInjector::reset()
     injected_ = 0;
     for (auto &n : injectedByKind_)
         n = 0;
-}
-
-void
-FaultInjector::installSysfs(Vfs &vfs)
-{
-    auto knob = [&vfs, this](const std::string &name,
-                             std::uint32_t FaultConfig::*field) {
-        vfs.install("/sys/genesys/fault/" + name,
-                    std::make_shared<SysfsFile>(
-                        [this, field]() -> std::uint64_t {
-                            return config_.*field;
-                        },
-                        [this, field](std::uint64_t v) {
-                            if (v > 1'000'000)
-                                return false;
-                            config_.*field =
-                                static_cast<std::uint32_t>(v);
-                            return true;
-                        }));
-    };
-    knob("eintr_ppm", &FaultConfig::eintrPpm);
-    knob("eagain_ppm", &FaultConfig::eagainPpm);
-    knob("short_ppm", &FaultConfig::shortPpm);
-    knob("errno_ppm", &FaultConfig::errnoPpm);
-    knob("device_delay_ppm", &FaultConfig::deviceDelayPpm);
-
-    vfs.install("/sys/genesys/fault/seed",
-                std::make_shared<SysfsFile>(
-                    [this]() -> std::uint64_t { return config_.seed; },
-                    [this](std::uint64_t v) {
-                        config_.seed = v;
-                        return true;
-                    }));
-    vfs.install("/sys/genesys/fault/errno_value",
-                std::make_shared<SysfsFile>(
-                    [this]() -> std::uint64_t {
-                        return static_cast<std::uint64_t>(
-                            config_.errnoValue);
-                    },
-                    [this](std::uint64_t v) {
-                        if (v == 0 || v > 4095)
-                            return false;
-                        config_.errnoValue = static_cast<int>(v);
-                        return true;
-                    }));
-    vfs.install("/sys/genesys/fault/atomic_transfer_bytes",
-                std::make_shared<SysfsFile>(
-                    [this]() -> std::uint64_t {
-                        return config_.atomicTransferBytes;
-                    },
-                    [this](std::uint64_t v) {
-                        if (v > UINT32_MAX)
-                            return false;
-                        config_.atomicTransferBytes =
-                            static_cast<std::uint32_t>(v);
-                        return true;
-                    }));
-    vfs.install("/sys/genesys/fault/device_delay_ns",
-                std::make_shared<SysfsFile>(
-                    [this]() -> std::uint64_t {
-                        return config_.deviceDelay;
-                    },
-                    [this](std::uint64_t v) {
-                        config_.deviceDelay = v;
-                        return true;
-                    }));
-    // Read-only observability: total faults fired so far.
-    vfs.install("/sys/genesys/fault/injected",
-                std::make_shared<SysfsFile>(
-                    [this]() -> std::uint64_t { return injected_; },
-                    [](std::uint64_t) { return false; }));
 }
 
 } // namespace genesys::osk

@@ -22,7 +22,8 @@
  * so a suppressed call has no side effects) and, for latency spikes,
  * inside BlockDevice request service. Knobs are exposed through the
  * same sysfs surface the paper uses for coalescing parameters
- * (files under /sys/genesys/fault/).
+ * (files under /sys/genesys/fault/, registered in core::System's
+ * metric table).
  */
 
 #ifndef GENESYS_OSK_FAULT_HH
@@ -37,8 +38,6 @@
 
 namespace genesys::osk
 {
-
-class Vfs;
 
 enum class FaultKind : std::uint8_t
 {
@@ -149,9 +148,6 @@ class FaultInjector
 
     /** Forget all counters and pending scripted faults (not config). */
     void reset();
-
-    /** Expose the knobs under /sys/genesys/fault/ (paper Section VI). */
-    void installSysfs(Vfs &vfs);
 
   private:
     /** Deterministic per-event draw in [0, 1'000'000). */

@@ -28,7 +28,6 @@ Kernel::Kernel(sim::Sim &sim, const KernelConfig &config)
 {
     populateDevTree();
     ssd_.setFaultInjector(&faults_);
-    faults_.installSysfs(vfs_);
 }
 
 void

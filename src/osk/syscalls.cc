@@ -985,6 +985,16 @@ SyscallTable::SyscallTable()
             sysRtSigqueueinfo);
 }
 
+Role
+sysnoRole(int num)
+{
+    for (const SysnoRole &r : kSysnoRoles) {
+        if (r.num == num)
+            return r.role;
+    }
+    panic("syscall %d has no role row", num);
+}
+
 void
 SyscallTable::install(int num, std::string name, Handler handler)
 {

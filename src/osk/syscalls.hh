@@ -73,6 +73,68 @@ inline constexpr int epoll_ctl = 233;
 
 } // namespace sysno
 
+/**
+ * Data-flow direction of a call, for relaxed barrier placement
+ * (Section V): a Producer (read-like) call produces data the GPU
+ * consumes, so relaxed ordering puts the work-group barrier after it;
+ * a Consumer (write-like) call consumes data the GPU produced, so the
+ * barrier, and a GPU L1 flush, go before it.
+ */
+enum class Role
+{
+    Producer,
+    Consumer,
+};
+
+struct SysnoRole
+{
+    int num;
+    Role role;
+};
+
+/** One row per declared syscall number (glint's sysno-classified). */
+inline constexpr SysnoRole kSysnoRoles[] = {
+    {sysno::read, Role::Producer},
+    {sysno::write, Role::Consumer},
+    {sysno::open, Role::Producer},
+    {sysno::close, Role::Consumer},
+    {sysno::fstat, Role::Producer},
+    {sysno::lseek, Role::Producer},
+    {sysno::mmap, Role::Producer},
+    {sysno::munmap, Role::Consumer},
+    {sysno::ioctl, Role::Producer},
+    {sysno::pread64, Role::Producer},
+    {sysno::pwrite64, Role::Consumer},
+    {sysno::readv, Role::Producer},
+    {sysno::writev, Role::Consumer},
+    {sysno::pipe, Role::Producer},
+    {sysno::madvise, Role::Consumer},
+    {sysno::dup, Role::Producer},
+    {sysno::dup2, Role::Producer},
+    {sysno::nanosleep, Role::Producer},
+    {sysno::getpid, Role::Producer},
+    {sysno::socket, Role::Producer},
+    {sysno::connect, Role::Consumer},
+    {sysno::accept, Role::Producer},
+    {sysno::sendto, Role::Consumer},
+    {sysno::recvfrom, Role::Producer},
+    {sysno::sendmsg, Role::Consumer},
+    {sysno::recvmsg, Role::Producer},
+    {sysno::shutdown, Role::Consumer},
+    {sysno::bind, Role::Consumer},
+    {sysno::listen, Role::Consumer},
+    {sysno::ftruncate, Role::Consumer},
+    {sysno::unlink, Role::Consumer},
+    {sysno::getrusage, Role::Producer},
+    {sysno::rt_sigqueueinfo, Role::Consumer},
+    {sysno::epoll_create, Role::Producer},
+    {sysno::epoll_wait, Role::Producer},
+    {sysno::epoll_ctl, Role::Consumer},
+};
+
+/** The kSysnoRoles role of @p num; panics on a number with no row. */
+Role sysnoRole(int num);
+
 /** Raw argument block: up to six 64-bit registers, Linux-style. */
 struct SyscallArgs
 {

@@ -1,6 +1,6 @@
 /**
  * @file
- * Simulation context: event queue + root-task spawner + RNG + stats.
+ * Simulation context: event queue + root-task spawner + RNG.
  *
  * A Sim owns everything a model needs to run. Root tasks (spawned via
  * spawn()) execute concurrently over the shared event queue; run()
@@ -19,7 +19,6 @@
 #include "sim/sync.hh"
 #include "sim/task.hh"
 #include "support/random.hh"
-#include "support/stats.hh"
 #include "support/types.hh"
 
 namespace genesys::sim
@@ -33,7 +32,6 @@ class Sim
     EventQueue &events() { return eq_; }
     Tick now() const { return eq_.now(); }
     Random &random() { return random_; }
-    stats::Registry &statsRegistry() { return statsRegistry_; }
 
     /** Awaitable fixed delay. */
     Delay delay(Tick ticks) { return Delay(eq_, ticks); }
@@ -78,7 +76,6 @@ class Sim
 
     EventQueue eq_;
     Random random_;
-    stats::Registry statsRegistry_;
     std::size_t liveTasks_ = 0;
     std::exception_ptr firstError_;
 };

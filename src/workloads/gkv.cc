@@ -46,7 +46,7 @@ struct Shared
     std::uint64_t badReplies = 0;
     std::uint64_t connsDone = 0;
     std::uint64_t nextVersion = 0;
-    stats::Distribution latencies{"gkv.latency_us"};
+    stats::Distribution latencies;
 
     /**
      * Per-connection server state: the split-frame carry buffer, the

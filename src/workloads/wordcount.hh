@@ -28,7 +28,6 @@
 #include <vector>
 
 #include "core/system.hh"
-#include "support/stats.hh"
 
 namespace genesys::workloads
 {

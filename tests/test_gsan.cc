@@ -14,6 +14,7 @@
 
 #include <cstdlib>
 #include <cstring>
+#include <memory>
 #include <string>
 
 #include "core/system.hh"
@@ -457,14 +458,17 @@ TEST(GsanEndToEnd, CleanDaemonBackendIsReportFree)
 
 // --------------------------------------- end-to-end: seeded bugs
 
-/** One strong blocking work-group getrusage with @p hooks planted. */
-System
+/** One strong blocking work-group getrusage with @p hooks planted.
+ *  Heap-allocated: a System is pinned (its sysfs files hold its
+ *  address), so it cannot be returned by value. */
+std::unique_ptr<System>
 seededRun(GenesysParams::GsanTestHooks hooks,
           WaitMode w = WaitMode::Polling)
 {
     SystemConfig cfg = smallConfig();
     cfg.genesys.gsanTest = hooks;
-    System sys(cfg);
+    auto owned = std::make_unique<System>(cfg);
+    System &sys = *owned;
     sys.gsan().setEnabled(true);
     gpu::KernelLaunch k;
     k.workItems = 128; // one work-group, two waves
@@ -479,14 +483,15 @@ seededRun(GenesysParams::GsanTestHooks hooks,
     };
     sys.launchGpu(std::move(k));
     sys.run();
-    return sys;
+    return owned;
 }
 
 TEST(GsanSeeded, DroppedPreBarrierIsDetected)
 {
     GenesysParams::GsanTestHooks hooks;
     hooks.skipPreBarrier = true;
-    System sys = seededRun(hooks);
+    const auto run = seededRun(hooks);
+    System &sys = *run;
     // Both waves of the group invoke without the required barrier.
     EXPECT_EQ(sys.gsan().countOf(ReportKind::OrderingViolation), 2u);
     EXPECT_EQ(sys.gsan().countOf(ReportKind::PayloadRace), 0u);
@@ -496,7 +501,8 @@ TEST(GsanSeeded, DroppedPostBarrierIsDetectedAtRetire)
 {
     GenesysParams::GsanTestHooks hooks;
     hooks.skipPostBarrier = true;
-    System sys = seededRun(hooks);
+    const auto run = seededRun(hooks);
+    System &sys = *run;
     EXPECT_EQ(sys.gsan().countOf(ReportKind::OrderingViolation), 2u);
     EXPECT_NE(sys.gsan().renderReports().find("retires"),
               std::string::npos);
@@ -507,7 +513,8 @@ TEST(GsanSeeded, DroppedBothBarriersDoubleFlagged)
     GenesysParams::GsanTestHooks hooks;
     hooks.skipPreBarrier = true;
     hooks.skipPostBarrier = true;
-    System sys = seededRun(hooks);
+    const auto run = seededRun(hooks);
+    System &sys = *run;
     EXPECT_EQ(sys.gsan().countOf(ReportKind::OrderingViolation), 4u);
 }
 
@@ -539,7 +546,8 @@ TEST(GsanSeeded, PayloadReadBeforeFinishedIsDetected)
 {
     GenesysParams::GsanTestHooks hooks;
     hooks.racyPeekBeforeFinished = true;
-    System sys = seededRun(hooks);
+    const auto run = seededRun(hooks);
+    System &sys = *run;
     EXPECT_GE(sys.gsan().countOf(ReportKind::PayloadRace), 1u);
     EXPECT_NE(sys.gsan().renderReports().find("'result'"),
               std::string::npos);
@@ -549,7 +557,8 @@ TEST(GsanSeeded, ConsumeWithoutAcquireIsDetected)
 {
     GenesysParams::GsanTestHooks hooks;
     hooks.racyConsume = true;
-    System sys = seededRun(hooks);
+    const auto run = seededRun(hooks);
+    System &sys = *run;
     EXPECT_GE(sys.gsan().countOf(ReportKind::PayloadRace), 1u);
     EXPECT_NE(sys.gsan().renderReports().find("Finished"),
               std::string::npos);
@@ -561,7 +570,8 @@ TEST(GsanSeeded, HaltAfterWakeFiredIsDetected)
     // ~130 simulated ms between the final sweep and the halt: the
     // CPU completes and fires its wake into the still-running wave.
     hooks.haltGapCycles = 100'000'000;
-    System sys = seededRun(hooks, WaitMode::HaltResume);
+    const auto run = seededRun(hooks, WaitMode::HaltResume);
+    System &sys = *run;
     EXPECT_GE(sys.gsan().countOf(ReportKind::LostWakeup), 1u);
     EXPECT_NE(sys.gsan().renderReports().find("sleep forever"),
               std::string::npos);

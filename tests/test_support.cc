@@ -158,17 +158,9 @@ TEST(Random, LowerAlphaShapeAndCharset)
 
 // ------------------------------------------------------------------ stats
 
-TEST(Stats, ScalarAccumulates)
-{
-    stats::Scalar s("s");
-    s += 2.5;
-    ++s;
-    EXPECT_DOUBLE_EQ(s.value(), 3.5);
-}
-
 TEST(Stats, DistributionMoments)
 {
-    stats::Distribution d("d");
+    stats::Distribution d;
     for (double v : {2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0})
         d.sample(v);
     EXPECT_EQ(d.count(), 8u);
@@ -180,7 +172,7 @@ TEST(Stats, DistributionMoments)
 
 TEST(Stats, DistributionPercentiles)
 {
-    stats::Distribution d("d");
+    stats::Distribution d;
     for (int i = 0; i <= 100; ++i)
         d.sample(i);
     EXPECT_DOUBLE_EQ(d.percentile(0), 0.0);
@@ -191,47 +183,17 @@ TEST(Stats, DistributionPercentiles)
 
 TEST(Stats, DistributionPercentileOutOfRangePanics)
 {
-    stats::Distribution d("d");
+    stats::Distribution d;
     d.sample(1.0);
     EXPECT_THROW(d.percentile(101), PanicError);
 }
 
 TEST(Stats, EmptyDistributionIsSafe)
 {
-    stats::Distribution d("d");
+    stats::Distribution d;
     EXPECT_DOUBLE_EQ(d.mean(), 0.0);
     EXPECT_DOUBLE_EQ(d.stdev(), 0.0);
     EXPECT_DOUBLE_EQ(d.percentile(50), 0.0);
-}
-
-TEST(Stats, TimeSeriesWindowAverage)
-{
-    stats::TimeSeries ts("ts");
-    ts.sample(100, 10.0);
-    ts.sample(200, 20.0);
-    ts.sample(300, 30.0);
-    EXPECT_DOUBLE_EQ(ts.windowAverage(100, 300), 15.0);
-    EXPECT_DOUBLE_EQ(ts.windowAverage(0, 1000), 20.0);
-    EXPECT_DOUBLE_EQ(ts.windowAverage(400, 500), 0.0);
-}
-
-TEST(Stats, RegistryDumpsSorted)
-{
-    stats::Registry reg;
-    stats::Scalar b("bbb", &reg), a("aaa", &reg);
-    a.set(1);
-    b.set(2);
-    const auto dump = reg.dump();
-    EXPECT_LT(dump.find("aaa"), dump.find("bbb"));
-}
-
-TEST(Stats, RegistryRemovesOnDestruction)
-{
-    stats::Registry reg;
-    {
-        stats::Scalar tmp("gone", &reg);
-    }
-    EXPECT_EQ(reg.dump().find("gone"), std::string::npos);
 }
 
 // ------------------------------------------------------------------ table
