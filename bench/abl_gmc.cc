@@ -80,7 +80,7 @@ replayOne(const std::string &spec)
         return 2;
     }
     const sim::gmc::RunOutcome out =
-        core::gmc::replayConfig(*mc, schedule);
+        sim::gmc::replay(core::gmc::scenario(*mc), schedule);
     std::printf("%s schedule %s: %s\n", cfgName.c_str(),
                 sim::gmc::renderSchedule(schedule).c_str(),
                 out.violation ? out.kind.c_str() : "clean");

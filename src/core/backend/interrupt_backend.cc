@@ -284,17 +284,9 @@ InterruptBackend::flushPendingBatch(std::uint32_t shard)
 }
 
 std::uint32_t
-InterruptBackend::steerTarget(std::uint32_t shard)
+InterruptBackend::steerTarget(std::uint32_t shard) const
 {
-    const std::uint32_t active =
-        core_.kernel().workqueue().maxWorkers();
-    switch (params_.steering) {
-      case SteeringPolicy::RoundRobin:
-        return static_cast<std::uint32_t>(roundRobin_++ % active);
-      case SteeringPolicy::ShardAffinity:
-      default:
-        return shard % active;
-    }
+    return shard % core_.kernel().workqueue().maxWorkers();
 }
 
 sim::Task<>

@@ -91,13 +91,14 @@ class InterruptBackend : public ServiceBackend
     sim::Task<> ringServiceChunk(std::uint32_t shard,
                                  std::vector<std::uint32_t> items,
                                  std::uint32_t worker);
-    /** Shard -> preferred workqueue worker under the steering policy. */
-    std::uint32_t steerTarget(std::uint32_t shard);
+    /** Shard -> preferred workqueue worker: shard s prefers worker
+     *  s % activeWorkers, so a shard's batches serialize on "its"
+     *  worker (per-shard cache affinity). */
+    std::uint32_t steerTarget(std::uint32_t shard) const;
 
     ServiceCore &core_;
     GenesysParams &params_;
     std::vector<ShardState> shards_;
-    std::uint64_t roundRobin_ = 0;
 
     std::uint64_t interrupts_ = 0;
     std::uint64_t batches_ = 0;

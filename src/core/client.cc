@@ -348,7 +348,30 @@ GpuSyscalls::issueAndWait(gpu::WavefrontCtx &ctx, Invocation inv,
     if (inv.blocking == Blocking::NonBlocking)
         co_return co_await issueOnce(ctx, inv, sysno, args, item_slot);
 
-    const bool transfer = osk::transferSyscall(sysno);
+    Recovery rec(sysno, args);
+    for (;;) {
+        std::int64_t ret =
+            co_await issueOnce(ctx, inv, sysno, args, item_slot);
+        const Next next = recover(sysno, args, rec, ret);
+        if (next == Next::Finish)
+            co_return ret;
+        if (next == Next::Backoff) {
+            co_await ctx.compute(params_.eagainBackoffCycles
+                                 << (rec.congested - 1));
+        }
+    }
+}
+
+GpuSyscalls::Next
+GpuSyscalls::recover(int sysno, osk::SyscallArgs &args, Recovery &rec,
+                     std::int64_t &ret)
+{
+    if (ret == -EINTR && rec.restarts < params_.eintrMaxRestarts) {
+        // SA_RESTART semantics: reissue with identical arguments.
+        ++rec.restarts;
+        ++retries_;
+        return Next::Reissue;
+    }
     // MSG_DONTWAIT turns -EAGAIN into the call's normal "drained"
     // return (the edge-triggered consumer's loop terminator), so the
     // libc layer must surface it instead of burning backoff retries.
@@ -356,44 +379,32 @@ GpuSyscalls::issueAndWait(gpu::WavefrontCtx &ctx, Invocation inv,
         (sysno == osk::sysno::recvmsg ||
          sysno == osk::sysno::sendmsg) &&
         (args.a[3] & osk::MSG_DONTWAIT_) != 0;
-    const std::uint64_t want = transfer ? args.a[2] : 0;
-    std::uint64_t done = 0;
-    std::uint32_t restarts = 0;
-    std::uint32_t congested = 0;
-    for (;;) {
-        const std::int64_t ret =
-            co_await issueOnce(ctx, inv, sysno, args, item_slot);
-        if (ret == -EINTR && restarts < params_.eintrMaxRestarts) {
-            // SA_RESTART semantics: reissue with identical arguments.
-            ++restarts;
-            ++retries_;
-            continue;
-        }
-        if (ret == -EAGAIN && !dontwait &&
-            congested < params_.eagainMaxRetries) {
-            co_await ctx.compute(params_.eagainBackoffCycles
-                                 << congested);
-            ++congested;
-            ++retries_;
-            continue;
-        }
-        if (!transfer)
-            co_return ret;
-        if (ret < 0) {
-            // A partially-completed transfer reports its progress (the
-            // readn/writen convention); an error on the first round
-            // surfaces as-is.
-            co_return done > 0 ? static_cast<std::int64_t>(done) : ret;
-        }
-        done += static_cast<std::uint64_t>(ret);
-        restarts = 0;
-        congested = 0;
-        if (ret == 0 || done >= want)
-            co_return static_cast<std::int64_t>(done);
-        ++shortTransfers_;
-        osk::advanceTransferArgs(sysno, args,
-                                 static_cast<std::uint64_t>(ret));
+    if (ret == -EAGAIN && !dontwait &&
+        rec.congested < params_.eagainMaxRetries) {
+        ++rec.congested;
+        ++retries_;
+        return Next::Backoff;
     }
+    if (!osk::transferSyscall(sysno))
+        return Next::Finish;
+    if (ret < 0) {
+        // A partially-completed transfer reports its progress (the
+        // readn/writen convention); an error on the first round
+        // surfaces as-is.
+        if (rec.done > 0)
+            ret = static_cast<std::int64_t>(rec.done);
+        return Next::Finish;
+    }
+    rec.done += static_cast<std::uint64_t>(ret);
+    rec.restarts = 0;
+    rec.congested = 0;
+    if (ret == 0 || rec.done >= rec.want) {
+        ret = static_cast<std::int64_t>(rec.done);
+        return Next::Finish;
+    }
+    ++shortTransfers_;
+    osk::advanceTransferArgs(sysno, args, static_cast<std::uint64_t>(ret));
+    return Next::Reissue;
 }
 
 sim::Task<std::int64_t>
@@ -500,19 +511,10 @@ GpuSyscalls::invokeWorkItems(
     // continuation + EINTR/EAGAIN retry budget, but rounds stay
     // wavefront-wide (all still-pending lanes reissue together, one
     // interrupt per round) to keep the SIMD issue model.
-    const bool transfer = osk::transferSyscall(sysno);
-    struct LaneRec
-    {
-        std::uint64_t want = 0;
-        std::uint64_t done = 0;
-        std::uint32_t restarts = 0;
-        std::uint32_t congested = 0;
-    };
-    std::vector<LaneRec> rec(ctx.laneCount());
-    for (std::uint32_t lane = 0; lane < ctx.laneCount(); ++lane) {
-        if (mask & (1ull << lane))
-            rec[lane].want = transfer ? args[lane].a[2] : 0;
-    }
+    std::vector<Recovery> rec;
+    rec.reserve(ctx.laneCount());
+    for (std::uint32_t lane = 0; lane < ctx.laneCount(); ++lane)
+        rec.emplace_back(sysno, args[lane]);
 
     std::uint64_t pending = mask;
     while (pending != 0) {
@@ -592,56 +594,18 @@ GpuSyscalls::invokeWorkItems(
         co_await waitSlots(
             ctx, inv, first_slot, pending,
             [&](std::uint32_t lane, std::int64_t ret) {
-                LaneRec &r = rec[lane];
-                if (ret == -EINTR &&
-                    r.restarts < params_.eintrMaxRestarts) {
-                    ++r.restarts;
-                    ++retries_;
-                    next |= 1ull << lane;
-                    return;
-                }
-                // MSG_DONTWAIT lanes read -EAGAIN as "drained", the
-                // normal edge-triggered loop terminator: surface it.
-                const bool dontwait =
-                    (sysno == osk::sysno::recvmsg ||
-                     sysno == osk::sysno::sendmsg) &&
-                    (args[lane].a[3] & osk::MSG_DONTWAIT_) != 0;
-                if (ret == -EAGAIN && !dontwait &&
-                    r.congested < params_.eagainMaxRetries) {
-                    ++r.congested;
-                    ++retries_;
+                switch (recover(sysno, args[lane], rec[lane], ret)) {
+                  case Next::Backoff:
                     backoff = true;
+                    [[fallthrough]];
+                  case Next::Reissue:
                     next |= 1ull << lane;
                     return;
-                }
-                if (!transfer) {
+                  case Next::Finish:
                     if (on_result)
                         on_result(lane, ret);
                     return;
                 }
-                if (ret < 0) {
-                    if (on_result)
-                        on_result(lane,
-                                  r.done > 0
-                                      ? static_cast<std::int64_t>(
-                                            r.done)
-                                      : ret);
-                    return;
-                }
-                r.done += static_cast<std::uint64_t>(ret);
-                r.restarts = 0;
-                r.congested = 0;
-                if (ret != 0 && r.done < r.want) {
-                    ++shortTransfers_;
-                    osk::advanceTransferArgs(
-                        sysno, args[lane],
-                        static_cast<std::uint64_t>(ret));
-                    next |= 1ull << lane;
-                    return;
-                }
-                if (on_result)
-                    on_result(lane,
-                              static_cast<std::int64_t>(r.done));
             });
         if (backoff) {
             // One wavefront-wide stall covers every congested lane

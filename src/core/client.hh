@@ -367,13 +367,44 @@ class GpuSyscalls
     sim::Task<std::int64_t> call(gpu::WavefrontCtx &ctx, Invocation inv,
                                  int sysno, osk::SyscallArgs args);
 
+    /** One blocking request's POSIX recovery state across rounds. */
+    struct Recovery
+    {
+        Recovery(int sysno, const osk::SyscallArgs &args)
+            : want(osk::transferSyscall(sysno) ? args.a[2] : 0)
+        {}
+
+        std::uint64_t want; ///< bytes a transfer call asks for
+        std::uint64_t done = 0;
+        std::uint32_t restarts = 0;
+        std::uint32_t congested = 0;
+    };
+
+    /** What a requester does after one round's recover() decision. */
+    enum class Next : std::uint8_t
+    {
+        Finish,  ///< the (possibly rewritten) result is final
+        Reissue, ///< issue again at once
+        Backoff, ///< stall, then issue again
+    };
+
     /**
-     * Leader-lane recovery wrapper (the libc layer of the GPU client):
-     * restarts -EINTR results, retries -EAGAIN with bounded
-     * exponential backoff, and reissues short read/write transfers
-     * for the remaining bytes, returning the accumulated count. Runs
-     * entirely in the leader's serial section, so no barrier in the
-     * granularity wrappers is ever re-crossed.
+     * The GPU libc layer's POSIX recovery decision for one round's
+     * result @p ret of a blocking request, shared by the leader lane
+     * and the per-lane work-item path: restart -EINTR (SA_RESTART),
+     * retry -EAGAIN unless the call passed MSG_DONTWAIT (then -EAGAIN
+     * is its normal "drained" return), and continue short read/write
+     * transfers by advancing @p args. On Finish, @p ret holds the
+     * call's result; on Backoff each caller stalls its own way.
+     */
+    Next recover(int sysno, osk::SyscallArgs &args, Recovery &rec,
+                 std::int64_t &ret);
+
+    /**
+     * Leader-lane recovery loop: recover() with bounded exponential
+     * backoff on -EAGAIN. Runs entirely in the leader's serial
+     * section, so no barrier in the granularity wrappers is ever
+     * re-crossed.
      */
     sim::Task<std::int64_t> issueAndWait(gpu::WavefrontCtx &ctx,
                                          Invocation inv,

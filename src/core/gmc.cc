@@ -318,396 +318,206 @@ collapsedConfig(const McConfig &mc)
     return cfg;
 }
 
-sim::gmc::RunFn
-scenario(const McConfig &mc)
-{
-    return [mc](sim::gmc::ScheduleDriver &driver)
-               -> sim::gmc::RunOutcome {
-        sim::gmc::RunOutcome out;
-        auto &probe = genesys::gmc::Probe::instance();
-
-        System sys(collapsedConfig(mc));
-        osk::RegularFile *file =
-            sys.kernel().vfs().createFile("/gmc/data");
-        const std::uint32_t waveSize = sys.config().gpu.wavefrontSize;
-
-        auto shared = std::make_shared<Shared>();
-        shared->results.assign(
-            static_cast<std::size_t>(mc.groups) * waveSize, kUnset);
-
-        sys.gsan().setEnabled(true);
-        sys.sim().events().setTieBreaker(&driver);
-
-        // Service loops (workqueue workers, backend pollers) are
-        // perpetual: they idle suspended on their wait queues after a
-        // clean drain. Everything spawned beyond this baseline — wave
-        // programs, the drain task — must have completed by the end.
-        const std::size_t idleTasks = sys.sim().liveTasks();
-
-        gpu::KernelLaunch launch;
-        launch.workItems =
-            static_cast<std::uint64_t>(mc.groups) * waveSize;
-        launch.wgSize = waveSize;
-        launch.program = [&sys, mc,
-                          shared](gpu::WavefrontCtx &ctx)
-            -> sim::Task<> { return runWave(sys, mc, shared, ctx); };
-        sys.launchGpuAndDrain(std::move(launch));
-
-        probe.setEnabled(true);
-        (void)probe.drain(); // discard pre-run (deterministic) touches
-
-        bool panicked = false;
-        std::string what;
-        try {
-            sys.run(kHorizon, kMaxEventsPerRun);
-        } catch (const std::exception &e) {
-            panicked = true;
-            what = e.what();
-        }
-        probe.setEnabled(false);
-        sys.sim().events().setTieBreaker(nullptr);
-
-        out.endTick = sys.sim().now();
-        out.events = sys.sim().events().executedEvents();
-
-        if (panicked) {
-            out.violation = true;
-            out.kind = "panic";
-            out.detail = what;
-            return out;
-        }
-        if (!sys.sim().events().empty()) {
-            out.violation = true;
-            out.kind = "stuck";
-            out.detail = format(
-                "run exceeded its budget (%llu events, tick %llu): "
-                "livelock or starvation",
-                static_cast<unsigned long long>(out.events),
-                static_cast<unsigned long long>(out.endTick));
-            return out;
-        }
-        if (sys.sim().liveTasks() > idleTasks) {
-            out.violation = true;
-            out.kind = "stuck";
-            out.detail = format(
-                "%zu task(s) beyond the %zu idle service loops still "
-                "suspended with a drained event queue: lost wakeup "
-                "or deadlock",
-                sys.sim().liveTasks() - idleTasks, idleTasks);
-            return out;
-        }
-        if (sys.gsan().reportCount() != 0) {
-            out.violation = true;
-            out.kind = "gsan";
-            out.detail = sys.gsan().renderReports();
-            return out;
-        }
-        for (std::uint32_t s = 0; s < sys.syscallArea().shardCount();
-             ++s) {
-            if (!sys.syscallArea().quiescent(s)) {
-                out.violation = true;
-                out.kind = "quiescence";
-                out.detail = format(
-                    "shard %u has non-Free slots after drain", s);
-                return out;
-            }
-        }
-        if (sys.syscallArea().ringsEnabled() &&
-            !sys.syscallArea().ringsIdle()) {
-            out.violation = true;
-            out.kind = "quiescence";
-            out.detail =
-                "SQ entries left published but unconsumed after drain";
-            return out;
-        }
-
-        Fnv1a digest;
-        for (std::int64_t r : shared->results)
-            digest.mix(static_cast<std::uint64_t>(r));
-        for (std::uint8_t b : file->data())
-            digest.mix(b);
-        for (std::uint32_t s = 0; s < sys.syscallArea().shardCount();
-             ++s) {
-            digest.mix(sys.syscallArea().issuedOnShard(s));
-            digest.mix(sys.syscallArea().processedOnShard(s));
-            if (sys.syscallArea().ringsEnabled()) {
-                // Entry counts (not batch shapes) are the
-                // schedule-invariant ring outcome.
-                digest.mix(sys.syscallArea().sq(s).publishedTotal());
-                digest.mix(sys.syscallArea().sq(s).consumedTotal());
-            }
-        }
-        out.digest = digest.value();
-        return out;
-    };
-}
-
 namespace
 {
 
-/** Cross-actor state for the gnet echo scenario. Buffers live here
- *  because slot payload reads/writes may outlive a wave's frame. */
-struct NetShared
+/**
+ * The checked-run harness every scenario shares. @p sys is the
+ * scenario's collapsed System after its FIFO-only setup. The harness
+ * installs @p driver as the tie-breaker, records the idle-task
+ * baseline, lets @p spawn start the scenario's actors, drains the
+ * footprint probe, runs under kHorizon/kMaxEventsPerRun, and applies
+ * the oracles in order: panic, budget "stuck", task "stuck", gsan,
+ * per-shard quiescence, and SQ idle when rings are on. A clean run is
+ * fingerprinted by @p digest. @p run and @p lost name the run and its
+ * most likely lost event in "stuck" details.
+ */
+template <typename Spawn, typename Digest>
+sim::gmc::RunOutcome
+checkedRun(System &sys, sim::gmc::ScheduleDriver &driver, const char *run,
+           const char *lost, const Spawn &spawn, const Digest &digest)
 {
-    osk::SockAddr addr{1, 9200};
-    osk::EpollEvent listenEv{};
-    osk::EpollEvent connEv{};
-    osk::EpollEvent evs[4]{};
-    std::uint8_t srvBuf[64]{};
-    std::uint8_t cliBuf[8]{};
-    /// rc codes and byte counts from both sides (fds normalized).
-    std::int64_t results[8] = {kUnset, kUnset, kUnset, kUnset,
-                               kUnset, kUnset, kUnset, kUnset};
-    std::uint64_t echoed = 0;
-};
+    sim::gmc::RunOutcome out;
+    sys.sim().events().setTieBreaker(&driver);
+    // Service loops (workqueue workers, backend pollers) are perpetual:
+    // they idle suspended on their wait queues after a clean drain.
+    // Everything spawned beyond this baseline — wave programs, the
+    // drain task, host clients — must have completed by the end.
+    const std::size_t idleTasks = sys.sim().liveTasks();
+    spawn();
 
-/** GPU side: epoll-driven accept + echo loop on one work-group. */
-sim::Task<>
-runNetServerWave(System &sys, const McConfig mc,
-                 const std::shared_ptr<NetShared> ns, int listen_fd,
-                 gpu::WavefrontCtx &ctx)
-{
-    GpuSyscalls &api = sys.gpuSys();
-    Invocation inv;
-    inv.granularity = Granularity::WorkGroup;
-    inv.ordering = mc.ordering;
-    inv.blocking = Blocking::Blocking;
-    inv.waitMode = mc.wait;
+    auto &probe = genesys::gmc::Probe::instance();
+    probe.setEnabled(true);
+    (void)probe.drain(); // discard pre-run (deterministic) touches
 
-    const std::int64_t epfd = co_await api.epollCreate(ctx, inv);
-    ns->results[0] = normalizeFd(epfd);
-    ns->listenEv = osk::EpollEvent{
-        osk::EPOLLIN_, static_cast<std::uint64_t>(listen_fd)};
-    ns->results[1] = co_await api.epollCtl(
-        ctx, inv, static_cast<int>(epfd), osk::EPOLL_CTL_ADD_,
-        listen_fd, &ns->listenEv);
-    ns->results[2] = co_await api.epollWait(
-        ctx, inv, static_cast<int>(epfd), ns->evs, 4, -1);
-    const std::int64_t cfd =
-        co_await api.accept(ctx, inv, listen_fd, nullptr);
-    ns->results[3] = normalizeFd(cfd);
-    co_await api.epollCtl(ctx, inv, static_cast<int>(epfd),
-                          osk::EPOLL_CTL_DEL_, listen_fd, nullptr);
-    ns->connEv = osk::EpollEvent{osk::EPOLLIN_,
-                                 static_cast<std::uint64_t>(cfd)};
-    co_await api.epollCtl(ctx, inv, static_cast<int>(epfd),
-                          osk::EPOLL_CTL_ADD_, static_cast<int>(cfd),
-                          &ns->connEv);
-    for (;;) {
-        const std::int64_t n = co_await api.epollWait(
-            ctx, inv, static_cast<int>(epfd), ns->evs, 4, -1);
-        if (n <= 0)
-            break;
-        // The GPU libc layer completes short transfers by reissuing
-        // the read, so ask for exactly one 4-byte message — a larger
-        // count would block until the client sent more bytes.
-        const std::int64_t rn = co_await api.read(
-            ctx, inv, static_cast<int>(cfd), ns->srvBuf, 4);
-        if (rn <= 0)
-            break; // EOF: the client half-closed
-        ns->echoed += static_cast<std::uint64_t>(rn);
-        co_await api.write(ctx, inv, static_cast<int>(cfd),
-                           ns->srvBuf, static_cast<std::uint64_t>(rn));
+    bool panicked = false;
+    std::string what;
+    try {
+        sys.run(kHorizon, kMaxEventsPerRun);
+    } catch (const std::exception &e) {
+        panicked = true;
+        what = e.what();
     }
-    co_await api.close(ctx, inv, static_cast<int>(cfd));
-    co_await api.close(ctx, inv, static_cast<int>(epfd));
-    co_await api.close(ctx, inv, listen_fd);
-}
+    probe.setEnabled(false);
+    sys.sim().events().setTieBreaker(nullptr);
 
-/** Host side: connect, one ping, read the echo, half-close, drain. */
-sim::Task<>
-runNetClient(System &sys, const std::shared_ptr<NetShared> ns)
-{
-    auto &tcp = sys.kernel().tcp();
-    osk::TcpSocket *c = tcp.createSocket();
-    const int cid = c->id();
-    ns->results[4] = co_await c->connect(ns->addr);
-    if (ns->results[4] != 0) {
-        tcp.closeSocket(cid);
-        co_return;
+    out.endTick = sys.sim().now();
+    out.events = sys.sim().events().executedEvents();
+    out.violation = true;
+    if (panicked) {
+        out.kind = "panic";
+        out.detail = what;
+        return out;
     }
-    ns->results[5] = co_await c->write("ping", 4);
-    std::uint64_t got = 0;
-    while (got < 4) {
-        const std::int64_t rn =
-            co_await c->read(ns->cliBuf + got, 4 - got);
-        if (rn <= 0)
-            break;
-        got += static_cast<std::uint64_t>(rn);
+    if (!sys.sim().events().empty()) {
+        out.kind = "stuck";
+        out.detail = format(
+            "%s exceeded its budget (%llu events, tick %llu): "
+            "livelock or starvation",
+            run, static_cast<unsigned long long>(out.events),
+            static_cast<unsigned long long>(out.endTick));
+        return out;
     }
-    ns->results[6] = static_cast<std::int64_t>(got);
-    co_await c->shutdown(osk::SHUT_WR_);
-    std::uint8_t tail = 0;
-    ns->results[7] = co_await c->read(&tail, 1); // server FIN: EOF
-    tcp.closeSocket(cid);
+    if (sys.sim().liveTasks() > idleTasks) {
+        out.kind = "stuck";
+        out.detail = format(
+            "%zu task(s) beyond the %zu idle service loops still "
+            "suspended with a drained event queue: lost %s or deadlock",
+            sys.sim().liveTasks() - idleTasks, idleTasks, lost);
+        return out;
+    }
+    if (sys.gsan().reportCount() != 0) {
+        out.kind = "gsan";
+        out.detail = sys.gsan().renderReports();
+        return out;
+    }
+    SyscallArea &area = sys.syscallArea();
+    for (std::uint32_t s = 0; s < area.shardCount(); ++s) {
+        if (!area.quiescent(s)) {
+            out.kind = "quiescence";
+            out.detail =
+                format("shard %u has non-Free slots after drain", s);
+            return out;
+        }
+    }
+    if (area.ringsEnabled() && !area.ringsIdle()) {
+        out.kind = "quiescence";
+        out.detail =
+            "SQ entries left published but unconsumed after drain";
+        return out;
+    }
+
+    out.violation = false;
+    Fnv1a fnv;
+    digest(fnv);
+    out.digest = fnv.value();
+    return out;
 }
 
 } // namespace
 
 sim::gmc::RunFn
-netScenario(const McConfig &mc)
+scenario(const McConfig &mc)
 {
     return [mc](sim::gmc::ScheduleDriver &driver)
                -> sim::gmc::RunOutcome {
-        sim::gmc::RunOutcome out;
         System sys(collapsedConfig(mc));
-        auto ns = std::make_shared<NetShared>();
+        osk::RegularFile *file =
+            sys.kernel().vfs().createFile("/gmc/data");
+        const std::uint32_t waveSize = sys.config().gpu.wavefrontSize;
+        auto shared = std::make_shared<Shared>();
+        shared->results.assign(
+            static_cast<std::size_t>(mc.groups) * waveSize, kUnset);
         sys.gsan().setEnabled(true);
 
-        // The listener is set up to completion under FIFO order before
-        // the tie-breaker is installed, so every schedule starts from
-        // the same bound socket (and the client never races listen()).
-        std::int64_t listen_fd = -1;
-        sys.sim().spawn([](System &s, const std::shared_ptr<NetShared> sh,
-                           std::int64_t &fd_out) -> sim::Task<> {
-            fd_out = co_await s.kernel().doSyscall(
-                s.process(), osk::sysno::socket, osk::makeArgs(2, 1, 0));
-            co_await s.kernel().doSyscall(
-                s.process(), osk::sysno::bind,
-                osk::makeArgs(fd_out, &sh->addr, 8));
-            co_await s.kernel().doSyscall(s.process(),
-                                          osk::sysno::listen,
-                                          osk::makeArgs(fd_out, 4));
-        }(sys, ns, listen_fd));
-        sys.run();
-
-        sys.sim().events().setTieBreaker(&driver);
-        const std::size_t idleTasks = sys.sim().liveTasks();
-
-        const std::uint32_t waveSize = sys.config().gpu.wavefrontSize;
-        gpu::KernelLaunch launch;
-        launch.workItems = waveSize;
-        launch.wgSize = waveSize;
-        const int lfd = static_cast<int>(listen_fd);
-        launch.program = [&sys, mc, ns,
-                          lfd](gpu::WavefrontCtx &ctx) -> sim::Task<> {
-            return runNetServerWave(sys, mc, ns, lfd, ctx);
+        auto spawn = [&] {
+            gpu::KernelLaunch launch;
+            launch.workItems =
+                static_cast<std::uint64_t>(mc.groups) * waveSize;
+            launch.wgSize = waveSize;
+            launch.program = [&sys, mc, shared](gpu::WavefrontCtx &ctx)
+                -> sim::Task<> { return runWave(sys, mc, shared, ctx); };
+            sys.launchGpuAndDrain(std::move(launch));
         };
-        sys.launchGpuAndDrain(std::move(launch));
-        sys.sim().spawn(runNetClient(sys, ns));
-
-        auto &probe = genesys::gmc::Probe::instance();
-        probe.setEnabled(true);
-        (void)probe.drain(); // discard pre-run (deterministic) touches
-
-        bool panicked = false;
-        std::string what;
-        try {
-            sys.run(kHorizon, kMaxEventsPerRun);
-        } catch (const std::exception &e) {
-            panicked = true;
-            what = e.what();
-        }
-        probe.setEnabled(false);
-        sys.sim().events().setTieBreaker(nullptr);
-
-        out.endTick = sys.sim().now();
-        out.events = sys.sim().events().executedEvents();
-
-        if (panicked) {
-            out.violation = true;
-            out.kind = "panic";
-            out.detail = what;
-            return out;
-        }
-        if (!sys.sim().events().empty()) {
-            out.violation = true;
-            out.kind = "stuck";
-            out.detail = format(
-                "net run exceeded its budget (%llu events, tick "
-                "%llu): livelock or starvation",
-                static_cast<unsigned long long>(out.events),
-                static_cast<unsigned long long>(out.endTick));
-            return out;
-        }
-        if (sys.sim().liveTasks() > idleTasks) {
-            out.violation = true;
-            out.kind = "stuck";
-            out.detail = format(
-                "%zu task(s) beyond the %zu idle service loops still "
-                "suspended with a drained event queue: lost epoll "
-                "wakeup or deadlock",
-                sys.sim().liveTasks() - idleTasks, idleTasks);
-            return out;
-        }
-        if (sys.gsan().reportCount() != 0) {
-            out.violation = true;
-            out.kind = "gsan";
-            out.detail = sys.gsan().renderReports();
-            return out;
-        }
-        for (std::uint32_t s = 0; s < sys.syscallArea().shardCount();
-             ++s) {
-            if (!sys.syscallArea().quiescent(s)) {
-                out.violation = true;
-                out.kind = "quiescence";
-                out.detail = format(
-                    "shard %u has non-Free slots after drain", s);
-                return out;
+        auto digest = [&](Fnv1a &d) {
+            for (std::int64_t r : shared->results)
+                d.mix(static_cast<std::uint64_t>(r));
+            for (std::uint8_t b : file->data())
+                d.mix(b);
+            const SyscallArea &area = sys.syscallArea();
+            for (std::uint32_t s = 0; s < area.shardCount(); ++s) {
+                d.mix(area.issuedOnShard(s));
+                d.mix(area.processedOnShard(s));
+                if (area.ringsEnabled()) {
+                    // Entry counts (not batch shapes) are the
+                    // schedule-invariant ring outcome.
+                    d.mix(area.sq(s).publishedTotal());
+                    d.mix(area.sq(s).consumedTotal());
+                }
             }
-        }
-
-        // Connect-retry style counters (segs sent, refused) are
-        // schedule-dependent in general; the digest keeps the
-        // schedule-invariant outcome: every rc, the echoed bytes, and
-        // the rendezvous counts.
-        Fnv1a digest;
-        for (std::int64_t r : ns->results)
-            digest.mix(static_cast<std::uint64_t>(r));
-        for (std::uint64_t i = 0; i < 4; ++i)
-            digest.mix(ns->cliBuf[i]);
-        digest.mix(ns->echoed);
-        digest.mix(sys.kernel().tcp().counters().connects);
-        digest.mix(sys.kernel().tcp().counters().accepts);
-        out.digest = digest.value();
-        return out;
+        };
+        return checkedRun(sys, driver, "run", "wakeup", spawn, digest);
     };
 }
 
 sim::gmc::ExploreResult
-exploreNetConfig(const McConfig &mc,
-                 const sim::gmc::ExploreOptions &opts)
+exploreConfig(const McConfig &mc, const sim::gmc::ExploreOptions &opts)
 {
-    return sim::gmc::explore(netScenario(mc), opts);
-}
-
-sim::gmc::RunOutcome
-replayNetConfig(const McConfig &mc, const sim::gmc::Schedule &schedule)
-{
-    return sim::gmc::replay(netScenario(mc), schedule);
+    return sim::gmc::explore(scenario(mc), opts);
 }
 
 namespace
 {
 
-/** Cross-actor state for the edge-triggered echo scenario. */
-struct EtShared
+/** Cross-actor state for both echo scenarios. Buffers live here
+ *  because slot payload reads/writes may outlive a wave's frame. */
+struct EchoShared
 {
-    osk::SockAddr addr{1, 9201};
+    osk::SockAddr addr{1, 9200};
     osk::EpollEvent listenEv{};
     osk::EpollEvent connEv{};
     osk::EpollEvent evs[4]{};
     std::uint8_t srvBuf[16]{};
     osk::IoVec rxIov[1]{};
-    /// Two 4-byte echoes land side by side.
+    /// The 4-byte echoes land side by side.
     std::uint8_t cliBuf[8]{};
+    /// rc codes and byte counts from both sides (fds normalized):
+    /// epoll_create, epoll_ctl, epoll_wait, accept, connect, then a
+    /// (write, echoed) pair per round, then the client's EOF read.
     std::int64_t results[10] = {kUnset, kUnset, kUnset, kUnset,
                                 kUnset, kUnset, kUnset, kUnset,
                                 kUnset, kUnset};
     std::uint64_t echoed = 0;
 };
 
+/** Bind and listen (host syscalls, FIFO order) into @p fd_out. */
+sim::Task<>
+listenTask(System &sys, const std::shared_ptr<EchoShared> es,
+           std::int64_t &fd_out)
+{
+    fd_out = co_await sys.kernel().doSyscall(
+        sys.process(), osk::sysno::socket, osk::makeArgs(2, 1, 0));
+    co_await sys.kernel().doSyscall(sys.process(), osk::sysno::bind,
+                                    osk::makeArgs(fd_out, &es->addr, 8));
+    co_await sys.kernel().doSyscall(sys.process(), osk::sysno::listen,
+                                    osk::makeArgs(fd_out, 4));
+}
+
 /**
- * GPU side: accept one connection, register it EPOLLIN|EPOLLET, and
- * serve it with the strict-ET discipline — one epoll_wait per
+ * GPU side: an epoll-driven accept + echo loop on one work-group.
+ * Level-triggered (@p edge false), each wake reads one 4-byte message
+ * — the GPU libc layer completes short transfers by reissuing the
+ * read, so a larger count would block until the client sent more.
+ * Edge-triggered, the connection is registered EPOLLIN|EPOLLET and
+ * served with the strict-ET discipline: one epoll_wait per
  * transition, each wake drained to -EAGAIN with recvmsg(MSG_DONTWAIT)
  * before sleeping again (a byte left queued would keep the level high
  * and suppress every later edge).
  */
 sim::Task<>
-runEtServerWave(System &sys, const McConfig mc,
-                const std::shared_ptr<EtShared> es, int listen_fd,
-                gpu::WavefrontCtx &ctx)
+runEchoServerWave(System &sys, const McConfig mc, const bool edge,
+                  const std::shared_ptr<EchoShared> es, int listen_fd,
+                  gpu::WavefrontCtx &ctx)
 {
     GpuSyscalls &api = sys.gpuSys();
     Invocation inv;
@@ -730,9 +540,9 @@ runEtServerWave(System &sys, const McConfig mc,
     es->results[3] = normalizeFd(cfd);
     co_await api.epollCtl(ctx, inv, static_cast<int>(epfd),
                           osk::EPOLL_CTL_DEL_, listen_fd, nullptr);
-    es->connEv =
-        osk::EpollEvent{osk::EPOLLIN_ | osk::EPOLLET_,
-                        static_cast<std::uint64_t>(cfd)};
+    es->connEv = osk::EpollEvent{
+        edge ? osk::EPOLLIN_ | osk::EPOLLET_ : osk::EPOLLIN_,
+        static_cast<std::uint64_t>(cfd)};
     co_await api.epollCtl(ctx, inv, static_cast<int>(epfd),
                           osk::EPOLL_CTL_ADD_, static_cast<int>(cfd),
                           &es->connEv);
@@ -742,24 +552,29 @@ runEtServerWave(System &sys, const McConfig mc,
             ctx, inv, static_cast<int>(epfd), es->evs, 4, -1);
         if (n <= 0)
             break;
-        for (;;) {
-            es->rxIov[0] = osk::IoVec{
-                osk::SyscallArgs::fromPtr(&es->srvBuf[0]),
-                sizeof(es->srvBuf)};
-            const std::int64_t rn = co_await api.recvmsg(
-                ctx, inv, static_cast<int>(cfd), es->rxIov, 1,
-                osk::MSG_DONTWAIT_);
-            if (rn == -EAGAIN)
-                break; // drained: safe to sleep on the next edge
+        do {
+            std::int64_t rn;
+            if (edge) {
+                es->rxIov[0] = osk::IoVec{
+                    osk::SyscallArgs::fromPtr(&es->srvBuf[0]),
+                    sizeof(es->srvBuf)};
+                rn = co_await api.recvmsg(ctx, inv, static_cast<int>(cfd),
+                                          es->rxIov, 1,
+                                          osk::MSG_DONTWAIT_);
+                if (rn == -EAGAIN)
+                    break; // drained: safe to sleep on the next edge
+            } else {
+                rn = co_await api.read(ctx, inv, static_cast<int>(cfd),
+                                       es->srvBuf, 4);
+            }
             if (rn <= 0) {
                 open = false; // EOF: the client half-closed
                 break;
             }
             es->echoed += static_cast<std::uint64_t>(rn);
             co_await api.write(ctx, inv, static_cast<int>(cfd),
-                               es->srvBuf,
-                               static_cast<std::uint64_t>(rn));
-        }
+                               es->srvBuf, static_cast<std::uint64_t>(rn));
+        } while (edge);
     }
     co_await api.close(ctx, inv, static_cast<int>(cfd));
     co_await api.close(ctx, inv, static_cast<int>(epfd));
@@ -767,14 +582,15 @@ runEtServerWave(System &sys, const McConfig mc,
 }
 
 /**
- * Host side: two ping/echo rounds, then half-close. Waiting for each
- * echo before the next ping lets the server drain the chain to empty
- * in between, so the second ping is a second genuine readiness edge
- * (strict ET records nothing while data is still queued) and the FIN
- * a third.
+ * Host side: @p rounds ping/echo rounds, then half-close and read the
+ * server's FIN. Waiting for each echo before the next ping lets the
+ * server drain the chain to empty in between, so under ET each ping
+ * is a genuine readiness edge (strict ET records nothing while data
+ * is still queued) and the FIN one more.
  */
 sim::Task<>
-runEtClient(System &sys, const std::shared_ptr<EtShared> es)
+runEchoClient(System &sys, const std::shared_ptr<EchoShared> es,
+              const int rounds)
 {
     auto &tcp = sys.kernel().tcp();
     osk::TcpSocket *c = tcp.createSocket();
@@ -785,7 +601,7 @@ runEtClient(System &sys, const std::shared_ptr<EtShared> es)
         co_return;
     }
     static const char *const kPings[2] = {"ping", "pong"};
-    for (int round = 0; round < 2; ++round) {
+    for (int round = 0; round < rounds; ++round) {
         es->results[5 + round * 2] =
             co_await c->write(kPings[round], 4);
         std::uint64_t got = 0;
@@ -800,188 +616,75 @@ runEtClient(System &sys, const std::shared_ptr<EtShared> es)
     }
     co_await c->shutdown(osk::SHUT_WR_);
     std::uint8_t tail = 0;
-    es->results[9] = co_await c->read(&tail, 1); // server FIN: EOF
+    es->results[5 + rounds * 2] = co_await c->read(&tail, 1); // FIN: EOF
     tcp.closeSocket(cid);
+}
+
+/** The echo scenario behind netScenario (LT, one round) and
+ *  etNetScenario (ET, two rounds). */
+sim::gmc::RunFn
+echoScenario(const McConfig &mc, const bool edge)
+{
+    return [mc, edge](sim::gmc::ScheduleDriver &driver)
+               -> sim::gmc::RunOutcome {
+        System sys(collapsedConfig(mc));
+        auto es = std::make_shared<EchoShared>();
+        sys.gsan().setEnabled(true);
+        sys.kernel().epoll().setTestLostEdge(mc.lostEdge);
+
+        // The listener is set up to completion under FIFO order before
+        // the tie-breaker is installed, so every schedule starts from
+        // the same bound socket (and the client never races listen()).
+        std::int64_t listen_fd = -1;
+        sys.sim().spawn(listenTask(sys, es, listen_fd));
+        sys.run();
+
+        const int rounds = edge ? 2 : 1;
+        auto spawn = [&] {
+            const std::uint32_t waveSize = sys.config().gpu.wavefrontSize;
+            gpu::KernelLaunch launch;
+            launch.workItems = waveSize;
+            launch.wgSize = waveSize;
+            const int lfd = static_cast<int>(listen_fd);
+            launch.program = [&sys, mc, edge, es,
+                              lfd](gpu::WavefrontCtx &ctx) -> sim::Task<> {
+                return runEchoServerWave(sys, mc, edge, es, lfd, ctx);
+            };
+            sys.launchGpuAndDrain(std::move(launch));
+            sys.sim().spawn(runEchoClient(sys, es, rounds));
+        };
+        // Connect-retry counters (segs sent, refused) and edge counts
+        // (a ping split across wire deliveries yields an extra
+        // drained-then-risen transition) are schedule-dependent; the
+        // digest keeps the schedule-invariant outcome: every rc, the
+        // echoes, and the rendezvous counts.
+        auto digest = [&](Fnv1a &d) {
+            for (int i = 0; i < 6 + 2 * rounds; ++i)
+                d.mix(static_cast<std::uint64_t>(es->results[i]));
+            for (int i = 0; i < 4 * rounds; ++i)
+                d.mix(es->cliBuf[i]);
+            d.mix(es->echoed);
+            d.mix(sys.kernel().tcp().counters().connects);
+            d.mix(sys.kernel().tcp().counters().accepts);
+        };
+        return checkedRun(sys, driver, edge ? "ET net run" : "net run",
+                          edge ? "readiness edge" : "epoll wakeup", spawn,
+                          digest);
+    };
 }
 
 } // namespace
 
 sim::gmc::RunFn
-etNetScenario(const McConfig &mc)
+netScenario(const McConfig &mc)
 {
-    return [mc](sim::gmc::ScheduleDriver &driver)
-               -> sim::gmc::RunOutcome {
-        sim::gmc::RunOutcome out;
-        System sys(collapsedConfig(mc));
-        auto es = std::make_shared<EtShared>();
-        sys.gsan().setEnabled(true);
-        if (mc.lostEdge)
-            sys.kernel().epoll().setTestLostEdge(true);
-
-        // Listener bound under FIFO order before the tie-breaker is
-        // installed (see netScenario).
-        std::int64_t listen_fd = -1;
-        sys.sim().spawn([](System &s, const std::shared_ptr<EtShared> sh,
-                           std::int64_t &fd_out) -> sim::Task<> {
-            fd_out = co_await s.kernel().doSyscall(
-                s.process(), osk::sysno::socket, osk::makeArgs(2, 1, 0));
-            co_await s.kernel().doSyscall(
-                s.process(), osk::sysno::bind,
-                osk::makeArgs(fd_out, &sh->addr, 8));
-            co_await s.kernel().doSyscall(s.process(),
-                                          osk::sysno::listen,
-                                          osk::makeArgs(fd_out, 4));
-        }(sys, es, listen_fd));
-        sys.run();
-
-        sys.sim().events().setTieBreaker(&driver);
-        const std::size_t idleTasks = sys.sim().liveTasks();
-
-        const std::uint32_t waveSize = sys.config().gpu.wavefrontSize;
-        gpu::KernelLaunch launch;
-        launch.workItems = waveSize;
-        launch.wgSize = waveSize;
-        const int lfd = static_cast<int>(listen_fd);
-        launch.program = [&sys, mc, es,
-                          lfd](gpu::WavefrontCtx &ctx) -> sim::Task<> {
-            return runEtServerWave(sys, mc, es, lfd, ctx);
-        };
-        sys.launchGpuAndDrain(std::move(launch));
-        sys.sim().spawn(runEtClient(sys, es));
-
-        auto &probe = genesys::gmc::Probe::instance();
-        probe.setEnabled(true);
-        (void)probe.drain(); // discard pre-run (deterministic) touches
-
-        bool panicked = false;
-        std::string what;
-        try {
-            sys.run(kHorizon, kMaxEventsPerRun);
-        } catch (const std::exception &e) {
-            panicked = true;
-            what = e.what();
-        }
-        probe.setEnabled(false);
-        sys.sim().events().setTieBreaker(nullptr);
-
-        out.endTick = sys.sim().now();
-        out.events = sys.sim().events().executedEvents();
-
-        if (panicked) {
-            out.violation = true;
-            out.kind = "panic";
-            out.detail = what;
-            return out;
-        }
-        if (!sys.sim().events().empty()) {
-            out.violation = true;
-            out.kind = "stuck";
-            out.detail = format(
-                "ET net run exceeded its budget (%llu events, tick "
-                "%llu): livelock or starvation",
-                static_cast<unsigned long long>(out.events),
-                static_cast<unsigned long long>(out.endTick));
-            return out;
-        }
-        if (sys.sim().liveTasks() > idleTasks) {
-            out.violation = true;
-            out.kind = "stuck";
-            out.detail = format(
-                "%zu task(s) beyond the %zu idle service loops still "
-                "suspended with a drained event queue: lost readiness "
-                "edge or deadlock",
-                sys.sim().liveTasks() - idleTasks, idleTasks);
-            return out;
-        }
-        if (sys.gsan().reportCount() != 0) {
-            out.violation = true;
-            out.kind = "gsan";
-            out.detail = sys.gsan().renderReports();
-            return out;
-        }
-        for (std::uint32_t s = 0; s < sys.syscallArea().shardCount();
-             ++s) {
-            if (!sys.syscallArea().quiescent(s)) {
-                out.violation = true;
-                out.kind = "quiescence";
-                out.detail = format(
-                    "shard %u has non-Free slots after drain", s);
-                return out;
-            }
-        }
-
-        // Edge counts can legally vary across schedules (a ping split
-        // across wire deliveries yields an extra drained-then-risen
-        // transition), so the digest keeps only the schedule-invariant
-        // outcome: every rc, both echoes, and the rendezvous counts.
-        Fnv1a digest;
-        for (std::int64_t r : es->results)
-            digest.mix(static_cast<std::uint64_t>(r));
-        for (std::uint64_t i = 0; i < 8; ++i)
-            digest.mix(es->cliBuf[i]);
-        digest.mix(es->echoed);
-        digest.mix(sys.kernel().tcp().counters().connects);
-        digest.mix(sys.kernel().tcp().counters().accepts);
-        out.digest = digest.value();
-        return out;
-    };
-}
-
-sim::gmc::ExploreResult
-exploreEtNetConfig(const McConfig &mc,
-                   const sim::gmc::ExploreOptions &opts)
-{
-    return sim::gmc::explore(etNetScenario(mc), opts);
-}
-
-sim::gmc::RunOutcome
-replayEtNetConfig(const McConfig &mc,
-                  const sim::gmc::Schedule &schedule)
-{
-    return sim::gmc::replay(etNetScenario(mc), schedule);
-}
-
-sim::gmc::ExploreResult
-exploreConfig(const McConfig &mc, const sim::gmc::ExploreOptions &opts)
-{
-    return sim::gmc::explore(scenario(mc), opts);
+    return echoScenario(mc, false);
 }
 
 sim::gmc::RunFn
-ringScenario(const McConfig &mc)
+etNetScenario(const McConfig &mc)
 {
-    McConfig ring = mc;
-    ring.useRings = true;
-    if (ring.ringEntries == 0)
-        ring.ringEntries = 1;
-    return scenario(ring);
-}
-
-sim::gmc::ExploreResult
-exploreRingConfig(const McConfig &mc,
-                  const sim::gmc::ExploreOptions &opts)
-{
-    McConfig ring = mc;
-    ring.useRings = true;
-    if (ring.ringEntries == 0)
-        ring.ringEntries = 1;
-    return sim::gmc::explore(scenario(ring), opts);
-}
-
-sim::gmc::RunOutcome
-replayRingConfig(const McConfig &mc, const sim::gmc::Schedule &schedule)
-{
-    McConfig ring = mc;
-    ring.useRings = true;
-    if (ring.ringEntries == 0)
-        ring.ringEntries = 1;
-    return sim::gmc::replay(scenario(ring), schedule);
-}
-
-sim::gmc::RunOutcome
-replayConfig(const McConfig &mc, const sim::gmc::Schedule &schedule)
-{
-    return sim::gmc::replay(scenario(mc), schedule);
+    return echoScenario(mc, true);
 }
 
 } // namespace genesys::core::gmc

@@ -90,39 +90,32 @@ const McConfig *configByName(const std::vector<McConfig> &configs,
 /** The timing-collapsed SystemConfig scenario() runs under. */
 SystemConfig collapsedConfig(const McConfig &mc);
 
-/**
- * The re-executable scenario for explore()/replay(): builds a fresh
- * collapsed System, installs the driver, runs the workload under
- * budget, applies the oracles, and digests the final state.
+/*
+ * The re-executable scenarios for sim::gmc::explore()/replay(). Each
+ * builds a fresh collapsed System, does its FIFO-only setup, and hands
+ * its actors and its digest to one checked-run harness, which installs
+ * the driver, runs under budget and applies the oracles above. Ring
+ * mode (DESIGN.md §13) is mc.useRings on any scenario: ring bugs show
+ * up as "stuck" (a stranded batch, or a waiter whose CQ signal fired
+ * before its slot completed) or as gsan reports on the ring channel,
+ * and the quiescence oracle also requires an idle SQ.
  */
+
+/** The slot-protocol workload: per-group open + pwrite. */
 sim::gmc::RunFn scenario(const McConfig &mc);
 
 /** explore() over this config's scenario. */
 sim::gmc::ExploreResult exploreConfig(const McConfig &mc,
                                       const sim::gmc::ExploreOptions &opts);
 
-/** Re-execute one schedule of this config (--gmc-replay). */
-sim::gmc::RunOutcome replayConfig(const McConfig &mc,
-                                  const sim::gmc::Schedule &schedule);
-
 /**
  * Timing-collapsed gnet scenario: a host TCP client against a GPU
  * epoll echo server (epoll_create/ctl/wait, accept, read, write all
  * through syscall slots). The checked config's ordering and wait mode
- * shape the server's invocations; the oracles are the same as
- * scenario()'s, so lost epoll wakeups and wake/halt races surface as
- * "stuck" and gsan violations.
+ * shape the server's invocations; lost epoll wakeups and wake/halt
+ * races surface as "stuck" and gsan violations.
  */
 sim::gmc::RunFn netScenario(const McConfig &mc);
-
-/** explore() over this config's netScenario. */
-sim::gmc::ExploreResult
-exploreNetConfig(const McConfig &mc,
-                 const sim::gmc::ExploreOptions &opts);
-
-/** Re-execute one schedule of this config's netScenario. */
-sim::gmc::RunOutcome replayNetConfig(const McConfig &mc,
-                                     const sim::gmc::Schedule &schedule);
 
 /**
  * Edge-triggered gnet scenario: like netScenario, but the accepted
@@ -138,36 +131,6 @@ sim::gmc::RunOutcome replayNetConfig(const McConfig &mc,
  * FIFO — reports "stuck" with a replayable counterexample.
  */
 sim::gmc::RunFn etNetScenario(const McConfig &mc);
-
-/** explore() over this config's etNetScenario. */
-sim::gmc::ExploreResult
-exploreEtNetConfig(const McConfig &mc,
-                   const sim::gmc::ExploreOptions &opts);
-
-/** Re-execute one schedule of this config's etNetScenario. */
-sim::gmc::RunOutcome
-replayEtNetConfig(const McConfig &mc,
-                  const sim::gmc::Schedule &schedule);
-
-/**
- * Ring-protocol scenario (DESIGN.md §13): scenario() with the SQ/CQ
- * submission path forced on. The same workload and oracles apply —
- * ring bugs manifest as "stuck" (a stranded batch or a waiter whose
- * CQ signal fired before its slot completed never drains) or as gsan
- * happens-before reports on the ring channel — plus an SQ-emptiness
- * check in the quiescence oracle.
- */
-sim::gmc::RunFn ringScenario(const McConfig &mc);
-
-/** explore() over this config's ringScenario. */
-sim::gmc::ExploreResult
-exploreRingConfig(const McConfig &mc,
-                  const sim::gmc::ExploreOptions &opts);
-
-/** Re-execute one schedule of this config's ringScenario. */
-sim::gmc::RunOutcome
-replayRingConfig(const McConfig &mc,
-                 const sim::gmc::Schedule &schedule);
 
 } // namespace genesys::core::gmc
 

@@ -14,19 +14,6 @@
 namespace genesys::core
 {
 
-/**
- * How a shard's service work is steered onto workqueue workers
- * (service-path architecture, DESIGN.md §10).
- */
-enum class SteeringPolicy : std::uint8_t
-{
-    /// Shard s prefers worker s % activeWorkers: a shard's batches
-    /// serialize on "its" worker, giving per-shard cache affinity.
-    ShardAffinity,
-    /// Batches rotate over the active workers regardless of shard.
-    RoundRobin,
-};
-
 struct GenesysParams
 {
     /// Virtual base of the preallocated shared syscall area. Only used
@@ -42,8 +29,6 @@ struct GenesysParams
     /// numCus. 1 (the paper's single area) is timing-identical to the
     /// pre-shard implementation.
     std::uint32_t areaShards = 1;
-    /// Shard -> workqueue-worker steering policy.
-    SteeringPolicy steering = SteeringPolicy::ShardAffinity;
 
     /// Ring-based submission (DESIGN.md §13): each shard gets a
     /// submission queue (SQ) of slot indices and a completion queue

@@ -84,13 +84,12 @@ Kernel::createProcess()
     return proc;
 }
 
-Process &
+Process *
 Kernel::process(int pid)
 {
-    GENESYS_ASSERT(pid >= 1 &&
-                       static_cast<std::size_t>(pid) <= processes_.size(),
-                   "bad pid %d", pid);
-    return *processes_[static_cast<std::size_t>(pid - 1)];
+    if (pid < 1 || static_cast<std::size_t>(pid) > processes_.size())
+        return nullptr;
+    return processes_[static_cast<std::size_t>(pid - 1)].get();
 }
 
 RegularFile *

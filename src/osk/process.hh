@@ -113,7 +113,8 @@ class Kernel
     }
 
     Process &createProcess();
-    Process &process(int pid);
+    /** The process @p pid names, or nullptr (pid is GPU-reachable). */
+    Process *process(int pid);
 
     /**
      * Create a file under the SSD mount: reads through it pay block

@@ -375,9 +375,11 @@ sysRtSigqueueinfo(Kernel &k, Process &p, const SyscallArgs &args)
         payload = *info;
     payload.signo = signo;
     payload.senderId = static_cast<std::uint64_t>(p.pid());
-    Process &target =
-        target_pid == 0 ? p : k.process(target_pid);
-    co_return target.signals().queueInfo(payload);
+    // pid 0 names the caller; a pid that names no process is -ESRCH.
+    Process *target = target_pid == 0 ? &p : k.process(target_pid);
+    if (target == nullptr)
+        co_return -ESRCH;
+    co_return target->signals().queueInfo(payload);
 }
 
 // socket(2) type values (match Linux).

@@ -113,25 +113,13 @@ TEST(Backend, MultiShardServicesAcrossAllShards)
 
 TEST(Backend, ShardAffinitySteeringSpreadsWorkers)
 {
-    SystemConfig cfg = shardedConfig(4, 4);
-    cfg.genesys.steering = SteeringPolicy::ShardAffinity;
-    System sys(cfg);
+    System sys(shardedConfig(4, 4));
     runSpanningKernel(sys, 16);
     // Every shard steers to its own worker; all four executed batches.
     std::uint32_t busy = 0;
     for (std::uint32_t w = 0; w < 4; ++w)
         busy += sys.kernel().workqueue().executedBy(w) > 0 ? 1 : 0;
     EXPECT_EQ(busy, 4u);
-}
-
-TEST(Backend, RoundRobinSteeringAlsoCompletes)
-{
-    SystemConfig cfg = shardedConfig(4, 4);
-    cfg.genesys.steering = SteeringPolicy::RoundRobin;
-    System sys(cfg);
-    runSpanningKernel(sys, 16);
-    EXPECT_TRUE(sys.syscallArea().quiescent());
-    EXPECT_GT(sys.kernel().workqueue().executedTasks(), 0u);
 }
 
 TEST(Backend, GsanCleanOnMultiShardRun)

@@ -468,6 +468,33 @@ TEST(GenesysEndToEnd, SignalsFromGpuReachProcess)
     EXPECT_EQ(values, (std::set<std::int64_t>{0, 1, 2, 3}));
 }
 
+TEST(GenesysEndToEnd, SignalToMissingPidFromGpuIsEsrch)
+{
+    // A GPU lane naming a pid with no process gets -ESRCH back through
+    // the slot path instead of panicking the host.
+    System sys(smallConfig());
+    gpu::KernelLaunch k;
+    k.workItems = 64;
+    k.wgSize = 64;
+    static osk::SigInfo info{};
+    std::vector<std::int64_t> rets;
+    k.program = [&sys, &rets](gpu::WavefrontCtx &ctx) -> sim::Task<> {
+        auto i = inv(Granularity::WorkGroup, Ordering::Strong,
+                     Blocking::Blocking);
+        const int pids[3] = {-1, sys.process().pid() + 1, 1 << 30};
+        for (const int pid : pids) {
+            const std::int64_t ret = co_await sys.gpuSys().rtSigqueueinfo(
+                ctx, i, pid, osk::SIGRTMIN_, &info);
+            if (ctx.isGroupLeader())
+                rets.push_back(ret);
+        }
+    };
+    sys.launchGpuAndDrain(std::move(k));
+    sys.run();
+    EXPECT_EQ(rets, (std::vector<std::int64_t>{-ESRCH, -ESRCH, -ESRCH}));
+    EXPECT_EQ(sys.process().signals().pending(), 0u);
+}
+
 TEST(GenesysEndToEnd, StatefulReadSharedFilePointer)
 {
     // Sequential reads at work-group granularity advance the shared

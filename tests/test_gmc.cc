@@ -3,12 +3,19 @@
  * gmc schedule-space model checker tests: schedule string round-trips,
  * exhaustive clean verification of the 1-shard × 1-worker configs,
  * seeded protocol mutants (each found with a replayable
- * counterexample), and replay determinism.
+ * counterexample), replay determinism, and goldens that pin every
+ * scenario family's FIFO run, bounded exploration and first
+ * counterexample (tests/golden/gmc_*.txt).
  */
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <string>
+#include <vector>
+
 #include "core/gmc.hh"
+#include "golden.hh"
 #include "sim/explore.hh"
 
 // Mutant explorations deliberately produce stuck runs whose suspended
@@ -33,9 +40,14 @@ using core::Blocking;
 using core::Granularity;
 using core::Ordering;
 using core::WaitMode;
+using core::gmc::etNetScenario;
 using core::gmc::McConfig;
+using core::gmc::netScenario;
+using core::gmc::scenario;
+using sim::gmc::explore;
 using sim::gmc::ExploreOptions;
 using sim::gmc::ExploreResult;
+using sim::gmc::replay;
 using sim::gmc::RunOutcome;
 using sim::gmc::Schedule;
 
@@ -116,8 +128,8 @@ TEST(GmcClean, FifoRunIsDeterministic)
 {
     const McConfig mc =
         baseConfig(Granularity::WorkGroup, WaitMode::Polling);
-    const RunOutcome a = core::gmc::replayConfig(mc, {});
-    const RunOutcome b = core::gmc::replayConfig(mc, {});
+    const RunOutcome a = replay(scenario(mc), {});
+    const RunOutcome b = replay(scenario(mc), {});
     EXPECT_FALSE(a.violation) << a.kind << ": " << a.detail;
     EXPECT_EQ(a.digest, b.digest);
     EXPECT_EQ(a.endTick, b.endTick);
@@ -195,8 +207,8 @@ expectMutantCaught(McConfig mc, const char *kind)
         << "schedule " << sim::gmc::renderSchedule(cx.schedule) << ": "
         << cx.outcome.detail;
 
-    const RunOutcome once = core::gmc::replayConfig(mc, cx.schedule);
-    const RunOutcome twice = core::gmc::replayConfig(mc, cx.schedule);
+    const RunOutcome once = replay(scenario(mc), cx.schedule);
+    const RunOutcome twice = replay(scenario(mc), cx.schedule);
     EXPECT_TRUE(once.violation);
     EXPECT_EQ(once.kind, cx.outcome.kind);
     EXPECT_EQ(once.kind, twice.kind);
@@ -217,7 +229,7 @@ TEST(GmcMutant, DoorbellBeforePublishStrandsRequest)
     // model checker is needed.
     {
         LeakWaiver waiver;
-        const RunOutcome fifo = core::gmc::replayConfig(mc, {});
+        const RunOutcome fifo = replay(scenario(mc), {});
         EXPECT_FALSE(fifo.violation)
             << "FIFO already catches it: " << fifo.kind;
     }
@@ -273,7 +285,7 @@ TEST(GmcReplay, OutOfRangeChoiceReportsPanic)
     const McConfig mc =
         baseConfig(Granularity::WorkGroup, WaitMode::Polling);
     // No tie point in this scenario has 1000 candidates.
-    const RunOutcome out = core::gmc::replayConfig(mc, {999});
+    const RunOutcome out = replay(scenario(mc), {999});
     EXPECT_TRUE(out.violation);
     EXPECT_EQ(out.kind, "panic");
 }
@@ -284,8 +296,8 @@ TEST(GmcNet, FifoRunIsCleanAndDeterministic)
 {
     const McConfig mc =
         baseConfig(Granularity::WorkGroup, WaitMode::Polling);
-    const RunOutcome a = core::gmc::replayNetConfig(mc, {});
-    const RunOutcome b = core::gmc::replayNetConfig(mc, {});
+    const RunOutcome a = replay(netScenario(mc), {});
+    const RunOutcome b = replay(netScenario(mc), {});
     EXPECT_FALSE(a.violation) << a.kind << ": " << a.detail;
     EXPECT_EQ(a.digest, b.digest);
     EXPECT_EQ(a.endTick, b.endTick);
@@ -303,7 +315,7 @@ TEST(GmcNet, PollingBoundedExplorationIsClean)
     ExploreOptions opts;
     opts.maxSchedules = 24;
     opts.maxDepth = 12;
-    const ExploreResult r = core::gmc::exploreNetConfig(mc, opts);
+    const ExploreResult r = explore(netScenario(mc), opts);
     EXPECT_GT(r.stats.schedulesRun, 1u);
     for (const auto &v : r.violations) {
         ADD_FAILURE() << mc.name() << " net schedule "
@@ -322,7 +334,7 @@ TEST(GmcNet, HaltResumeBoundedExplorationIsClean)
     ExploreOptions opts;
     opts.maxSchedules = 24;
     opts.maxDepth = 12;
-    const ExploreResult r = core::gmc::exploreNetConfig(mc, opts);
+    const ExploreResult r = explore(netScenario(mc), opts);
     EXPECT_GT(r.stats.schedulesRun, 1u);
     for (const auto &v : r.violations) {
         ADD_FAILURE() << mc.name() << " net schedule "
@@ -345,8 +357,8 @@ TEST(GmcEtNet, FifoRunIsCleanAndDeterministic)
 {
     const McConfig mc =
         baseConfig(Granularity::WorkGroup, WaitMode::Polling);
-    const RunOutcome a = core::gmc::replayEtNetConfig(mc, {});
-    const RunOutcome b = core::gmc::replayEtNetConfig(mc, {});
+    const RunOutcome a = replay(etNetScenario(mc), {});
+    const RunOutcome b = replay(etNetScenario(mc), {});
     EXPECT_FALSE(a.violation) << a.kind << ": " << a.detail;
     EXPECT_EQ(a.digest, b.digest);
     EXPECT_EQ(a.endTick, b.endTick);
@@ -364,7 +376,7 @@ TEST(GmcEtNet, PollingBoundedExplorationIsClean)
     ExploreOptions opts;
     opts.maxSchedules = 24;
     opts.maxDepth = 12;
-    const ExploreResult r = core::gmc::exploreEtNetConfig(mc, opts);
+    const ExploreResult r = explore(etNetScenario(mc), opts);
     EXPECT_GT(r.stats.schedulesRun, 1u);
     for (const auto &v : r.violations) {
         ADD_FAILURE() << mc.name() << " ET net schedule "
@@ -390,7 +402,7 @@ TEST(GmcEtNet, LostEdgeMutantStrandsServer)
     mc.lostEdge = true;
     ExploreOptions opts;
     opts.maxCounterexamples = 1;
-    const ExploreResult r = core::gmc::exploreEtNetConfig(mc, opts);
+    const ExploreResult r = explore(etNetScenario(mc), opts);
     ASSERT_FALSE(r.violations.empty())
         << mc.name() << ": lost-edge mutant not found";
     const auto &cx = r.violations.front();
@@ -398,9 +410,9 @@ TEST(GmcEtNet, LostEdgeMutantStrandsServer)
         << "schedule " << sim::gmc::renderSchedule(cx.schedule) << ": "
         << cx.outcome.detail;
 
-    const RunOutcome once = core::gmc::replayEtNetConfig(mc, cx.schedule);
+    const RunOutcome once = replay(etNetScenario(mc), cx.schedule);
     const RunOutcome twice =
-        core::gmc::replayEtNetConfig(mc, cx.schedule);
+        replay(etNetScenario(mc), cx.schedule);
     EXPECT_TRUE(once.violation);
     EXPECT_EQ(once.kind, cx.outcome.kind);
     EXPECT_EQ(once.kind, twice.kind);
@@ -411,33 +423,13 @@ TEST(GmcEtNet, LostEdgeMutantStrandsServer)
 
 // --------------------------------------- SQ/CQ ring exploration
 
-/** Ring analogue of expectMutantCaught: explore the ringScenario of
- *  @p mc, require a counterexample of kind @p kind, then replay its
- *  schedule twice and require identical outcomes. */
-void
-expectRingMutantCaught(McConfig mc, const char *kind)
+/** baseConfig() with SQ/CQ ring submission on. */
+McConfig
+ringConfig(Granularity g, WaitMode wait)
 {
-    LeakWaiver waiver;
-    ExploreOptions opts;
-    opts.maxCounterexamples = 1;
-    const ExploreResult r = core::gmc::exploreRingConfig(mc, opts);
-    ASSERT_FALSE(r.violations.empty())
-        << mc.name() << ": ring mutant not found";
-    const auto &cx = r.violations.front();
-    EXPECT_EQ(cx.outcome.kind, kind)
-        << "schedule " << sim::gmc::renderSchedule(cx.schedule) << ": "
-        << cx.outcome.detail;
-
-    const RunOutcome once =
-        core::gmc::replayRingConfig(mc, cx.schedule);
-    const RunOutcome twice =
-        core::gmc::replayRingConfig(mc, cx.schedule);
-    EXPECT_TRUE(once.violation);
-    EXPECT_EQ(once.kind, cx.outcome.kind);
-    EXPECT_EQ(once.kind, twice.kind);
-    EXPECT_EQ(once.detail, twice.detail);
-    EXPECT_EQ(once.endTick, twice.endTick);
-    EXPECT_EQ(once.events, twice.events);
+    McConfig mc = baseConfig(g, wait);
+    mc.useRings = true;
+    return mc;
 }
 
 TEST(GmcRing, NameCarriesRingSuffix)
@@ -452,9 +444,9 @@ TEST(GmcRing, NameCarriesRingSuffix)
 TEST(GmcRing, FifoRunIsCleanAndDeterministic)
 {
     const McConfig mc =
-        baseConfig(Granularity::WorkGroup, WaitMode::Polling);
-    const RunOutcome a = core::gmc::replayRingConfig(mc, {});
-    const RunOutcome b = core::gmc::replayRingConfig(mc, {});
+        ringConfig(Granularity::WorkGroup, WaitMode::Polling);
+    const RunOutcome a = replay(scenario(mc), {});
+    const RunOutcome b = replay(scenario(mc), {});
     EXPECT_FALSE(a.violation) << a.kind << ": " << a.detail;
     EXPECT_EQ(a.digest, b.digest);
     EXPECT_EQ(a.endTick, b.endTick);
@@ -462,15 +454,17 @@ TEST(GmcRing, FifoRunIsCleanAndDeterministic)
     // Ring submission changes the event structure, so the digest must
     // differ from the slot-doorbell run of the same config — proof the
     // scenario actually went through the rings.
-    const RunOutcome slots = core::gmc::replayConfig(mc, {});
+    const RunOutcome slots = replay(
+        scenario(baseConfig(Granularity::WorkGroup, WaitMode::Polling)),
+        {});
     EXPECT_NE(a.digest, slots.digest);
 }
 
 TEST(GmcRing, WorkGroupOneShardExhaustive)
 {
     const McConfig mc =
-        baseConfig(Granularity::WorkGroup, WaitMode::Polling);
-    const ExploreResult r = core::gmc::exploreRingConfig(mc, {});
+        ringConfig(Granularity::WorkGroup, WaitMode::Polling);
+    const ExploreResult r = explore(scenario(mc), {});
     EXPECT_TRUE(r.stats.exhaustive);
     EXPECT_GT(r.stats.schedulesRun, 1u);
     for (const auto &v : r.violations) {
@@ -486,8 +480,8 @@ TEST(GmcRing, WorkItemOneShardExhaustive)
     // the single-entry model ring, so every chunk exercises the
     // SQ-full claim-retry path and the multi-batch doorbell decision.
     const McConfig mc =
-        baseConfig(Granularity::WorkItem, WaitMode::Polling);
-    const ExploreResult r = core::gmc::exploreRingConfig(mc, {});
+        ringConfig(Granularity::WorkItem, WaitMode::Polling);
+    const ExploreResult r = explore(scenario(mc), {});
     EXPECT_TRUE(r.stats.exhaustive);
     EXPECT_GT(r.stats.schedulesRun, 1u);
     for (const auto &v : r.violations) {
@@ -504,9 +498,9 @@ TEST(GmcRingMutant, DroppedDoorbellStrandsBatch)
     // work-item submission the consumer can drain the sampled entries
     // and go idle before the next chunk publishes — that chunk's
     // doorbell is the only wake-up, and it never rings.
-    McConfig mc = baseConfig(Granularity::WorkItem, WaitMode::Polling);
+    McConfig mc = ringConfig(Granularity::WorkItem, WaitMode::Polling);
     mc.hooks.ringDropDoorbell = true;
-    expectRingMutantCaught(mc, "stuck");
+    expectMutantCaught(mc, "stuck");
 }
 
 TEST(GmcRingMutant, CompletionBeforePublishStrandsWaiter)
@@ -516,16 +510,16 @@ TEST(GmcRingMutant, CompletionBeforePublishStrandsWaiter)
     // next poll); gmc must find the order where the waiter observes
     // the tail advance, re-sweeps a still-unfinished slot, and then
     // elides every later sweep because the tail never moves again.
-    McConfig mc = baseConfig(Granularity::WorkGroup, WaitMode::Polling);
+    McConfig mc = ringConfig(Granularity::WorkGroup, WaitMode::Polling);
     mc.hooks.ringCompleteBeforePublish = true;
 
     {
         LeakWaiver waiver;
-        const RunOutcome fifo = core::gmc::replayRingConfig(mc, {});
+        const RunOutcome fifo = replay(scenario(mc), {});
         EXPECT_FALSE(fifo.violation)
             << "FIFO already catches it: " << fifo.kind;
     }
-    expectRingMutantCaught(mc, "stuck");
+    expectMutantCaught(mc, "stuck");
 }
 
 TEST(GmcRingMutant, StaleHeadReadSpinsOnFullRing)
@@ -535,9 +529,151 @@ TEST(GmcRingMutant, StaleHeadReadSpinsOnFullRing)
     // single-entry ring full, and — with the head observation frozen
     // before the consumer's pop — retries forever on a ring that is
     // actually empty.
-    McConfig mc = baseConfig(Granularity::WorkItem, WaitMode::Polling);
+    McConfig mc = ringConfig(Granularity::WorkItem, WaitMode::Polling);
     mc.hooks.ringStaleHead = true;
-    expectRingMutantCaught(mc, "stuck");
+    expectMutantCaught(mc, "stuck");
+}
+
+// ------------------------------------------------------- goldens
+
+/** A golden config: @p label names the seeded mutant ("clean" if
+ *  none), since McConfig::name() does not carry the hooks. */
+struct GoldenCase
+{
+    const char *label;
+    McConfig mc;
+};
+
+/** First line of @p text (gsan details span several). */
+std::string
+firstLine(const std::string &text)
+{
+    return text.substr(0, text.find('\n'));
+}
+
+/**
+ * One config's golden record: the FIFO run's outcome, then a bounded
+ * exploration (64 schedules, stopping at the first counterexample)
+ * with its statistics and its first counterexample.
+ */
+std::string
+goldenRecord(const GoldenCase &c, const sim::gmc::RunFn &run)
+{
+    LeakWaiver waiver;
+    char line[256];
+    std::string out = c.mc.name() + " " + c.label + "\n";
+
+    const RunOutcome fifo = replay(run, {});
+    std::snprintf(line, sizeof line,
+                  "  fifo %s digest=%016llx events=%llu endTick=%llu\n",
+                  fifo.violation ? fifo.kind.c_str() : "clean",
+                  static_cast<unsigned long long>(fifo.digest),
+                  static_cast<unsigned long long>(fifo.events),
+                  static_cast<unsigned long long>(fifo.endTick));
+    out += line;
+
+    ExploreOptions opts;
+    opts.maxSchedules = 64;
+    opts.maxCounterexamples = 1;
+    const ExploreResult r = explore(run, opts);
+    std::snprintf(
+        line, sizeof line,
+        "  explore schedules=%llu choicePoints=%llu events=%llu "
+        "deferred=%llu exhaustive=%s\n",
+        static_cast<unsigned long long>(r.stats.schedulesRun),
+        static_cast<unsigned long long>(r.stats.choicePoints),
+        static_cast<unsigned long long>(r.stats.eventsExecuted),
+        static_cast<unsigned long long>(r.stats.branchesDeferred),
+        r.stats.exhaustive ? "yes" : "no");
+    out += line;
+
+    if (r.violations.empty())
+        return out + "  counterexample none\n";
+    const auto &cx = r.violations.front();
+    return out + "  counterexample " +
+           sim::gmc::renderSchedule(cx.schedule) + " " +
+           cx.outcome.kind + ": " + firstLine(cx.outcome.detail) + "\n";
+}
+
+TEST(GmcGolden, SlotScenario)
+{
+    const McConfig wgPoll =
+        baseConfig(Granularity::WorkGroup, WaitMode::Polling);
+    const McConfig wgHalt =
+        baseConfig(Granularity::WorkGroup, WaitMode::HaltResume);
+    std::vector<GoldenCase> cases = {
+        {"clean", wgPoll},
+        {"clean", wgHalt},
+        {"clean", baseConfig(Granularity::WorkItem, WaitMode::Polling)},
+    };
+    McConfig kernel = baseConfig(Granularity::Kernel, WaitMode::Polling);
+    kernel.ordering = Ordering::Relaxed;
+    cases.push_back({"clean", kernel});
+    McConfig sharded = wgHalt;
+    sharded.areaShards = 2;
+    sharded.workers = 2;
+    sharded.groups = 2;
+    cases.push_back({"clean", sharded});
+
+    cases.push_back({"doorbellBeforePublish", wgPoll});
+    cases.back().mc.hooks.doorbellBeforePublish = true;
+    cases.push_back({"wakeBeforeComplete", wgHalt});
+    cases.back().mc.hooks.wakeBeforeComplete = true;
+    cases.push_back({"skipPostBarrier", wgPoll});
+    cases.back().mc.hooks.skipPostBarrier = true;
+
+    std::string out;
+    for (const GoldenCase &c : cases)
+        out += goldenRecord(c, scenario(c.mc));
+    expectGolden("gmc_slot.txt", out);
+}
+
+TEST(GmcGolden, RingScenario)
+{
+    McConfig wg = baseConfig(Granularity::WorkGroup, WaitMode::Polling);
+    McConfig wi = baseConfig(Granularity::WorkItem, WaitMode::Polling);
+    wg.useRings = true;
+    wi.useRings = true;
+    std::vector<GoldenCase> cases = {{"clean", wg}, {"clean", wi}};
+    cases.push_back({"ringDropDoorbell", wi});
+    cases.back().mc.hooks.ringDropDoorbell = true;
+    cases.push_back({"ringCompleteBeforePublish", wg});
+    cases.back().mc.hooks.ringCompleteBeforePublish = true;
+    cases.push_back({"ringStaleHead", wi});
+    cases.back().mc.hooks.ringStaleHead = true;
+
+    std::string out;
+    for (const GoldenCase &c : cases)
+        out += goldenRecord(c, scenario(c.mc));
+    expectGolden("gmc_ring.txt", out);
+}
+
+TEST(GmcGolden, LevelTriggeredEchoScenario)
+{
+    std::string out;
+    for (const WaitMode wait : {WaitMode::Polling, WaitMode::HaltResume}) {
+        const GoldenCase c{"clean",
+                           baseConfig(Granularity::WorkGroup, wait)};
+        out += goldenRecord(c, netScenario(c.mc));
+    }
+    expectGolden("gmc_lt_echo.txt", out);
+}
+
+TEST(GmcGolden, EdgeTriggeredEchoScenario)
+{
+    const McConfig wgHalt =
+        baseConfig(Granularity::WorkGroup, WaitMode::HaltResume);
+    std::vector<GoldenCase> cases = {
+        {"clean", baseConfig(Granularity::WorkGroup, WaitMode::Polling)},
+        {"clean", wgHalt},
+        {"lostEdge", wgHalt},
+    };
+    cases.back().mc.lostEdge = true;
+
+    std::string out;
+    for (const GoldenCase &c : cases)
+        out += goldenRecord(c, etNetScenario(c.mc));
+    expectGolden("gmc_et_echo.txt", out);
 }
 
 } // namespace

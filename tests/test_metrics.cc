@@ -15,9 +15,7 @@
 
 #include <gtest/gtest.h>
 
-#include <fstream>
 #include <functional>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -25,24 +23,12 @@
 #include "osk/file.hh"
 #include "support/logging.hh"
 #include "workloads/gkv.hh"
+#include "golden.hh"
 
 namespace genesys::core
 {
 namespace
 {
-
-void
-expectGolden(const std::string &name, const std::string &actual)
-{
-    std::ifstream in(std::string(GENESYS_GOLDEN_DIR) + "/" + name);
-    std::stringstream want;
-    want << in.rdbuf();
-    if (want.str() != actual)
-        std::ofstream(name + ".actual") << actual;
-    EXPECT_EQ(want.str(), actual)
-        << "golden " << name << " differs; actual text in " << name
-        << ".actual";
-}
 
 /** Same topology as test_ring.cc's ringConfig(shards, entries). */
 SystemConfig

@@ -306,6 +306,24 @@ TEST_F(SyscallTest, RtSigqueueinfoDeliversToProcess)
     EXPECT_EQ(got.senderId, 1u);
 }
 
+TEST_F(SyscallTest, RtSigqueueinfoToMissingPidIsEsrch)
+{
+    // Linux returns -ESRCH when the pid names no process; the pid is
+    // caller-controlled (GPU-reachable), so it must never panic.
+    SigInfo info{};
+    for (const int pid : {-1, -4096, proc_->pid() + 1, 1 << 30}) {
+        EXPECT_EQ(sys(sysno::rt_sigqueueinfo,
+                      makeArgs(pid, SIGRTMIN_, &info)),
+                  -ESRCH)
+            << "pid " << pid;
+    }
+    EXPECT_EQ(proc_->signals().pending(), 0u);
+    // pid 0 still names the caller.
+    EXPECT_EQ(sys(sysno::rt_sigqueueinfo, makeArgs(0, SIGRTMIN_, &info)),
+              0);
+    EXPECT_EQ(proc_->signals().pending(), 1u);
+}
+
 TEST_F(SyscallTest, SyscallsChargeServiceTime)
 {
     kernel_.vfs().createFile("/t")->setData(std::string(1 << 20, 'a'));
