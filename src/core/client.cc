@@ -616,53 +616,6 @@ GpuSyscalls::invokeWorkItems(
     }
 }
 
-sim::Task<>
-GpuSyscalls::invokeWorkItemsVectored(
-    gpu::WavefrontCtx &ctx, Invocation inv, int sysno,
-    std::function<std::optional<LaneVec>(std::uint32_t)> lane_vecs,
-    std::function<void(std::uint32_t, std::int64_t)> on_result)
-{
-    const std::uint32_t per_lane = area_.iovecEntriesPerLane();
-    osk::IoVec *win = area_.iovecWindow(ctx.hwWaveSlot());
-    const mem::Addr wbase = area_.iovecWindowAddr(ctx.hwWaveSlot());
-
-    // Stage every active lane's list into the wave's window. The
-    // window is statically owned by this wave, so the stores are
-    // plain writes; the slot publish below is their visibility point.
-    std::vector<std::optional<osk::SyscallArgs>> prepared(
-        ctx.laneCount());
-    std::uint64_t bytes_staged = 0;
-    for (std::uint32_t lane = 0; lane < ctx.laneCount(); ++lane) {
-        auto v = lane_vecs(lane);
-        if (!v)
-            continue;
-        GENESYS_ASSERT(v->cnt >= 0 &&
-                           static_cast<std::uint32_t>(v->cnt) <=
-                               per_lane,
-                       "lane %u stages %d iovecs (window holds %u)",
-                       lane, v->cnt, per_lane);
-        osk::IoVec *dst = win + std::size_t(lane) * per_lane;
-        for (int i = 0; i < v->cnt; ++i)
-            dst[i] = v->iov[i];
-        bytes_staged +=
-            std::uint64_t(v->cnt) * sizeof(osk::IoVec);
-        prepared[lane] =
-            osk::makeArgs(v->fd, dst, v->cnt, v->flags);
-    }
-    // One timed store per touched descriptor line (4 IoVecs/line).
-    const std::uint64_t lines =
-        (bytes_staged + params_.slotBytes - 1) / params_.slotBytes;
-    for (std::uint64_t l = 0; l < lines; ++l) {
-        co_await gpu_.accessLine(wbase + l * params_.slotBytes,
-                                 params_.perLanePopulate);
-    }
-
-    co_await invokeWorkItems(
-        ctx, inv, sysno,
-        [&prepared](std::uint32_t lane) { return prepared[lane]; },
-        std::move(on_result));
-}
-
 sim::Task<std::int64_t>
 GpuSyscalls::call(gpu::WavefrontCtx &ctx, Invocation inv, int sysno,
                   osk::SyscallArgs args)

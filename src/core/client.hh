@@ -126,31 +126,6 @@ class GpuSyscalls
             lane_args,
         std::function<void(std::uint32_t, std::int64_t)> on_result = {});
 
-    /** One lane's gather/scatter list for vectored invocation. */
-    struct LaneVec
-    {
-        int fd = -1;
-        const osk::IoVec *iov = nullptr;
-        int cnt = 0;
-        std::uint64_t flags = 0;
-    };
-
-    /**
-     * Vectored work-item invocation (readv/writev/sendmsg/recvmsg):
-     * each active lane stages its iovec list in the wave's window of
-     * the shard descriptor page (one timed store per touched line, at
-     * most iovecEntriesPerLane descriptors per lane), then the wave
-     * issues one request per lane whose SQ entry carries the whole
-     * list by reference. Semantics otherwise match invokeWorkItems
-     * (strong ordering implied, per-lane recovery, one doorbell per
-     * round in ring mode).
-     */
-    sim::Task<>
-    invokeWorkItemsVectored(
-        gpu::WavefrontCtx &ctx, Invocation inv, int sysno,
-        std::function<std::optional<LaneVec>(std::uint32_t)> lane_vecs,
-        std::function<void(std::uint32_t, std::int64_t)> on_result = {});
-
     // ---- POSIX wrappers (work-group/kernel granularity) -----------
     sim::Task<std::int64_t>
     open(gpu::WavefrontCtx &ctx, Invocation inv, const char *path,

@@ -39,12 +39,6 @@ struct GenesysParams
     bool useRings = false;
     /// SQ/CQ entries per shard. Need not be a power of two.
     std::uint32_t ringEntries = 64;
-    /// Vectored submission: iovec descriptors each lane may stage in
-    /// its wave's window of the shard descriptor page. One SQ entry
-    /// then carries the whole gather/scatter list by reference
-    /// (readv/writev/sendmsg/recvmsg), instead of one slot per
-    /// buffer.
-    std::uint32_t iovecEntriesPerLane = 4;
     /// Ring mode: after draining its shard's SQ, the consume task
     /// lingers this long polling for more batches before retiring
     /// (the SPDK poll-mode service shape). Entries published while it

@@ -185,50 +185,6 @@ SyscallArea::SyscallArea(const gpu::GpuConfig &gpu_config,
     }
     ringBatches_.assign(shardCount_, 0);
     ringEntriesSubmitted_.assign(shardCount_, 0);
-    const std::uint32_t waves_per_shard =
-        cusPerShard_ * maxWavesPerCu_;
-    iovecPages_.assign(shardCount_,
-                       std::vector<osk::IoVec>(
-                           std::size_t(waves_per_shard) *
-                           iovecEntriesPerWave()));
-}
-
-osk::IoVec *
-SyscallArea::iovecWindow(std::uint32_t hw_wave_slot)
-{
-    const std::uint32_t shard = shardOfWave(hw_wave_slot);
-    const std::uint32_t wave_in_shard =
-        hw_wave_slot - shard * cusPerShard_ * maxWavesPerCu_;
-    return iovecPages_[shard].data() +
-           std::size_t(wave_in_shard) * iovecEntriesPerWave();
-}
-
-std::uint64_t
-SyscallArea::iovecPageBytes() const
-{
-    return std::uint64_t(cusPerShard_) * maxWavesPerCu_ *
-           iovecEntriesPerWave() * sizeof(osk::IoVec);
-}
-
-mem::Addr
-SyscallArea::iovecPageAddr(std::uint32_t shard) const
-{
-    GENESYS_ASSERT(shard < shardCount_, "shard %u out of range", shard);
-    // Laid out after the ring counter lines (doorbells, SQs, CQs).
-    return params_.syscallAreaBase + areaBytes() +
-           std::uint64_t(3 * shardCount_) * params_.slotBytes +
-           std::uint64_t(shard) * iovecPageBytes();
-}
-
-mem::Addr
-SyscallArea::iovecWindowAddr(std::uint32_t hw_wave_slot) const
-{
-    const std::uint32_t shard = shardOfWave(hw_wave_slot);
-    const std::uint32_t wave_in_shard =
-        hw_wave_slot - shard * cusPerShard_ * maxWavesPerCu_;
-    return iovecPageAddr(shard) +
-           std::uint64_t(wave_in_shard) * iovecEntriesPerWave() *
-               sizeof(osk::IoVec);
 }
 
 SyscallRing &

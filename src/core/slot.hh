@@ -28,7 +28,6 @@
 #include "core/params.hh"
 #include "core/ring.hh"
 #include "gpu/gpu.hh"
-#include "osk/net.hh"
 #include "osk/syscalls.hh"
 #include "support/types.hh"
 
@@ -262,32 +261,6 @@ class SyscallArea
     /** True when every shard's SQ has no published, unconsumed entry. */
     bool ringsIdle() const;
 
-    // --- per-shard iovec descriptor pages (vectored submission) ----
-    /**
-     * Each shard owns a descriptor page statically partitioned into
-     * one window per resident wave; a lane stages its gather/scatter
-     * list in its wave's window and the single SQ entry carries the
-     * list by reference. Static partitioning means no allocation
-     * protocol on the hot path — the window belongs to the wave for
-     * the lifetime of the call.
-     */
-    std::uint32_t iovecEntriesPerLane() const
-    {
-        return params_.iovecEntriesPerLane;
-    }
-    std::uint32_t iovecEntriesPerWave() const
-    {
-        return params_.iovecEntriesPerLane * wavefrontSize_;
-    }
-    /** This wave's window within its shard's descriptor page. */
-    osk::IoVec *iovecWindow(std::uint32_t hw_wave_slot);
-    /** Modeled bytes of one shard's page. */
-    std::uint64_t iovecPageBytes() const;
-    /** Modeled address of @p shard's descriptor page. */
-    mem::Addr iovecPageAddr(std::uint32_t shard) const;
-    /** Modeled address of the wave's window (for timed stores). */
-    mem::Addr iovecWindowAddr(std::uint32_t hw_wave_slot) const;
-
     // --- per-shard ring stats --------------------------------------
     void noteRingBatch(std::uint32_t shard, std::uint32_t entries)
     {
@@ -335,8 +308,6 @@ class SyscallArea
     std::vector<std::uint64_t> processed_;
     std::vector<SyscallRing> sqRings_;
     std::vector<SyscallRing> cqRings_;
-    /** One descriptor page per shard (iovecPageBytes() modeled). */
-    std::vector<std::vector<osk::IoVec>> iovecPages_;
     std::vector<std::uint64_t> ringBatches_;
     std::vector<std::uint64_t> ringEntriesSubmitted_;
 };

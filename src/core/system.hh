@@ -47,6 +47,8 @@ class System
 {
   public:
     explicit System(const SystemConfig &config = {});
+    /** Destroys parked tasks first: their frames reference components. */
+    ~System() { sim_->destroyTasks(); }
 
     // The /sys/genesys files hold the System's address.
     System(const System &) = delete;

@@ -34,12 +34,13 @@ l2Params(const GpuConfig &cfg)
 /** Book-keeping for one in-flight kernel launch. */
 struct LaunchState
 {
-    explicit LaunchState(sim::EventQueue &eq) : done(eq) {}
+    explicit LaunchState(sim::EventQueue &eq) : doneWait(eq) {}
 
     WaveProgram program;
     std::uint32_t totalWgs = 0;
     std::uint32_t retiredWgs = 0;
-    sim::Promise<int> done;
+    bool done = false;
+    sim::WaitQueue doneWait;
 };
 
 // ------------------------------------------------------------ WavefrontCtx
@@ -205,7 +206,8 @@ GpuDevice::launch(KernelLaunch launch_desc)
     }
     tryDispatch();
 
-    co_await state->done.future();
+    if (!state->done)
+        co_await state->doneWait.wait();
 }
 
 void
@@ -285,8 +287,10 @@ GpuDevice::runWave(std::shared_ptr<LaunchState> launch,
         --residentWgs_;
         GENESYS_TRACE(sim_, "gpu", "work-group %u retired (cu %u)",
                       wg->wgId, wg->cu);
-        if (++launch->retiredWgs == launch->totalWgs)
-            launch->done.set(0);
+        if (++launch->retiredWgs == launch->totalWgs) {
+            launch->done = true;
+            launch->doneWait.notifyAll();
+        }
         tryDispatch();
     }
 }

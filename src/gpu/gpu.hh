@@ -34,7 +34,6 @@
 
 #include "mem/cache_model.hh"
 #include "mem/mem_bus.hh"
-#include "sim/future.hh"
 #include "sim/sim.hh"
 #include "sim/sync.hh"
 #include "sim/task.hh"

@@ -17,7 +17,6 @@
 #include <cstring>
 
 #include "osk/block_device.hh"
-#include "osk/devices.hh"
 #include "osk/epoll.hh"
 #include "osk/fault.hh"
 #include "osk/file.hh"
@@ -85,9 +84,14 @@ sim::Task<std::int64_t>
 sysClose(Kernel &k, Process &p, const SyscallArgs &args)
 {
     const int fd = args.as<int>(0);
-    OpenFile *file = p.fds().get(fd);
+    const std::shared_ptr<OpenFile> file = p.fds().getShared(fd);
     if (file == nullptr)
         co_return -EBADF;
+    p.fds().close(fd);
+    // dup/dup2 share the open file description: like Linux's fput(),
+    // only the last descriptor on it tears its endpoint down.
+    if (file.use_count() > 1)
+        co_return 0;
     if (file->socketId >= 0) {
         k.epoll().forgetSocket(SockKind::Udp, file->socketId);
         k.udp().closeSocket(file->socketId);
@@ -106,8 +110,21 @@ sysClose(Kernel &k, Process &p, const SyscallArgs &args)
         else
             pipe->closeReader();
     }
-    p.fds().close(fd);
     co_return 0;
+}
+
+/** recvfrom(2) on UDP socket @p socket_id: one datagram into @p buf. */
+sim::Task<std::int64_t>
+recvDatagram(Kernel &k, int socket_id, void *buf, std::uint64_t len,
+             SockAddr *src)
+{
+    Datagram dgram = co_await k.udp().socket(socket_id)->recvFrom(len);
+    co_await sim::Delay(k.sim().events(), k.params().udpRecvBase);
+    if (buf != nullptr && !dgram.payload.empty())
+        std::memcpy(buf, dgram.payload.data(), dgram.payload.size());
+    if (src != nullptr)
+        *src = dgram.from;
+    co_return static_cast<std::int64_t>(dgram.payload.size());
 }
 
 /** Shared read path for read/pread64. */
@@ -120,9 +137,15 @@ doRead(Kernel &k, Process &p, int fd, void *buf, std::uint64_t count,
         co_return -EBADF;
     if (!file->readable())
         co_return -EBADF;
-    if (file->tcpId >= 0) {
+    if (file->inode == nullptr) {
+        // Sockets and epoll instances: no inode, no file position.
+        if (file->epollId >= 0)
+            co_return -EINVAL;
         if (pos_override >= 0)
-            co_return -ESPIPE; // streams are not seekable
+            co_return -ESPIPE;
+        if (file->socketId >= 0)
+            co_return co_await recvDatagram(k, file->socketId, buf,
+                                            count, nullptr);
         TcpSocket *sock = k.tcp().socket(file->tcpId);
         if (sock == nullptr)
             co_return -EBADF;
@@ -187,9 +210,13 @@ doWrite(Kernel &k, Process &p, int fd, const void *buf,
         co_return -EBADF;
     if (!file->writable())
         co_return -EBADF;
-    if (file->tcpId >= 0) {
+    if (file->inode == nullptr) {
+        if (file->epollId >= 0)
+            co_return -EINVAL;
         if (pos_override >= 0)
             co_return -ESPIPE;
+        if (file->socketId >= 0)
+            co_return -EDESTADDRREQ; // datagram sockets never connect
         TcpSocket *sock = k.tcp().socket(file->tcpId);
         if (sock == nullptr)
             co_return -EBADF;
@@ -283,6 +310,8 @@ sysLseek(Kernel &k, Process &p, const SyscallArgs &args)
     OpenFile *file = p.fds().get(fd);
     if (file == nullptr)
         co_return -EBADF;
+    if (file->inode == nullptr || file->inode->type() == InodeType::Pipe)
+        co_return -ESPIPE; // sockets, epoll instances and pipes
     std::int64_t base = 0;
     switch (whence) {
       case SEEK_SET_:
@@ -317,7 +346,8 @@ sysMmap(Kernel &k, Process &p, const SyscallArgs &args)
         OpenFile *file = p.fds().get(fd);
         if (file == nullptr)
             co_return -EBADF;
-        if (file->inode->type() != InodeType::CharDevice)
+        if (file->inode == nullptr ||
+            file->inode->type() != InodeType::CharDevice)
             co_return -ENODEV; // file-backed mmap not modeled
         base = p.mm().mmapDevice(static_cast<CharDevice *>(file->inode));
         if (base == 0)
@@ -385,15 +415,6 @@ sysRtSigqueueinfo(Kernel &k, Process &p, const SyscallArgs &args)
 // socket(2) type values (match Linux).
 inline constexpr int SOCK_STREAM_ = 1;
 
-/** Hidden inode shared by every socket/epoll fd: sockets have no path;
- *  the NullDevice sink keeps the generic fd plumbing uniform. */
-Inode *
-socketInode()
-{
-    static NullDevice socket_inode;
-    return &socket_inode;
-}
-
 sim::Task<std::int64_t>
 sysSocket(Kernel &k, Process &p, const SyscallArgs &args)
 {
@@ -401,7 +422,6 @@ sysSocket(Kernel &k, Process &p, const SyscallArgs &args)
     co_await sim::Delay(k.sim().events(), k.params().udpSendBase);
     auto file = std::make_shared<OpenFile>();
     file->flags = O_RDWR;
-    file->inode = socketInode();
     if (type == SOCK_STREAM_)
         file->tcpId = k.tcp().createSocket()->id();
     else
@@ -466,7 +486,6 @@ sysAccept(Kernel &k, Process &p, const SyscallArgs &args)
         co_return sid;
     auto conn = std::make_shared<OpenFile>();
     conn->flags = O_RDWR;
-    conn->inode = socketInode();
     conn->tcpId = sid;
     if (peer_out != nullptr)
         *peer_out = k.tcp().socket(sid)->peer();
@@ -491,7 +510,6 @@ sysEpollCreate(Kernel &k, Process &p, const SyscallArgs &)
     co_await sim::Delay(k.sim().events(), k.params().epollCtlBase);
     auto file = std::make_shared<OpenFile>();
     file->flags = O_RDWR;
-    file->inode = socketInode();
     file->epollId = k.epoll().create();
     co_return p.fds().allocate(std::move(file));
 }
@@ -607,14 +625,7 @@ sysRecvfrom(Kernel &k, Process &p, const SyscallArgs &args)
     }
     if (file->socketId < 0)
         co_return -EBADF;
-    Datagram dgram =
-        co_await k.udp().socket(file->socketId)->recvFrom(len);
-    co_await sim::Delay(k.sim().events(), k.params().udpRecvBase);
-    if (buf != nullptr && !dgram.payload.empty())
-        std::memcpy(buf, dgram.payload.data(), dgram.payload.size());
-    if (src != nullptr)
-        *src = dgram.from;
-    co_return static_cast<std::int64_t>(dgram.payload.size());
+    co_return co_await recvDatagram(k, file->socketId, buf, len, src);
 }
 
 /**
@@ -782,7 +793,8 @@ sysIoctl(Kernel &k, Process &p, const SyscallArgs &args)
     OpenFile *file = p.fds().get(fd);
     if (file == nullptr)
         co_return -EBADF;
-    if (file->inode->type() != InodeType::CharDevice)
+    if (file->inode == nullptr ||
+        file->inode->type() != InodeType::CharDevice)
         co_return -ENOTTY;
     co_return static_cast<CharDevice *>(file->inode)
         ->ioctl(request, argp);
@@ -811,24 +823,6 @@ sysPipe(Kernel &k, Process &p, const SyscallArgs &args)
     co_return 0;
 }
 
-/** Shared tail for dup/dup2: duplicate an endpoint reference. */
-std::int64_t
-finishDup(Process &p, const std::shared_ptr<OpenFile> &file, int newfd)
-{
-    if (file->inode != nullptr &&
-        file->inode->type() == InodeType::Pipe) {
-        auto *pipe = static_cast<PipeInode *>(file->inode);
-        if (file->writable())
-            pipe->addWriter();
-        else
-            pipe->addReader();
-    }
-    if (newfd < 0)
-        return p.fds().allocate(file);
-    p.fds().installAt(newfd, file);
-    return newfd;
-}
-
 sim::Task<std::int64_t>
 sysDup(Kernel &k, Process &p, const SyscallArgs &args)
 {
@@ -836,7 +830,7 @@ sysDup(Kernel &k, Process &p, const SyscallArgs &args)
     auto file = p.fds().getShared(args.as<int>(0));
     if (file == nullptr)
         co_return -EBADF;
-    co_return finishDup(p, file, -1);
+    co_return p.fds().allocate(std::move(file));
 }
 
 sim::Task<std::int64_t>
@@ -856,7 +850,8 @@ sysDup2(Kernel &k, Process &p, const SyscallArgs &args)
         // Implicitly close the old occupant (including pipe refs).
         co_await sysClose(k, p, makeArgs(newfd));
     }
-    co_return finishDup(p, file, newfd);
+    p.fds().installAt(newfd, std::move(file));
+    co_return newfd;
 }
 
 sim::Task<std::int64_t>
@@ -870,8 +865,10 @@ sysFstat(Kernel &k, Process &p, const SyscallArgs &args)
     if (out == nullptr)
         co_return -EFAULT;
     out->stSize = file->inode != nullptr ? file->inode->size() : 0;
-    if (file->socketId >= 0) {
+    if (file->socketId >= 0 || file->tcpId >= 0) {
         out->stMode = 6;
+    } else if (file->inode == nullptr) {
+        out->stMode = 0; // epoll: an anonymous inode has no file type
     } else {
         switch (file->inode->type()) {
           case InodeType::Regular:
@@ -901,7 +898,8 @@ sysFtruncate(Kernel &k, Process &p, const SyscallArgs &args)
     OpenFile *file = p.fds().get(args.as<int>(0));
     if (file == nullptr || !file->writable())
         co_return -EBADF;
-    if (file->inode->type() != InodeType::Regular)
+    if (file->inode == nullptr ||
+        file->inode->type() != InodeType::Regular)
         co_return -EINVAL;
     const std::uint64_t new_size = args.a[1];
     if (new_size > kMaxFileBytes)

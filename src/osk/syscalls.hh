@@ -219,7 +219,7 @@ struct StatLite
 {
     std::uint64_t stSize = 0;
     /// File-type nibble, simplified: 1=regular 2=dir 3=chardev
-    /// 4=proc 5=pipe 6=socket.
+    /// 4=proc 5=pipe 6=socket; 0 for an epoll fd (anonymous inode).
     std::uint32_t stMode = 0;
 };
 

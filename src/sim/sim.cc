@@ -15,14 +15,12 @@ namespace genesys::sim
 Sim::RootTask
 Sim::runRoot(Task<> task)
 {
-    ++liveTasks_;
     try {
         co_await std::move(task);
     } catch (...) {
         if (!firstError_)
             firstError_ = std::current_exception();
     }
-    --liveTasks_;
 }
 
 void
@@ -31,6 +29,16 @@ Sim::spawn(Task<> task)
     // The RootTask coroutine is eager: it runs the wrapped task up to
     // its first suspension immediately, then continues via the queue.
     runRoot(std::move(task));
+}
+
+void
+Sim::destroyTasks()
+{
+    while (!roots_.empty()) {
+        // The frame's promise unlinks it from roots_.
+        const std::coroutine_handle<> h = roots_.front();
+        h.destroy();
+    }
 }
 
 Tick

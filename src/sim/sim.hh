@@ -11,8 +11,10 @@
 #ifndef GENESYS_SIM_SIM_HH
 #define GENESYS_SIM_SIM_HH
 
+#include <coroutine>
 #include <cstddef>
 #include <exception>
+#include <list>
 #include <string>
 
 #include "sim/event_queue.hh"
@@ -28,6 +30,11 @@ class Sim
 {
   public:
     explicit Sim(std::uint64_t seed = 1) : random_(seed) {}
+    ~Sim() { destroyTasks(); }
+
+    // Root frames register their address with the Sim.
+    Sim(const Sim &) = delete;
+    Sim &operator=(const Sim &) = delete;
 
     EventQueue &events() { return eq_; }
     Tick now() const { return eq_.now(); }
@@ -44,7 +51,14 @@ class Sim
     void spawn(Task<> task);
 
     /** Number of spawned root tasks that have not yet finished. */
-    std::size_t liveTasks() const { return liveTasks_; }
+    std::size_t liveTasks() const { return roots_.size(); }
+
+    /**
+     * Destroy every root task that has not finished (teardown: worker
+     * loops parked forever, schedules cut by a budget). Each root's
+     * frame destroys the chain of tasks it awaits.
+     */
+    void destroyTasks();
 
     /**
      * Run until the event queue drains or @p limit is reached. When
@@ -59,11 +73,26 @@ class Sim
     Tick runFor(Tick duration) { return run(eq_.now() + duration); }
 
   private:
+    using Roots = std::list<std::coroutine_handle<>>;
+
     // Eager, self-destroying wrapper coroutine that owns a root Task.
+    // Its frame stays in roots_ from creation to destruction.
     struct RootTask
     {
         struct promise_type
         {
+            promise_type(Sim &sim, Task<> &)
+                : roots(sim.roots_),
+                  pos(roots.insert(
+                      roots.end(),
+                      std::coroutine_handle<promise_type>::from_promise(
+                          *this)))
+            {}
+            ~promise_type() { roots.erase(pos); }
+
+            Roots &roots;
+            Roots::iterator pos;
+
             RootTask get_return_object() { return {}; }
             std::suspend_never initial_suspend() noexcept { return {}; }
             std::suspend_never final_suspend() noexcept { return {}; }
@@ -76,7 +105,7 @@ class Sim
 
     EventQueue eq_;
     Random random_;
-    std::size_t liveTasks_ = 0;
+    Roots roots_;
     std::exception_ptr firstError_;
 };
 

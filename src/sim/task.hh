@@ -5,7 +5,7 @@
  * Task<T> is the unit of concurrency in the simulator: a wavefront, a
  * CPU core loop, an OS worker thread, a memcached client — each is a
  * coroutine returning Task<>. Tasks are lazy (nothing runs until they
- * are awaited or spawned as a root via Spawner) and propagate both
+ * are awaited or spawned as a root via Sim::spawn) and propagate both
  * values and exceptions to their awaiter.
  */
 
@@ -28,6 +28,11 @@ class Task;
 namespace detail
 {
 
+template <typename T>
+struct PromiseOf;
+
+/** Promise state and protocol shared by every Task<T>. */
+template <typename T>
 struct PromiseBase
 {
     std::coroutine_handle<> continuation;
@@ -50,160 +55,127 @@ struct PromiseBase
         void await_resume() const noexcept {}
     };
 
+    Task<T>
+    get_return_object()
+    {
+        return Task<T>(std::coroutine_handle<PromiseOf<T>>::from_promise(
+            static_cast<PromiseOf<T> &>(*this)));
+    }
+
     std::suspend_always initial_suspend() noexcept { return {}; }
     FinalAwaiter final_suspend() noexcept { return {}; }
     void unhandled_exception() { error = std::current_exception(); }
+};
+
+template <typename T>
+struct PromiseOf : PromiseBase<T>
+{
+    std::optional<T> value;
+
+    template <typename U>
+    void
+    return_value(U &&v)
+    {
+        value.emplace(std::forward<U>(v));
+    }
+};
+
+template <>
+struct PromiseOf<void> : PromiseBase<void>
+{
+    void return_void() {}
+};
+
+/**
+ * Handle ownership and the awaiter protocol shared by Task<T> and
+ * Task<void>: `co_await task` starts the task and suspends the awaiter
+ * until the task finishes.
+ */
+template <typename T>
+class TaskBase
+{
+  public:
+    using Handle = std::coroutine_handle<PromiseOf<T>>;
+
+    TaskBase() = default;
+    explicit TaskBase(Handle h) : handle_(h) {}
+    TaskBase(TaskBase &&other) noexcept
+        : handle_(std::exchange(other.handle_, nullptr))
+    {}
+    TaskBase &
+    operator=(TaskBase &&other) noexcept
+    {
+        if (this != &other) {
+            destroy();
+            handle_ = std::exchange(other.handle_, nullptr);
+        }
+        return *this;
+    }
+    TaskBase(const TaskBase &) = delete;
+    TaskBase &operator=(const TaskBase &) = delete;
+    ~TaskBase() { destroy(); }
+
+    bool await_ready() const noexcept { return !handle_ || handle_.done(); }
+
+    std::coroutine_handle<>
+    await_suspend(std::coroutine_handle<> cont) noexcept
+    {
+        handle_.promise().continuation = cont;
+        return handle_;
+    }
+
+  protected:
+    /** The finished task's promise; rethrows its exception, if any. */
+    PromiseOf<T> &
+    finished()
+    {
+        auto &p = handle_.promise();
+        if (p.error)
+            std::rethrow_exception(p.error);
+        return p;
+    }
+
+  private:
+    void
+    destroy()
+    {
+        if (handle_) {
+            handle_.destroy();
+            handle_ = nullptr;
+        }
+    }
+
+    Handle handle_ = nullptr;
 };
 
 } // namespace detail
 
 /** A lazily-started coroutine producing a T (or void). */
 template <typename T>
-class [[nodiscard]] Task
+class [[nodiscard]] Task : public detail::TaskBase<T>
 {
   public:
-    struct promise_type : detail::PromiseBase
-    {
-        std::optional<T> value;
-
-        Task
-        get_return_object()
-        {
-            return Task(
-                std::coroutine_handle<promise_type>::from_promise(*this));
-        }
-
-        template <typename U>
-        void
-        return_value(U &&v)
-        {
-            value.emplace(std::forward<U>(v));
-        }
-    };
-
-    using Handle = std::coroutine_handle<promise_type>;
-
-    Task() = default;
-    explicit Task(Handle h) : handle_(h) {}
-    Task(Task &&other) noexcept
-        : handle_(std::exchange(other.handle_, nullptr))
-    {}
-    Task &
-    operator=(Task &&other) noexcept
-    {
-        if (this != &other) {
-            destroy();
-            handle_ = std::exchange(other.handle_, nullptr);
-        }
-        return *this;
-    }
-    Task(const Task &) = delete;
-    Task &operator=(const Task &) = delete;
-    ~Task() { destroy(); }
-
-    bool valid() const { return handle_ != nullptr; }
-
-    // Awaiter protocol: `co_await task` starts the task and suspends the
-    // awaiter until the task finishes.
-    bool await_ready() const noexcept { return !handle_ || handle_.done(); }
-
-    std::coroutine_handle<>
-    await_suspend(std::coroutine_handle<> cont) noexcept
-    {
-        handle_.promise().continuation = cont;
-        return handle_;
-    }
+    using promise_type = detail::PromiseOf<T>;
+    using detail::TaskBase<T>::TaskBase;
 
     T
     await_resume()
     {
-        auto &p = handle_.promise();
-        if (p.error)
-            std::rethrow_exception(p.error);
+        auto &p = this->finished();
         GENESYS_ASSERT(p.value.has_value(), "task finished without value");
         return std::move(*p.value);
     }
-
-  private:
-    void
-    destroy()
-    {
-        if (handle_) {
-            handle_.destroy();
-            handle_ = nullptr;
-        }
-    }
-
-    Handle handle_ = nullptr;
 };
 
 /** void specialization. */
 template <>
-class [[nodiscard]] Task<void>
+class [[nodiscard]] Task<void> : public detail::TaskBase<void>
 {
   public:
-    struct promise_type : detail::PromiseBase
-    {
-        Task
-        get_return_object()
-        {
-            return Task(
-                std::coroutine_handle<promise_type>::from_promise(*this));
-        }
+    using promise_type = detail::PromiseOf<void>;
+    using TaskBase::TaskBase;
 
-        void return_void() {}
-    };
-
-    using Handle = std::coroutine_handle<promise_type>;
-
-    Task() = default;
-    explicit Task(Handle h) : handle_(h) {}
-    Task(Task &&other) noexcept
-        : handle_(std::exchange(other.handle_, nullptr))
-    {}
-    Task &
-    operator=(Task &&other) noexcept
-    {
-        if (this != &other) {
-            destroy();
-            handle_ = std::exchange(other.handle_, nullptr);
-        }
-        return *this;
-    }
-    Task(const Task &) = delete;
-    Task &operator=(const Task &) = delete;
-    ~Task() { destroy(); }
-
-    bool valid() const { return handle_ != nullptr; }
-
-    bool await_ready() const noexcept { return !handle_ || handle_.done(); }
-
-    std::coroutine_handle<>
-    await_suspend(std::coroutine_handle<> cont) noexcept
-    {
-        handle_.promise().continuation = cont;
-        return handle_;
-    }
-
-    void
-    await_resume()
-    {
-        auto &p = handle_.promise();
-        if (p.error)
-            std::rethrow_exception(p.error);
-    }
-
-  private:
-    void
-    destroy()
-    {
-        if (handle_) {
-            handle_.destroy();
-            handle_ = nullptr;
-        }
-    }
-
-    Handle handle_ = nullptr;
+    void await_resume() { finished(); }
 };
 
 } // namespace genesys::sim

@@ -40,6 +40,9 @@ runMiniAmr(core::System &sys, const MiniAmrConfig &config)
     const Tick start = sys.sim().now();
     auto &mm = sys.process().mm();
     std::uint64_t madvise_calls = 0;
+    // getrusage() result block of each work-group (one per block of
+    // the active window).
+    std::vector<osk::RUsage> usage_slots(active);
 
     for (std::uint32_t t = 0; t < config.timesteps; ++t) {
         const Tick stall_before = mm.stats().swapStall;
@@ -50,7 +53,8 @@ runMiniAmr(core::System &sys, const MiniAmrConfig &config)
         launch.workItems = active * 64;
         launch.wgSize = 64; // one wavefront per mesh block
         launch.program = [&sys, &config, arena, num_blocks,
-                          window_base, active, &madvise_calls](
+                          window_base, active, &madvise_calls,
+                          &usage_slots](
                              gpu::WavefrontCtx &ctx) -> sim::Task<> {
             auto &mm_ref = sys.process().mm();
             const std::uint64_t block =
@@ -71,8 +75,7 @@ runMiniAmr(core::System &sys, const MiniAmrConfig &config)
             // that just left the active window) if over the watermark.
             core::Invocation weak;
             weak.ordering = core::Ordering::Relaxed;
-            static osk::RUsage usage_slots[4096];
-            osk::RUsage &usage = usage_slots[ctx.workgroupId() % 4096];
+            osk::RUsage &usage = usage_slots[ctx.workgroupId()];
             co_await sys.gpuSys().getrusage(ctx, weak, &usage);
             if (usage.curRssBytes > config.rssWatermarkBytes) {
                 const std::uint64_t cold_block =

@@ -13,22 +13,27 @@
 namespace genesys::workloads
 {
 
-namespace
-{
-
-/// The four-byte pattern phase 1 looks for.
-constexpr std::uint8_t kNeedle[4] = {0xDE, 0xAD, 0xBE, 0xEF};
-
-struct Shared
+struct SignalSearch::Shared
 {
     const SignalSearchConfig *config = nullptr;
     std::vector<std::uint8_t> data;
     std::vector<bool> expectedSelected;
     std::vector<std::string> referenceDigests; ///< "" if not selected
     std::vector<std::string> digests;
+    /// Each block's rt_sigqueueinfo payload. Sized before the launch:
+    /// queued requests point into it until the host services them.
+    std::vector<osk::SigInfo> infos;
     std::uint32_t hashed = 0;
     std::vector<std::uint32_t> pendingBaseline; ///< non-signal path
 };
+
+namespace
+{
+
+using Shared = SignalSearch::Shared;
+
+/// The four-byte pattern phase 1 looks for.
+constexpr std::uint8_t kNeedle[4] = {0xDE, 0xAD, 0xBE, 0xEF};
 
 bool
 blockHasNeedle(const Shared &shared, std::uint32_t block)
@@ -73,10 +78,11 @@ signalConsumer(core::System &sys, std::shared_ptr<Shared> shared)
 
 } // namespace
 
-SignalSearchResult
-runSignalSearch(core::System &sys, const SignalSearchConfig &config)
+SignalSearch::SignalSearch(core::System &sys,
+                           const SignalSearchConfig &config)
+    : sys_(sys), shared_(std::make_shared<Shared>())
 {
-    auto shared = std::make_shared<Shared>();
+    const auto &shared = shared_;
     shared->config = &config;
 
     // Build the data array with planted needles.
@@ -104,7 +110,8 @@ runSignalSearch(core::System &sys, const SignalSearchConfig &config)
             config.blockBytes));
     }
 
-    const Tick start = sys.sim().now();
+    shared->infos.resize(config.numBlocks);
+    start_ = sys.sim().now();
 
     if (config.useSignals)
         sys.sim().spawn(signalConsumer(sys, shared));
@@ -128,43 +135,55 @@ runSignalSearch(core::System &sys, const SignalSearchConfig &config)
         if (cfg.useSignals) {
             // Notify the CPU right now (Section VIII-B): work-group
             // granularity, non-blocking, weak ordering perform best.
-            static std::vector<osk::SigInfo> infos;
-            if (infos.size() < cfg.numBlocks)
-                infos.resize(cfg.numBlocks);
-            infos[block].signo = osk::SIGRTMIN_;
-            infos[block].value = block;
+            osk::SigInfo &info = shared->infos[block];
+            info.signo = osk::SIGRTMIN_;
+            info.value = block;
             core::Invocation nb;
             nb.ordering = core::Ordering::Relaxed;
             nb.blocking = core::Blocking::NonBlocking;
             co_await sys.gpuSys().rtSigqueueinfo(
-                ctx, nb, 0, osk::SIGRTMIN_, &infos[block]);
+                ctx, nb, 0, osk::SIGRTMIN_, &info);
         } else {
             shared->pendingBaseline.push_back(block);
         }
     };
     sys.launchGpuAndDrain(std::move(launch));
-    sys.run();
+}
 
-    if (config.useSignals) {
+bool
+SignalSearch::runUntil(Tick limit)
+{
+    sys_.run(limit);
+    if (!sys_.sim().events().empty())
+        return true;
+    if (phase2_)
+        return false;
+    phase2_ = true;
+    if (shared_->config->useSignals) {
         // Phase 1 done: send the sentinel through the same signal path
         // and let the consumer drain the queue.
         osk::SigInfo sentinel;
         sentinel.signo = osk::SIGRTMIN_;
         sentinel.value = -1;
-        sys.process().signals().queueInfo(sentinel);
-        sys.run();
+        sys_.process().signals().queueInfo(sentinel);
     } else {
         // Baseline: phases strictly serialized.
-        sys.sim().spawn([](core::System &s,
-                           std::shared_ptr<Shared> sh) -> sim::Task<> {
+        sys_.sim().spawn([](core::System &s,
+                            std::shared_ptr<Shared> sh) -> sim::Task<> {
             for (std::uint32_t blk : sh->pendingBaseline)
                 co_await hashBlock(s, sh, blk);
-        }(sys, shared));
-        sys.run();
+        }(sys_, shared_));
     }
+    return true;
+}
 
+SignalSearchResult
+SignalSearch::result() const
+{
+    const auto &shared = shared_;
+    const SignalSearchConfig &config = *shared->config;
     SignalSearchResult result;
-    result.elapsed = sys.sim().now() - start;
+    result.elapsed = sys_.sim().now() - start_;
     result.blocksHashed = shared->hashed;
     result.digests = shared->digests;
     bool ok = true;
@@ -183,6 +202,15 @@ runSignalSearch(core::System &sys, const SignalSearchConfig &config)
     result.blocksSelected = selected;
     result.correct = ok && result.blocksHashed == selected;
     return result;
+}
+
+SignalSearchResult
+runSignalSearch(core::System &sys, const SignalSearchConfig &config)
+{
+    SignalSearch search(sys, config);
+    while (search.runUntil(kMaxTick)) {
+    }
+    return search.result();
 }
 
 } // namespace genesys::workloads

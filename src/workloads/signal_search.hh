@@ -16,6 +16,7 @@
 #define GENESYS_WORKLOADS_SIGNAL_SEARCH_HH
 
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -52,6 +53,34 @@ struct SignalSearchResult
     std::vector<std::string> digests; ///< hex digests, by block order
 };
 
+/**
+ * One signal-search run, resumable so that a caller can interleave it
+ * with the runs of other Systems.
+ */
+class SignalSearch
+{
+  public:
+    struct Shared;
+
+    /** Build the data and launch phase 1 on @p sys (nothing runs). */
+    SignalSearch(core::System &sys, const SignalSearchConfig &config);
+
+    /**
+     * Run @p sys up to @p limit, starting phase 2 when phase 1 has
+     * quiesced. @return false once the whole search has quiesced.
+     */
+    bool runUntil(Tick limit);
+
+    SignalSearchResult result() const;
+
+  private:
+    core::System &sys_;
+    std::shared_ptr<Shared> shared_;
+    Tick start_ = 0;
+    bool phase2_ = false;
+};
+
+/** Run a signal search on @p sys to completion. */
 SignalSearchResult runSignalSearch(core::System &sys,
                                    const SignalSearchConfig &config);
 

@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <memory>
 #include <set>
 #include <string>
 #include <vector>
@@ -493,6 +494,37 @@ TEST(GenesysEndToEnd, SignalToMissingPidFromGpuIsEsrch)
     sys.run();
     EXPECT_EQ(rets, (std::vector<std::int64_t>{-ESRCH, -ESRCH, -ESRCH}));
     EXPECT_EQ(sys.process().signals().pending(), 0u);
+}
+
+TEST(GenesysEndToEnd, TeardownDestroysParkedTasks)
+{
+    // Tasks still parked when a System goes away (the workqueue's
+    // worker loops, a signal waiter) are destroyed with it.
+    auto token = std::make_shared<int>(0);
+    const std::weak_ptr<int> watch = token;
+    {
+        System sys(smallConfig());
+        sys.kernel().vfs().createFile("/t");
+        gpu::KernelLaunch k;
+        k.workItems = 64;
+        k.wgSize = 64;
+        k.program = [&sys](gpu::WavefrontCtx &ctx) -> sim::Task<> {
+            co_await sys.gpuSys().open(
+                ctx, inv(Granularity::WorkGroup, Ordering::Strong,
+                         Blocking::Blocking),
+                "/t", 0);
+        };
+        sys.launchGpuAndDrain(std::move(k));
+        sys.sim().spawn([](System &s, std::shared_ptr<int> t)
+                            -> sim::Task<> {
+            co_await s.process().signals().waitInfo();
+            ++*t;
+        }(sys, std::move(token)));
+        sys.run();
+        EXPECT_GE(sys.sim().liveTasks(), 1u);
+        EXPECT_FALSE(watch.expired());
+    }
+    EXPECT_TRUE(watch.expired());
 }
 
 TEST(GenesysEndToEnd, StatefulReadSharedFilePointer)

@@ -773,6 +773,121 @@ TEST_F(NetSyscallTest, EpollSyscallSurface)
               -EBADF);
 }
 
+TEST_F(NetSyscallTest, DupKeepsEndpointUntilLastDescriptorCloses)
+{
+    // dup/dup2 share the open file description: closing one
+    // descriptor must leave the socket usable through the other, and
+    // only the last close releases the endpoint (here: its address).
+    std::uint16_t port = 8210;
+    for (const int type : {2 /* DGRAM */, 1 /* STREAM */}) {
+        for (const bool use_dup2 : {false, true}) {
+            SCOPED_TRACE(::testing::Message()
+                         << "type " << type << " dup2 " << use_dup2);
+            const osk::SockAddr addr{1, port++};
+            const auto fd =
+                sys(osk::sysno::socket, osk::makeArgs(2, type, 0));
+            ASSERT_GE(fd, 0);
+            const auto dfd =
+                use_dup2 ? sys(osk::sysno::dup2, osk::makeArgs(fd, 40))
+                         : sys(osk::sysno::dup, osk::makeArgs(fd));
+            ASSERT_GE(dfd, 0);
+            ASSERT_EQ(sys(osk::sysno::close, osk::makeArgs(fd)), 0);
+            EXPECT_EQ(sys(osk::sysno::bind,
+                          osk::makeArgs(dfd, &addr, 8)),
+                      0);
+            if (type == 1) {
+                EXPECT_EQ(sys(osk::sysno::listen,
+                              osk::makeArgs(dfd, 4)),
+                          0);
+            }
+            const auto other =
+                sys(osk::sysno::socket, osk::makeArgs(2, type, 0));
+            EXPECT_EQ(sys(osk::sysno::bind,
+                          osk::makeArgs(other, &addr, 8)),
+                      -EADDRINUSE);
+            ASSERT_EQ(sys(osk::sysno::close, osk::makeArgs(dfd)), 0);
+            EXPECT_EQ(sys(osk::sysno::bind,
+                          osk::makeArgs(dfd, &addr, 8)),
+                      -EBADF);
+            EXPECT_EQ(sys(osk::sysno::bind,
+                          osk::makeArgs(other, &addr, 8)),
+                      0);
+            EXPECT_EQ(sys(osk::sysno::close, osk::makeArgs(other)), 0);
+        }
+    }
+
+    // The same holds for an epoll instance.
+    const auto epfd = sys(osk::sysno::epoll_create, osk::makeArgs(1));
+    const auto edup = sys(osk::sysno::dup, osk::makeArgs(epfd));
+    ASSERT_EQ(sys(osk::sysno::close, osk::makeArgs(epfd)), 0);
+    const auto sfd = sys(osk::sysno::socket, osk::makeArgs(2, 2, 0));
+    osk::EpollEvent ev{osk::EPOLLIN_, 1};
+    EXPECT_EQ(sys(osk::sysno::epoll_ctl,
+                  osk::makeArgs(edup, osk::EPOLL_CTL_ADD_, sfd, &ev)),
+              0);
+}
+
+TEST_F(NetSyscallTest, SocketEpollAndPipeFdsAnswerFileCallsLikeLinux)
+{
+    const osk::SockAddr addr{1, 8230};
+    const auto udp = sys(osk::sysno::socket, osk::makeArgs(2, 2, 0));
+    ASSERT_EQ(sys(osk::sysno::bind, osk::makeArgs(udp, &addr, 8)), 0);
+    const auto tcp = sys(osk::sysno::socket, osk::makeArgs(2, 1, 0));
+    const auto epfd = sys(osk::sysno::epoll_create, osk::makeArgs(1));
+    int pipe_fds[2] = {-1, -1};
+    ASSERT_EQ(sys(osk::sysno::pipe, osk::makeArgs(pipe_fds)), 0);
+    const auto sender = sys(osk::sysno::socket, osk::makeArgs(2, 2, 0));
+    ASSERT_EQ(sys(osk::sysno::sendto,
+                  osk::makeArgs(sender, "hello", 5, 0, &addr, 8)),
+              5);
+
+    char buf[16] = {};
+    osk::StatLite st;
+    struct Row
+    {
+        const char *call;
+        int num;
+        osk::SyscallArgs args;
+        std::int64_t expect;
+    };
+    const Row rows[] = {
+        {"lseek pipe", osk::sysno::lseek,
+         osk::makeArgs(pipe_fds[0], 0, osk::SEEK_SET_), -ESPIPE},
+        {"lseek udp", osk::sysno::lseek,
+         osk::makeArgs(udp, 0, osk::SEEK_SET_), -ESPIPE},
+        {"lseek tcp", osk::sysno::lseek,
+         osk::makeArgs(tcp, 4, osk::SEEK_CUR_), -ESPIPE},
+        {"lseek epoll", osk::sysno::lseek,
+         osk::makeArgs(epfd, 0, osk::SEEK_END_), -ESPIPE},
+        {"read epoll", osk::sysno::read, osk::makeArgs(epfd, buf, 8),
+         -EINVAL},
+        {"write epoll", osk::sysno::write, osk::makeArgs(epfd, "x", 1),
+         -EINVAL},
+        {"write udp", osk::sysno::write, osk::makeArgs(udp, "x", 1),
+         -EDESTADDRREQ},
+        {"read udp", osk::sysno::read, osk::makeArgs(udp, buf, 16), 5},
+        {"ioctl udp", osk::sysno::ioctl,
+         osk::makeArgs(udp, 0x5401, buf), -ENOTTY},
+        {"ioctl tcp", osk::sysno::ioctl,
+         osk::makeArgs(tcp, 0x5401, buf), -ENOTTY},
+        {"ioctl epoll", osk::sysno::ioctl,
+         osk::makeArgs(epfd, 0x5401, buf), -ENOTTY},
+    };
+    for (const Row &row : rows)
+        EXPECT_EQ(sys(row.num, row.args), row.expect) << row.call;
+    EXPECT_EQ(std::string(buf, 5), "hello"); // read() took the datagram
+
+    // fstat: both socket kinds share one mode; an epoll fd is an
+    // anonymous inode with no file type.
+    const std::pair<std::int64_t, std::uint32_t> modes[] = {
+        {udp, 6}, {tcp, 6}, {epfd, 0}, {pipe_fds[0], 5}};
+    for (const auto &[fd, mode] : modes) {
+        st.stMode = 99;
+        ASSERT_EQ(sys(osk::sysno::fstat, osk::makeArgs(fd, &st)), 0);
+        EXPECT_EQ(st.stMode, mode) << "fd " << fd;
+    }
+}
+
 TEST_F(NetSyscallTest, VectoredScatterGatherRoundTrip)
 {
     const auto lfd = sys(osk::sysno::socket, osk::makeArgs(2, 1, 0));
@@ -931,6 +1046,69 @@ launchEpollWaiter(core::System &sys, int conn_fd,
     sys.launchGpuAndDrain(std::move(k));
 }
 
+TEST(GpuSocketDup, WorkItemLanesBindThroughDupAfterClose)
+{
+    // Each lane publishes socket -> dup -> close(original) ->
+    // bind(dup) through its own slot; the host must keep every socket
+    // alive behind its dup (even lanes UDP, odd lanes TCP).
+    core::SystemConfig cfg;
+    cfg.gpu.numCus = 1;
+    cfg.gpu.kernelLaunchLatency = ticks::us(5);
+    core::System sys(cfg);
+    constexpr std::uint32_t kLanes = 8;
+    osk::SockAddr addrs[kLanes];
+    for (std::uint32_t l = 0; l < kLanes; ++l)
+        addrs[l] = osk::SockAddr{1, static_cast<std::uint16_t>(8240 + l)};
+    std::vector<std::int64_t> fds(kLanes, -1), dups(kLanes, -1),
+        closes(kLanes, -1), binds(kLanes, -1);
+
+    gpu::KernelLaunch k;
+    k.workItems = sys.config().gpu.wavefrontSize;
+    k.wgSize = k.workItems;
+    k.program = [&](gpu::WavefrontCtx &ctx) -> sim::Task<> {
+        core::Invocation inv; // strong ordering, blocking
+        inv.granularity = core::Granularity::WorkItem;
+        // One invokeWorkItems round per sysno, every lane < kLanes.
+        auto round = [&](int num, auto lane_args,
+                         std::vector<std::int64_t> &out) {
+            return sys.gpuSys().invokeWorkItems(
+                ctx, inv, num,
+                [lane_args](std::uint32_t lane)
+                    -> std::optional<osk::SyscallArgs> {
+                    if (lane >= kLanes)
+                        return std::nullopt;
+                    return lane_args(lane);
+                },
+                [&out](std::uint32_t lane, std::int64_t ret) {
+                    out[lane] = ret;
+                });
+        };
+        const auto socket_args = [](std::uint32_t lane) {
+            return osk::makeArgs(2, lane % 2 == 0 ? 2 : 1, 0);
+        };
+        const auto dup_args = [&fds](std::uint32_t lane) {
+            return osk::makeArgs(fds[lane]);
+        };
+        const auto bind_args = [&dups, &addrs](std::uint32_t lane) {
+            return osk::makeArgs(dups[lane], &addrs[lane], 8);
+        };
+        co_await round(osk::sysno::socket, socket_args, fds);
+        co_await round(osk::sysno::dup, dup_args, dups);
+        co_await round(osk::sysno::close, dup_args, closes);
+        co_await round(osk::sysno::bind, bind_args, binds);
+    };
+    sys.launchGpuAndDrain(std::move(k));
+    sys.run();
+
+    for (std::uint32_t l = 0; l < kLanes; ++l) {
+        SCOPED_TRACE(l);
+        EXPECT_GE(fds[l], 0);
+        EXPECT_GE(dups[l], 0);
+        EXPECT_EQ(closes[l], 0);
+        EXPECT_EQ(binds[l], 0);
+    }
+}
+
 TEST(GpuEpoll, WaitHaltsAndResumesViaInterruptBackend)
 {
     core::SystemConfig cfg;
@@ -986,62 +1164,6 @@ TEST(GpuEpoll, WaitHaltsAndResumesViaPollingDaemon)
     EXPECT_EQ(bytes_read, 16);
     EXPECT_GE(sys.kernel().epoll().wakeups(), 1u);
     EXPECT_GT(sys.host().batches(), 0u); // daemon sweeps serviced it
-}
-
-// ============================================ vectored GPU submission
-
-TEST(GpuVectored, WritevThroughDescriptorWindow)
-{
-    core::SystemConfig cfg;
-    cfg.gpu.numCus = 1;
-    cfg.gpu.kernelLaunchLatency = ticks::us(5);
-    cfg.genesys.useRings = true;
-    core::System sys(cfg);
-    GpuNetRig rig = buildRig(sys, 8400);
-
-    static const char kPartA[] = "vect";
-    static const char kPartB[] = "ored";
-    static osk::IoVec iov[2];
-    iov[0] = osk::IoVec{osk::SyscallArgs::fromPtr(kPartA), 4};
-    iov[1] = osk::IoVec{osk::SyscallArgs::fromPtr(kPartB), 4};
-    std::int64_t lane_ret = -1;
-
-    gpu::KernelLaunch k;
-    const std::uint32_t wg = sys.config().gpu.wavefrontSize;
-    k.workItems = wg;
-    k.wgSize = wg;
-    const int conn_fd = static_cast<int>(rig.connFd);
-    k.program = [&sys, conn_fd,
-                 &lane_ret](gpu::WavefrontCtx &ctx) -> sim::Task<> {
-        core::Invocation inv; // strong ordering, blocking
-        inv.granularity = core::Granularity::WorkItem;
-        // Lane 0 stages its gather list in the wave's descriptor
-        // window; the single SQ entry carries the list by reference.
-        co_await sys.gpuSys().invokeWorkItemsVectored(
-            ctx, inv, osk::sysno::writev,
-            [conn_fd](std::uint32_t lane)
-                -> std::optional<core::GpuSyscalls::LaneVec> {
-                if (lane != 0)
-                    return std::nullopt;
-                return core::GpuSyscalls::LaneVec{conn_fd, iov, 2, 0};
-            },
-            [&lane_ret](std::uint32_t lane, std::int64_t ret) {
-                if (lane == 0)
-                    lane_ret = ret;
-            });
-    };
-    sys.launchGpuAndDrain(std::move(k));
-
-    std::uint8_t buf[16] = {};
-    std::int64_t got = 0;
-    sys.sim().spawn([](osk::TcpSocket *c, std::uint8_t *b,
-                       std::int64_t &out) -> sim::Task<> {
-        out = co_await c->read(b, 8);
-    }(rig.client, buf, got));
-    sys.run();
-    EXPECT_EQ(lane_ret, 8);
-    EXPECT_EQ(got, 8);
-    EXPECT_EQ(std::memcmp(buf, "vectored", 8), 0);
 }
 
 // ======================================================== gkv server

@@ -5,11 +5,11 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <string>
 #include <vector>
 
 #include "sim/event_queue.hh"
-#include "sim/future.hh"
 #include "sim/sim.hh"
 #include "sim/sync.hh"
 #include "sim/task.hh"
@@ -324,76 +324,26 @@ TEST(Sync, BarrierZeroPartiesPanics)
     EXPECT_THROW(Barrier(sim.events(), 0), PanicError);
 }
 
-// ----------------------------------------------------------------- future
-
-TEST(Future, ValueDeliveredToAwaiter)
+TEST(Task, TeardownDestroysParkedRootTasks)
 {
-    Sim sim;
-    Promise<int> p(sim.events());
-    int got = 0;
-    sim.spawn([](Promise<int> &pr, int &out) -> Task<> {
-        out = co_await pr.future();
-    }(p, got));
-    sim.run();
-    EXPECT_EQ(got, 0);
-    p.set(99);
-    sim.run();
-    EXPECT_EQ(got, 99);
-}
-
-TEST(Future, ReadyFutureDoesNotSuspend)
-{
-    Sim sim;
-    Promise<int> p(sim.events());
-    p.set(5);
-    int got = 0;
-    sim.spawn([](Promise<int> &pr, int &out) -> Task<> {
-        out = co_await pr.future();
-    }(p, got));
-    sim.run();
-    EXPECT_EQ(got, 5);
-}
-
-TEST(Future, MultipleWaitersAllWoken)
-{
-    Sim sim;
-    Promise<int> p(sim.events());
-    int sum = 0;
-    for (int i = 0; i < 3; ++i) {
-        sim.spawn([](Promise<int> &pr, int &s) -> Task<> {
-            s += co_await pr.future();
-        }(p, sum));
+    // A root parked forever (a worker loop at teardown) is destroyed
+    // with its Sim, together with the child task it awaits.
+    auto token = std::make_shared<int>(0);
+    const std::weak_ptr<int> watch = token;
+    {
+        Sim sim;
+        WaitQueue never(sim.events());
+        auto child = [](WaitQueue &q, std::shared_ptr<int> t) -> Task<> {
+            co_await q.wait();
+            ++*t;
+        };
+        sim.spawn([](Task<> c) -> Task<> { co_await std::move(c); }(
+            child(never, std::move(token))));
+        sim.run();
+        EXPECT_EQ(sim.liveTasks(), 1u);
+        EXPECT_FALSE(watch.expired());
     }
-    sim.run();
-    p.set(10);
-    sim.run();
-    EXPECT_EQ(sum, 30);
-}
-
-TEST(Future, ErrorRethrownAtAwaiter)
-{
-    Sim sim;
-    Promise<int> p(sim.events());
-    bool caught = false;
-    sim.spawn([](Promise<int> &pr, bool &flag) -> Task<> {
-        try {
-            co_await pr.future();
-        } catch (const FatalError &) {
-            flag = true;
-        }
-    }(p, caught));
-    sim.run();
-    p.setError(std::make_exception_ptr(FatalError("io error")));
-    sim.run();
-    EXPECT_TRUE(caught);
-}
-
-TEST(Future, DoubleSetPanics)
-{
-    Sim sim;
-    Promise<int> p(sim.events());
-    p.set(1);
-    EXPECT_THROW(p.set(2), PanicError);
+    EXPECT_TRUE(watch.expired());
 }
 
 } // namespace

@@ -441,6 +441,52 @@ TEST(SignalSearch, SignalsOverlapPhasesAndWin)
     EXPECT_LT(with_signals, baseline);
 }
 
+TEST(SignalSearch, InterleavedSystemsGetTheirSoloResults)
+{
+    // Two Systems with different block counts advance in alternating
+    // slices, so each one's signal requests are in flight while the
+    // other launches. Neither may see the other's payload storage.
+    auto config = [](std::uint32_t blocks) {
+        SignalSearchConfig cfg;
+        cfg.numBlocks = blocks;
+        cfg.blockBytes = 4 * 1024;
+        cfg.lookupQueriesPerBlock = 10'000;
+        cfg.selectFraction = 0.5;
+        return cfg;
+    };
+    const SignalSearchConfig small = config(16);
+    const SignalSearchConfig large = config(64);
+
+    // The interleaved pair runs first, in a fresh process state.
+    core::System sys_small;
+    core::System sys_large;
+    SignalSearch run_small(sys_small, small);
+    SignalSearch run_large(sys_large, large);
+    const Tick slice = ticks::us(1);
+    bool small_live = true;
+    bool large_live = true;
+    while (small_live || large_live) {
+        small_live = run_small.runUntil(sys_small.sim().now() + slice);
+        large_live = run_large.runUntil(sys_large.sim().now() + slice);
+    }
+    auto solo = [](const SignalSearchConfig &cfg) {
+        core::System sys;
+        return runSignalSearch(sys, cfg);
+    };
+    const SignalSearchResult solo_small = solo(small);
+    const SignalSearchResult solo_large = solo(large);
+    ASSERT_TRUE(solo_small.correct);
+    ASSERT_TRUE(solo_large.correct);
+    for (const auto &[got, want] :
+         {std::pair{run_small.result(), solo_small},
+          std::pair{run_large.result(), solo_large}}) {
+        EXPECT_TRUE(got.correct);
+        EXPECT_EQ(got.elapsed, want.elapsed);
+        EXPECT_EQ(got.blocksHashed, want.blocksHashed);
+        EXPECT_EQ(got.digests, want.digests);
+    }
+}
+
 // ------------------------------------------------------------- fb-display
 
 TEST(FbDisplay, RasterReachesFramebufferViaIoctlAndMmap)
