@@ -69,9 +69,10 @@ sim::Task<>
 PollingDaemonBackend::daemonLoop(std::uint32_t shard)
 {
     auto &eq = core_.kernel().sim().events();
-    const std::uint32_t first = core_.area().shardFirstSlot(shard);
-    const std::uint32_t count = core_.area().shardSlotCount();
-    const std::uint32_t lanes = core_.area().wavefrontSize();
+    SyscallArea &area = core_.area();
+    const std::uint32_t first = area.shardFirstSlot(shard);
+    const std::uint32_t end = first + area.shardSlotCount();
+    const std::uint32_t lanes = area.wavefrontSize();
     // Daemons pay the user/kernel crossing per call and hold their
     // core across the whole sweep (no release around blocking calls).
     const ServiceCore::ScanPolicy policy{
@@ -86,20 +87,25 @@ PollingDaemonBackend::daemonLoop(std::uint32_t shard)
         last_sweep = !running_;
         // User-mode scan over the shard's slot range.
         co_await sim::Delay(eq, ticks::us(2));
+        const std::uint32_t actor = daemonThread(shard);
         bool any = false;
-        if (core_.area().ringsEnabled()) {
+        if (area.ringsEnabled()) {
             // Polled-completion ring mode (DESIGN.md §13): poll the
             // shard SQ and bulk-service the published entries rather
             // than sweeping every slot; completions ride the CQ, so
             // waiters never need a wakeup from this loop.
-            const int n = co_await core_.serviceRing(
-                shard, daemonThread(shard), policy);
+            const int n = co_await core_.serviceRing(shard, actor, policy);
             any = n > 0;
         } else {
-            for (std::uint32_t i = first; i < first + count; ++i) {
+            // The cursor visits Ready slots in index order, as a scan
+            // of every slot would: the ready index is re-read after
+            // each serviced slot, so a slot published ahead of the
+            // cursor mid-sweep is served in this sweep and one
+            // published behind it waits for the next.
+            for (std::uint32_t i = area.nextReady(first, end); i < end;
+                 i = area.nextReady(i + 1, end)) {
                 const bool did = co_await core_.serviceSlot(
-                    core_.area().slot(i), daemonThread(shard),
-                    i / lanes, i % lanes, policy);
+                    area.slot(i), actor, i / lanes, i % lanes, policy);
                 any = any || did;
             }
         }

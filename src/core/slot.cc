@@ -5,6 +5,8 @@
 
 #include "slot.hh"
 
+#include <bit>
+
 #include "support/gmc_probe.hh"
 #include "support/gsan.hh"
 #include "support/logging.hh"
@@ -57,6 +59,13 @@ SyscallSlot::transition(SlotState to)
               slotStateName(state_), slotStateName(to),
               blocking_ ? "blocking" : "non-blocking");
     }
+    if (readyWords_ != nullptr) {
+        const std::uint64_t bit = std::uint64_t{1} << (index_ % 64);
+        if (to == SlotState::Ready)
+            readyWords_[index_ / 64] |= bit;
+        else if (state_ == SlotState::Ready)
+            readyWords_[index_ / 64] &= ~bit;
+    }
     state_ = to;
     ++transitions_;
 }
@@ -65,14 +74,14 @@ bool
 SyscallSlot::claim()
 {
     // gmc footprint: a claim (even a failed one) reads the state word.
-    gmc::Probe::instance().touch(gmc::ProbeKind::Slot, gsanId_);
+    gmc::Probe::instance().touch(gmc::ProbeKind::Slot, index_);
     if (state_ != SlotState::Free)
         return false;
     // Free->Populating is an atomic CAS on the slot line: the claimer
     // acquires whatever the previous releaser (complete/consume)
     // published, so recycled slots never look like fresh races.
     if (gsan_ && gsan_->enabled())
-        gsan_->slotAcquire(gsanId_);
+        gsan_->slotAcquire(index_);
     transition(SlotState::Populating);
     return true;
 }
@@ -82,7 +91,7 @@ SyscallSlot::publish(int sysno, const osk::SyscallArgs &args,
                      bool blocking, WaitMode wait_mode,
                      std::uint32_t hw_wave_slot)
 {
-    gmc::Probe::instance().touch(gmc::ProbeKind::Slot, gsanId_);
+    gmc::Probe::instance().touch(gmc::ProbeKind::Slot, index_);
     GENESYS_ASSERT(state_ == SlotState::Populating,
                    "publish from state %s", slotStateName(state_));
     sysno_ = sysno;
@@ -91,9 +100,9 @@ SyscallSlot::publish(int sysno, const osk::SyscallArgs &args,
     waitMode_ = wait_mode;
     hwWaveSlot_ = hw_wave_slot;
     if (gsan_ && gsan_->enabled()) {
-        gsan_->slotWrite(gsanId_, "args");
+        gsan_->slotWrite(index_, "args");
         // Populating->Ready hands payload ownership to the CPU.
-        gsan_->slotRelease(gsanId_);
+        gsan_->slotRelease(index_);
     }
     transition(SlotState::Ready);
 }
@@ -101,12 +110,12 @@ SyscallSlot::publish(int sysno, const osk::SyscallArgs &args,
 bool
 SyscallSlot::beginProcessing()
 {
-    gmc::Probe::instance().touch(gmc::ProbeKind::Slot, gsanId_);
+    gmc::Probe::instance().touch(gmc::ProbeKind::Slot, index_);
     if (state_ != SlotState::Ready)
         return false;
     if (gsan_ && gsan_->enabled()) {
-        gsan_->slotAcquire(gsanId_);
-        gsan_->slotRead(gsanId_, "args");
+        gsan_->slotAcquire(index_);
+        gsan_->slotRead(index_, "args");
     }
     transition(SlotState::Processing);
     return true;
@@ -115,14 +124,14 @@ SyscallSlot::beginProcessing()
 void
 SyscallSlot::complete(std::int64_t result)
 {
-    gmc::Probe::instance().touch(gmc::ProbeKind::Slot, gsanId_);
+    gmc::Probe::instance().touch(gmc::ProbeKind::Slot, index_);
     GENESYS_ASSERT(state_ == SlotState::Processing,
                    "complete from state %s", slotStateName(state_));
     result_ = result;
     if (gsan_ && gsan_->enabled()) {
-        gsan_->slotWrite(gsanId_, "result");
+        gsan_->slotWrite(index_, "result");
         // Processing->Finished/Free hands ownership back to the GPU.
-        gsan_->slotRelease(gsanId_);
+        gsan_->slotRelease(index_);
     }
     transition(blocking_ ? SlotState::Finished : SlotState::Free);
 }
@@ -134,16 +143,16 @@ SyscallSlot::consume()
     // Processing->Free is a legal edge (non-blocking complete), so
     // edge legality alone would let a consume() race a non-blocking
     // completion undetected.
-    gmc::Probe::instance().touch(gmc::ProbeKind::Slot, gsanId_);
+    gmc::Probe::instance().touch(gmc::ProbeKind::Slot, index_);
     GENESYS_ASSERT(state_ == SlotState::Finished,
                    "consume from state %s", slotStateName(state_));
     if (gsan_ && gsan_->enabled()) {
-        gsan_->slotAcquire(gsanId_);
-        gsan_->slotRead(gsanId_, "result");
-        gsan_->slotConsumed(gsanId_, hwWaveSlot_);
+        gsan_->slotAcquire(index_);
+        gsan_->slotRead(index_, "result");
+        gsan_->slotConsumed(index_, hwWaveSlot_);
         // Finished->Free recycles the slot; release so the next
         // claimer inherits this consumption.
-        gsan_->slotRelease(gsanId_);
+        gsan_->slotRelease(index_);
     }
     transition(SlotState::Free);
     return result_;
@@ -152,9 +161,9 @@ SyscallSlot::consume()
 std::int64_t
 SyscallSlot::racyPeekResult() const
 {
-    gmc::Probe::instance().touch(gmc::ProbeKind::Slot, gsanId_);
+    gmc::Probe::instance().touch(gmc::ProbeKind::Slot, index_);
     if (gsan_ && gsan_->enabled())
-        gsan_->slotRead(gsanId_, "result");
+        gsan_->slotRead(index_, "result");
     return result_;
 }
 
@@ -163,9 +172,14 @@ SyscallArea::SyscallArea(const gpu::GpuConfig &gpu_config,
     : params_(params), wavefrontSize_(gpu_config.wavefrontSize),
       maxWavesPerCu_(gpu_config.maxWavesPerCu),
       numCus_(gpu_config.numCus),
-      shardCount_(params.areaShards == 0 ? 1 : params.areaShards),
-      slots_(gpu_config.activeWorkItemSlots())
+      shardCount_(params.areaShards == 0 ? 1 : params.areaShards)
 {
+    const auto n =
+        static_cast<std::uint32_t>(gpu_config.activeWorkItemSlots());
+    readyWords_.assign((n + 63) / 64, 0);
+    slots_.reserve(n);
+    for (std::uint32_t i = 0; i < n; ++i)
+        slots_.emplace_back(readyWords_.data(), i);
     GENESYS_ASSERT(shardCount_ <= numCus_,
                    "areaShards %u exceeds %u CUs", shardCount_,
                    numCus_);
@@ -290,6 +304,27 @@ SyscallArea::doorbellAddr(std::uint32_t shard) const
            std::uint64_t(shard) * params_.slotBytes;
 }
 
+std::uint32_t
+SyscallArea::nextReady(std::uint32_t from, std::uint32_t end) const
+{
+    GENESYS_ASSERT(end <= slots_.size(), "slot %u out of range", end);
+    if (from >= end)
+        return end;
+    std::size_t w = from / 64;
+    const std::size_t last = (end - 1) / 64;
+    // Mask off the bits below `from` in its word.
+    std::uint64_t bits =
+        readyWords_[w] & (~std::uint64_t{0} << (from % 64));
+    while (bits == 0) {
+        if (++w > last)
+            return end;
+        bits = readyWords_[w];
+    }
+    const auto i =
+        static_cast<std::uint32_t>(w * 64 + std::countr_zero(bits));
+    return i < end ? i : end;
+}
+
 bool
 SyscallArea::quiescent(std::uint32_t shard) const
 {
@@ -331,8 +366,8 @@ SyscallArea::quiescent() const
 void
 SyscallArea::attachSanitizer(gsan::Sanitizer *gsan)
 {
-    for (std::uint32_t i = 0; i < slots_.size(); ++i)
-        slots_[i].attachSanitizer(gsan, i);
+    for (auto &slot : slots_)
+        slot.attachSanitizer(gsan);
     for (std::uint32_t s = 0; s < shardCount_; ++s) {
         sqRings_[s].attachSanitizer(gsan, sqRingKey(s));
         cqRings_[s].attachSanitizer(gsan, cqRingKey(s));

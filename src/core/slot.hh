@@ -75,6 +75,13 @@ enum class WaitMode : std::uint8_t
 class SyscallSlot
 {
   public:
+    /** A standalone slot, in no area's ready index. */
+    SyscallSlot() = default;
+    /** Slot @p index of an area whose ready bitmap is @p ready_words. */
+    SyscallSlot(std::uint64_t *ready_words, std::uint32_t index)
+        : index_(index), readyWords_(ready_words)
+    {}
+
     SlotState state() const { return state_; }
 
     /** GPU: atomically claim a free slot. @return false if not free. */
@@ -116,16 +123,11 @@ class SyscallSlot
     void forceState(SlotState to) { transition(to); }
 
     /**
-     * Attach the happens-before sanitizer; @p id is this slot's index
-     * in the syscall area (gsan's variable name for the payload).
-     * The protocol entry points then emit acquire/release/access
-     * events on behalf of the current gsan actor.
+     * Attach the happens-before sanitizer. The protocol entry points
+     * then emit acquire/release/access events on behalf of the current
+     * gsan actor, naming the payload by the slot's area index.
      */
-    void attachSanitizer(gsan::Sanitizer *gsan, std::uint32_t id)
-    {
-        gsan_ = gsan;
-        gsanId_ = id;
-    }
+    void attachSanitizer(gsan::Sanitizer *gsan) { gsan_ = gsan; }
 
     /**
      * Test hook modeling a buggy consumer: read the result payload
@@ -139,7 +141,8 @@ class SyscallSlot
      * The FSM invariant checker (tentpole): every state change funnels
      * through here and is validated against Fig 6, so an injected
      * fault (or a buggy recovery path) can corrupt a slot only by
-     * panicking loudly, never silently.
+     * panicking loudly, never silently. It also keeps the owning
+     * area's ready index in step with the Ready state.
      */
     void transition(SlotState to);
 
@@ -150,9 +153,13 @@ class SyscallSlot
     osk::SyscallArgs args_;
     std::int64_t result_ = 0;
     std::uint32_t hwWaveSlot_ = 0;
+    /// Index in the syscall area: the slot's ready bit, gsan variable
+    /// name and gmc probe id.
+    std::uint32_t index_ = 0;
     std::uint64_t transitions_ = 0;
     gsan::Sanitizer *gsan_ = nullptr;
-    std::uint32_t gsanId_ = 0;
+    /// The owning area's ready bitmap (null for a standalone slot).
+    std::uint64_t *readyWords_ = nullptr;
 };
 
 /**
@@ -170,6 +177,9 @@ class SyscallArea
   public:
     SyscallArea(const gpu::GpuConfig &gpu_config,
                 const GenesysParams &params);
+    // Slots point into readyWords_.
+    SyscallArea(const SyscallArea &) = delete;
+    SyscallArea &operator=(const SyscallArea &) = delete;
 
     /** Slot for a hardware work-item (wave slot x 64 + lane). */
     SyscallSlot &slot(std::uint32_t hw_item_slot);
@@ -223,6 +233,13 @@ class SyscallArea
      * share with slots or each other).
      */
     mem::Addr doorbellAddr(std::uint32_t shard) const;
+
+    /**
+     * The least Ready slot index in [@p from, @p end), or @p end when
+     * there is none. A word scan of the ready index, which
+     * SyscallSlot::transition() keeps equal to {i : slot(i).ready()}.
+     */
+    std::uint32_t nextReady(std::uint32_t from, std::uint32_t end) const;
 
     /** True when every slot is Free (no request in any pipeline
      *  stage) — the drain()/teardown postcondition of Section IX. */
@@ -304,6 +321,8 @@ class SyscallArea
     std::uint32_t shardCount_;
     std::uint32_t cusPerShard_;
     std::vector<SyscallSlot> slots_;
+    /// One bit per slot, set while the slot is Ready.
+    std::vector<std::uint64_t> readyWords_;
     std::vector<std::uint64_t> issued_;
     std::vector<std::uint64_t> processed_;
     std::vector<SyscallRing> sqRings_;

@@ -14,8 +14,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <queue>
-#include <unordered_set>
 #include <vector>
 
 #include "support/types.hh"
@@ -23,7 +21,11 @@
 namespace genesys::sim
 {
 
-/** Handle for cancelling a scheduled event. */
+/**
+ * Handle for cancelling a scheduled event: the callback cell's
+ * generation in the high 32 bits, the cell index in the low 32. A
+ * live generation is odd, so 0 is never issued.
+ */
 using EventId = std::uint64_t;
 
 /**
@@ -72,6 +74,8 @@ class EventQueue
   public:
     using Callback = std::function<void()>;
 
+    EventQueue();
+
     /** Current simulated time. */
     Tick now() const { return now_; }
 
@@ -89,15 +93,16 @@ class EventQueue
     }
 
     /**
-     * Cancel a pending event. Cancelling an already-fired or unknown
-     * event is a no-op and returns false.
+     * Cancel a pending event in O(1), destroying its callback now.
+     * Cancelling an already-fired or unknown event is a no-op and
+     * returns false, even after the event's cell has been reused.
      */
     bool deschedule(EventId id);
 
     /** True when no runnable events remain. */
-    bool empty() const { return pending_.empty(); }
+    bool empty() const { return live_ == 0; }
 
-    std::size_t pendingEvents() const { return pending_.size(); }
+    std::size_t pendingEvents() const { return live_; }
 
     /**
      * Execute the next event (advancing time to it).
@@ -129,19 +134,36 @@ class EventQueue
     TieBreakPolicy *tieBreaker() const { return tieBreaker_; }
 
   private:
-    bool runOneWithPolicy();
-    struct Event
+    /**
+     * Heap entry. The callback lives in cells_[cell]; the key is a
+     * tombstone once that cell's generation no longer equals gen
+     * (the event fired or was cancelled).
+     */
+    struct Key
     {
         Tick when;
         std::uint64_t seq;
-        EventId id;
-        Callback cb;
+        std::uint32_t cell;
+        std::uint32_t gen;
     };
 
+    /**
+     * A callback slot. gen is odd while an event occupies the cell
+     * and even while the cell is on the free list, so a stale or
+     * forged id never matches a free cell.
+     */
+    struct Cell
+    {
+        Callback cb;
+        std::uint32_t gen = 0;
+        std::uint32_t nextFree = 0;
+    };
+
+    /** Min-heap order on (when, seq) for the std::*_heap algorithms. */
     struct Later
     {
         bool
-        operator()(const Event &a, const Event &b) const
+        operator()(const Key &a, const Key &b) const
         {
             if (a.when != b.when)
                 return a.when > b.when;
@@ -149,15 +171,27 @@ class EventQueue
         }
     };
 
+    bool runOneWithPolicy();
+    bool live(const Key &k) const { return cells_[k.cell].gen == k.gen; }
+    void pushKey(const Key &k);
+    Key popKey();
+    /** Take the callback out of a live cell and free the cell. */
+    Callback release(std::uint32_t cell);
+    void execute(const Key &k);
+
     Tick now_ = 0;
     std::uint64_t nextSeq_ = 0;
-    EventId nextId_ = 1;
     std::uint64_t executed_ = 0;
-    std::priority_queue<Event, std::vector<Event>, Later> queue_;
-    /// Ids scheduled but neither executed nor cancelled. Cancelled
-    /// entries stay in queue_ as tombstones until popped.
-    std::unordered_set<EventId> pending_;
+    std::vector<Key> heap_;
+    std::vector<Cell> cells_;
+    std::uint32_t freeHead_ = kNoCell;
+    /// Events scheduled but neither executed nor cancelled.
+    std::size_t live_ = 0;
     TieBreakPolicy *tieBreaker_ = nullptr;
+
+    static constexpr std::uint32_t kNoCell = ~std::uint32_t{0};
+    /// Pending events the heap and pool hold before their first regrow.
+    static constexpr std::size_t kInitialEvents = 256;
 };
 
 } // namespace genesys::sim

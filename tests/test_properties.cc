@@ -8,6 +8,8 @@
 
 #include <algorithm>
 #include <map>
+#include <set>
+#include <utility>
 #include <vector>
 
 #include "core/params.hh"
@@ -34,25 +36,123 @@ class Seeded : public ::testing::TestWithParam<std::uint64_t>
 
 TEST_P(Seeded, EventQueueExecutesInNondecreasingTimeOrder)
 {
+    // Random schedule/deschedule/runOne against a reference: the live
+    // events keyed by (when, schedule order). Every executed event must
+    // be the reference's least key, and deschedule must succeed exactly
+    // for ids the reference still holds.
     Random rng(GetParam());
     sim::EventQueue eq;
-    std::vector<Tick> executed;
-    std::vector<sim::EventId> live;
+    using RefKey = std::pair<Tick, std::uint64_t>;
+    std::set<RefKey> reference;
+    std::map<sim::EventId, RefKey> keyOf;
+    std::vector<RefKey> executed;
+    std::vector<sim::EventId> ids;
+    std::uint64_t order = 0;
     for (int i = 0; i < 2000; ++i) {
         const int action = static_cast<int>(rng.below(10));
         if (action < 6) {
-            const Tick when = eq.now() + rng.below(1000);
-            live.push_back(eq.schedule(
-                when, [&executed, &eq] { executed.push_back(eq.now()); }));
-        } else if (action < 8 && !live.empty()) {
-            eq.deschedule(live[rng.below(live.size())]);
+            const RefKey key{eq.now() + rng.below(1000), order++};
+            const sim::EventId id =
+                eq.schedule(key.first, [&executed, &reference, key] {
+                    ASSERT_FALSE(reference.empty());
+                    EXPECT_EQ(*reference.begin(), key);
+                    reference.erase(key);
+                    executed.push_back(key);
+                });
+            ASSERT_TRUE(keyOf.emplace(id, key).second) << "id reused";
+            reference.insert(key);
+            ids.push_back(id);
+        } else if (action < 8 && !ids.empty()) {
+            const sim::EventId id = ids[rng.below(ids.size())];
+            const bool held = reference.erase(keyOf.at(id)) > 0;
+            EXPECT_EQ(eq.deschedule(id), held);
         } else {
-            eq.runOne();
+            EXPECT_EQ(eq.runOne(), !reference.empty());
         }
+        ASSERT_EQ(eq.pendingEvents(), reference.size());
     }
     eq.run();
     EXPECT_TRUE(std::is_sorted(executed.begin(), executed.end()));
+    EXPECT_TRUE(reference.empty());
     EXPECT_TRUE(eq.empty());
+}
+
+/** Always picks the FIFO candidate, recording what it was offered. */
+class FirstCandidatePolicy : public sim::TieBreakPolicy
+{
+  public:
+    std::size_t
+    pick(Tick, const std::vector<sim::TieBreakCandidate> &c) override
+    {
+        for (std::size_t i = 1; i < c.size(); ++i)
+            EXPECT_LT(c[i - 1].seq, c[i].seq);
+        ++choicePoints;
+        return 0;
+    }
+    void onExecute(sim::EventId id, Tick) override { ran.push_back(id); }
+
+    std::uint64_t choicePoints = 0;
+    std::vector<sim::EventId> ran;
+};
+
+TEST_P(Seeded, FifoTieBreakPolicyReproducesPolicyFreeRunWithTombstones)
+{
+    // The same seeded script of same-tick-heavy schedules and
+    // cancellations, with and without an always-0 policy installed:
+    // the execution order, ids and clock must be identical, and the
+    // policy's ids must be exactly the ones that ran.
+    struct Run
+    {
+        std::vector<int> labels;
+        std::vector<sim::EventId> ids;
+        Tick end = 0;
+    };
+    auto script = [seed = GetParam()](sim::TieBreakPolicy *policy) {
+        Random rng(seed * 97 + 13);
+        sim::EventQueue eq;
+        eq.setTieBreaker(policy);
+        Run out;
+        std::vector<sim::EventId> scheduled; // indexed by label
+        for (int i = 0; i < 1500; ++i) {
+            const int action = static_cast<int>(rng.below(10));
+            if (action < 5) {
+                const int label = static_cast<int>(scheduled.size());
+                const sim::EventId id = eq.schedule(
+                    eq.now() + rng.below(4), [&out, label, &eq, &rng] {
+                        out.labels.push_back(label);
+                        // Callbacks schedule same-tick work too.
+                        if (rng.chance(0.2))
+                            eq.scheduleIn(0, [] {});
+                    });
+                scheduled.push_back(id);
+            } else if (action < 8 && !scheduled.empty()) {
+                eq.deschedule(scheduled[rng.below(scheduled.size())]);
+            } else {
+                eq.runOne();
+            }
+        }
+        eq.run();
+        for (const int label : out.labels)
+            out.ids.push_back(scheduled[label]);
+        out.end = eq.now();
+        return out;
+    };
+    const Run plain = script(nullptr);
+    FirstCandidatePolicy policy;
+    const Run fifo = script(&policy);
+    EXPECT_EQ(fifo.labels, plain.labels);
+    EXPECT_EQ(fifo.ids, plain.ids);
+    EXPECT_EQ(fifo.end, plain.end);
+    EXPECT_GT(policy.choicePoints, 0u);
+    // The policy saw every labeled event run, in order, among the
+    // unlabeled ones the callbacks spawned.
+    std::vector<sim::EventId> labeledRan;
+    for (const sim::EventId id : policy.ran) {
+        if (std::find(fifo.ids.begin(), fifo.ids.end(), id) !=
+            fifo.ids.end())
+            labeledRan.push_back(id);
+    }
+    EXPECT_EQ(labeledRan, fifo.ids);
 }
 
 // ------------------------------------------- file ops vs reference model
@@ -420,6 +520,91 @@ TEST_P(Seeded, ShardedAreaQuiescenceMatchesPerSlotModel)
     EXPECT_TRUE(area.quiescent(0));
     EXPECT_TRUE(area.quiescent(1));
     EXPECT_TRUE(area.quiescent());
+}
+
+TEST_P(Seeded, ReadyIndexTracksReadySlotsWithinShards)
+{
+    // Random claim/publish/beginProcessing/complete/consume/forceState
+    // on a small multi-shard area whose shard boundaries fall inside a
+    // 64-bit index word. After every step the ready index must equal
+    // {i : slot(i).ready()}, and nextReady(from, shardEnd) must return
+    // the least Ready index >= from without leaving the shard.
+    Random rng(GetParam() * 173 + 29);
+    gpu::GpuConfig gcfg;
+    gcfg.numCus = 4;
+    gcfg.maxWavesPerCu = 3;
+    gcfg.wavefrontSize = 16;
+    core::GenesysParams params;
+    params.areaShards = 2;
+    core::SyscallArea area(gcfg, params);
+    const auto n = static_cast<std::uint32_t>(area.slotCount());
+    ASSERT_EQ(area.shardSlotCount(), 96u);
+
+    auto leastReady = [&](std::uint32_t from, std::uint32_t end) {
+        while (from < end && !area.slot(from).ready())
+            ++from;
+        return from;
+    };
+    for (int step = 0; step < 3000; ++step) {
+        const auto i = static_cast<std::uint32_t>(rng.below(n));
+        auto &slot = area.slot(i);
+        const core::SlotState st = slot.state();
+        switch (rng.below(6)) {
+          case 0:
+            (void)slot.claim();
+            break;
+          case 1:
+            if (st == core::SlotState::Populating) {
+                slot.publish(osk::sysno::getpid, {}, rng.chance(0.5),
+                             core::WaitMode::Polling,
+                             i / gcfg.wavefrontSize);
+            }
+            break;
+          case 2:
+            EXPECT_EQ(slot.beginProcessing(),
+                      st == core::SlotState::Ready);
+            break;
+          case 3:
+            if (st == core::SlotState::Processing)
+                slot.complete(0);
+            break;
+          case 4:
+            if (st == core::SlotState::Finished)
+                (void)slot.consume();
+            break;
+          case 5: {
+            const auto to = static_cast<core::SlotState>(rng.below(5));
+            if (core::slotTransitionLegal(st, to, slot.blocking()))
+                slot.forceState(to);
+            break;
+          }
+        }
+
+        std::vector<std::uint32_t> indexed;
+        for (std::uint32_t j = area.nextReady(0, n); j < n;
+             j = area.nextReady(j + 1, n))
+            indexed.push_back(j);
+        std::vector<std::uint32_t> ready;
+        for (std::uint32_t j = 0; j < n; ++j) {
+            if (area.slot(j).ready())
+                ready.push_back(j);
+        }
+        ASSERT_EQ(indexed, ready) << "step " << step;
+
+        for (std::uint32_t s = 0; s < area.shardCount(); ++s) {
+            const std::uint32_t first = area.shardFirstSlot(s);
+            const std::uint32_t end = first + area.shardSlotCount();
+            for (int probe = 0; probe < 4; ++probe) {
+                const auto from = static_cast<std::uint32_t>(
+                    first + rng.below(area.shardSlotCount() + 1));
+                ASSERT_EQ(area.nextReady(from, end),
+                          leastReady(from, end))
+                    << "shard " << s << " from " << from;
+            }
+            ASSERT_EQ(area.nextReady(first, end),
+                      leastReady(first, end));
+        }
+    }
 }
 
 // --------------------------------------------------------- cache property

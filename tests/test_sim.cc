@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <string>
 #include <vector>
@@ -96,6 +97,84 @@ TEST(EventQueue, EventsCanScheduleEvents)
     eq.run();
     EXPECT_EQ(depth, 10);
     EXPECT_EQ(eq.now(), 9u);
+}
+
+TEST(EventQueue, DescheduleOfFiredIdFailsAfterCellReuse)
+{
+    EventQueue eq;
+    const EventId fired = eq.schedule(1, [] {});
+    eq.run();
+    // The fired event's cell is free again; the next event reuses it
+    // under a new generation, so the stale id must not cancel it.
+    bool ran = false;
+    const EventId reused = eq.schedule(2, [&] { ran = true; });
+    EXPECT_NE(reused, fired);
+    EXPECT_EQ(static_cast<std::uint32_t>(reused),
+              static_cast<std::uint32_t>(fired));
+    EXPECT_FALSE(eq.deschedule(fired));
+    EXPECT_EQ(eq.pendingEvents(), 1u);
+    eq.run();
+    EXPECT_TRUE(ran);
+    EXPECT_FALSE(eq.deschedule(reused));
+}
+
+TEST(EventQueue, IdsStayUniqueAndNonZeroAcrossCellReuse)
+{
+    EventQueue eq;
+    std::vector<EventId> ids;
+    ids.reserve(200000);
+    for (int cycle = 0; cycle < 100000; ++cycle) {
+        // One event fires and one is cancelled per cycle: the same
+        // two cells are reused throughout.
+        ids.push_back(eq.scheduleIn(1, [] {}));
+        ids.push_back(eq.scheduleIn(1, [] {}));
+        EXPECT_TRUE(eq.deschedule(ids.back()));
+        EXPECT_TRUE(eq.runOne());
+    }
+    EXPECT_TRUE(eq.empty());
+    EXPECT_EQ(std::count(ids.begin(), ids.end(), EventId{0}), 0);
+    std::sort(ids.begin(), ids.end());
+    EXPECT_EQ(std::adjacent_find(ids.begin(), ids.end()), ids.end());
+}
+
+TEST(EventQueue, PendingEventsExactWhileTombstonesRemain)
+{
+    EventQueue eq;
+    std::vector<EventId> ids;
+    for (Tick t = 0; t < 10; ++t)
+        ids.push_back(eq.schedule(100 + t, [] {}));
+    for (std::size_t i = 0; i < ids.size(); i += 2)
+        EXPECT_TRUE(eq.deschedule(ids[i]));
+    EXPECT_EQ(eq.pendingEvents(), 5u);
+    EXPECT_FALSE(eq.empty());
+    EXPECT_TRUE(eq.runOne()); // pops the tombstone at 100 first
+    EXPECT_EQ(eq.now(), 101u);
+    EXPECT_EQ(eq.pendingEvents(), 4u);
+    for (std::size_t i = 3; i < ids.size(); i += 2)
+        EXPECT_TRUE(eq.deschedule(ids[i]));
+    // Only tombstones are left in the heap.
+    EXPECT_EQ(eq.pendingEvents(), 0u);
+    EXPECT_TRUE(eq.empty());
+    EXPECT_FALSE(eq.runOne());
+    EXPECT_EQ(eq.run(), 101u);
+    EXPECT_EQ(eq.executedEvents(), 1u);
+}
+
+TEST(EventQueue, SameTickFifoAfterCancellations)
+{
+    EventQueue eq;
+    std::vector<int> order;
+    std::vector<EventId> ids;
+    for (int i = 0; i < 10; ++i)
+        ids.push_back(eq.schedule(50, [&order, i] { order.push_back(i); }));
+    for (int i = 0; i < 10; i += 3)
+        EXPECT_TRUE(eq.deschedule(ids[i]));
+    // Later schedules reuse the cancelled cells but keep their later
+    // FIFO rank.
+    for (int i = 10; i < 13; ++i)
+        eq.schedule(50, [&order, i] { order.push_back(i); });
+    eq.run();
+    EXPECT_EQ(order, (std::vector<int>{1, 2, 4, 5, 7, 8, 10, 11, 12}));
 }
 
 // ------------------------------------------------------------------ tasks

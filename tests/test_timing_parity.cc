@@ -39,7 +39,8 @@ captureMode()
     return env != nullptr && env[0] != '\0' && env[0] != '0';
 }
 
-/** EXPECT the golden tick, or print the actual in capture mode. */
+/** EXPECT the golden tick (or digest), or print the actual in capture
+ *  mode. */
 void
 checkTick(const char *name, Tick actual, Tick golden)
 {
@@ -264,6 +265,75 @@ TEST(TimingParity, PollingDaemonBackend)
     };
     sys.launchGpu(std::move(k));
     checkTick("polling_daemon", sys.run(), 77801);
+}
+
+TEST(TimingParity, PollingDaemonSweepOrder)
+{
+    // Work-item appends served by one daemon per CU shard at a 5 us
+    // scan interval. Each launch is 4 single-wave work-groups spread
+    // over the 2 CUs, and every wave appends twice. A wave's second
+    // round publishes while the sweep is still servicing the other
+    // resident wave, behind the cursor; the second launch dispatches
+    // into retired waves' slots while a sweep is in progress. Each
+    // lane appends a (round, launch, wave, lane) tag, so the file's
+    // bytes are the order the daemons serviced the lanes.
+    SystemConfig cfg = smallConfig();
+    cfg.gpu.maxWorkGroupsPerCu = 2;
+    cfg.genesys.areaShards = 2;
+    System sys(cfg);
+    auto *out = sys.kernel().vfs().createFile("/order");
+    sys.host().startPollingDaemon(ticks::us(5));
+    static constexpr std::uint32_t kWaves = 4;
+    static constexpr std::uint32_t kLaunches = 2;
+    static constexpr std::uint32_t kRounds = 2;
+    static std::uint8_t tags[kRounds][kLaunches][kWaves][64][2];
+    std::uint32_t waves_done = 0;
+    auto launch = [&](std::uint32_t which) {
+        gpu::KernelLaunch k;
+        k.workItems = kWaves * 64;
+        k.wgSize = 64;
+        k.program = [&sys, &waves_done,
+                     which](gpu::WavefrontCtx &ctx) -> sim::Task<> {
+            const std::uint32_t wg = ctx.workgroupId();
+            if (which == 1)
+                co_await ctx.compute(15000 * (wg % 2 + 1));
+            auto i = inv(Granularity::WorkGroup, Ordering::Strong,
+                         Blocking::Blocking);
+            const auto fd = co_await sys.gpuSys().open(
+                ctx, i, "/order", osk::O_WRONLY | osk::O_APPEND);
+            Invocation wi = inv(Granularity::WorkItem, Ordering::Strong,
+                                Blocking::Blocking);
+            for (std::uint32_t round = 0; round < kRounds; ++round) {
+                co_await sys.gpuSys().invokeWorkItems(
+                    ctx, wi, osk::sysno::write,
+                    [fd, round, which, wg](std::uint32_t lane) {
+                        auto &tag = tags[round][which][wg][lane];
+                        tag[0] = static_cast<std::uint8_t>(
+                            round * 64 + which * 16 + wg);
+                        tag[1] = static_cast<std::uint8_t>(lane);
+                        return std::optional(osk::makeArgs(
+                            static_cast<int>(fd), tag, 2));
+                    });
+            }
+            if (++waves_done == kLaunches * kWaves)
+                sys.host().stopDaemon();
+        };
+        sys.launchGpu(std::move(k));
+    };
+    launch(0);
+    launch(1);
+    const Tick end = sys.run();
+
+    const auto &bytes = out->data();
+    ASSERT_EQ(bytes.size(), kRounds * kLaunches * kWaves * 64 * 2);
+    std::uint64_t digest = 14695981039346656037ull; // FNV-1a 64
+    for (const std::uint8_t b : bytes) {
+        digest ^= b;
+        digest *= 1099511628211ull;
+    }
+    checkTick("daemon_sweep_order_tick", end, 1647712);
+    checkTick("daemon_sweep_order_digest", digest,
+              435794354125019429ull);
 }
 
 TEST(TimingParity, GrepWorkGroupAndWorkItem)
