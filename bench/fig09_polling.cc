@@ -56,7 +56,7 @@ cpuThroughputWhilePolling(std::uint64_t lines)
     sys.sim().spawn([](core::System &s, bool &halt,
                        std::uint64_t &bytes) -> sim::Task<> {
         while (!halt) {
-            co_await s.memBus().transfer("cpu", 256);
+            co_await s.memBus().transfer(mem::Agent::Cpu, 256);
             bytes += 256;
         }
     }(sys, stop, cpu_bytes));

@@ -26,7 +26,10 @@ runMode(WordcountMode mode)
     cfg.fileBytes = 256 * 1024;
     cfg.numWords = 64;
     const WordcountCorpus corpus = buildWordcountCorpus(sys, cfg);
-    return runWordcount(sys, corpus, mode);
+    const WordcountResult r = runWordcount(sys, corpus, mode);
+    if (!r.correct)
+        fatal("wordcount totals wrong for %s", wordcountModeName(mode));
+    return r;
 }
 
 void

@@ -22,7 +22,6 @@ mem::CacheParams
 l2Params(const GpuConfig &cfg)
 {
     mem::CacheParams p;
-    p.name = "gpu.l2";
     p.sizeBytes = cfg.l2Bytes;
     p.lineBytes = cfg.l2LineBytes;
     p.associativity = cfg.l2Assoc;
@@ -324,7 +323,7 @@ GpuDevice::accessLine(mem::Addr addr, Tick op_latency)
     const bool hit = l2_.access(addr);
     co_await sim::Delay(sim_.events(), op_latency + config_.l2HitLatency);
     if (!hit && memBus_ != nullptr)
-        co_await memBus_->transfer("gpu", config_.l2LineBytes);
+        co_await memBus_->transfer(mem::Agent::Gpu, config_.l2LineBytes);
 }
 
 } // namespace genesys::gpu

@@ -20,40 +20,50 @@ CacheModel::CacheModel(const CacheParams &params)
     const std::uint64_t lines = params.sizeBytes / params.lineBytes;
     GENESYS_ASSERT(lines >= assoc_, "cache smaller than one set");
     numSets_ = lines / assoc_;
-    sets_.resize(numSets_);
+    tags_.resize(numSets_ * assoc_);
+    fill_.resize(numSets_);
 }
 
 bool
 CacheModel::access(Addr addr)
 {
     const Addr line = addr / lineBytes_;
-    Set &set = sets_[setIndex(line)];
-    auto it = std::find(set.lru.begin(), set.lru.end(), line);
-    if (it != set.lru.end()) {
-        set.lru.splice(set.lru.begin(), set.lru, it);
+    const std::uint64_t set = setIndex(line);
+    Addr *ways = &tags_[set * assoc_];
+    std::uint32_t &fill = fill_[set];
+    Addr *it = std::find(ways, ways + fill, line);
+    if (it != ways + fill) {
+        std::rotate(ways, it, it + 1);
         ++hits_;
         return true;
     }
     ++misses_;
-    set.lru.push_front(line);
-    if (set.lru.size() > assoc_)
-        set.lru.pop_back();
+    // A full set drops its least recently used tag off the end.
+    if (fill < assoc_)
+        ++fill;
+    std::copy_backward(ways, ways + fill - 1, ways + fill);
+    ways[0] = line;
     return false;
 }
 
 void
 CacheModel::flushAll()
 {
-    for (Set &s : sets_)
-        s.lru.clear();
+    std::fill(fill_.begin(), fill_.end(), 0);
 }
 
 void
 CacheModel::invalidate(Addr addr)
 {
     const Addr line = addr / lineBytes_;
-    Set &set = sets_[setIndex(line)];
-    set.lru.remove(line);
+    const std::uint64_t set = setIndex(line);
+    Addr *ways = &tags_[set * assoc_];
+    std::uint32_t &fill = fill_[set];
+    Addr *it = std::find(ways, ways + fill, line);
+    if (it != ways + fill) {
+        std::copy(it + 1, ways + fill, it);
+        --fill;
+    }
 }
 
 } // namespace genesys::mem

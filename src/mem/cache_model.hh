@@ -7,16 +7,14 @@
  * memory controllers; once the polled working set exceeds L2 capacity,
  * the spill traffic contends with CPU accesses on the shared DRAM
  * channels. This model tracks hits/misses with true LRU per set, which
- * is all the fidelity the experiment requires.
+ * is all the fidelity the experiment requires. Each set is a fixed run
+ * of tags in one flat array, kept most recently used first.
  */
 
 #ifndef GENESYS_MEM_CACHE_MODEL_HH
 #define GENESYS_MEM_CACHE_MODEL_HH
 
 #include <cstdint>
-#include <list>
-#include <string>
-#include <unordered_map>
 #include <vector>
 
 
@@ -27,7 +25,6 @@ using Addr = std::uint64_t;
 
 struct CacheParams
 {
-    std::string name = "cache";
     std::uint64_t sizeBytes = 256 * 1024; ///< 4096 lines of 64 B.
     std::uint32_t lineBytes = 64;
     std::uint32_t associativity = 16;
@@ -73,18 +70,15 @@ class CacheModel
     }
 
   private:
-    struct Set
-    {
-        // Front = most recently used. Tags, not full addresses.
-        std::list<Addr> lru;
-    };
-
     std::uint64_t setIndex(Addr line) const { return line % numSets_; }
 
     std::uint32_t lineBytes_;
     std::uint64_t numSets_;
     std::uint32_t assoc_;
-    std::vector<Set> sets_;
+    /// numSets_ x assoc_ line tags. Set s owns tags_[s * assoc_ ...];
+    /// its first fill_[s] entries are valid, most recently used first.
+    std::vector<Addr> tags_;
+    std::vector<std::uint32_t> fill_;
     std::uint64_t hits_ = 0;
     std::uint64_t misses_ = 0;
 };

@@ -9,30 +9,34 @@ namespace genesys::mem
 {
 
 sim::Task<>
-MemBus::transfer(const std::string &agent, std::uint64_t bytes)
+MemBus::transfer(Agent agent, std::uint64_t bytes)
 {
     co_await gate_.acquire();
     const Tick busy =
         params_.requestOverhead + transferTicks(bytes, params_.bytesPerSec);
     co_await sim::Delay(eq_, busy);
-    byCounts_[agent] += bytes;
+    bytes_[static_cast<std::size_t>(agent)] += bytes;
     gate_.release();
 }
 
 std::uint64_t
-MemBus::bytesMoved(const std::string &agent) const
+MemBus::bytesMoved(std::string_view name) const
 {
-    auto it = byCounts_.find(agent);
-    return it == byCounts_.end() ? 0 : it->second;
+    if (name == "cpu")
+        return bytes_[static_cast<std::size_t>(Agent::Cpu)];
+    if (name == "gpu")
+        return bytes_[static_cast<std::size_t>(Agent::Gpu)];
+    return 0;
 }
 
 double
-MemBus::throughput(const std::string &agent, Tick from, Tick to) const
+MemBus::throughput(Agent agent, Tick from, Tick to) const
 {
     if (to <= from)
         return 0.0;
     const double secs = ticks::toSec(to - from);
-    return static_cast<double>(bytesMoved(agent)) / secs;
+    return static_cast<double>(bytes_[static_cast<std::size_t>(agent)]) /
+           secs;
 }
 
 } // namespace genesys::mem

@@ -12,9 +12,9 @@
 #ifndef GENESYS_MEM_MEM_BUS_HH
 #define GENESYS_MEM_MEM_BUS_HH
 
+#include <array>
 #include <cstdint>
-#include <string>
-#include <unordered_map>
+#include <string_view>
 
 #include "sim/event_queue.hh"
 #include "sim/sync.hh"
@@ -23,6 +23,13 @@
 
 namespace genesys::mem
 {
+
+/** The agents that share the memory controllers. */
+enum class Agent
+{
+    Cpu,
+    Gpu,
+};
 
 struct MemBusParams
 {
@@ -45,26 +52,27 @@ class MemBus
      * Move @p bytes across the bus on behalf of @p agent. Suspends the
      * caller for queueing plus transfer time.
      */
-    sim::Task<> transfer(const std::string &agent, std::uint64_t bytes);
+    sim::Task<> transfer(Agent agent, std::uint64_t bytes);
 
-    /** Total bytes an agent has moved so far. */
-    std::uint64_t bytesMoved(const std::string &agent) const;
+    /** Total bytes moved so far by the agent named @p name ("cpu" or
+     *  "gpu"); 0 for any other name. */
+    std::uint64_t bytesMoved(std::string_view name) const;
 
     /** Achieved throughput of an agent over [from, to] in bytes/sec. */
-    double
-    throughput(const std::string &agent, Tick from, Tick to) const;
+    double throughput(Agent agent, Tick from, Tick to) const;
 
     void
     resetStats()
     {
-        byCounts_.clear();
+        bytes_.fill(0);
     }
 
   private:
     sim::EventQueue &eq_;
     MemBusParams params_;
     sim::Semaphore gate_;
-    std::unordered_map<std::string, std::uint64_t> byCounts_;
+    /// Bytes moved, indexed by Agent.
+    std::array<std::uint64_t, 2> bytes_{};
 };
 
 } // namespace genesys::mem

@@ -25,6 +25,7 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "core/system.hh"
@@ -77,7 +78,26 @@ WordcountResult runWordcount(core::System &sys,
                              const WordcountCorpus &corpus,
                              WordcountMode mode);
 
-/** Count non-overlapping occurrences of @p word in @p text. */
+/**
+ * Add to counts[w] the number of non-overlapping occurrences of
+ * words[w] in @p text, for every w, in one pass over the text.
+ *
+ * Each count equals countOccurrences(text, words[w]): matches of one
+ * word are taken leftmost first and may not overlap each other, while
+ * matches of different words may. Every index counts on its own, so a
+ * duplicated word is counted once per index; an empty word counts 0.
+ *
+ * Words are grouped by the length of their first (up to) 4 bytes. At
+ * each text position a bitmap indexed by a hash of that 4-byte window,
+ * masked to the group's prefix length, rules out almost every word at
+ * once; the survivors are confirmed with memcmp.
+ */
+void countWordsInto(std::string_view text,
+                    const std::vector<std::string> &words,
+                    std::vector<std::uint64_t> &counts);
+
+/** Count non-overlapping occurrences of @p word in @p text. This is
+ *  the single-word reference countWordsInto() must agree with. */
 std::uint64_t countOccurrences(std::string_view text,
                                std::string_view word);
 

@@ -115,7 +115,7 @@ TEST(MemBus, TransferTakesBandwidthTime)
     p.requestOverhead = 0;
     MemBus bus(s.events(), p);
     s.spawn([](sim::Sim &, MemBus &b) -> sim::Task<> {
-        co_await b.transfer("cpu", 1000);
+        co_await b.transfer(Agent::Cpu, 1000);
     }(s, bus));
     const Tick end = s.run();
     EXPECT_EQ(end, 1000u);
@@ -131,11 +131,11 @@ TEST(MemBus, AgentsSerializeOnSharedBandwidth)
     MemBus bus(s.events(), p);
     Tick cpu_done = 0, gpu_done = 0;
     s.spawn([](sim::Sim &sm, MemBus &b, Tick &done) -> sim::Task<> {
-        co_await b.transfer("cpu", 500);
+        co_await b.transfer(Agent::Cpu, 500);
         done = sm.now();
     }(s, bus, cpu_done));
     s.spawn([](sim::Sim &sm, MemBus &b, Tick &done) -> sim::Task<> {
-        co_await b.transfer("gpu", 500);
+        co_await b.transfer(Agent::Gpu, 500);
         done = sm.now();
     }(s, bus, gpu_done));
     s.run();
@@ -154,10 +154,10 @@ TEST(MemBus, ThroughputAccountsPerAgent)
     MemBus bus(s.events(), p);
     s.spawn([](sim::Sim &, MemBus &b) -> sim::Task<> {
         for (int i = 0; i < 10; ++i)
-            co_await b.transfer("cpu", 1000);
+            co_await b.transfer(Agent::Cpu, 1000);
     }(s, bus));
     const Tick end = s.run();
-    const double tput = bus.throughput("cpu", 0, end);
+    const double tput = bus.throughput(Agent::Cpu, 0, end);
     EXPECT_NEAR(tput, 2e9, 2e7);
     EXPECT_EQ(bus.bytesMoved("nic"), 0u);
 }
@@ -170,7 +170,7 @@ TEST(MemBus, RequestOverheadCharged)
     p.requestOverhead = 40;
     MemBus bus(s.events(), p);
     s.spawn([](sim::Sim &, MemBus &b) -> sim::Task<> {
-        co_await b.transfer("cpu", 64);
+        co_await b.transfer(Agent::Cpu, 64);
     }(s, bus));
     EXPECT_EQ(s.run(), 104u);
 }

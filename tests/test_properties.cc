@@ -7,8 +7,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <list>
 #include <map>
 #include <set>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -23,6 +25,7 @@
 #include "sim/sim.hh"
 #include "support/random.hh"
 #include "workloads/memcached.hh"
+#include "workloads/wordcount.hh"
 
 namespace genesys
 {
@@ -631,6 +634,105 @@ TEST_P(Seeded, LargerCacheNeverMissesMoreOnSameTrace)
     EXPECT_GE(misses(2), misses(4));
     EXPECT_GE(misses(4), misses(8));
     EXPECT_GE(misses(8), misses(16));
+}
+
+TEST_P(Seeded, FlatLruMatchesListReference)
+{
+    // A std::list true-LRU per set, front = most recently used, is the
+    // reference; every access's hit/miss must agree with it.
+    Random rng(GetParam() * 29 + 3);
+    for (const std::uint32_t assoc : {1u, 2u, 16u}) {
+        for (const std::uint64_t sets : {7u, 16u}) {
+            mem::CacheParams p;
+            p.lineBytes = 64;
+            p.associativity = assoc;
+            p.sizeBytes = std::uint64_t(64) * assoc * sets;
+            mem::CacheModel c(p);
+            ASSERT_EQ(c.lineCapacity(), assoc * sets);
+            std::vector<std::list<mem::Addr>> ref(sets);
+            std::uint64_t hits = 0, misses = 0;
+            for (int step = 0; step < 4000; ++step) {
+                // Twice the capacity's lines: hits and evictions both.
+                const mem::Addr addr =
+                    rng.below(2 * assoc * sets) * 64 + rng.below(64);
+                const mem::Addr line = addr / 64;
+                auto &lru = ref[line % sets];
+                const auto it = std::find(lru.begin(), lru.end(), line);
+                const std::uint64_t op = rng.below(100);
+                if (op < 85) {
+                    const bool hit = it != lru.end();
+                    if (hit) {
+                        lru.splice(lru.begin(), lru, it);
+                        ++hits;
+                    } else {
+                        lru.push_front(line);
+                        if (lru.size() > assoc)
+                            lru.pop_back();
+                        ++misses;
+                    }
+                    ASSERT_EQ(c.access(addr), hit)
+                        << "assoc " << assoc << " sets " << sets
+                        << " step " << step;
+                } else if (op < 99) {
+                    if (it != lru.end())
+                        lru.erase(it);
+                    c.invalidate(addr);
+                } else {
+                    for (auto &l : ref)
+                        l.clear();
+                    c.flushAll();
+                }
+            }
+            EXPECT_EQ(c.hits(), hits);
+            EXPECT_EQ(c.misses(), misses);
+            EXPECT_GT(hits, 0u);
+            EXPECT_GT(misses, 0u);
+        }
+    }
+}
+
+// ------------------------------------------------------------- wordcount
+
+TEST_P(Seeded, OnePassWordCountMatchesPerWordReference)
+{
+    // Texts over 2-3 letters make self-overlapping matches (aa, aaa,
+    // abab) common, so the non-overlap rule is exercised everywhere.
+    Random rng(GetParam() * 41 + 17);
+    for (int round = 0; round < 60; ++round) {
+        const char letters = static_cast<char>(2 + rng.below(2));
+        auto randomText = [&rng, letters](std::size_t len) {
+            std::string t;
+            for (std::size_t i = 0; i < len; ++i)
+                t += static_cast<char>('a' + rng.below(letters));
+            return t;
+        };
+        // Every fourth text is short (the first is empty), so some
+        // words are longer than the text.
+        const std::string text =
+            round == 0 ? std::string()
+                       : randomText(round % 4 == 0 ? rng.below(12)
+                                                   : rng.below(600));
+        std::vector<std::string> words = {"", "a", "aa", "aaa", "abab",
+                                          "aaaa"};
+        for (int w = 0; w < 20; ++w)
+            words.push_back(randomText(1 + rng.below(12)));
+        const std::string base = words.back();
+        words.push_back(base);                                  // duplicate
+        words.push_back(base.substr(0, 1 + rng.below(base.size()))); // prefix
+        words.push_back(base.substr(rng.below(base.size())));        // suffix
+        words.push_back(randomText(text.size() + 1 + rng.below(3)));
+
+        std::vector<std::uint64_t> counts(words.size());
+        for (std::size_t w = 0; w < words.size(); ++w)
+            counts[w] = w; // the counter adds into what is there
+        workloads::countWordsInto(text, words, counts);
+        for (std::size_t w = 0; w < words.size(); ++w) {
+            ASSERT_EQ(counts[w],
+                      w + workloads::countOccurrences(text, words[w]))
+                << "round " << round << " word '" << words[w]
+                << "' text '" << text << "'";
+        }
+    }
 }
 
 // ----------------------------------------------------------- pipe stream

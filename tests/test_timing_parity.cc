@@ -5,8 +5,10 @@
  * Each scenario drives the full GPU->slot->service->wake pipeline in a
  * shape borrowed from the fig07-fig16 benches (granularity sweep,
  * ordering/blocking/wait-mode matrix, coalescing, residency pressure,
- * polling daemon, grep) and asserts the *exact* simulated completion
- * tick against a golden value captured from the pre-refactor host.
+ * polling daemon, grep, wordcount, Fig 9 polling contention) and
+ * asserts the *exact* simulated completion tick against a golden value
+ * captured from the pre-refactor host. The wordcount and Fig 9 cases
+ * also pin the GPU L2 hit/miss counts and the per-agent bus bytes.
  *
  * The golden numbers pin down the contract of the backend refactor:
  * with the default configuration (areaShards=1, default workers,
@@ -23,9 +25,11 @@
 
 #include <cstdio>
 #include <cstdlib>
+#include <vector>
 
 #include "core/system.hh"
 #include "workloads/grep.hh"
+#include "workloads/wordcount.hh"
 
 namespace genesys::core
 {
@@ -37,6 +41,20 @@ captureMode()
 {
     const char *env = std::getenv("GENESYS_PARITY_CAPTURE");
     return env != nullptr && env[0] != '\0' && env[0] != '0';
+}
+
+/** FNV-1a 64 over a run of 64-bit values. */
+std::uint64_t
+digestWords(const std::vector<std::uint64_t> &values)
+{
+    std::uint64_t digest = 14695981039346656037ull;
+    for (std::uint64_t v : values) {
+        for (int b = 0; b < 8; ++b) {
+            digest ^= (v >> (8 * b)) & 0xff;
+            digest *= 1099511628211ull;
+        }
+    }
+    return digest;
 }
 
 /** EXPECT the golden tick (or digest), or print the actual in capture
@@ -355,6 +373,68 @@ TEST(TimingParity, GrepWorkGroupAndWorkItem)
               902796);
     checkTick("grep_workitem_poll",
               run(workloads::GrepMode::GpuWorkItemPolling), 477865);
+}
+
+TEST(TimingParity, WordcountL2AndBus)
+{
+    // fig13b shape on a reduced corpus: one work-group per file, so
+    // the slot polls and the GPU's reads run through the L2 and the
+    // shared memory bus.
+    System sys(smallConfig());
+    workloads::WordcountCorpusConfig cc;
+    cc.numFiles = 16;
+    cc.fileBytes = 24 * 1024;
+    const auto corpus = workloads::buildWordcountCorpus(sys, cc);
+    const auto res = workloads::runWordcount(
+        sys, corpus, workloads::WordcountMode::Genesys);
+    EXPECT_TRUE(res.correct);
+    // The run ends on the Fig 14 sampler's 2 ms window, so the event
+    // count is what pins the interleaving inside it.
+    checkTick("wordcount_tick", sys.sim().now(), 2000000);
+    checkTick("wordcount_events", sys.sim().events().executedEvents(),
+              4813);
+    checkTick("wordcount_l2_hits", sys.gpu().l2().hits(), 2115);
+    checkTick("wordcount_l2_misses", sys.gpu().l2().misses(), 4);
+    checkTick("wordcount_bus_gpu", sys.memBus().bytesMoved("gpu"), 256);
+    checkTick("wordcount_counts_digest", digestWords(res.counts),
+              9127702502114955908ull);
+}
+
+TEST(TimingParity, PollingSpillContendsWithCpu)
+{
+    // Fig 9 shape: GPU pollers sweep twice as many lines as the L2
+    // holds, so poll misses queue on the memory bus behind a CPU agent
+    // streaming 256 B bursts.
+    System sys(smallConfig());
+    auto &gpu = sys.gpu();
+    const std::uint64_t lines = 2 * gpu.l2().lineCapacity();
+    constexpr std::uint64_t kPollers = 32;
+    bool stop = false;
+    for (std::uint64_t w = 0; w < kPollers; ++w) {
+        sys.sim().spawn([](gpu::GpuDevice &g, std::uint64_t base,
+                           std::uint64_t n, std::uint64_t seed,
+                           bool &halt) -> sim::Task<> {
+            std::uint64_t x = seed * 2654435769ull + 1;
+            while (!halt) {
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+                co_await g.accessLine(0x2000'0000 + (base + x % n) * 64,
+                                      g.config().atomicLoad);
+            }
+        }(gpu, w * (lines / kPollers), lines / kPollers, w + 1, stop));
+    }
+    sys.sim().spawn([](System &s, bool &halt) -> sim::Task<> {
+        while (!halt)
+            co_await s.memBus().transfer(mem::Agent::Cpu, 256);
+    }(sys, stop));
+    sys.run(ticks::us(200));
+    stop = true;
+    checkTick("spill_tick", sys.run(), 201667);
+    checkTick("spill_l2_hits", gpu.l2().hits(), 731);
+    checkTick("spill_l2_misses", gpu.l2().misses(), 2955);
+    checkTick("spill_bus_gpu", sys.memBus().bytesMoved("gpu"), 189120);
+    checkTick("spill_bus_cpu", sys.memBus().bytesMoved("cpu"), 285184);
 }
 
 } // namespace
