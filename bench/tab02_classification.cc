@@ -44,22 +44,22 @@ main()
     const auto hw = entriesOf(SyscallClass::NeedsHardwareChanges);
     std::map<std::string, std::pair<std::string, std::string>> by_type;
     for (const auto &e : hw) {
-        auto &[names, reason] = by_type[e.type];
+        auto &[names, reason] = by_type[typeName(e.type)];
         if (!names.empty())
             names += ", ";
         if (names.size() < 48)
             names += e.name;
         else if (names.back() != '.')
             names += "...";
-        reason = e.reason;
+        reason = reasonText(e.reason);
     }
     for (const auto &[type, v] : by_type)
         examples.addRow({type, v.first, v.second});
     std::printf("%s\n", examples.render().c_str());
 
-    std::printf("GENESYS proof-of-concept implements 17 calls "
-                "(14 of the paper's list + socket/bind plumbing + "
-                "ioctl); every one is in the readily-implementable "
-                "class.\n");
+    std::printf("GENESYS proof-of-concept implements %zu calls, the "
+                "paper's 14 among them; every one is in the "
+                "readily-implementable class.\n",
+                counts.implemented);
     return 0;
 }

@@ -25,19 +25,6 @@ Rules
                         slots (observed shared_ptr refcount underflow,
                         found by gmc's divergence oracle). Hoist the
                         lambda into a named local and std::move it.
-  sysno-classified      bidirectional consistency between the sysno
-                        namespace (src/osk/syscalls.hh) and the
-                        Table II census (src/osk/classification.cc):
-                        every declared syscall number must have a
-                        classification row, and every single-word row
-                        literal must either name a declared sysno or
-                        belong to the frozen census baseline below
-                        (catches typo'd rows that would silently fail
-                        to classify a new syscall); every declared
-                        syscall number must also have a
-                        {sysno::x, Role::...} row in kSysnoRoles, the
-                        Producer/Consumer table the GPU wrappers'
-                        relaxed barrier placement reads
   ring-raw-counter      SQ/CQ ring head/tail/claimed counters are
                         touched only through the acquire/release
                         accessor helpers in src/core/ring.hh
@@ -98,73 +85,6 @@ RING_RAW_COUNTER_RE = re.compile(
 SEGMENT_LOAN_FILES = {"src/osk/tcp.hh", "src/osk/tcp.cc",
                       "src/osk/syscalls.cc", "src/workloads/gkv.cc"}
 READ_SEGMENTS_RE = re.compile(r"\breadSegments\s*\(")
-
-SYSNO_FILE = "src/osk/syscalls.hh"
-CLASSIFICATION_FILE = "src/osk/classification.cc"
-SYSNO_DECL_RE = re.compile(
-    r"\binline\s+constexpr\s+int\s+(\w+)\s*=\s*\d+\s*;")
-STRING_LITERAL_RE = re.compile(r'"(\w+)"')
-ROLE_ROW_RE = re.compile(
-    r"\{\s*sysno::(\w+)\s*,\s*Role::(?:Producer|Consumer)\s*\}")
-
-# Frozen baseline for the reverse direction of sysno-classified: the
-# single-word literals in classification.cc at the time the rule was
-# made bidirectional that do NOT correspond to a sysno declaration —
-# the Table II census of unimplemented Linux syscalls plus the census
-# type tags ("filesystem", "network", ...). Any single-word row
-# literal added later must name a declared sysno; growing this set by
-# hand is the escape hatch for genuinely new census-only rows.
-KNOWN_CENSUS_ROWS = frozenset("""
-    IPC _sysctl accept4 access acct add_key adjtimex alarm arch_prctl
-    bpf brk capabilities capget capset chdir chmod chown clock_adjtime
-    clock_getres clock_gettime clock_nanosleep clock_settime clone
-    copy_file_range creat delete_module dup3 epoll_create1 epoll_pwait
-    eventfd eventfd2 execve execveat exit exit_group faccessat
-    fadvise64 fallocate fanotify_init fanotify_mark fchdir fchmod
-    fchmodat fchown fchownat fcntl fdatasync fgetxattr filesystem
-    finit_module flistxattr flock fork fremovexattr fsetxattr fstatfs
-    fsync futex futimesat get_mempolicy get_robust_list getcpu getcwd
-    getdents getdents64 getegid geteuid getgid getgroups getitimer
-    getpeername getpgid getpgrp getppid getpriority getrandom
-    getresgid getresuid getrlimit getsid getsockname getsockopt gettid
-    gettimeofday getuid getxattr identity init_module
-    inotify_add_watch inotify_init inotify_init1 inotify_rm_watch
-    io_cancel io_destroy io_getevents io_setup io_submit ioperm iopl
-    ioprio_get ioprio_set kcmp kexec_file_load kexec_load keyctl kill
-    lchown lgetxattr link linkat listxattr llistxattr lookup_dcookie
-    lremovexattr lsetxattr lstat mbind membarrier memfd_create
-    migrate_pages mincore mkdir mkdirat mknod mknodat mlock mlock2
-    mlockall modify_ldt mount move_pages mprotect mq_getsetattr
-    mq_notify mq_open mq_timedreceive mq_timedsend mq_unlink mremap
-    msgctl msgget msgrcv msgsnd msync munlock munlockall
-    name_to_handle_at namespace network newfstatat nfsservctl
-    open_by_handle_at openat pause perf_event_open personality pipe2
-    pivot_root pkey_alloc pkey_free pkey_mprotect policies poll ppoll
-    prctl preadv preadv2 prlimit64 process_vm_readv process_vm_writev
-    pselect6 ptrace pwritev pwritev2 quotactl readahead readlink
-    readlinkat readv reboot recvmmsg recvmsg remap_file_pages
-    removexattr rename renameat renameat2 request_key restart_syscall
-    rmdir rt_sigaction rt_sigpending rt_sigprocmask rt_sigreturn
-    rt_sigsuspend rt_sigtimedwait rt_tgsigqueueinfo
-    sched_get_priority_max sched_get_priority_min sched_getaffinity
-    sched_getattr sched_getparam sched_getscheduler
-    sched_rr_get_interval sched_setaffinity sched_setattr
-    sched_setparam sched_setscheduler sched_yield seccomp select
-    semctl semget semop semtimedop sendfile sendmmsg sendmsg
-    set_mempolicy set_robust_list set_tid_address setdomainname
-    setfsgid setfsuid setgid setgroups sethostname setitimer setns
-    setpgid setpriority setregid setresgid setresuid setreuid
-    setrlimit setsid setsockopt settimeofday setuid setxattr shmat
-    shmctl shmdt shmget sigaltstack signalfd signalfd4 signals
-    socketpair splice stat statfs statx swapoff swapon symlink
-    symlinkat sync sync_file_range syncfs sysfs sysinfo syslog tee
-    tgkill time timer_create timer_delete timer_getoverrun
-    timer_gettime timer_settime timerfd_create timerfd_gettime
-    timerfd_settime times tkill truncate umask umount2 uname unlinkat
-    unshare userfaultfd ustat utime utimensat utimes vfork vhangup
-    vmsplice wait4 waitid writev
-""".split())
-
 
 def raw_string_prefix(text, quote_at):
     """True when the '"' at `quote_at` opens a raw string literal: it
@@ -409,71 +329,6 @@ def check_file(relpath, scrubbed, unordered_names):
     return findings
 
 
-def check_sysno_classified(raw_by_path, scrubbed_by_path,
-                           baseline=KNOWN_CENSUS_ROWS):
-    """Cross-file rule, both directions: every syscall number in the
-    sysno namespace needs a classification row, and every single-word
-    row literal must name a declared sysno or sit in the frozen census
-    baseline. Declarations are matched against the scrubbed header (so
-    commented-out numbers don't count); the rows live in string
-    literals, so classification.cc is searched raw."""
-    findings = []
-    syscalls = scrubbed_by_path.get(SYSNO_FILE)
-    classification = raw_by_path.get(CLASSIFICATION_FILE)
-    if syscalls is None or classification is None:
-        return findings
-    classified = set(STRING_LITERAL_RE.findall(classification))
-    declared = set()
-    for m in SYSNO_DECL_RE.finditer(syscalls):
-        name = m.group(1)
-        declared.add(name)
-        if name not in classified:
-            findings.append(Finding(
-                SYSNO_FILE, line_of(syscalls, m.start()),
-                "sysno-classified",
-                "syscall 'sysno::%s' has no classification row; add "
-                'its "%s" entry to %s'
-                % (name, name, CLASSIFICATION_FILE)))
-    for m in STRING_LITERAL_RE.finditer(classification):
-        name = m.group(1)
-        if name not in declared and name not in baseline:
-            findings.append(Finding(
-                CLASSIFICATION_FILE,
-                line_of(classification, m.start()),
-                "sysno-classified",
-                "classification row '%s' names no declared sysno and "
-                "is not in the frozen census baseline; typo, a "
-                "missing sysno:: declaration in %s, or — for a "
-                "genuinely new census-only row — add it to "
-                "KNOWN_CENSUS_ROWS or mark the row's line with "
-                "'glint: allow(sysno-classified)'"
-                % (name, SYSNO_FILE)))
-    return findings
-
-
-def check_sysno_roles(scrubbed_by_path):
-    """Every syscall number in the sysno namespace needs a role row in
-    kSysnoRoles (same file); a missing one would panic the first GPU
-    wrapper that dispatches it. Both are matched in the scrubbed
-    header, so commented-out rows don't count."""
-    findings = []
-    syscalls = scrubbed_by_path.get(SYSNO_FILE)
-    if syscalls is None:
-        return findings
-    roles = set(ROLE_ROW_RE.findall(syscalls))
-    for m in SYSNO_DECL_RE.finditer(syscalls):
-        name = m.group(1)
-        if name not in roles:
-            findings.append(Finding(
-                SYSNO_FILE, line_of(syscalls, m.start()),
-                "sysno-classified",
-                "syscall 'sysno::%s' has no role row; add "
-                "{sysno::%s, Role::Producer} (read-like) or "
-                "{sysno::%s, Role::Consumer} (write-like) to "
-                "kSysnoRoles" % (name, name, name)))
-    return findings
-
-
 def apply_allows(findings, raw_by_path):
     kept = []
     for f in findings:
@@ -498,9 +353,6 @@ def run_lint():
     findings = []
     for rel, body in scrubbed_by_path.items():
         findings.extend(check_file(rel, body, unordered_names))
-    findings.extend(
-        check_sysno_classified(raw_by_path, scrubbed_by_path))
-    findings.extend(check_sysno_roles(scrubbed_by_path))
     findings = apply_allows(findings, raw_by_path)
 
     for f in findings:
@@ -615,77 +467,6 @@ SELF_TEST_CASES = [
 ]
 
 
-# (name, syscalls.hh text, classification.cc text, census baseline for
-# the reverse direction, expected finding count for the
-# sysno-classified cross-file rule)
-SYSNO_SELF_TEST_CASES = [
-    ("all classified",
-     "inline constexpr int read = 0;\n"
-     "inline constexpr int socket = 41;",
-     'Row rows[] = {{"read"}, {"socket"}};', frozenset(), 0),
-    ("missing row",
-     "inline constexpr int read = 0;\n"
-     "inline constexpr int frobnicate = 99;",
-     'Row rows[] = {{"read"}};', frozenset(), 1),
-    ("commented-out number ignored",
-     "// inline constexpr int ghost = 7;\n"
-     "inline constexpr int read = 0;",
-     'Row rows[] = {{"read"}};', frozenset(), 0),
-    ("row anywhere in the table counts",
-     "inline constexpr int epoll_wait = 232;",
-     'groups[] = {{"epoll_create", "epoll_ctl", "epoll_wait"}};',
-     frozenset({"epoll_create", "epoll_ctl"}), 0),
-    ("two missing rows flagged individually",
-     "inline constexpr int a_call = 1;\n"
-     "inline constexpr int b_call = 2;",
-     'Row rows[] = {{"read"}};', frozenset({"read"}), 2),
-    ("typo'd row flagged (reverse direction)",
-     "inline constexpr int read = 0;",
-     'Row rows[] = {{"read"}, {"raed"}};', frozenset(), 1),
-    ("census baseline row ok",
-     "inline constexpr int read = 0;",
-     'Row rows[] = {{"read"}, {"fork"}};', frozenset({"fork"}), 0),
-    ("hand-added census-only row allowed on its line",
-     "inline constexpr int read = 0;",
-     'Row rows[] = {{"read"},\n'
-     '              {"io_uring_enter"}};'
-     '  // glint: allow(sysno-classified)', frozenset(), 0),
-    ("both directions at once",
-     "inline constexpr int read = 0;\n"
-     "inline constexpr int new_call = 5;",
-     'Row rows[] = {{"read"}, {"stale_row"}};', frozenset(), 2),
-    ("real baseline covers the current census",
-     "inline constexpr int read = 0;",
-     'Row rows[] = {{"read"}, {"fork"}, {"execve"}, {"filesystem"}};',
-     KNOWN_CENSUS_ROWS, 0),
-]
-
-
-# (name, syscalls.hh text, expected finding count for the role-row
-# half of sysno-classified)
-SYSNO_ROLE_SELF_TEST_CASES = [
-    ("every sysno has a role",
-     "inline constexpr int read = 0;\n"
-     "inline constexpr int write = 1;\n"
-     "inline constexpr SysnoRole kSysnoRoles[] = {\n"
-     "    {sysno::read, Role::Producer},\n"
-     "    {sysno::write, Role::Consumer},\n"
-     "};", 0),
-    ("missing role",
-     "inline constexpr int read = 0;\n"
-     "inline constexpr int frobnicate = 99;\n"
-     "inline constexpr SysnoRole kSysnoRoles[] = {\n"
-     "    {sysno::read, Role::Producer},\n"
-     "};", 1),
-    ("commented-out role row does not count",
-     "inline constexpr int read = 0;\n"
-     "// {sysno::read, Role::Producer},", 1),
-    ("no table at all flags every sysno",
-     "inline constexpr int read = 0;\n"
-     "inline constexpr int write = 1;", 2),
-]
-
-
 def run_self_test():
     failures = 0
     for name, rel, snippet, expected in SELF_TEST_CASES:
@@ -704,30 +485,8 @@ def run_self_test():
             print("self-test FAIL: %s: want %s, got %s"
                   % (name, want, rules or "clean"))
             failures += 1
-    for name, sys_text, cls_text, baseline, expected in \
-            SYSNO_SELF_TEST_CASES:
-        raw = {SYSNO_FILE: sys_text, CLASSIFICATION_FILE: cls_text}
-        scrubbed = {k: scrub(v) for k, v in raw.items()}
-        findings = check_sysno_classified(raw, scrubbed, baseline)
-        findings = apply_allows(findings, raw)
-        if len(findings) != expected:
-            print("self-test FAIL: %s: want %d finding(s), got %s"
-                  % (name, expected,
-                     sorted(f.render() for f in findings) or "clean"))
-            failures += 1
-    for name, sys_text, expected in SYSNO_ROLE_SELF_TEST_CASES:
-        raw = {SYSNO_FILE: sys_text}
-        findings = check_sysno_roles({SYSNO_FILE: scrub(sys_text)})
-        findings = apply_allows(findings, raw)
-        if len(findings) != expected:
-            print("self-test FAIL: %s: want %d finding(s), got %s"
-                  % (name, expected,
-                     sorted(f.render() for f in findings) or "clean"))
-            failures += 1
-    total = (len(SELF_TEST_CASES) + len(SYSNO_SELF_TEST_CASES) +
-             len(SYSNO_ROLE_SELF_TEST_CASES))
     print("glint self-test: %d case(s), %d failure(s)"
-          % (total, failures))
+          % (len(SELF_TEST_CASES), failures))
     return 1 if failures else 0
 
 

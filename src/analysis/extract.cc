@@ -747,13 +747,6 @@ class FileExtractor
             if (!isIdent(t))
                 continue;
 
-            // sysno::name reference.
-            if (t.text == "sysno" && i + 2 < limit &&
-                isPunct(toks_[i + 1], "::") && isIdent(toks_[i + 2])) {
-                fn().sysnoRefs.push_back(
-                    {toks_[i + 2].text, toks_[i + 2].line});
-                continue;
-            }
             // Raw ring counters.
             if (t.text == "headRaw_" || t.text == "tailRaw_" ||
                 t.text == "claimedRaw_") {

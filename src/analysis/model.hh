@@ -83,13 +83,6 @@ struct LockEvent
     bool atomicGroup = false;
 };
 
-/** A `sysno::name` reference inside a body. */
-struct SysnoRef
-{
-    std::string name;
-    int line = 0;
-};
-
 /** A raw ring-counter token (headRaw_/tailRaw_/claimedRaw_). */
 struct RawCounterUse
 {
@@ -130,7 +123,6 @@ struct Function
 
     std::vector<CallSite> calls;
     std::vector<LockEvent> lockEvents;
-    std::vector<SysnoRef> sysnoRefs;
     std::vector<RawCounterUse> rawCounters;
     std::vector<EntriesAccess> entriesAccesses;
 };

@@ -17,66 +17,50 @@ namespace
 
 struct HandlerRow
 {
-    std::string sysnoName;
+    std::string name;
     std::string handlerName;
-    int fileIndex = 0;
-    int line = 0;
+    bool mayBlock = false;
 };
 
-/// Recover `install(sysno::X, "x", sysX)` rows from the token stream.
+/// Recover the syscall table's implemented rows,
+/// `impl(num, "name", type, role, handler, flags)`, from the token
+/// stream. A row may block when its flags name `kMayBlock`.
 std::vector<HandlerRow>
 scanHandlerRows(const Program &prog)
 {
+    auto is = [](const Token &t, TokKind kind, const char *text) {
+        return t.kind == kind && (text == nullptr || t.text == text);
+    };
     std::vector<HandlerRow> rows;
-    for (std::size_t fi = 0; fi < prog.files.size(); ++fi) {
-        const auto &toks = prog.files[fi].tokens;
-        for (std::size_t i = 0; i + 8 < toks.size(); ++i) {
-            if (toks[i].kind != TokKind::Ident ||
-                toks[i].text != "install")
-                continue;
+    for (const LexedFile &file : prog.files) {
+        const auto &toks = file.tokens;
+        for (std::size_t i = 0; i + 12 < toks.size(); ++i) {
             const bool shape =
-                toks[i + 1].kind == TokKind::Punct &&
-                toks[i + 1].text == "(" &&
-                toks[i + 2].kind == TokKind::Ident &&
-                toks[i + 2].text == "sysno" &&
-                toks[i + 3].kind == TokKind::Punct &&
-                toks[i + 3].text == "::" &&
-                toks[i + 4].kind == TokKind::Ident &&
-                toks[i + 5].kind == TokKind::Punct &&
-                toks[i + 5].text == "," &&
-                toks[i + 6].kind == TokKind::String &&
-                toks[i + 7].kind == TokKind::Punct &&
-                toks[i + 7].text == "," &&
-                toks[i + 8].kind == TokKind::Ident;
+                is(toks[i], TokKind::Ident, "impl") &&
+                is(toks[i + 1], TokKind::Punct, "(") &&
+                is(toks[i + 2], TokKind::Number, nullptr) &&
+                is(toks[i + 3], TokKind::Punct, ",") &&
+                is(toks[i + 4], TokKind::String, nullptr) &&
+                is(toks[i + 5], TokKind::Punct, ",") &&
+                is(toks[i + 6], TokKind::Ident, nullptr) &&
+                is(toks[i + 7], TokKind::Punct, ",") &&
+                is(toks[i + 8], TokKind::Ident, nullptr) &&
+                is(toks[i + 9], TokKind::Punct, ",") &&
+                is(toks[i + 10], TokKind::Ident, nullptr) &&
+                is(toks[i + 11], TokKind::Punct, ",");
             if (!shape)
                 continue;
             HandlerRow row;
-            row.sysnoName = toks[i + 4].text;
-            row.handlerName = toks[i + 8].text;
-            row.fileIndex = static_cast<int>(fi);
-            row.line = toks[i].line;
+            row.name = toks[i + 4].text;
+            row.handlerName = toks[i + 10].text;
+            for (std::size_t j = i + 12;
+                 j < toks.size() && !is(toks[j], TokKind::Punct, ")");
+                 ++j)
+                row.mayBlock |= is(toks[j], TokKind::Ident, "kMayBlock");
             rows.push_back(std::move(row));
         }
     }
     return rows;
-}
-
-/// The sysnos the runtime classifies may-block-indefinitely: every
-/// `sysno::X` referenced inside `mayBlockIndefinitely`.
-std::set<std::string>
-blockingClassification(const Program &prog)
-{
-    std::set<std::string> out;
-    auto defs = prog.byShortName.find("mayBlockIndefinitely");
-    if (defs == prog.byShortName.end())
-        return out;
-    for (int idx : defs->second) {
-        const Function &f =
-            prog.functions[static_cast<std::size_t>(idx)];
-        for (const SysnoRef &r : f.sysnoRefs)
-            out.insert(r.name);
-    }
-    return out;
 }
 
 // ---- pass 2: lock order ----------------------------------------------
@@ -107,11 +91,10 @@ runMayParkPass(CallGraph &cg)
     const Program &prog = cg.program();
     std::vector<Finding> findings;
 
-    // Rule nonblocking-handler-parks: handler outside the blocking
-    // classification reaches an indefinite park.
-    const std::set<std::string> blocking = blockingClassification(prog);
+    // Rule nonblocking-handler-parks: a handler whose row lacks the
+    // may-block flag reaches an indefinite park.
     for (const HandlerRow &row : scanHandlerRows(prog)) {
-        if (blocking.count(row.sysnoName) != 0)
+        if (row.mayBlock)
             continue;
         auto defs = prog.byShortName.find(row.handlerName);
         if (defs == prog.byShortName.end())
@@ -128,9 +111,9 @@ runMayParkPass(CallGraph &cg)
             fd.rule = "nonblocking-handler-parks";
             fd.message =
                 "handler " + row.handlerName + " for syscall '" +
-                row.sysnoName +
-                "' is classified non-blocking (absent from "
-                "mayBlockIndefinitely) but can park indefinitely";
+                row.name +
+                "' is classified non-blocking (its syscall-table row "
+                "lacks kMayBlock) but can park indefinitely";
             fd.witness = s.witness;
             findings.push_back(std::move(fd));
         }

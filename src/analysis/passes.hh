@@ -7,15 +7,15 @@
  * 1. May-park (`nonblocking-handler-parks`, `drain-loop-park`,
  *    `park-under-lock`): transitive reachability to parking primitives
  *    over synchronous call edges. The syscall blocking classification
- *    is recovered from the tree itself — the `install(sysno::X, "x",
- *    sysX)` rows of the syscall table bind numbers to handlers, and
- *    the `sysno::` references inside `mayBlockIndefinitely` form the
- *    set the runtime treats as may-block. A handler outside that set
- *    that can reach an indefinite park is a classification bug: the
- *    ring consumer would service it inline and wedge a shared OS core.
- *    The same reachability must not hold from the ring consumer's
- *    drain loop (`ringConsumeTask`), and no park of any kind may
- *    happen while a lock is held.
+ *    is recovered from the tree itself: each implemented row of the
+ *    syscall table, `impl(num, "name", type, role, sysX, flags)`,
+ *    binds a call to its handler, and `kMayBlock` in its flags is
+ *    what the runtime treats as may-block. A handler whose row lacks
+ *    the flag but can reach an indefinite park is a classification
+ *    bug: the ring consumer would service it inline and wedge a
+ *    shared OS core. The same reachability must not hold from the
+ *    ring consumer's drain loop (`ringConsumeTask`), and no park of
+ *    any kind may happen while a lock is held.
  *
  * 2. Lock order (`lock-order-cycle`): acquisition-order edges from
  *    held-set snapshots at acquisition sites and at call sites

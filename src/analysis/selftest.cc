@@ -62,24 +62,6 @@ buildCorpus()
     cases.push_back(
         {"handler-classification",
          {{"corpus/handlers.cc", R"src(
-namespace osk
-{
-namespace sysno
-{
-inline constexpr int read = 0;
-inline constexpr int ioctl = 16;
-inline constexpr int getpid = 39;
-inline constexpr int futex = 98;
-inline constexpr int dup = 32;
-} // namespace sysno
-} // namespace osk
-
-bool
-mayBlockIndefinitely(int n)
-{
-    return n == osk::sysno::read;
-}
-
 long
 sysRead(WaitQueue &wq)
 {
@@ -118,15 +100,13 @@ sysDup(WorkQueue &q, WaitQueue &wq)
     return 0;
 }
 
-void
-buildTable()
-{
-    install(sysno::read, "read", sysRead);
-    install(sysno::ioctl, "ioctl", sysIoctl);
-    install(sysno::getpid, "getpid", sysGetpid);
-    install(sysno::futex, "futex", sysFutex);
-    install(sysno::dup, "dup", sysDup);
-}
+inline constexpr SyscallRow kRows[] = {
+    impl(0, "read", Filesystem, Producer, sysRead, kTransfer | kMayBlock),
+    impl(16, "ioctl", ResourceControl, Producer, sysIoctl, 0),
+    impl(39, "getpid", Identity, Producer, sysGetpid, 0),
+    impl(202, "futex", ThreadIdentitySync, Producer, sysFutex, 0),
+    impl(32, "dup", Filesystem, Producer, sysDup, 0),
+};
 )src"}},
          {{"nonblocking-handler-parks", 2}}});
 
@@ -137,20 +117,6 @@ buildTable()
     cases.push_back(
         {"sign-guard-flow-clean",
          {{"corpus/sign_guard.cc", R"src(
-namespace osk
-{
-namespace sysno
-{
-inline constexpr int pread64 = 17;
-} // namespace sysno
-} // namespace osk
-
-bool
-mayBlockIndefinitely(int n)
-{
-    return false;
-}
-
 long
 doStreamRead(WaitQueue &wq, long pos_override)
 {
@@ -167,11 +133,9 @@ sysPread(WaitQueue &wq, long off)
     return doStreamRead(wq, off); // negative: the park is dead here
 }
 
-void
-buildTable()
-{
-    install(sysno::pread64, "pread64", sysPread);
-}
+inline constexpr SyscallRow kRows[] = {
+    impl(17, "pread64", Filesystem, Producer, sysPread, kTransfer),
+};
 )src"}},
          {}});
 
@@ -180,20 +144,6 @@ buildTable()
     cases.push_back(
         {"sign-guard-flow-unguarded",
          {{"corpus/sign_unguarded.cc", R"src(
-namespace osk
-{
-namespace sysno
-{
-inline constexpr int pread64 = 17;
-} // namespace sysno
-} // namespace osk
-
-bool
-mayBlockIndefinitely(int n)
-{
-    return false;
-}
-
 long
 doStreamRead(WaitQueue &wq, long pos_override)
 {
@@ -208,11 +158,9 @@ sysPread(WaitQueue &wq, long off)
     return doStreamRead(wq, off); // seeded defect: off may be < 0
 }
 
-void
-buildTable()
-{
-    install(sysno::pread64, "pread64", sysPread);
-}
+inline constexpr SyscallRow kRows[] = {
+    impl(17, "pread64", Filesystem, Producer, sysPread, kTransfer),
+};
 )src"}},
          {{"nonblocking-handler-parks", 1}}});
 
@@ -223,21 +171,6 @@ buildTable()
     cases.push_back(
         {"arity-refined-resolution",
          {{"corpus/arity.cc", R"src(
-namespace osk
-{
-namespace sysno
-{
-inline constexpr int ioctl = 16;
-inline constexpr int dup = 32;
-} // namespace sysno
-} // namespace osk
-
-bool
-mayBlockIndefinitely(int n)
-{
-    return false;
-}
-
 struct Stream
 {
     WaitQueue wq_;
@@ -261,12 +194,10 @@ sysDup(Stream &s, void *buf)
     return s.read(buf, 16); // seeded defect: two args reach the park
 }
 
-void
-buildTable()
-{
-    install(sysno::ioctl, "ioctl", sysIoctl);
-    install(sysno::dup, "dup", sysDup);
-}
+inline constexpr SyscallRow kRows[] = {
+    impl(16, "ioctl", ResourceControl, Producer, sysIoctl, 0),
+    impl(32, "dup", Filesystem, Producer, sysDup, 0),
+};
 )src"}},
          {{"nonblocking-handler-parks", 1}}});
 

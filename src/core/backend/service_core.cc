@@ -16,32 +16,11 @@ namespace genesys::core
 {
 
 bool
-ServiceCore::mayBlockIndefinitely(int sysno)
-{
-    // recvfrom on an empty socket, read/readv/recvmsg on an empty
-    // pipe or stream, write/writev/sendto/sendmsg into a full pipe or
-    // send window, nanosleep, accept/connect on a stream, epoll_wait
-    // on idle sockets. This is the sysno-level superset; the backend
-    // narrows it per call with the fd-aware mayParkIndefinitely().
-    return sysno == osk::sysno::recvfrom ||
-           sysno == osk::sysno::read ||
-           sysno == osk::sysno::readv ||
-           sysno == osk::sysno::recvmsg ||
-           sysno == osk::sysno::write ||
-           sysno == osk::sysno::writev ||
-           sysno == osk::sysno::sendto ||
-           sysno == osk::sysno::sendmsg ||
-           sysno == osk::sysno::nanosleep ||
-           sysno == osk::sysno::accept ||
-           sysno == osk::sysno::connect ||
-           sysno == osk::sysno::epoll_wait;
-}
-
-bool
 ServiceCore::mayParkIndefinitely(const SyscallSlot &slot) const
 {
     const int sysno = slot.sysno();
-    if (!mayBlockIndefinitely(sysno))
+    const osk::SyscallRow *row = osk::syscallRow(sysno);
+    if (row == nullptr || !row->mayBlock)
         return false;
     if (sysno == osk::sysno::nanosleep)
         return true;
@@ -66,7 +45,8 @@ ServiceCore::executeSlotCall(const SyscallSlot &slot)
     if (slot.blocking())
         co_return ret; // requester-side libc layer recovers
 
-    const bool transfer = osk::transferSyscall(sysno);
+    const osk::SyscallRow *row = osk::syscallRow(sysno);
+    const bool transfer = row != nullptr && row->transfer;
     const std::uint64_t want = transfer ? args.a[2] : 0;
     std::uint64_t done = 0;
     std::uint32_t rounds = 0;
@@ -117,7 +97,7 @@ ServiceCore::serviceSlot(SyscallSlot &slot, std::uint32_t servicer,
     // kernel thread schedules away — and re-acquire afterwards. The
     // decision is fd-aware: write to a regular file never parks, so
     // the core is kept; write to a full pipe or stream window parks,
-    // so it is released (ROADMAP item 5, re-baselined goldens).
+    // so it is released.
     const bool may_block =
         policy.releaseCoreOnBlocking && mayParkIndefinitely(slot);
     if (may_block)
@@ -128,7 +108,7 @@ ServiceCore::serviceSlot(SyscallSlot &slot, std::uint32_t servicer,
     if (policy.tracePerCall) {
         GENESYS_TRACE(kernel_.sim(), "syscall",
                       "wave %u lane %u: %s -> %lld", hw_wave_slot, lane,
-                      kernel_.syscalls().name(slot.sysno()).c_str(),
+                      osk::syscallName(slot.sysno()).c_str(),
                       static_cast<long long>(ret));
     }
     const bool wake = slot.blocking() &&

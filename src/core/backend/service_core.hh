@@ -109,22 +109,15 @@ class ServiceCore
     std::uint64_t cqPosted() const { return cqPosted_; }
 
     /**
-     * Can this call block its kernel thread indefinitely (not just
-     * for a modeled cost)? Such calls release their CPU core while
-     * blocked, and ring-mode consumers punt them to their own
+     * Can @p slot's call block its kernel thread indefinitely (not
+     * just for a modeled cost)? Such calls release their CPU core
+     * while blocked, and ring-mode consumers punt them to their own
      * workqueue task instead of servicing them inline — one parked
      * epoll_wait must not stall a shard's whole consume pipeline.
-     */
-    static bool mayBlockIndefinitely(int sysno);
-
-    /**
-     * Fd-aware refinement of mayBlockIndefinitely() for @p slot's
-     * call: only sockets, pipes, and epoll instances can actually
-     * park the servicing thread — a read(2) of a regular file is
-     * bounded IO. The ring dispatcher uses this to punt real parkers
-     * to their own task without paying a task per file read (the
-     * static sysno set stays in serviceSlot, whose slot-mode timing
-     * is pinned by the parity test).
+     * The table row's may-block flag is the sysno-level superset;
+     * this refines it by fd: only sockets, pipes, and epoll instances
+     * can actually park the servicing thread, while a read(2) of a
+     * regular file is bounded IO and needs no task of its own.
      */
     bool mayParkIndefinitely(const SyscallSlot &slot) const;
 

@@ -348,7 +348,7 @@ GpuSyscalls::issueAndWait(gpu::WavefrontCtx &ctx, Invocation inv,
     if (inv.blocking == Blocking::NonBlocking)
         co_return co_await issueOnce(ctx, inv, sysno, args, item_slot);
 
-    Recovery rec(sysno, args);
+    Recovery rec(osk::syscallRow(sysno), args);
     for (;;) {
         std::int64_t ret =
             co_await issueOnce(ctx, inv, sysno, args, item_slot);
@@ -385,7 +385,7 @@ GpuSyscalls::recover(int sysno, osk::SyscallArgs &args, Recovery &rec,
         ++retries_;
         return Next::Backoff;
     }
-    if (!osk::transferSyscall(sysno))
+    if (!rec.transfer)
         return Next::Finish;
     if (ret < 0) {
         // A partially-completed transfer reports its progress (the
@@ -511,10 +511,11 @@ GpuSyscalls::invokeWorkItems(
     // continuation + EINTR/EAGAIN retry budget, but rounds stay
     // wavefront-wide (all still-pending lanes reissue together, one
     // interrupt per round) to keep the SIMD issue model.
+    const osk::SyscallRow *row = osk::syscallRow(sysno);
     std::vector<Recovery> rec;
     rec.reserve(ctx.laneCount());
     for (std::uint32_t lane = 0; lane < ctx.laneCount(); ++lane)
-        rec.emplace_back(sysno, args[lane]);
+        rec.emplace_back(row, args[lane]);
 
     std::uint64_t pending = mask;
     while (pending != 0) {
@@ -620,7 +621,8 @@ sim::Task<std::int64_t>
 GpuSyscalls::call(gpu::WavefrontCtx &ctx, Invocation inv, int sysno,
                   osk::SyscallArgs args)
 {
-    inv.role = osk::sysnoRole(sysno);
+    // The wrappers pass sysno:: constants, each an implemented row.
+    inv.role = *osk::syscallRow(sysno)->role;
     if (inv.granularity == Granularity::Kernel)
         return invokeKernel(ctx, inv, sysno, args);
     return invokeWorkGroup(ctx, inv, sysno, args);

@@ -22,7 +22,8 @@
  *    deadlock a grid larger than the device's residency).
  *
  * POSIX wrappers cover the system calls GENESYS implements; each one
- * only packs its arguments, and the role comes from osk::kSysnoRoles.
+ * only packs its arguments, and the role comes from the call's row in
+ * the syscall table (osk/syscall_table.hh).
  */
 
 #ifndef GENESYS_CORE_CLIENT_HH
@@ -336,7 +337,7 @@ class GpuSyscalls
   private:
     /**
      * The dispatcher behind every POSIX wrapper: takes the call's role
-     * from osk::kSysnoRoles and invokes at kernel or work-group
+     * from its syscall-table row and invokes at kernel or work-group
      * granularity, as @p inv asks.
      */
     sim::Task<std::int64_t> call(gpu::WavefrontCtx &ctx, Invocation inv,
@@ -345,10 +346,12 @@ class GpuSyscalls
     /** One blocking request's POSIX recovery state across rounds. */
     struct Recovery
     {
-        Recovery(int sysno, const osk::SyscallArgs &args)
-            : want(osk::transferSyscall(sysno) ? args.a[2] : 0)
+        Recovery(const osk::SyscallRow *row, const osk::SyscallArgs &args)
+            : transfer(row != nullptr && row->transfer),
+              want(transfer ? args.a[2] : 0)
         {}
 
+        bool transfer;      ///< the call's row has the transfer flag
         std::uint64_t want; ///< bytes a transfer call asks for
         std::uint64_t done = 0;
         std::uint32_t restarts = 0;

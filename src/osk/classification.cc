@@ -1,234 +1,25 @@
 /**
  * @file
- * The syscall census data.
- *
- * Classification rationale follows Section IV of the paper:
- *  - Calls whose semantics need a kernel-side representation of an
- *    individual GPU thread (capabilities, namespaces, memory policies,
- *    per-thread ids) or control over the GPU's hardware scheduler /
- *    per-work-item program counters (scheduling, synchronous signal
- *    handling, futexes) need hardware changes first.
- *  - Calls that would clone or replace the whole GPU execution state
- *    (fork/exec/exit family, module/boot administration) would need
- *    extensive, low-value OS modification.
- *  - Everything else is readily implementable: the CPU can execute it
- *    on the GPU's behalf from an OS worker thread.
+ * Census aggregation and the Table II texts of the syscall table's
+ * type and reason columns.
  */
 
 #include "classification.hh"
 
+#include <iterator>
+
 namespace genesys::osk
 {
-
-namespace
-{
-
-constexpr const char *kNeedsThreadRepr =
-    "needs GPU thread representation in the kernel";
-constexpr const char *kNeedsScheduler =
-    "needs better control over the GPU scheduler";
-constexpr const char *kNeedsPcControl =
-    "cannot pause/resume or retarget individual GPU work-item PCs";
-constexpr const char *kNotAccessible = "not accessible from GPU";
-constexpr const char *kClonesState =
-    "would clone/replace whole-GPU execution state";
-constexpr const char *kAdminPath =
-    "administrative path; no GPU execution context to apply it to";
-
-std::vector<ClassifiedSyscall>
-buildCensus()
-{
-    std::vector<ClassifiedSyscall> v;
-    auto ok = [&v](const char *name, const char *type) {
-        v.push_back({name, SyscallClass::ReadilyImplementable, type, ""});
-    };
-    auto hw = [&v](const char *name, const char *type,
-                   const char *reason) {
-        v.push_back(
-            {name, SyscallClass::NeedsHardwareChanges, type, reason});
-    };
-    auto ext = [&v](const char *name, const char *type,
-                    const char *reason) {
-        v.push_back(
-            {name, SyscallClass::ExtensiveModification, type, reason});
-    };
-
-    // ---- filesystem & I/O (readily) --------------------------------
-    for (const char *n :
-         {"read", "write", "open", "close", "stat", "fstat",
-          "lstat", "poll", "lseek", "pread64", "pwrite64", "readv",
-          "writev", "access", "pipe", "select", "dup", "dup2", "dup3",
-          "pipe2", "sendfile", "fcntl", "flock", "fsync", "fdatasync",
-          "truncate", "ftruncate", "getdents", "getdents64", "getcwd",
-          "chdir", "fchdir", "rename", "renameat", "renameat2", "mkdir",
-          "rmdir", "creat", "link", "unlink", "symlink", "readlink",
-          "chmod", "fchmod", "chown", "fchown", "lchown", "umask",
-          "mknod", "mkdirat", "mknodat", "fchownat", "futimesat",
-          "newfstatat", "unlinkat", "linkat", "symlinkat", "readlinkat",
-          "fchmodat", "faccessat", "openat", "utime", "utimes",
-          "utimensat", "statfs", "fstatfs", "sync", "syncfs",
-          "sync_file_range", "fallocate", "readahead", "splice", "tee",
-          "vmsplice", "copy_file_range", "preadv", "pwritev", "preadv2",
-          "pwritev2", "statx", "lookup_dcookie", "quotactl", "ustat",
-          "sysfs", "fadvise64", "setxattr", "lsetxattr", "fsetxattr",
-          "getxattr", "lgetxattr", "fgetxattr", "listxattr",
-          "llistxattr", "flistxattr", "removexattr", "lremovexattr",
-          "fremovexattr"}) {
-        ok(n, "filesystem");
-    }
-    for (const char *n :
-         {"io_setup", "io_destroy", "io_getevents", "io_submit",
-          "io_cancel", "inotify_init", "inotify_add_watch",
-          "inotify_rm_watch", "inotify_init1", "fanotify_init",
-          "fanotify_mark", "name_to_handle_at", "open_by_handle_at",
-          "epoll_create", "epoll_ctl", "epoll_wait", "epoll_pwait",
-          "epoll_create1", "eventfd", "eventfd2", "signalfd",
-          "signalfd4", "timerfd_create", "timerfd_settime",
-          "timerfd_gettime", "ppoll", "pselect6"}) {
-        ok(n, "async I/O & events");
-    }
-
-    // ---- memory management (readily) -------------------------------
-    for (const char *n :
-         {"mmap", "mprotect", "munmap", "brk", "mremap", "msync",
-          "mincore", "madvise", "mlock", "munlock", "mlockall",
-          "munlockall", "mlock2", "remap_file_pages", "memfd_create",
-          "pkey_alloc", "pkey_free", "pkey_mprotect",
-          "process_vm_readv", "process_vm_writev"}) {
-        ok(n, "memory management");
-    }
-
-    // ---- System V / POSIX IPC (readily) -----------------------------
-    for (const char *n :
-         {"shmget", "shmat", "shmctl", "shmdt", "semget", "semop",
-          "semctl", "semtimedop", "msgget", "msgsnd", "msgrcv",
-          "msgctl", "mq_open", "mq_unlink", "mq_timedsend",
-          "mq_timedreceive", "mq_notify", "mq_getsetattr"}) {
-        ok(n, "IPC");
-    }
-
-    // ---- networking (readily) ----------------------------------------
-    for (const char *n :
-         {"socket", "connect", "accept", "accept4", "sendto",
-          "recvfrom", "sendmsg", "recvmsg", "sendmmsg", "recvmmsg",
-          "shutdown", "bind", "listen", "getsockname", "getpeername",
-          "socketpair", "setsockopt", "getsockopt"}) {
-        ok(n, "network");
-    }
-
-    // ---- identity & credentials (readily: CPU process context) ------
-    for (const char *n :
-         {"getpid", "getppid", "getuid", "geteuid", "getgid",
-          "getegid", "setuid", "setgid", "setpgid", "getpgrp",
-          "getpgid", "setsid", "getsid", "setreuid", "setregid",
-          "getgroups", "setgroups", "setresuid", "getresuid",
-          "setresgid", "getresgid", "setfsuid", "setfsgid"}) {
-        ok(n, "identity");
-    }
-
-    // ---- time (readily) ------------------------------------------------
-    for (const char *n :
-         {"gettimeofday", "settimeofday", "time", "times",
-          "clock_gettime", "clock_settime", "clock_getres",
-          "clock_nanosleep", "nanosleep", "alarm", "getitimer",
-          "setitimer", "timer_create", "timer_settime",
-          "timer_gettime", "timer_getoverrun", "timer_delete",
-          "adjtimex", "clock_adjtime"}) {
-        ok(n, "time");
-    }
-
-    // ---- signals: asynchronous queueing is readily; synchronous
-    //      delivery/handling needs PC control (Table II) --------------
-    for (const char *n : {"kill", "rt_sigqueueinfo", "rt_tgsigqueueinfo"})
-        ok(n, "signals");
-    for (const char *n :
-         {"rt_sigaction", "rt_sigprocmask", "rt_sigsuspend",
-          "rt_sigreturn", "rt_sigpending", "rt_sigtimedwait",
-          "sigaltstack", "pause"}) {
-        hw(n, "signals", kNeedsPcControl);
-    }
-
-    // ---- resource query & control (readily) --------------------------
-    for (const char *n :
-         {"getrusage", "sysinfo", "syslog", "getrlimit", "setrlimit",
-          "prlimit64", "getpriority", "setpriority", "uname",
-          "getrandom", "kcmp", "ioctl", "prctl", "bpf",
-          "perf_event_open", "add_key", "request_key", "keyctl",
-          "restart_syscall", "mount", "umount2", "sethostname",
-          "setdomainname"}) {
-        ok(n, "resource & control");
-    }
-
-    // ---- capabilities & namespaces (Table II rows) --------------------
-    hw("capget", "capabilities", kNeedsThreadRepr);
-    hw("capset", "capabilities", kNeedsThreadRepr);
-    hw("setns", "namespace", kNeedsThreadRepr);
-    hw("set_mempolicy", "policies", kNeedsThreadRepr);
-    hw("get_mempolicy", "policies", kNeedsThreadRepr);
-    hw("mbind", "policies", kNeedsThreadRepr);
-    hw("migrate_pages", "policies", kNeedsThreadRepr);
-    hw("move_pages", "policies", kNeedsThreadRepr);
-
-    // ---- thread scheduling (Table II rows) ----------------------------
-    for (const char *n :
-         {"sched_yield", "sched_setaffinity", "sched_getaffinity",
-          "sched_setparam", "sched_getparam", "sched_setscheduler",
-          "sched_getscheduler", "sched_get_priority_max",
-          "sched_get_priority_min", "sched_rr_get_interval",
-          "sched_setattr", "sched_getattr", "ioprio_set",
-          "ioprio_get", "getcpu"}) {
-        hw(n, "thread scheduling", kNeedsScheduler);
-    }
-
-    // ---- thread identity & synchronization ---------------------------
-    for (const char *n :
-         {"gettid", "futex", "set_tid_address", "set_robust_list",
-          "get_robust_list", "tkill", "tgkill", "membarrier"}) {
-        hw(n, "thread identity/sync", kNeedsThreadRepr);
-    }
-
-    // ---- architecture specific (Table II rows) ------------------------
-    for (const char *n :
-         {"ioperm", "iopl", "arch_prctl", "modify_ldt",
-          "personality"}) {
-        hw(n, "architecture specific", kNotAccessible);
-    }
-
-    // ---- process lifecycle: extensive modification --------------------
-    for (const char *n :
-         {"fork", "vfork", "clone", "execve", "execveat", "exit",
-          "exit_group", "wait4", "waitid", "ptrace", "seccomp",
-          "unshare", "userfaultfd"}) {
-        ext(n, "process lifecycle", kClonesState);
-    }
-
-    // ---- system administration: extensive modification ----------------
-    for (const char *n :
-         {"kexec_load", "kexec_file_load", "reboot", "init_module",
-          "delete_module", "finit_module", "pivot_root", "swapon",
-          "swapoff", "acct", "vhangup", "nfsservctl", "_sysctl"}) {
-        ext(n, "system administration", kAdminPath);
-    }
-
-    return v;
-}
-
-} // namespace
-
-const std::vector<ClassifiedSyscall> &
-syscallCensus()
-{
-    static const std::vector<ClassifiedSyscall> census = buildCensus();
-    return census;
-}
 
 CensusCounts
 censusCounts()
 {
     CensusCounts c;
-    for (const auto &e : syscallCensus()) {
+    for (const SyscallRow &r : kSyscallTable) {
         ++c.total;
-        switch (e.cls) {
+        if (r.implemented())
+            ++c.implemented;
+        switch (r.cls) {
           case SyscallClass::ReadilyImplementable:
             ++c.readily;
             break;
@@ -243,13 +34,13 @@ censusCounts()
     return c;
 }
 
-std::vector<ClassifiedSyscall>
+std::vector<SyscallRow>
 entriesOf(SyscallClass cls)
 {
-    std::vector<ClassifiedSyscall> out;
-    for (const auto &e : syscallCensus()) {
-        if (e.cls == cls)
-            out.push_back(e);
+    std::vector<SyscallRow> out;
+    for (const SyscallRow &r : kSyscallTable) {
+        if (r.cls == cls)
+            out.push_back(r);
     }
     return out;
 }
@@ -257,15 +48,59 @@ entriesOf(SyscallClass cls)
 const char *
 className(SyscallClass cls)
 {
-    switch (cls) {
-      case SyscallClass::ReadilyImplementable:
-        return "readily-implementable";
-      case SyscallClass::NeedsHardwareChanges:
-        return "needs-GPU-hardware-changes";
-      case SyscallClass::ExtensiveModification:
-        return "extensive-modification";
-    }
-    return "?";
+    constexpr const char *kNames[] = {
+        "readily-implementable",
+        "needs-GPU-hardware-changes",
+        "extensive-modification",
+    };
+    return kNames[static_cast<std::size_t>(cls)];
+}
+
+const char *
+typeName(SyscallType type)
+{
+    // In SyscallType's order.
+    constexpr const char *kNames[] = {
+        "filesystem",
+        "async I/O & events",
+        "memory management",
+        "IPC",
+        "network",
+        "identity",
+        "time",
+        "signals",
+        "resource & control",
+        "capabilities",
+        "namespace",
+        "policies",
+        "thread scheduling",
+        "thread identity/sync",
+        "architecture specific",
+        "process lifecycle",
+        "system administration",
+    };
+    static_assert(std::size(kNames) ==
+                  1 + static_cast<std::size_t>(
+                          SyscallType::SystemAdministration));
+    return kNames[static_cast<std::size_t>(type)];
+}
+
+const char *
+reasonText(SyscallReason reason)
+{
+    // In SyscallReason's order.
+    constexpr const char *kTexts[] = {
+        "",
+        "needs GPU thread representation in the kernel",
+        "needs better control over the GPU scheduler",
+        "cannot pause/resume or retarget individual GPU work-item PCs",
+        "not accessible from GPU",
+        "would clone/replace whole-GPU execution state",
+        "administrative path; no GPU execution context to apply it to",
+    };
+    static_assert(std::size(kTexts) ==
+                  1 + static_cast<std::size_t>(SyscallReason::AdminPath));
+    return kTexts[static_cast<std::size_t>(reason)];
 }
 
 } // namespace genesys::osk

@@ -8,39 +8,22 @@
  *  2. needs GPU hardware changes     (~13%)  -- Table II
  *  3. requires extensive OS surgery   (~8%)
  *
- * This module encodes the full census (Linux 4.11-era x86-64 table)
- * with a reason string for every non-readily entry, and aggregation
- * helpers used by the Table II reproduction and tests.
+ * The census itself is the syscall table (syscall_table.hh, Linux
+ * 4.11-era x86-64), which gives every non-readily row a reason. This
+ * module holds the aggregation and naming helpers used by the Table II
+ * reproduction and tests.
  */
 
 #ifndef GENESYS_OSK_CLASSIFICATION_HH
 #define GENESYS_OSK_CLASSIFICATION_HH
 
 #include <cstddef>
-#include <string>
 #include <vector>
+
+#include "osk/syscall_table.hh"
 
 namespace genesys::osk
 {
-
-enum class SyscallClass
-{
-    ReadilyImplementable,
-    NeedsHardwareChanges,
-    ExtensiveModification,
-};
-
-/** Higher-level grouping used by Table II's "Type" column. */
-struct ClassifiedSyscall
-{
-    std::string name;
-    SyscallClass cls;
-    std::string type;   ///< e.g. "signals", "thread scheduling"
-    std::string reason; ///< why it is not readily implementable
-};
-
-/** The full census; stable order. */
-const std::vector<ClassifiedSyscall> &syscallCensus();
 
 struct CensusCounts
 {
@@ -48,6 +31,8 @@ struct CensusCounts
     std::size_t readily = 0;
     std::size_t needsHw = 0;
     std::size_t extensive = 0;
+    /// Rows with a handler: the calls GENESYS implements.
+    std::size_t implemented = 0;
 
     double
     fraction(std::size_t part) const
@@ -60,10 +45,14 @@ struct CensusCounts
 
 CensusCounts censusCounts();
 
-/** Entries in a class, for printing Table II. */
-std::vector<ClassifiedSyscall> entriesOf(SyscallClass cls);
+/** Rows in a class, in census order, for printing Table II. */
+std::vector<SyscallRow> entriesOf(SyscallClass cls);
 
 const char *className(SyscallClass cls);
+/** Table II's "Type" text, e.g. "thread scheduling". */
+const char *typeName(SyscallType type);
+/** Why a call is not readily implementable; "" for None. */
+const char *reasonText(SyscallReason reason);
 
 } // namespace genesys::osk
 

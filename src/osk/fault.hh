@@ -18,7 +18,7 @@
  *  - probabilistic rates in parts-per-million per dispatch, hashed
  *    from the seed; what the resilience sweeps use.
  *
- * Injection happens at SyscallTable dispatch (before the handler runs,
+ * Injection happens at syscall dispatch (before the handler runs,
  * so a suppressed call has no side effects) and, for latency spikes,
  * inside BlockDevice request service. Knobs are exposed through the
  * same sysfs surface the paper uses for coalescing parameters

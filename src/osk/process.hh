@@ -88,7 +88,6 @@ class Kernel
     BlockDevice &ssd() { return ssd_; }
     TerminalDevice &terminal() { return *terminal_; }
     FramebufferDevice &framebuffer() { return *framebuffer_; }
-    const SyscallTable &syscalls() const { return syscalls_; }
     FaultInjector &faults() { return faults_; }
     const FaultInjector &faults() const { return faults_; }
 
@@ -96,7 +95,7 @@ class Kernel
     sim::Task<std::int64_t>
     doSyscall(Process &proc, int num, const SyscallArgs &args)
     {
-        return syscalls_.invoke(*this, proc, num, args);
+        return invokeSyscall(*this, proc, num, args);
     }
 
     /**
@@ -109,7 +108,7 @@ class Kernel
     sim::Task<std::int64_t>
     doSyscallFaultable(Process &proc, int num, const SyscallArgs &args)
     {
-        return syscalls_.invoke(*this, proc, num, args, &faults_);
+        return invokeSyscall(*this, proc, num, args, &faults_);
     }
 
     Process &createProcess();
@@ -136,7 +135,6 @@ class Kernel
     BlockDevice ssd_;
     TerminalDevice *terminal_ = nullptr;
     FramebufferDevice *framebuffer_ = nullptr;
-    SyscallTable syscalls_;
     FaultInjector faults_;
     std::vector<std::unique_ptr<Process>> processes_;
 };

@@ -47,6 +47,8 @@ constexpr int kMaxEpollEvents = 4096;
 constexpr int kMaxFds = 4096;                    // RLIMIT_NOFILE stand-in
 constexpr std::uint64_t kMaxFileBytes = 1ull << 31; // RLIMIT_FSIZE stand-in
 
+} // namespace
+
 sim::Task<std::int64_t>
 sysOpen(Kernel &k, Process &p, const SyscallArgs &args)
 {
@@ -112,6 +114,9 @@ sysClose(Kernel &k, Process &p, const SyscallArgs &args)
     }
     co_return 0;
 }
+
+namespace
+{
 
 /** recvfrom(2) on UDP socket @p socket_id: one datagram into @p buf. */
 sim::Task<std::int64_t>
@@ -263,6 +268,8 @@ doWrite(Kernel &k, Process &p, int fd, const void *buf,
     co_return static_cast<std::int64_t>(n);
 }
 
+} // namespace
+
 sim::Task<std::int64_t>
 sysRead(Kernel &k, Process &p, const SyscallArgs &args)
 {
@@ -270,7 +277,7 @@ sysRead(Kernel &k, Process &p, const SyscallArgs &args)
 }
 
 // write() to a full pipe or TCP send buffer parks the service core
-// indefinitely; `write` is in mayBlockIndefinitely and the backend
+// indefinitely; `write`'s row has the may-block flag and the backend
 // consults the fd type (ServiceCore::mayParkIndefinitely) to decide
 // whether this particular call can actually park.
 sim::Task<std::int64_t>
@@ -942,88 +949,29 @@ sysNanosleep(Kernel &k, Process &, const SyscallArgs &args)
     co_return 0;
 }
 
-} // namespace
-
-SyscallTable::SyscallTable()
-{
-    install(sysno::read, "read", sysRead);
-    install(sysno::write, "write", sysWrite);
-    install(sysno::open, "open", sysOpen);
-    install(sysno::close, "close", sysClose);
-    install(sysno::lseek, "lseek", sysLseek);
-    install(sysno::mmap, "mmap", sysMmap);
-    install(sysno::munmap, "munmap", sysMunmap);
-    install(sysno::ioctl, "ioctl", sysIoctl);
-    install(sysno::pread64, "pread64", sysPread);
-    install(sysno::pwrite64, "pwrite64", sysPwrite);
-    install(sysno::readv, "readv", sysReadv);
-    install(sysno::writev, "writev", sysWritev);
-    install(sysno::madvise, "madvise", sysMadvise);
-    install(sysno::socket, "socket", sysSocket);
-    install(sysno::connect, "connect", sysConnect);
-    install(sysno::accept, "accept", sysAccept);
-    install(sysno::sendto, "sendto", sysSendto);
-    install(sysno::recvfrom, "recvfrom", sysRecvfrom);
-    install(sysno::sendmsg, "sendmsg", sysSendmsg);
-    install(sysno::recvmsg, "recvmsg", sysRecvmsg);
-    install(sysno::shutdown, "shutdown", sysShutdown);
-    install(sysno::bind, "bind", sysBind);
-    install(sysno::listen, "listen", sysListen);
-    install(sysno::epoll_create, "epoll_create", sysEpollCreate);
-    install(sysno::epoll_wait, "epoll_wait", sysEpollWait);
-    install(sysno::epoll_ctl, "epoll_ctl", sysEpollCtl);
-    install(sysno::getrusage, "getrusage", sysGetrusage);
-    install(sysno::pipe, "pipe", sysPipe);
-    install(sysno::dup, "dup", sysDup);
-    install(sysno::dup2, "dup2", sysDup2);
-    install(sysno::fstat, "fstat", sysFstat);
-    install(sysno::ftruncate, "ftruncate", sysFtruncate);
-    install(sysno::unlink, "unlink", sysUnlink);
-    install(sysno::getpid, "getpid", sysGetpid);
-    install(sysno::nanosleep, "nanosleep", sysNanosleep);
-    install(sysno::rt_sigqueueinfo, "rt_sigqueueinfo",
-            sysRtSigqueueinfo);
-}
-
-Role
-sysnoRole(int num)
-{
-    for (const SysnoRole &r : kSysnoRoles) {
-        if (r.num == num)
-            return r.role;
-    }
-    panic("syscall %d has no role row", num);
-}
-
-void
-SyscallTable::install(int num, std::string name, Handler handler)
-{
-    handlers_[num] = Entry{std::move(name), std::move(handler)};
-}
-
 std::string
-SyscallTable::name(int num) const
+syscallName(int num)
 {
-    auto it = handlers_.find(num);
-    return it == handlers_.end() ? logging::format("sys_%d", num)
-                                 : it->second.name;
+    const SyscallRow *row = syscallRow(num);
+    return row == nullptr ? logging::format("sys_%d", num)
+                          : std::string(row->name);
 }
 
 sim::Task<std::int64_t>
-SyscallTable::invoke(Kernel &kernel, Process &proc, int num,
-                     const SyscallArgs &args, FaultInjector *faults) const
+invokeSyscall(Kernel &kernel, Process &proc, int num,
+              const SyscallArgs &args, FaultInjector *faults)
 {
     co_await sim::Delay(kernel.sim().events(),
                         kernel.params().syscallBase);
-    auto it = handlers_.find(num);
-    if (it == handlers_.end())
+    const SyscallRow *row = syscallRow(num);
+    if (row == nullptr || !row->implemented())
         co_return -ENOSYS;
 
     if (faults != nullptr && faults->armed()) {
         // Short-transfer injection needs a count that can shrink and
         // still stay positive; everything else is count-independent.
         const std::uint64_t transfer_bytes =
-            transferSyscall(num) ? args.a[2] : 0;
+            row->transfer ? args.a[2] : 0;
         const FaultDecision d = faults->decide(num, transfer_bytes);
         switch (d.kind) {
         case FaultKind::Eintr:
@@ -1037,14 +985,13 @@ SyscallTable::invoke(Kernel &kernel, Process &proc, int num,
             const std::uint64_t keep = std::max<std::uint64_t>(
                 1, args.a[2] * d.keepPermille / 1000);
             trimmed.a[2] = keep;
-            co_return co_await it->second.handler(kernel, proc,
-                                                  trimmed);
+            co_return co_await row->handler(kernel, proc, trimmed);
         }
         default:
             break;
         }
     }
-    co_return co_await it->second.handler(kernel, proc, args);
+    co_return co_await row->handler(kernel, proc, args);
 }
 
 } // namespace genesys::osk

@@ -43,13 +43,11 @@ rulesOf(const AnalysisResult &r)
     return rules;
 }
 
-// A handler table where `ioctl` is classified non-blocking.
+// A syscall table where `ioctl` is classified non-blocking.
 const char *kTablePrologue = R"src(
-namespace osk { namespace sysno {
-inline constexpr int ioctl = 16;
-} }
-bool mayBlockIndefinitely(int n) { return false; }
-void buildTable() { install(sysno::ioctl, "ioctl", sysIoctl); }
+inline constexpr SyscallRow kRows[] = {
+    impl(16, "ioctl", ResourceControl, Producer, sysIoctl, 0),
+};
 )src";
 
 TEST(Gstat, CleanSnippetHasNoFindings)

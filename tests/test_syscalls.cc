@@ -7,10 +7,19 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cerrno>
+#include <climits>
 #include <cstring>
+#include <fstream>
+#include <map>
+#include <optional>
+#include <regex>
+#include <set>
 #include <string>
+#include <vector>
 
+#include "core/system.hh"
 #include "osk/classification.hh"
 #include "osk/devices.hh"
 #include "osk/process.hh"
@@ -28,15 +37,19 @@ class SyscallTest : public ::testing::Test
     SyscallTest() : kernel_(sim_, KernelConfig{}), proc_(&kernel_.createProcess())
     {}
 
-    /** Run one syscall to completion and return its result. */
+    /**
+     * Run one syscall to completion and return its result; with
+     * @p faultable, through the fault-injecting dispatch.
+     */
     std::int64_t
-    sys(int num, const SyscallArgs &args)
+    sys(int num, const SyscallArgs &args, bool faultable = false)
     {
         std::int64_t ret = -1;
         sim_.spawn([](Kernel &k, Process &p, int n, SyscallArgs a,
-                      std::int64_t &out) -> sim::Task<> {
-            out = co_await k.doSyscall(p, n, a);
-        }(kernel_, *proc_, num, args, ret));
+                      bool f, std::int64_t &out) -> sim::Task<> {
+            out = f ? co_await k.doSyscallFaultable(p, n, a)
+                    : co_await k.doSyscall(p, n, a);
+        }(kernel_, *proc_, num, args, faultable, ret));
         sim_.run();
         return ret;
     }
@@ -53,11 +66,134 @@ TEST_F(SyscallTest, UnknownSyscallReturnsEnosys)
 
 TEST_F(SyscallTest, TableNamesAndCount)
 {
-    EXPECT_TRUE(kernel_.syscalls().supported(sysno::pread64));
-    EXPECT_EQ(kernel_.syscalls().name(sysno::madvise), "madvise");
-    EXPECT_EQ(kernel_.syscalls().name(777), "sys_777");
-    // The paper implements 14 calls + ioctl + socket/bind plumbing.
-    EXPECT_GE(kernel_.syscalls().count(), 17u);
+    ASSERT_NE(syscallRow(sysno::pread64), nullptr);
+    EXPECT_TRUE(syscallRow(sysno::pread64)->implemented());
+    EXPECT_EQ(syscallName(sysno::madvise), "madvise");
+    EXPECT_EQ(syscallName(777), "sys_777");
+    EXPECT_EQ(syscallRow(777), nullptr);
+    EXPECT_EQ(censusCounts().implemented, 36u);
+}
+
+// Numbers at and past the ends of the array-indexed table, and a
+// census-only row: each must cost exactly syscallBase and fail -ENOSYS.
+const int kNoHandlerNumbers[] = {
+    -1, INT_MIN, static_cast<int>(syscall_rows::kIndex.size()), 9999,
+    57, // fork: a census row with no handler
+};
+
+TEST_F(SyscallTest, NumbersWithoutHandlerCostBaseAndReturnEnosys)
+{
+    ASSERT_NE(syscallRow(57), nullptr);
+    EXPECT_EQ(syscallRow(57)->name, "fork");
+    EXPECT_FALSE(syscallRow(57)->implemented());
+    EXPECT_EQ(syscallRow(kNoHandlerNumbers[2]), nullptr);
+    for (int num : kNoHandlerNumbers) {
+        for (bool faultable : {false, true}) {
+            const Tick before = sim_.now();
+            EXPECT_EQ(sys(num, {}, faultable), -ENOSYS) << num;
+            EXPECT_EQ(sim_.now() - before, kernel_.params().syscallBase)
+                << num;
+        }
+    }
+}
+
+/**
+ * Results of eight faultable getpid calls under a 50% EINTR plan,
+ * each optionally preceded by one call of every no-handler number,
+ * each of which has a scripted fault planned on its first dispatch.
+ */
+std::vector<std::int64_t>
+getpidsUnderFaults(bool with_unknowns, std::vector<std::uint64_t> *seen)
+{
+    sim::Sim sim;
+    Kernel kernel(sim, KernelConfig{});
+    Process &proc = kernel.createProcess();
+    FaultConfig cfg;
+    cfg.seed = 42;
+    cfg.eintrPpm = 500'000;
+    kernel.faults().configure(cfg);
+    for (int num : kNoHandlerNumbers)
+        kernel.faults().planFault(num, 1, {FaultKind::Errno, EPERM});
+    std::vector<std::int64_t> out;
+    sim.spawn([](Kernel &k, Process &p, bool unknowns,
+                 std::vector<std::int64_t> &results) -> sim::Task<> {
+        for (int i = 0; i < 8; ++i) {
+            if (unknowns) {
+                for (int num : kNoHandlerNumbers) {
+                    EXPECT_EQ(co_await k.doSyscallFaultable(p, num, {}),
+                              -ENOSYS)
+                        << num;
+                }
+            }
+            results.push_back(
+                co_await k.doSyscallFaultable(p, sysno::getpid, {}));
+        }
+    }(kernel, proc, with_unknowns, out));
+    sim.run();
+    if (seen != nullptr) {
+        for (int num : kNoHandlerNumbers)
+            seen->push_back(kernel.faults().invocations(num));
+    }
+    EXPECT_EQ(kernel.faults().invocations(sysno::getpid), 8u);
+    return out;
+}
+
+TEST(SyscallDispatch, NoHandlerNumbersNeverReachTheFaultInjector)
+{
+    std::vector<std::uint64_t> seen;
+    const std::vector<std::int64_t> with =
+        getpidsUnderFaults(true, &seen);
+    EXPECT_EQ(seen, std::vector<std::uint64_t>(
+                        std::size(kNoHandlerNumbers), 0u));
+    // The implemented calls get the decisions they get without the
+    // no-handler numbers in between; the plan must mix outcomes.
+    EXPECT_EQ(with, getpidsUnderFaults(false, nullptr));
+    EXPECT_NE(std::count(with.begin(), with.end(), -EINTR), 0);
+    EXPECT_NE(std::count(with.begin(), with.end(), -EINTR), 8);
+}
+
+/** One wavefront publishes fork (57) from every lane, work-item mode. */
+void
+publishForkFromEveryLane(bool rings)
+{
+    core::SystemConfig cfg;
+    cfg.gpu.numCus = 2;
+    cfg.gpu.maxWavesPerCu = 8;
+    cfg.gpu.maxWorkGroupsPerCu = 4;
+    cfg.genesys.useRings = rings;
+    core::System sys(cfg);
+    std::vector<std::int64_t> results;
+    gpu::KernelLaunch k;
+    k.workItems = 64;
+    k.wgSize = 64;
+    k.program = [&sys, &results](gpu::WavefrontCtx &ctx) -> sim::Task<> {
+        core::Invocation wi;
+        wi.granularity = core::Granularity::WorkItem;
+        wi.ordering = core::Ordering::Strong;
+        co_await sys.gpuSys().invokeWorkItems(
+            ctx, wi, 57,
+            [](std::uint32_t) {
+                return std::optional<SyscallArgs>(SyscallArgs{});
+            },
+            [&results](std::uint32_t, std::int64_t ret) {
+                results.push_back(ret);
+            });
+    };
+    sys.launchGpuAndDrain(std::move(k));
+    sys.run();
+    EXPECT_EQ(results, std::vector<std::int64_t>(64, -ENOSYS));
+    EXPECT_TRUE(sys.syscallArea().quiescent());
+    EXPECT_TRUE(sys.syscallArea().ringsIdle());
+}
+
+TEST(SyscallDispatch, WorkItemForkReturnsEnosysInSlotMode)
+{
+    publishForkFromEveryLane(false);
+}
+
+TEST(SyscallDispatch, WorkItemForkReturnsEnosysInRingMode)
+{
+    publishForkFromEveryLane(true);
 }
 
 TEST_F(SyscallTest, OpenReadClose)
@@ -382,29 +518,29 @@ TEST(Classification, TableTwoExamplesPresent)
 
 TEST(Classification, NonReadilyEntriesCarryReasons)
 {
-    for (const auto &e : syscallCensus()) {
+    for (const SyscallRow &e : kSyscallTable) {
         if (e.cls == SyscallClass::ReadilyImplementable) {
-            EXPECT_TRUE(e.reason.empty()) << e.name;
+            EXPECT_EQ(e.reason, SyscallReason::None) << e.name;
         } else {
-            EXPECT_FALSE(e.reason.empty()) << e.name;
+            EXPECT_NE(e.reason, SyscallReason::None) << e.name;
         }
-        EXPECT_FALSE(e.type.empty()) << e.name;
+        EXPECT_STRNE(typeName(e.type), "") << e.name;
     }
 }
 
 TEST(Classification, ImplementedCallsAreClassifiedReadily)
 {
     // Everything GENESYS implements must be readily-implementable.
-    const auto &census = syscallCensus();
     for (const char *n :
          {"read", "write", "pread64", "pwrite64", "open", "close",
           "lseek", "mmap", "munmap", "madvise", "getrusage",
           "rt_sigqueueinfo", "sendto", "recvfrom", "ioctl"}) {
         bool found = false;
-        for (const auto &e : census) {
+        for (const SyscallRow &e : kSyscallTable) {
             if (e.name == n) {
                 EXPECT_EQ(e.cls, SyscallClass::ReadilyImplementable)
                     << n;
+                EXPECT_TRUE(e.implemented()) << n;
                 found = true;
             }
         }
@@ -414,10 +550,40 @@ TEST(Classification, ImplementedCallsAreClassifiedReadily)
 
 TEST(Classification, NoDuplicateNames)
 {
-    std::set<std::string> names;
-    for (const auto &e : syscallCensus())
+    std::set<std::string_view> names;
+    std::set<int> numbers;
+    for (const SyscallRow &e : kSyscallTable) {
         EXPECT_TRUE(names.insert(e.name).second)
             << "duplicate " << e.name;
+        EXPECT_TRUE(numbers.insert(e.num).second)
+            << "duplicate number " << e.num << " (" << e.name << ")";
+        ASSERT_NE(syscallRow(e.num), nullptr) << e.name;
+        EXPECT_EQ(syscallRow(e.num)->name, e.name);
+    }
+}
+
+TEST(Classification, NumbersMatchTheHostKernelAbi)
+{
+#ifdef GENESYS_UNISTD_64_H
+    std::ifstream in(GENESYS_UNISTD_64_H);
+    ASSERT_TRUE(in) << GENESYS_UNISTD_64_H;
+    const std::regex define(R"(#define __NR_(\w+)\s+(\d+))");
+    std::map<std::string, int, std::less<>> abi;
+    for (std::string line; std::getline(in, line);) {
+        std::smatch m;
+        if (std::regex_search(line, m, define))
+            abi[m[1].str()] = std::stoi(m[2].str());
+    }
+    ASSERT_GE(abi.size(), kSyscallTable.size());
+    for (const SyscallRow &e : kSyscallTable) {
+        const auto it = abi.find(e.name);
+        ASSERT_NE(it, abi.end()) << e.name << " is not in the host ABI";
+        EXPECT_EQ(e.num, it->second) << e.name;
+    }
+#else
+    GTEST_SKIP() << "CMake found no x86-64 <asm/unistd_64.h> to check "
+                    "the table's numbers against";
+#endif
 }
 
 } // namespace
