@@ -45,13 +45,15 @@ main()
     std::map<std::string, std::pair<std::string, std::string>> by_type;
     for (const auto &e : hw) {
         auto &[names, reason] = by_type[typeName(e.type)];
+        reason = reasonText(e.reason);
+        if (names.ends_with("..."))
+            continue; // already elided
         if (!names.empty())
             names += ", ";
         if (names.size() < 48)
             names += e.name;
-        else if (names.back() != '.')
+        else
             names += "...";
-        reason = reasonText(e.reason);
     }
     for (const auto &[type, v] : by_type)
         examples.addRow({type, v.first, v.second});

@@ -104,13 +104,6 @@ collectOpaqueClasses(Program &prog)
 AnalysisResult
 analyzeSources(const std::vector<SourceFile> &sources)
 {
-    return analyzeSources(sources, PassSet{});
-}
-
-AnalysisResult
-analyzeSources(const std::vector<SourceFile> &sources,
-               const PassSet &ps)
-{
     Program prog;
     prog.files.reserve(sources.size());
     for (const SourceFile &s : sources)
@@ -120,7 +113,7 @@ analyzeSources(const std::vector<SourceFile> &sources,
     collectOpaqueClasses(prog);
     indexFunctions(prog);
 
-    std::vector<Finding> all = runPasses(prog, ps);
+    std::vector<Finding> all = runAllPasses(prog);
 
     std::map<std::string, const LexedFile *> byPath;
     for (const LexedFile &f : prog.files)

@@ -15,7 +15,6 @@
 #include <vector>
 
 #include "analysis/model.hh"
-#include "analysis/passes.hh"
 
 namespace genesys::analysis
 {
@@ -37,18 +36,13 @@ struct AnalysisResult
 /** Lex + extract + run all passes + apply allow() suppressions. */
 AnalysisResult analyzeSources(const std::vector<SourceFile> &sources);
 
-/** Same, restricted to the selected passes. */
-AnalysisResult analyzeSources(const std::vector<SourceFile> &sources,
-                              const PassSet &ps);
-
 /** Recursively collect .hh/.cc files under @p root, sorted by path.
  *  Returns false (and sets @p err) when the root is unreadable. */
 bool loadTree(const std::string &root, std::vector<SourceFile> &out,
               std::string &err);
 
-/** Seeded-defect corpus; prints per-case results. Returns 0 on pass.
- *  With @p flowOnly, runs only the gflow ("flow-") cases. */
-int runSelfTest(bool flowOnly = false);
+/** Seeded-defect corpus; prints per-case results. Returns 0 on pass. */
+int runSelfTest();
 
 } // namespace genesys::analysis
 

@@ -594,9 +594,8 @@ class FileExtractor
 
     /**
      * Scan a function body starting at its '{' (index @p lbrace).
-     * Records call sites, lock events, lambdas (recursively), sysno
-     * refs, raw counters and entries_ accesses into function
-     * @p funcIdx. Returns the index of the matching '}'.
+     * Records call sites, lock events, lambdas (recursively) and
+     * entries_ accesses into function @p funcIdx. Returns the index of the matching '}'.
      */
     std::size_t
     scanBody(std::size_t lbrace, std::size_t limit, int funcIdx,
@@ -728,10 +727,12 @@ class FileExtractor
                 continue;
             }
             if (isPunct(t, "[")) {
-                // Lambda introducer iff not a subscript.
+                // Lambda introducer iff not a subscript (a keyword,
+                // as in `return [x] {...}`, introduces a lambda).
                 const Token &prev = toks_[i - 1];
                 const bool subscript =
-                    isIdent(prev) || prev.kind == TokKind::Number ||
+                    (isIdent(prev) && keywords().count(prev.text) == 0) ||
+                    prev.kind == TokKind::Number ||
                     isPunct(prev, ")") || isPunct(prev, "]");
                 if (!subscript &&
                     !(i + 1 < limit && isPunct(toks_[i + 1], "["))) {
@@ -747,12 +748,6 @@ class FileExtractor
             if (!isIdent(t))
                 continue;
 
-            // Raw ring counters.
-            if (t.text == "headRaw_" || t.text == "tailRaw_" ||
-                t.text == "claimedRaw_") {
-                fn().rawCounters.push_back({t.text, t.line});
-                continue;
-            }
             // entries_[...] read/write.
             if (t.text == "entries_" && i + 1 < limit &&
                 isPunct(toks_[i + 1], "[")) {
@@ -927,6 +922,7 @@ class FileExtractor
         fn.bodyBegin = j;
         fn.parent = parentIdx;
         fn.isLambda = true;
+        fn.introducer = i;
         fn.deferred = deferredCtx;
         prog_.functions.push_back(std::move(fn));
         std::size_t end = scanBody(j, limit, funcIdx, ownerQual);

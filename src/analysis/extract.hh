@@ -17,9 +17,7 @@
  *  - lock events: `std::lock_guard/unique_lock/scoped_lock` guards
  *    (block-scoped) and manual `x.lock()/x.unlock()` (function-scoped),
  *    with member locks qualified by the enclosing class;
- *  - `sysno::name` references, raw ring-counter tokens, and
- *    `entries_[...]` accesses (read vs write) for the classification
- *    and ordering passes.
+ *  - `entries_[...]` accesses (read vs write) for the ordering pass.
  *
  * Known soundness limits (documented in DESIGN.md §14): resolution is
  * name-based, operator overloads and function pointers are not modeled,

@@ -83,13 +83,6 @@ struct LockEvent
     bool atomicGroup = false;
 };
 
-/** A raw ring-counter token (headRaw_/tailRaw_/claimedRaw_). */
-struct RawCounterUse
-{
-    std::string counter;
-    int line = 0;
-};
-
 /** An `entries_[...]` access, classified read vs write. */
 struct EntriesAccess
 {
@@ -109,6 +102,7 @@ struct Function
     std::size_t bodyEnd = 0;   ///< token index of matching '}'
     int parent = -1;       ///< enclosing function for lambdas
     bool isLambda = false;
+    std::size_t introducer = 0; ///< lambdas: token index of the '['
     /// Lambda handed to a deferral sink: calls inside it are NOT
     /// synchronous work of the parent.
     bool deferred = false;
@@ -123,7 +117,6 @@ struct Function
 
     std::vector<CallSite> calls;
     std::vector<LockEvent> lockEvents;
-    std::vector<RawCounterUse> rawCounters;
     std::vector<EntriesAccess> entriesAccesses;
 };
 

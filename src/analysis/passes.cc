@@ -4,6 +4,7 @@
 #include <map>
 #include <set>
 #include <sstream>
+#include <string_view>
 
 #include "analysis/flowpasses.hh"
 
@@ -297,6 +298,302 @@ runLockOrderPass(CallGraph &cg)
     return findings;
 }
 
+namespace
+{
+
+// ---- pass 3: token rules ----------------------------------------------
+
+/// Does @p path name the tree file @p file ("core/slot.cc")? True for
+/// the file itself and for any root in front of it ("src/core/slot.cc",
+/// "/abs/src/core/slot.cc"), so the verdict does not depend on the root.
+bool
+isFile(const std::string &path, std::string_view file)
+{
+    return path == file ||
+           (path.size() > file.size() && path.ends_with(file) &&
+            path[path.size() - file.size() - 1] == '/');
+}
+
+bool
+isAnyFile(const std::string &path,
+          std::initializer_list<std::string_view> files)
+{
+    return std::any_of(files.begin(), files.end(),
+                       [&path](std::string_view f) {
+                           return isFile(path, f);
+                       });
+}
+
+/// Token @p k exists, is code (not a literal), and spells @p text.
+bool
+tokIs(const std::vector<Token> &toks, std::size_t k, std::string_view text)
+{
+    return k < toks.size() && toks[k].kind != TokKind::String &&
+           toks[k].kind != TokKind::CharLit && toks[k].text == text;
+}
+
+/// Names declared `unordered_{map,set,multimap,multiset}<...> name`
+/// followed by `;`, `=`, `{` or `(`.
+std::set<std::string>
+unorderedNames(const LexedFile &file)
+{
+    const auto &toks = file.tokens;
+    std::set<std::string> names;
+    for (std::size_t i = 0; i < toks.size(); ++i) {
+        const std::string &t = toks[i].text;
+        if (toks[i].kind != TokKind::Ident ||
+            (t != "unordered_map" && t != "unordered_set" &&
+             t != "unordered_multimap" && t != "unordered_multiset") ||
+            !tokIs(toks, i + 1, "<"))
+            continue;
+        std::size_t j = i + 1;
+        for (int depth = 0; j < toks.size(); ++j) {
+            if (tokIs(toks, j, "<"))
+                ++depth;
+            else if (tokIs(toks, j, ">") && --depth == 0)
+                break;
+            else if (tokIs(toks, j, ";") || tokIs(toks, j, "{") ||
+                     tokIs(toks, j, "(") || tokIs(toks, j, ")"))
+                break;
+        }
+        if (tokIs(toks, j, ">") && j + 2 < toks.size() &&
+            toks[j + 1].kind == TokKind::Ident &&
+            (tokIs(toks, j + 2, ";") || tokIs(toks, j + 2, "=") ||
+             tokIs(toks, j + 2, "{") || tokIs(toks, j + 2, "(")))
+            names.insert(toks[j + 1].text);
+    }
+    return names;
+}
+
+/// The range of a range-for starting at `for` (@p i): the NAME of
+/// `for (decl : NAME)` or `for (decl : x.NAME)` / `x->NAME`; "" for
+/// any other loop.
+std::string
+rangeForTarget(const std::vector<Token> &toks, std::size_t i)
+{
+    if (!tokIs(toks, i + 1, "("))
+        return "";
+    std::size_t k = i + 2;
+    while (k < toks.size() && !tokIs(toks, k, ":")) {
+        if (tokIs(toks, k, ";") || tokIs(toks, k, "(") ||
+            tokIs(toks, k, ")"))
+            return "";
+        ++k;
+    }
+    ++k;
+    if (k + 1 < toks.size() && toks[k].kind == TokKind::Ident &&
+        (tokIs(toks, k + 1, ".") || tokIs(toks, k + 1, "->")))
+        k += 2;
+    if (k < toks.size() && toks[k].kind == TokKind::Ident &&
+        tokIs(toks, k + 1, ")"))
+        return toks[k].text;
+    return "";
+}
+
+/// Owning captures of the lambda whose '[' is token @p b: every
+/// top-level capture that is neither by-reference nor `this`.
+std::vector<std::string>
+owningCaptures(const std::vector<Token> &toks, std::size_t b)
+{
+    std::vector<std::string> owning;
+    std::string cur;
+    int depth = 0;
+    for (std::size_t k = b + 1; k < toks.size(); ++k) {
+        const std::string &t = toks[k].text;
+        const bool code = toks[k].kind == TokKind::Punct;
+        if (code && depth == 0 && (t == "," || t == "]")) {
+            if (!cur.empty() && cur[0] != '&' && cur != "this")
+                owning.push_back(cur);
+            cur.clear();
+            if (t == "]")
+                break;
+            continue;
+        }
+        if (code && (t == "<" || t == "(" || t == "[" || t == "{"))
+            ++depth;
+        else if (code && (t == ">" || t == ")" || t == "]" || t == "}"))
+            --depth;
+        cur += t;
+    }
+    return owning;
+}
+
+/// The token that ends the co_await full-expression starting at token
+/// @p i: the first `;` or `,` at the keyword's own depth, or a closing
+/// bracket below it.
+std::size_t
+coawaitEnd(const std::vector<Token> &toks, std::size_t i)
+{
+    int depth = 0;
+    std::size_t k = i + 1;
+    for (; k < toks.size(); ++k) {
+        if (toks[k].kind != TokKind::Punct)
+            continue;
+        const std::string &t = toks[k].text;
+        if (t == "(" || t == "[" || t == "{")
+            ++depth;
+        else if ((t == ")" || t == "]" || t == "}") && --depth < 0)
+            break;
+        else if ((t == ";" || t == ",") && depth == 0)
+            break;
+    }
+    return k;
+}
+
+/// The token rules (DESIGN.md §11), over every token of every file.
+/// A rule reports a line at most once.
+void
+runTokenRules(const Program &prog, std::vector<Finding> &findings)
+{
+    std::map<std::string, std::set<std::string>> unordered;
+    for (const LexedFile &file : prog.files)
+        unordered[file.path] = unorderedNames(file);
+    // Lambda introducers as the extractor recognized them, per file.
+    std::vector<std::vector<std::size_t>> lambdas(prog.files.size());
+    for (const Function &f : prog.functions)
+        if (f.isLambda)
+            lambdas[static_cast<std::size_t>(f.fileIndex)].push_back(
+                f.introducer);
+
+    for (std::size_t fi = 0; fi < prog.files.size(); ++fi) {
+        const LexedFile &file = prog.files[fi];
+        const std::vector<Token> &toks = file.tokens;
+        std::set<std::pair<int, std::string>> reported;
+        auto add = [&](int line, const char *rule, std::string message) {
+            if (!reported.emplace(line, rule).second)
+                return;
+            Finding fd;
+            fd.path = file.path;
+            fd.line = line;
+            fd.rule = rule;
+            fd.message = std::move(message);
+            findings.push_back(std::move(fd));
+        };
+
+        // A name declared unordered in this file or in its paired
+        // header/source (same stem): `slots_` being a vector in
+        // core/slot.hh must not inherit gsan.hh's unordered `slots_`.
+        std::set<std::string> names = unordered[file.path];
+        const std::size_t dot = file.path.rfind('.');
+        const std::string pair =
+            file.path.substr(0, dot) +
+            (file.path.ends_with(".hh") ? ".cc" : ".hh");
+        if (auto it = unordered.find(pair); it != unordered.end())
+            names.insert(it->second.begin(), it->second.end());
+
+        const bool fsmFile =
+            isAnyFile(file.path, {"core/slot.cc", "core/slot.hh"});
+        const bool doorbellFile = isAnyFile(
+            file.path, {"gpu/gpu.cc", "gpu/gpu.hh", "core/client.cc"});
+        // The audited direct consumers of the zero-copy segment loan:
+        // the implementation, the recvmsg(MSG_ZEROCOPY) syscall layer
+        // that parks loans on the OpenFile and retires them on the
+        // next call, and the gkv load generator, whose parse finishes
+        // before its next drain.
+        const bool loanFile =
+            isAnyFile(file.path, {"osk/tcp.hh", "osk/tcp.cc",
+                                  "osk/syscalls.cc", "workloads/gkv.cc"});
+        const bool ringFile = isFile(file.path, "core/ring.hh");
+
+        for (std::size_t i = 0; i < toks.size(); ++i) {
+            if (toks[i].kind != TokKind::Ident)
+                continue;
+            const std::string &t = toks[i].text;
+            const int line = toks[i].line;
+            if (t == "state_" && !fsmFile && tokIs(toks, i + 1, "=") &&
+                !tokIs(toks, i + 2, "="))
+                add(line, "slot-state",
+                    "slot state words may be mutated only via the FSM "
+                    "transition API in core/slot.cc");
+            if (t == "sendInterrupt" && !doorbellFile &&
+                tokIs(toks, i + 1, "("))
+                add(line, "doorbell-callers",
+                    "the doorbell is rung only by the device and the "
+                    "client issue path (gpu/gpu.*, core/client.cc)");
+            if (t == "readSegments" && !loanFile &&
+                tokIs(toks, i + 1, "("))
+                add(line, "segment-loan",
+                    "readSegments hands out loaned NetSegs whose "
+                    "lifetime the caller must manage by hand; only the "
+                    "audited zero-copy paths (osk/tcp.*, "
+                    "osk/syscalls.cc, workloads/gkv.cc) may call it; "
+                    "use recvmsg(MSG_ZEROCOPY), which retires its "
+                    "loans on the next call");
+            if ((t == "headRaw_" || t == "tailRaw_" ||
+                 t == "claimedRaw_") &&
+                !ringFile)
+                add(line, "raw-counter-access",
+                    "raw ring counter " + t +
+                        " outside core/ring.hh; go through its "
+                        "acquire/release accessors (loadHeadAcquire / "
+                        "storeTailRelease / ...)");
+            // time(), time(NULL), time(nullptr), time(0).
+            const bool timeCall =
+                t == "time" && tokIs(toks, i + 1, "(") &&
+                (tokIs(toks, i + 2, ")") ||
+                 ((tokIs(toks, i + 2, "NULL") ||
+                   tokIs(toks, i + 2, "nullptr") ||
+                   tokIs(toks, i + 2, "0")) &&
+                  tokIs(toks, i + 3, ")")));
+            if ((t == "chrono" && i >= 2 && tokIs(toks, i - 2, "std") &&
+                 tokIs(toks, i - 1, "::")) ||
+                t == "steady_clock" || t == "system_clock" ||
+                ((t == "clock_gettime" || t == "gettimeofday") &&
+                 tokIs(toks, i + 1, "(")) ||
+                timeCall)
+                add(line, "wall-clock",
+                    "wall-clock time source in simulated code; modeled "
+                    "time comes from sim::EventQueue::now()");
+            if ((t == "rand" && tokIs(toks, i + 1, "(") &&
+                 tokIs(toks, i + 2, ")")) ||
+                (t == "srand" && tokIs(toks, i + 1, "(")) ||
+                t == "random_device")
+                add(line, "raw-rand",
+                    "unseeded randomness; use the seeded "
+                    "support/random.hh PRNG");
+            std::string iterated; // `for (x : NAME)` or `NAME.begin()`
+            if (t == "for")
+                iterated = rangeForTarget(toks, i);
+            else if (tokIs(toks, i + 1, ".") &&
+                     (tokIs(toks, i + 2, "begin") ||
+                      tokIs(toks, i + 2, "cbegin")) &&
+                     tokIs(toks, i + 3, "("))
+                iterated = t;
+            if (!iterated.empty() && names.count(iterated) != 0)
+                add(line, "unordered-iteration",
+                    "iterating '" + iterated +
+                        "' (std::unordered_*): order is "
+                        "implementation-defined; use an ordered "
+                        "container or sort first");
+            if (t != "co_await")
+                continue;
+            const std::size_t end = coawaitEnd(toks, i);
+            for (const std::size_t b : lambdas[fi]) {
+                if (b <= i || b >= end)
+                    continue;
+                const std::vector<std::string> owning =
+                    owningCaptures(toks, b);
+                if (owning.empty())
+                    continue;
+                std::string list;
+                for (const std::string &c : owning) {
+                    if (!list.empty())
+                        list += ", ";
+                    list += c;
+                }
+                add(toks[b].line, "coawait-owning-lambda",
+                    "lambda with owning capture(s) [" + list +
+                        "] inside a co_await full-expression is "
+                        "double-destroyed by GCC 12's coroutine "
+                        "lowering; hoist it into a named local and "
+                        "std::move it");
+            }
+        }
+    }
+}
+
+} // namespace
+
 std::vector<Finding>
 runOrderingPass(const Program &prog)
 {
@@ -305,11 +602,6 @@ runOrderingPass(const Program &prog)
     const std::set<std::string> annotationImpls = {
         "ringPublish", "ringConsume", "ringConsumeRacy", "ringObserve",
         "ringDoorbell"};
-
-    auto endsWith = [](const std::string &s, const std::string &suf) {
-        return s.size() >= suf.size() &&
-               s.compare(s.size() - suf.size(), suf.size(), suf) == 0;
-    };
 
     std::vector<Finding> findings;
     for (const Function &f : prog.functions) {
@@ -414,26 +706,13 @@ runOrderingPass(const Program &prog)
                          "annotation in the same body";
             findings.push_back(std::move(fd));
         }
-
-        if (!endsWith(file.path, "core/ring.hh")) {
-            for (const RawCounterUse &u : f.rawCounters) {
-                Finding fd;
-                fd.path = file.path;
-                fd.line = u.line;
-                fd.rule = "raw-counter-access";
-                fd.message =
-                    "raw ring counter " + u.counter + " accessed in " +
-                    f.qualName +
-                    "; only core/ring.hh accessors may touch it";
-                findings.push_back(std::move(fd));
-            }
-        }
     }
+    runTokenRules(prog, findings);
     return findings;
 }
 
 std::vector<Finding>
-runPasses(const Program &prog, const PassSet &ps)
+runAllPasses(const Program &prog)
 {
     CallGraph cg(prog);
     std::vector<Finding> findings;
@@ -442,24 +721,13 @@ runPasses(const Program &prog, const PassSet &ps)
                         std::make_move_iterator(more.begin()),
                         std::make_move_iterator(more.end()));
     };
-    if (ps.mayPark)
-        append(runMayParkPass(cg));
-    if (ps.lockOrder)
-        append(runLockOrderPass(cg));
-    if (ps.ordering)
-        append(runOrderingPass(prog));
-    if (ps.ownership)
-        append(runOwnershipPass(cg));
-    if (ps.taint)
-        append(runTaintPass(cg));
+    append(runMayParkPass(cg));
+    append(runLockOrderPass(cg));
+    append(runOrderingPass(prog));
+    append(runOwnershipPass(cg));
+    append(runTaintPass(cg));
     sortFindings(findings);
     return findings;
-}
-
-std::vector<Finding>
-runAllPasses(const Program &prog)
-{
-    return runPasses(prog, PassSet{});
 }
 
 } // namespace genesys::analysis

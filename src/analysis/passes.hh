@@ -2,7 +2,7 @@
  * @file
  * gstat's structural analysis passes (DESIGN.md §14). The two gflow
  * dataflow passes (ownership, GPU taint — DESIGN.md §16) are declared
- * in flowpasses.hh and selected through the same PassSet.
+ * in flowpasses.hh; runAllPasses runs all five.
  *
  * 1. May-park (`nonblocking-handler-parks`, `drain-loop-park`,
  *    `park-under-lock`): transitive reachability to parking primitives
@@ -32,8 +32,18 @@
  *    `storeHeadRelease(loadHeadAcquire() + 1)`); a gsan ring
  *    annotation must sit next to the counter operation it models;
  *    an `entries_[...]` read needs a `ringConsume()` acquire in the
- *    same body; raw counter members are only touched inside
- *    core/ring.hh.
+ *    same body. The same group runs the token rules over every token
+ *    of every file (DESIGN.md §11): raw counter members are touched
+ *    only inside core/ring.hh (`raw-counter-access`); slot state
+ *    words are written only by the FSM in core/slot.* (`slot-state`);
+ *    the doorbell rings only from gpu/gpu.* and core/client.cc
+ *    (`doorbell-callers`); zero-copy loans are taken only on the
+ *    audited paths (`segment-loan`); no iteration over an
+ *    std::unordered_* container (`unordered-iteration`); no wall
+ *    clock and no unseeded randomness (`wall-clock`, `raw-rand`);
+ *    and no lambda with owning captures inside a co_await
+ *    full-expression (`coawait-owning-lambda`). File allowlists match
+ *    by path suffix, so the verdict does not depend on the root.
  */
 
 #ifndef GENESYS_ANALYSIS_PASSES_HH
@@ -50,20 +60,6 @@ namespace genesys::analysis
 std::vector<Finding> runMayParkPass(CallGraph &cg);
 std::vector<Finding> runLockOrderPass(CallGraph &cg);
 std::vector<Finding> runOrderingPass(const Program &prog);
-
-/** Pass selection for runPasses. Defaults to everything. The gflow
- *  passes (DESIGN.md §16) live in flowpasses.cc. */
-struct PassSet
-{
-    bool mayPark = true;
-    bool lockOrder = true;
-    bool ordering = true;
-    bool ownership = true;
-    bool taint = true;
-};
-
-/** Run the selected passes, sorted for stable output. */
-std::vector<Finding> runPasses(const Program &prog, const PassSet &ps);
 
 /** All passes, sorted for stable output. */
 std::vector<Finding> runAllPasses(const Program &prog);

@@ -409,6 +409,195 @@ touchRaw(Ring &r)
           {"unpaired-release", 1},
           {"raw-counter-access", 1}}});
 
+    // ---- token rules (DESIGN.md §11) ---------------------------------
+    // Allowlists match by path suffix: "src/core/slot.cc" is the FSM's
+    // own file under any root.
+    cases.push_back(
+        {"raw-counter-anywhere",
+         {{"src/core/ring.hh", R"src(
+struct SyscallRing
+{
+    std::uint64_t headRaw_ = 0;
+    std::uint64_t loadHeadAcquire() const { return headRaw_; } // negative
+};
+)src"},
+          {"src/core/client.cc", R"src(
+// reads headRaw_ via loadHeadAcquire()
+constexpr auto kTailAt = offsetof(SyscallRing, tailRaw_); // seeded defect
+void
+advance(SyscallRing &r)
+{
+    r.storeTailRelease(r.loadHeadAcquire() + 1); // negative: accessors
+}
+)src"},
+          {"src/core/backend/service_core.cc", R"src(
+bool
+drained(const SyscallRing &r)
+{
+    return r.headRaw_ == r.claimedRaw_; // seeded defect: one per line
+}
+)src"}},
+         {{"raw-counter-access", 2}}});
+
+    cases.push_back(
+        {"slot-state",
+         {{"src/core/client.cc", R"src(
+void
+publish(SyscallSlot &slot)
+{
+    slot.state_ = SlotState::Ready; // seeded defect: bypasses the FSM
+}
+
+bool
+ready(const SyscallSlot &slot)
+{
+    return slot.state_ == SlotState::Ready; // negative: a compare
+}
+)src"},
+          {"src/core/slot.cc", R"src(
+void
+SyscallSlot::transition(SlotState to)
+{
+    state_ = to; // negative: the FSM itself
+}
+)src"}},
+         {{"slot-state", 1}}});
+
+    cases.push_back(
+        {"doorbell-callers",
+         {{"src/osk/workqueue.cc", R"src(
+void
+kick(GpuDevice &gpu)
+{
+    gpu.sendInterrupt(3); // seeded defect: host side rings the doorbell
+}
+)src"},
+          {"src/core/client.cc", R"src(
+void
+GpuSyscalls::ring()
+{
+    gpu_.sendInterrupt(3); // negative: the client issue path
+}
+)src"}},
+         {{"doorbell-callers", 1}}});
+
+    cases.push_back(
+        {"unordered-iteration",
+         {{"src/core/x.cc", R"src(
+std::unordered_map<int, int> seen_;
+std::vector<int> v_;
+void walk() { for (auto &kv : seen_) { use(kv); } } // seeded defect
+bool has() { return seen_.contains(3); }            // negative: lookup
+void each() { for (int x : v_) use(x); }            // negative: vector
+)src"},
+          {"src/core/pair.hh", R"src(
+struct Pair
+{
+    std::unordered_set<int> live_;
+};
+)src"},
+          {"src/core/pair.cc", R"src(
+auto first(Pair &p) { return p.live_.begin(); } // seeded defect: header's
+)src"},
+          {"src/core/other.cc", R"src(
+std::vector<int> live_;
+auto first() { return live_.begin(); } // negative: not paired with pair.hh
+)src"}},
+         {{"unordered-iteration", 2}}});
+
+    cases.push_back(
+        {"wall-clock",
+         {{"src/sim/x.cc", R"src(
+auto a = std::chrono::steady_clock::now(); // seeded defect: once a line
+auto b = time(nullptr);                    // seeded defect
+auto c = resumeTime(3);                    // negative: modeled accessor
+)src"}},
+         {{"wall-clock", 2}}});
+
+    cases.push_back(
+        {"raw-rand",
+         {{"src/osk/x.cc", R"src(
+int r = rand();       // seeded defect
+std::random_device rd; // seeded defect
+support::Xoshiro rng(seed);
+auto n = rng.next();   // negative: the seeded PRNG
+)src"}},
+         {{"raw-rand", 2}}});
+
+    cases.push_back(
+        {"coawait-owning-lambda",
+         {{"src/core/x.cc", R"src(
+sim::Task<>
+owning()
+{
+    co_await g([shared](int x) { shared->v = x; }); // seeded defect
+}
+
+sim::Task<>
+initCapture()
+{
+    co_await g([p = std::move(q)](int x) { p->v = x; }); // seeded defect
+}
+
+sim::Task<>
+immediate()
+{
+    co_await [shared]() -> sim::Task<> { use(shared); }(); // seeded defect
+}
+
+sim::Task<>
+byReference()
+{
+    co_await g([&](int x) { use(x); }); // negative
+}
+
+sim::Task<>
+hoisted()
+{
+    std::function<void(int)> cb = [shared](int x) { shared->v = x; };
+    co_await g(std::move(cb)); // negative: a named local
+}
+
+sim::Task<>
+subscript()
+{
+    co_await g(table[idx](3)); // negative: not a lambda
+}
+)src"}},
+         {{"coawait-owning-lambda", 3}}});
+
+    cases.push_back(
+        {"segment-loan",
+         {{"src/core/x.cc", R"src(
+// drained via readSegments(out, 8, false)
+sim::Task<>
+drain(osk::TcpSocket *s, OpenFile *file)
+{
+    std::vector<osk::NetSeg> segs(8);
+    co_await s->readSegments(segs.data(), 8, false); // seeded defect
+    file->loanedSegs = std::move(segs);
+}
+)src"},
+          {"src/osk/syscalls.cc", R"src(
+sim::Task<>
+drain(osk::TcpSocket *s, OpenFile *file)
+{
+    std::vector<osk::NetSeg> segs(8);
+    co_await s->readSegments(segs.data(), 8, true); // negative: audited path
+    file->loanedSegs = std::move(segs);
+}
+)src"},
+          {"src/workloads/gkv.cc", R"src(
+sim::Task<>
+drain(osk::TcpSocket *s, OpenFile *file)
+{
+    std::vector<osk::NetSeg> segs(8);
+    co_await s->readSegments(segs.data(), 8, false); // negative: audited path
+    file->loanedSegs = std::move(segs);
+}
+)src"}},
+         {{"segment-loan", 1}}});
+
     // ---- suppressions -----------------------------------------------
     cases.push_back(
         {"suppressions",
@@ -430,15 +619,33 @@ struct Far
     //
     void resetTail() { storeTailRelease(0); } // allow is out of range
 };
+
+int r = rand(); // gstat: allow(raw-rand)
+auto h = r.headRaw_; // gstat: allow(raw-counter-access)
+sim::Task<>
+drain(osk::TcpSocket *s, OpenFile *file)
+{
+    std::vector<osk::NetSeg> segs(8);
+    co_await s->readSegments(segs.data(), 8, false); // gstat: allow(segment-loan)
+    file->loanedSegs = std::move(segs);
+}
 )src"}},
          {{"unpaired-release", 1}},
-         1});
+         4});
 
     // ---- raw string literals must not desync the lexer --------------
     cases.push_back(
         {"raw-string-literals",
          {{"corpus/rawstring.cc", R"src(
 const char *kScript = R"(storeTailRelease(99); " stray quote ' )";
+// calls sendInterrupt() and rand() at time(nullptr)
+const char *kNames[] = {"gettimeofday", "clock_gettime"};
+const char *kRaw = R"(calls rand() at time(nullptr))";
+const char *kQuoted = R"(a "quoted" word)"; int r1 = rand(); // seeded
+const char *kDelim = R"x(ends with )" but not here)x";
+int r2 = rand(); // seeded defect: the custom delimiter closed
+auto s = u8R"(state_ = "fake")"; auto t = LR"(srand(7))";
+void tag() { LOG_ERROR"tag"; int r3 = rand(); } // seeded: not raw
 
 struct Q
 {
@@ -450,7 +657,7 @@ struct Q
     }
 };
 )src"}},
-         {{"unpaired-release", 1}}});
+         {{"unpaired-release", 1}, {"raw-rand", 3}}});
 
     // ---- gflow: fd lifecycle ----------------------------------------
     cases.push_back(
@@ -572,9 +779,10 @@ completedSlot(SyscallSlot &slot, bool fail)
          {{"must-release-slot", 1}}});
 
     // ---- gflow: zero-copy segment loans -----------------------------
+    // At the syscall layer's path: an audited segment-loan caller.
     cases.push_back(
         {"flow-netseg-loan",
-         {{"corpus/flow_netseg.cc", R"src(
+         {{"corpus/osk/syscalls.cc", R"src(
 sim::Task<long>
 loanDropped(TcpSocket *sock, OpenFile *file)
 {
@@ -818,17 +1026,12 @@ runCase(const CorpusCase &c)
 } // namespace
 
 int
-runSelfTest(bool flowOnly)
+runSelfTest()
 {
     int failures = 0;
     int defects = 0;
-    std::size_t ran = 0;
     const std::vector<CorpusCase> corpus = buildCorpus();
     for (const CorpusCase &c : corpus) {
-        if (flowOnly &&
-            std::string(c.name).compare(0, 5, "flow-") != 0)
-            continue;
-        ++ran;
         if (!runCase(c))
             ++failures;
         for (const Expect &e : c.expects)
@@ -836,7 +1039,7 @@ runSelfTest(bool flowOnly)
     }
     std::printf("gstat self-test: %zu cases, %d seeded defects, "
                 "%d failure(s)\n",
-                ran, defects, failures);
+                corpus.size(), defects, failures);
     return failures == 0 ? 0 : 1;
 }
 

@@ -135,7 +135,7 @@ runWave(System &sys, const McConfig mc,
     // bitwise copy of the closure feeds the std::function conversion,
     // then both frame slots are destroyed), silently dropping a
     // shared_ptr reference. gmc's schedule-invariance oracle found
-    // this as a "divergence" on the clean work-item config; glint's
+    // this as a "divergence" on the clean work-item config; gstat's
     // coawait-owning-lambda rule now guards the pattern tree-wide.
     std::function<std::optional<osk::SyscallArgs>(std::uint32_t)>
         laneArgs = [&](std::uint32_t lane) {

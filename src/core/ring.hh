@@ -27,7 +27,7 @@
  *
  * The raw counters are touched only through the load/store accessor
  * helpers below; every protocol method and every out-of-class user
- * goes through them (enforced tree-wide by glint's ring-raw-counter
+ * goes through them (enforced tree-wide by gstat's raw-counter-access
  * rule), so each access carries its ordering annotation in its name.
  */
 
@@ -54,8 +54,8 @@ class SyscallRing
     std::uint32_t capacity() const { return capacity_; }
 
     // ---- counter accessors ----------------------------------------
-    // The ONLY sanctioned access to the raw counters (glint:
-    // ring-raw-counter). The simulator is single-threaded, so the
+    // The ONLY sanctioned access to the raw counters (gstat:
+    // raw-counter-access). The simulator is single-threaded, so the
     // acquire/release names document the modeled hardware ordering
     // rather than emit fences.
     std::uint64_t loadHeadAcquire() const { return headRaw_; }

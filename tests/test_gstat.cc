@@ -8,11 +8,13 @@
  * resolution-hygiene mechanisms (noreturn terminators, explicit
  * qualifiers, opaque API-boundary classes, arity-refined resolution,
  * sign-context pruning) that keep the real tree free of false park
- * chains.
+ * chains, and the real tree itself: clean, and caught when mutated,
+ * under a relative and an absolute root.
  */
 
 #include "analysis/analyzer.hh"
 
+#include <algorithm>
 #include <string>
 #include <vector>
 
@@ -29,9 +31,9 @@ using genesys::analysis::loadTree;
 using genesys::analysis::runSelfTest;
 
 AnalysisResult
-analyze(const std::string &text)
+analyze(const std::string &text, const std::string &path = "t/x.cc")
 {
-    return analyzeSources({{"t/x.cc", text}});
+    return analyzeSources({{path, text}});
 }
 
 std::vector<std::string>
@@ -257,6 +259,44 @@ TEST(Gstat, LoadTreeRejectsMissingRoot)
     EXPECT_FALSE(err.empty());
 }
 
+// The real tree, analyzed in memory under the relative root CI passes
+// ("src") and under the absolute root ctest passes: clean as it stands
+// (one justified suppression), and a raw rand() plus a doorbell rung
+// from the workqueue each give exactly one finding.
+TEST(Gstat, TreeIsCleanAndCatchesMutationsUnderAnyRoot)
+{
+    const std::string absRoot = GENESYS_SOURCE_DIR;
+    std::vector<SourceFile> absTree;
+    std::string err;
+    ASSERT_TRUE(loadTree(absRoot, absTree, err)) << err;
+    std::vector<SourceFile> relTree = absTree;
+    for (SourceFile &f : relTree)
+        f.path = "src" + f.path.substr(absRoot.size());
+
+    for (std::vector<SourceFile> tree : {relTree, absTree}) {
+        SCOPED_TRACE(tree.front().path);
+        const AnalysisResult clean = analyzeSources(tree);
+        for (const Finding &f : clean.findings)
+            ADD_FAILURE() << f.render();
+        EXPECT_EQ(clean.suppressed, 1);
+
+        const auto wq = std::find_if(
+            tree.begin(), tree.end(), [](const SourceFile &f) {
+                return f.path.ends_with("/osk/workqueue.cc");
+            });
+        ASSERT_NE(wq, tree.end());
+        wq->text += "\nvoid\nmutant(GpuDevice &gpu)\n{\n"
+                    "    gpu.sendInterrupt(0);\n"
+                    "    int r = rand();\n}\n";
+        const AnalysisResult mutated = analyzeSources(tree);
+        EXPECT_EQ(rulesOf(mutated),
+                  (std::vector<std::string>{"doorbell-callers",
+                                            "raw-rand"}));
+        for (const Finding &f : mutated.findings)
+            EXPECT_EQ(f.path, wq->path);
+    }
+}
+
 TEST(Gstat, SeededDefectCorpusPasses)
 {
     EXPECT_EQ(runSelfTest(), 0);
@@ -359,7 +399,8 @@ TEST(Gflow, NetSegSlotOverwriteReleasesLoan)
 {
     // The gkv reclaim idiom: a subscript store INTO the loan
     // container drops that slot's loan; the assert's sign fact rules
-    // out the zero-iteration path.
+    // out the zero-iteration path. The snippet sits at gkv's path, an
+    // audited segment-loan caller.
     const AnalysisResult r = analyze(R"src(
 long drain(Sock &s) {
     NetSeg segs[4];
@@ -369,7 +410,8 @@ long drain(Sock &s) {
         segs[i] = NetSeg{};
     return got;
 }
-)src");
+)src",
+                                     "src/workloads/gkv.cc");
     EXPECT_TRUE(r.findings.empty());
 }
 
