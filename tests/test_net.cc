@@ -9,8 +9,10 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cerrno>
 #include <cstring>
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -829,62 +831,213 @@ TEST_F(NetSyscallTest, DupKeepsEndpointUntilLastDescriptorCloses)
 
 TEST_F(NetSyscallTest, SocketEpollAndPipeFdsAnswerFileCallsLikeLinux)
 {
-    const osk::SockAddr addr{1, 8230};
-    const auto udp = sys(osk::sysno::socket, osk::makeArgs(2, 2, 0));
-    ASSERT_EQ(sys(osk::sysno::bind, osk::makeArgs(udp, &addr, 8)), 0);
-    const auto tcp = sys(osk::sysno::socket, osk::makeArgs(2, 1, 0));
-    const auto epfd = sys(osk::sysno::epoll_create, osk::makeArgs(1));
-    int pipe_fds[2] = {-1, -1};
-    ASSERT_EQ(sys(osk::sysno::pipe, osk::makeArgs(pipe_fds)), 0);
-    const auto sender = sys(osk::sysno::socket, osk::makeArgs(2, 2, 0));
-    ASSERT_EQ(sys(osk::sysno::sendto,
-                  osk::makeArgs(sender, "hello", 5, 0, &addr, 8)),
-              5);
+    // Every fd kind x every fd-taking call, each cell on a fresh
+    // descriptor so no cell sees another's side effects. Readable
+    // kinds hold data ("hello") so no cell parks: a regular file
+    // rewound to 0, a pipe read end with its writer open, a bound UDP
+    // socket with one datagram queued. The TCP socket is unconnected.
+    enum Kind { Reg, Proc, Chr, PipeR, PipeW, Udp, Tcp, Ep, kKinds };
+    const char *const kKindNames[kKinds] = {
+        "regular", "proc", "chardev", "pipe-r",
+        "pipe-w",  "udp",  "tcp",     "epoll"};
+    std::uint16_t port = 8230;
+    int files = 0;
+    auto fresh = [&](Kind kind) -> std::int64_t {
+        switch (kind) {
+          case Reg: {
+            const std::string path = "/pin/f" + std::to_string(files++);
+            const auto fd = sys(osk::sysno::open,
+                                osk::makeArgs(path.c_str(),
+                                              osk::O_CREAT | osk::O_RDWR));
+            sys(osk::sysno::write, osk::makeArgs(fd, "hello", 5));
+            sys(osk::sysno::lseek, osk::makeArgs(fd, 0, osk::SEEK_SET_));
+            return fd;
+          }
+          case Proc:
+            return sys(osk::sysno::open,
+                       osk::makeArgs("/proc/meminfo", osk::O_RDONLY));
+          case Chr:
+            return sys(osk::sysno::open,
+                       osk::makeArgs("/dev/null", osk::O_RDWR));
+          case PipeR:
+          case PipeW: {
+            int fds[2] = {-1, -1};
+            sys(osk::sysno::pipe, osk::makeArgs(fds));
+            sys(osk::sysno::write, osk::makeArgs(fds[1], "hello", 5));
+            return fds[kind == PipeR ? 0 : 1];
+          }
+          case Udp: {
+            const osk::SockAddr addr{1, port++};
+            const auto fd = sys(osk::sysno::socket, osk::makeArgs(2, 2, 0));
+            sys(osk::sysno::bind, osk::makeArgs(fd, &addr, 8));
+            const auto tx = sys(osk::sysno::socket, osk::makeArgs(2, 2, 0));
+            sys(osk::sysno::sendto,
+                osk::makeArgs(tx, "hello", 5, 0, &addr, 8));
+            return fd;
+          }
+          case Tcp:
+            return sys(osk::sysno::socket, osk::makeArgs(2, 1, 0));
+          case Ep:
+          case kKinds:
+            break;
+        }
+        return sys(osk::sysno::epoll_create, osk::makeArgs(1));
+    };
 
     char buf[16] = {};
+    char buf2[16] = {};
+    osk::IoVec rv[2] = {{osk::SyscallArgs::fromPtr(buf), 8},
+                        {osk::SyscallArgs::fromPtr(buf2), 8}};
+    osk::IoVec wv[2] = {{osk::SyscallArgs::fromPtr("ab"), 2},
+                        {osk::SyscallArgs::fromPtr("cd"), 2}};
     osk::StatLite st;
+    osk::EpollEvent ev{osk::EPOLLIN_, 7};
+    osk::EpollEvent evs[4];
+    const osk::SockAddr nowhere{9, 9};
+    const auto udp_peer = sys(osk::sysno::socket, osk::makeArgs(2, 2, 0));
+    const auto other_ep = sys(osk::sysno::epoll_create, osk::makeArgs(1));
+    // A cell that expects kNewFd passes on any descriptor >= 0.
+    constexpr std::int64_t kNewFd = 1 << 20;
     struct Row
     {
         const char *call;
         int num;
-        osk::SyscallArgs args;
-        std::int64_t expect;
+        std::function<osk::SyscallArgs(std::int64_t)> args;
+        // regular, proc, chardev, pipe-r, pipe-w, udp, tcp, epoll
+        std::array<std::int64_t, kKinds> expect;
     };
     const Row rows[] = {
-        {"lseek pipe", osk::sysno::lseek,
-         osk::makeArgs(pipe_fds[0], 0, osk::SEEK_SET_), -ESPIPE},
-        {"lseek udp", osk::sysno::lseek,
-         osk::makeArgs(udp, 0, osk::SEEK_SET_), -ESPIPE},
-        {"lseek tcp", osk::sysno::lseek,
-         osk::makeArgs(tcp, 4, osk::SEEK_CUR_), -ESPIPE},
-        {"lseek epoll", osk::sysno::lseek,
-         osk::makeArgs(epfd, 0, osk::SEEK_END_), -ESPIPE},
-        {"read epoll", osk::sysno::read, osk::makeArgs(epfd, buf, 8),
-         -EINVAL},
-        {"write epoll", osk::sysno::write, osk::makeArgs(epfd, "x", 1),
-         -EINVAL},
-        {"write udp", osk::sysno::write, osk::makeArgs(udp, "x", 1),
-         -EDESTADDRREQ},
-        {"read udp", osk::sysno::read, osk::makeArgs(udp, buf, 16), 5},
-        {"ioctl udp", osk::sysno::ioctl,
-         osk::makeArgs(udp, 0x5401, buf), -ENOTTY},
-        {"ioctl tcp", osk::sysno::ioctl,
-         osk::makeArgs(tcp, 0x5401, buf), -ENOTTY},
-        {"ioctl epoll", osk::sysno::ioctl,
-         osk::makeArgs(epfd, 0x5401, buf), -ENOTTY},
+        {"read", osk::sysno::read,
+         [&](std::int64_t fd) { return osk::makeArgs(fd, buf, 8); },
+         {5, 8, 0, 5, -EBADF, 5, -ENOTCONN, -EINVAL}},
+        {"write", osk::sysno::write,
+         [&](std::int64_t fd) { return osk::makeArgs(fd, "abc", 3); },
+         {3, -EBADF, 3, -EBADF, 3, -EDESTADDRREQ, -ENOTCONN, -EINVAL}},
+        {"pread64", osk::sysno::pread64,
+         [&](std::int64_t fd) { return osk::makeArgs(fd, buf, 8, 1); },
+         {4, 8, 0, -ESPIPE, -EBADF, -ESPIPE, -ESPIPE, -EINVAL}},
+        {"pwrite64", osk::sysno::pwrite64,
+         [&](std::int64_t fd) { return osk::makeArgs(fd, "abc", 3, 1); },
+         {3, -EBADF, 3, -EBADF, -ESPIPE, -ESPIPE, -ESPIPE, -EINVAL}},
+        {"readv", osk::sysno::readv,
+         [&](std::int64_t fd) { return osk::makeArgs(fd, rv, 2); },
+         {5, 16, 0, 5, -EBADF, 5, -ENOTCONN, -EINVAL}},
+        {"writev", osk::sysno::writev,
+         [&](std::int64_t fd) { return osk::makeArgs(fd, wv, 2); },
+         {4, -EBADF, 4, -EBADF, 4, -EDESTADDRREQ, -ENOTCONN, -EINVAL}},
+        {"lseek", osk::sysno::lseek,
+         [&](std::int64_t fd) {
+             return osk::makeArgs(fd, 0, osk::SEEK_END_);
+         },
+         {5, 0, 0, -ESPIPE, -ESPIPE, -ESPIPE, -ESPIPE, -ESPIPE}},
+        {"fstat", osk::sysno::fstat,
+         [&](std::int64_t fd) { return osk::makeArgs(fd, &st); },
+         {0, 0, 0, 0, 0, 0, 0, 0}},
+        {"ioctl", osk::sysno::ioctl,
+         [&](std::int64_t fd) { return osk::makeArgs(fd, 0x5401, buf); },
+         {-ENOTTY, -ENOTTY, -1, -ENOTTY, -ENOTTY, -ENOTTY, -ENOTTY,
+          -ENOTTY}},
+        {"mmap", osk::sysno::mmap,
+         [&](std::int64_t fd) {
+             return osk::makeArgs(0, 4096, 3, 1, fd, 0);
+         },
+         {-ENODEV, -ENODEV, -ENODEV, -ENODEV, -ENODEV, -ENODEV, -ENODEV,
+          -ENODEV}},
+        {"ftruncate", osk::sysno::ftruncate,
+         [&](std::int64_t fd) { return osk::makeArgs(fd, 2); },
+         {0, -EBADF, -EINVAL, -EBADF, -EINVAL, -EINVAL, -EINVAL,
+          -EINVAL}},
+        {"dup", osk::sysno::dup,
+         [&](std::int64_t fd) { return osk::makeArgs(fd); },
+         {kNewFd, kNewFd, kNewFd, kNewFd, kNewFd, kNewFd, kNewFd,
+          kNewFd}},
+        {"dup2", osk::sysno::dup2,
+         [&](std::int64_t fd) { return osk::makeArgs(fd, 1000); },
+         {1000, 1000, 1000, 1000, 1000, 1000, 1000, 1000}},
+        {"close", osk::sysno::close,
+         [&](std::int64_t fd) { return osk::makeArgs(fd); },
+         {0, 0, 0, 0, 0, 0, 0, 0}},
+        {"bind", osk::sysno::bind,
+         [&](std::int64_t fd) { return osk::makeArgs(fd, &nowhere, 8); },
+         {-EBADF, -EBADF, -EBADF, -EBADF, -EBADF, 0, 0, -EBADF}},
+        {"connect", osk::sysno::connect,
+         [&](std::int64_t fd) { return osk::makeArgs(fd, &nowhere, 8); },
+         {-EBADF, -EBADF, -EBADF, -EBADF, -EBADF, -EBADF, -ECONNREFUSED,
+          -EBADF}},
+        {"listen", osk::sysno::listen,
+         [&](std::int64_t fd) { return osk::makeArgs(fd, 4); },
+         {-EBADF, -EBADF, -EBADF, -EBADF, -EBADF, -EBADF, -EINVAL,
+          -EBADF}},
+        {"accept", osk::sysno::accept,
+         [&](std::int64_t fd) { return osk::makeArgs(fd, nullptr, 0); },
+         {-EBADF, -EBADF, -EBADF, -EBADF, -EBADF, -EBADF, -EINVAL,
+          -EBADF}},
+        {"shutdown", osk::sysno::shutdown,
+         [&](std::int64_t fd) {
+             return osk::makeArgs(fd, osk::SHUT_RDWR_);
+         },
+         {-EBADF, -EBADF, -EBADF, -EBADF, -EBADF, -EBADF, -ENOTCONN,
+          -EBADF}},
+        {"sendto", osk::sysno::sendto,
+         [&](std::int64_t fd) {
+             return osk::makeArgs(fd, "abc", 3, 0, &nowhere, 8);
+         },
+         {-EBADF, -EBADF, -EBADF, -EBADF, -EBADF, 3, -ENOTCONN, -EBADF}},
+        {"recvfrom", osk::sysno::recvfrom,
+         [&](std::int64_t fd) {
+             return osk::makeArgs(fd, buf, 8, 0, nullptr, 0);
+         },
+         {-EBADF, -EBADF, -EBADF, -EBADF, -EBADF, 5, -ENOTCONN, -EBADF}},
+        {"sendmsg", osk::sysno::sendmsg,
+         [&](std::int64_t fd) { return osk::makeArgs(fd, wv, 2, 0); },
+         {-EOPNOTSUPP, -EOPNOTSUPP, -EOPNOTSUPP, -EOPNOTSUPP,
+          -EOPNOTSUPP, -EOPNOTSUPP, -ENOTCONN, -EOPNOTSUPP}},
+        {"recvmsg", osk::sysno::recvmsg,
+         [&](std::int64_t fd) {
+             return osk::makeArgs(fd, rv, 2,
+                                  std::uint64_t(osk::MSG_DONTWAIT_));
+         },
+         {-EOPNOTSUPP, -EOPNOTSUPP, -EOPNOTSUPP, -EOPNOTSUPP,
+          -EOPNOTSUPP, -EOPNOTSUPP, -EAGAIN, -EOPNOTSUPP}},
+        {"epoll_ctl (as epfd)", osk::sysno::epoll_ctl,
+         [&](std::int64_t fd) {
+             return osk::makeArgs(fd, osk::EPOLL_CTL_ADD_, udp_peer, &ev);
+         },
+         {-EBADF, -EBADF, -EBADF, -EBADF, -EBADF, -EBADF, -EBADF, 0}},
+        {"epoll_ctl (as target)", osk::sysno::epoll_ctl,
+         [&](std::int64_t fd) {
+             return osk::makeArgs(other_ep, osk::EPOLL_CTL_ADD_, fd, &ev);
+         },
+         {-EPERM, -EPERM, -EPERM, -EPERM, -EPERM, 0, 0, -EPERM}},
+        {"epoll_wait", osk::sysno::epoll_wait,
+         [&](std::int64_t fd) { return osk::makeArgs(fd, evs, 4, 0); },
+         {-EBADF, -EBADF, -EBADF, -EBADF, -EBADF, -EBADF, -EBADF, 0}},
     };
-    for (const Row &row : rows)
-        EXPECT_EQ(sys(row.num, row.args), row.expect) << row.call;
-    EXPECT_EQ(std::string(buf, 5), "hello"); // read() took the datagram
+    for (const Row &row : rows) {
+        for (int k = 0; k < kKinds; ++k) {
+            const auto fd = fresh(static_cast<Kind>(k));
+            ASSERT_GE(fd, 0) << kKindNames[k];
+            const auto got = sys(row.num, row.args(fd));
+            if (row.expect[k] == kNewFd)
+                EXPECT_GE(got, 0) << row.call << " on " << kKindNames[k];
+            else
+                EXPECT_EQ(got, row.expect[k])
+                    << row.call << " on " << kKindNames[k];
+        }
+    }
 
-    // fstat: both socket kinds share one mode; an epoll fd is an
-    // anonymous inode with no file type.
-    const std::pair<std::int64_t, std::uint32_t> modes[] = {
-        {udp, 6}, {tcp, 6}, {epfd, 0}, {pipe_fds[0], 5}};
-    for (const auto &[fd, mode] : modes) {
-        st.stMode = 99;
-        ASSERT_EQ(sys(osk::sysno::fstat, osk::makeArgs(fd, &st)), 0);
-        EXPECT_EQ(st.stMode, mode) << "fd " << fd;
+    // fstat's answer beyond the return value: the mode nibble (both
+    // socket kinds share one; an epoll fd is an anonymous inode with
+    // no file type) and the size.
+    const std::uint32_t modes[kKinds] = {1, 4, 3, 5, 5, 6, 6, 0};
+    const std::uint64_t sizes[kKinds] = {5, 0, 0, 5, 5, 0, 0, 0};
+    for (int k = 0; k < kKinds; ++k) {
+        st = {99, 99};
+        ASSERT_EQ(sys(osk::sysno::fstat,
+                      osk::makeArgs(fresh(static_cast<Kind>(k)), &st)),
+                  0);
+        EXPECT_EQ(st.stMode, modes[k]) << kKindNames[k];
+        EXPECT_EQ(st.stSize, sizes[k]) << kKindNames[k];
     }
 }
 
