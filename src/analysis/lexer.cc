@@ -50,6 +50,8 @@ lex(const std::string &path, const std::string &text)
     const std::size_t n = text.size();
     int line = 1;
     bool atLineStart = true; // only whitespace seen since the newline
+    // Where tokens go: a directive's, from its '#' to its last line.
+    std::vector<Token> *sink = &out.tokens;
 
     auto addComment = [&out](int at, const std::string &body) {
         auto &slot = out.comments[at];
@@ -64,24 +66,22 @@ lex(const std::string &path, const std::string &text)
             ++line;
             ++i;
             atLineStart = true;
+            sink = &out.tokens;
+            continue;
+        }
+        // Backslash continuation: the logical line (a directive) goes on.
+        if (c == '\\' && i + 1 < n && text[i + 1] == '\n') {
+            ++line;
+            i += 2;
             continue;
         }
         if (std::isspace(static_cast<unsigned char>(c)) != 0) {
             ++i;
             continue;
         }
-        // Preprocessor directive: skip to end of line, honouring
-        // backslash continuations (their newlines still count).
         if (c == '#' && atLineStart) {
-            while (i < n && text[i] != '\n') {
-                if (text[i] == '\\' && i + 1 < n &&
-                    text[i + 1] == '\n') {
-                    ++line;
-                    i += 2;
-                    continue;
-                }
-                ++i;
-            }
+            sink = &out.directives;
+            ++i;
             continue;
         }
         atLineStart = false;
@@ -130,7 +130,7 @@ lex(const std::string &path, const std::string &text)
                 if (bc == '\n')
                     ++line;
             }
-            out.tokens.push_back(
+            sink->push_back(
                 {TokKind::String, std::move(contents), startLine});
             i = end == n ? n : end + closer.size();
             continue;
@@ -153,7 +153,7 @@ lex(const std::string &path, const std::string &text)
                 contents += text[j];
                 ++j;
             }
-            out.tokens.push_back(
+            sink->push_back(
                 {quote == '"' ? TokKind::String : TokKind::CharLit,
                  std::move(contents), line});
             i = j < n && text[j] == quote ? j + 1 : j;
@@ -165,7 +165,7 @@ lex(const std::string &path, const std::string &text)
             std::size_t j = i + 1;
             while (j < n && identCont(text[j]))
                 ++j;
-            out.tokens.push_back(
+            sink->push_back(
                 {TokKind::Ident, text.substr(i, j - i), line});
             i = j;
             continue;
@@ -178,23 +178,23 @@ lex(const std::string &path, const std::string &text)
                               (text[j - 1] == 'e' ||
                                text[j - 1] == 'E'))))
                 ++j;
-            out.tokens.push_back(
+            sink->push_back(
                 {TokKind::Number, text.substr(i, j - i), line});
             i = j;
             continue;
         }
         // Punctuation: fuse only :: and ->.
         if (c == ':' && i + 1 < n && text[i + 1] == ':') {
-            out.tokens.push_back({TokKind::Punct, "::", line});
+            sink->push_back({TokKind::Punct, "::", line});
             i += 2;
             continue;
         }
         if (c == '-' && i + 1 < n && text[i + 1] == '>') {
-            out.tokens.push_back({TokKind::Punct, "->", line});
+            sink->push_back({TokKind::Punct, "->", line});
             i += 2;
             continue;
         }
-        out.tokens.push_back({TokKind::Punct, std::string(1, c), line});
+        sink->push_back({TokKind::Punct, std::string(1, c), line});
         ++i;
     }
     return out;

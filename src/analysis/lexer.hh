@@ -14,9 +14,11 @@
  *  - comments are not tokens: their text is collected per line so the
  *    suppression scanner can find `gstat: allow(<rule>)` annotations
  *    without prose ever reaching a pass;
- *  - preprocessor directives are skipped whole (with backslash
- *    continuations), so an `#include "tailRaw_.hh"` can never trip a
- *    token-level rule.
+ *  - preprocessor directives (with backslash continuations) are
+ *    lexed into a stream of their own: the token rules see a macro
+ *    body, while the extractor and the CFG, which walk `tokens`, never
+ *    meet a directive. An `#include "tailRaw_.hh"` is one String token,
+ *    so it cannot trip a rule.
  *
  * Every token carries its 1-based source line for findings.
  */
@@ -53,6 +55,8 @@ struct LexedFile
 {
     std::string path; ///< repo-relative path, forward slashes
     std::vector<Token> tokens;
+    /// Tokens of preprocessor directive lines, '#' excluded.
+    std::vector<Token> directives;
     /// line -> concatenated comment text on that line (for allow()).
     std::map<int, std::string> comments;
 };

@@ -457,7 +457,6 @@ runTokenRules(const Program &prog, std::vector<Finding> &findings)
 
     for (std::size_t fi = 0; fi < prog.files.size(); ++fi) {
         const LexedFile &file = prog.files[fi];
-        const std::vector<Token> &toks = file.tokens;
         std::set<std::pair<int, std::string>> reported;
         auto add = [&](int line, const char *rule, std::string message) {
             if (!reported.emplace(line, rule).second)
@@ -495,98 +494,104 @@ runTokenRules(const Program &prog, std::vector<Finding> &findings)
                                   "osk/syscalls.cc", "workloads/gkv.cc"});
         const bool ringFile = isFile(file.path, "core/ring.hh");
 
-        for (std::size_t i = 0; i < toks.size(); ++i) {
-            if (toks[i].kind != TokKind::Ident)
-                continue;
-            const std::string &t = toks[i].text;
-            const int line = toks[i].line;
-            if (t == "state_" && !fsmFile && tokIs(toks, i + 1, "=") &&
-                !tokIs(toks, i + 2, "="))
-                add(line, "slot-state",
-                    "slot state words may be mutated only via the FSM "
-                    "transition API in core/slot.cc");
-            if (t == "sendInterrupt" && !doorbellFile &&
-                tokIs(toks, i + 1, "("))
-                add(line, "doorbell-callers",
-                    "the doorbell is rung only by the device and the "
-                    "client issue path (gpu/gpu.*, core/client.cc)");
-            if (t == "readSegments" && !loanFile &&
-                tokIs(toks, i + 1, "("))
-                add(line, "segment-loan",
-                    "readSegments hands out loaned NetSegs whose "
-                    "lifetime the caller must manage by hand; only the "
-                    "audited zero-copy paths (osk/tcp.*, "
-                    "osk/syscalls.cc, workloads/gkv.cc) may call it; "
-                    "use recvmsg(MSG_ZEROCOPY), which retires its "
-                    "loans on the next call");
-            if ((t == "headRaw_" || t == "tailRaw_" ||
-                 t == "claimedRaw_") &&
-                !ringFile)
-                add(line, "raw-counter-access",
-                    "raw ring counter " + t +
-                        " outside core/ring.hh; go through its "
-                        "acquire/release accessors (loadHeadAcquire / "
-                        "storeTailRelease / ...)");
-            // time(), time(NULL), time(nullptr), time(0).
-            const bool timeCall =
-                t == "time" && tokIs(toks, i + 1, "(") &&
-                (tokIs(toks, i + 2, ")") ||
-                 ((tokIs(toks, i + 2, "NULL") ||
-                   tokIs(toks, i + 2, "nullptr") ||
-                   tokIs(toks, i + 2, "0")) &&
-                  tokIs(toks, i + 3, ")")));
-            if ((t == "chrono" && i >= 2 && tokIs(toks, i - 2, "std") &&
-                 tokIs(toks, i - 1, "::")) ||
-                t == "steady_clock" || t == "system_clock" ||
-                ((t == "clock_gettime" || t == "gettimeofday") &&
-                 tokIs(toks, i + 1, "(")) ||
-                timeCall)
-                add(line, "wall-clock",
-                    "wall-clock time source in simulated code; modeled "
-                    "time comes from sim::EventQueue::now()");
-            if ((t == "rand" && tokIs(toks, i + 1, "(") &&
-                 tokIs(toks, i + 2, ")")) ||
-                (t == "srand" && tokIs(toks, i + 1, "(")) ||
-                t == "random_device")
-                add(line, "raw-rand",
-                    "unseeded randomness; use the seeded "
-                    "support/random.hh PRNG");
-            std::string iterated; // `for (x : NAME)` or `NAME.begin()`
-            if (t == "for")
-                iterated = rangeForTarget(toks, i);
-            else if (tokIs(toks, i + 1, ".") &&
-                     (tokIs(toks, i + 2, "begin") ||
-                      tokIs(toks, i + 2, "cbegin")) &&
-                     tokIs(toks, i + 3, "("))
-                iterated = t;
-            if (!iterated.empty() && names.count(iterated) != 0)
-                add(line, "unordered-iteration",
-                    "iterating '" + iterated +
-                        "' (std::unordered_*): order is "
-                        "implementation-defined; use an ordered "
-                        "container or sort first");
-            if (t != "co_await")
-                continue;
-            const std::size_t end = coawaitEnd(toks, i);
-            for (const std::size_t b : lambdas[fi]) {
-                if (b <= i || b >= end)
+        // Directive bodies (a macro's expansion) get the same rules;
+        // only code holds the extractor's lambdas.
+        for (const bool code : {true, false}) {
+            const std::vector<Token> &toks =
+                code ? file.tokens : file.directives;
+            for (std::size_t i = 0; i < toks.size(); ++i) {
+                if (toks[i].kind != TokKind::Ident)
                     continue;
-                const std::vector<std::string> owning =
-                    owningCaptures(toks, b);
-                if (owning.empty())
+                const std::string &t = toks[i].text;
+                const int line = toks[i].line;
+                if (t == "state_" && !fsmFile && tokIs(toks, i + 1, "=") &&
+                    !tokIs(toks, i + 2, "="))
+                    add(line, "slot-state",
+                        "slot state words may be mutated only via the FSM "
+                        "transition API in core/slot.cc");
+                if (t == "sendInterrupt" && !doorbellFile &&
+                    tokIs(toks, i + 1, "("))
+                    add(line, "doorbell-callers",
+                        "the doorbell is rung only by the device and the "
+                        "client issue path (gpu/gpu.*, core/client.cc)");
+                if (t == "readSegments" && !loanFile &&
+                    tokIs(toks, i + 1, "("))
+                    add(line, "segment-loan",
+                        "readSegments hands out loaned NetSegs whose "
+                        "lifetime the caller must manage by hand; only the "
+                        "audited zero-copy paths (osk/tcp.*, "
+                        "osk/syscalls.cc, workloads/gkv.cc) may call it; "
+                        "use recvmsg(MSG_ZEROCOPY), which retires its "
+                        "loans on the next call");
+                if ((t == "headRaw_" || t == "tailRaw_" ||
+                     t == "claimedRaw_") &&
+                    !ringFile)
+                    add(line, "raw-counter-access",
+                        "raw ring counter " + t +
+                            " outside core/ring.hh; go through its "
+                            "acquire/release accessors (loadHeadAcquire / "
+                            "storeTailRelease / ...)");
+                // time(), time(NULL), time(nullptr), time(0).
+                const bool timeCall =
+                    t == "time" && tokIs(toks, i + 1, "(") &&
+                    (tokIs(toks, i + 2, ")") ||
+                     ((tokIs(toks, i + 2, "NULL") ||
+                       tokIs(toks, i + 2, "nullptr") ||
+                       tokIs(toks, i + 2, "0")) &&
+                      tokIs(toks, i + 3, ")")));
+                if ((t == "chrono" && i >= 2 && tokIs(toks, i - 2, "std") &&
+                     tokIs(toks, i - 1, "::")) ||
+                    t == "steady_clock" || t == "system_clock" ||
+                    ((t == "clock_gettime" || t == "gettimeofday") &&
+                     tokIs(toks, i + 1, "(")) ||
+                    timeCall)
+                    add(line, "wall-clock",
+                        "wall-clock time source in simulated code; modeled "
+                        "time comes from sim::EventQueue::now()");
+                if ((t == "rand" && tokIs(toks, i + 1, "(") &&
+                     tokIs(toks, i + 2, ")")) ||
+                    (t == "srand" && tokIs(toks, i + 1, "(")) ||
+                    t == "random_device")
+                    add(line, "raw-rand",
+                        "unseeded randomness; use the seeded "
+                        "support/random.hh PRNG");
+                std::string iterated; // `for (x : NAME)` or `NAME.begin()`
+                if (t == "for")
+                    iterated = rangeForTarget(toks, i);
+                else if (tokIs(toks, i + 1, ".") &&
+                         (tokIs(toks, i + 2, "begin") ||
+                          tokIs(toks, i + 2, "cbegin")) &&
+                         tokIs(toks, i + 3, "("))
+                    iterated = t;
+                if (!iterated.empty() && names.count(iterated) != 0)
+                    add(line, "unordered-iteration",
+                        "iterating '" + iterated +
+                            "' (std::unordered_*): order is "
+                            "implementation-defined; use an ordered "
+                            "container or sort first");
+                if (t != "co_await" || !code)
                     continue;
-                std::string list;
-                for (const std::string &c : owning) {
-                    if (!list.empty())
-                        list += ", ";
-                    list += c;
+                const std::size_t end = coawaitEnd(toks, i);
+                for (const std::size_t b : lambdas[fi]) {
+                    if (b <= i || b >= end)
+                        continue;
+                    const std::vector<std::string> owning =
+                        owningCaptures(toks, b);
+                    if (owning.empty())
+                        continue;
+                    std::string list;
+                    for (const std::string &c : owning) {
+                        if (!list.empty())
+                            list += ", ";
+                        list += c;
+                    }
+                    add(toks[b].line, "coawait-owning-lambda",
+                        "lambda with owning capture(s) [" + list +
+                            "] inside a co_await full-expression is "
+                            "double-destroyed by GCC 12's coroutine "
+                            "lowering; hoist it into a named local and "
+                            "std::move it");
                 }
-                add(toks[b].line, "coawait-owning-lambda",
-                    "lambda with owning capture(s) [" + list +
-                        "] inside a co_await full-expression is "
-                        "double-destroyed by GCC 12's coroutine "
-                        "lowering; hoist it into a named local and "
-                        "std::move it");
             }
         }
     }

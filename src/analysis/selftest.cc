@@ -524,6 +524,22 @@ auto n = rng.next();   // negative: the seeded PRNG
 )src"}},
          {{"raw-rand", 2}}});
 
+    // Directive bodies are lexed, so a macro cannot hide a banned token;
+    // an include guard and an include of <random> stay clean.
+    cases.push_back(
+        {"macro-body",
+         {{"src/osk/x.hh", R"src(
+#ifndef GENESYS_OSK_X_HH
+#define GENESYS_OSK_X_HH
+#include <random>
+#define ROLL() rand() // seeded defect
+#define ROLL_LONG() \
+    rand() // seeded defect: on the continuation line
+int r = ROLL() + ROLL_LONG();
+#endif // GENESYS_OSK_X_HH
+)src"}},
+         {{"raw-rand", 2}}});
+
     cases.push_back(
         {"coawait-owning-lambda",
          {{"src/core/x.cc", R"src(
