@@ -46,7 +46,7 @@ class Sim
     /**
      * Launch @p task as a root coroutine. It starts at the current tick
      * and runs to completion as events fire. An escaping exception is
-     * captured and rethrown from run()/runFor().
+     * captured and rethrown from run().
      */
     void spawn(Task<> task);
 
@@ -68,9 +68,6 @@ class Sim
      * @return final simulated time.
      */
     Tick run(Tick limit = kMaxTick, std::uint64_t max_events = 0);
-
-    /** Run for a further @p duration ticks. */
-    Tick runFor(Tick duration) { return run(eq_.now() + duration); }
 
   private:
     using Roots = std::list<std::coroutine_handle<>>;

@@ -21,7 +21,6 @@
 #define GENESYS_SUPPORT_GMC_PROBE_HH
 
 #include <cstdint>
-#include <string>
 #include <vector>
 
 namespace genesys::gmc
@@ -74,9 +73,6 @@ class Probe
      * deduplicated) and reset the buffer.
      */
     std::vector<ProbeKey> drain();
-
-    /** Human-readable key, e.g. "slot:3" (counterexample reports). */
-    static std::string describe(ProbeKey key);
 
   private:
     Probe() = default;
