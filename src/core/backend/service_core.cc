@@ -15,25 +15,6 @@
 namespace genesys::core
 {
 
-bool
-ServiceCore::mayParkIndefinitely(const SyscallSlot &slot) const
-{
-    const int sysno = slot.sysno();
-    const osk::SyscallRow *row = osk::syscallRow(sysno);
-    if (row == nullptr || !row->mayBlock)
-        return false;
-    if (sysno == osk::sysno::nanosleep)
-        return true;
-    const osk::OpenFile *f =
-        proc_.fds().get(static_cast<int>(slot.args().a[0]));
-    if (f == nullptr)
-        return true; // bad fd: resolve conservatively, in a punt task
-    if (f->socketId >= 0 || f->tcpId >= 0 || f->epollId >= 0)
-        return true;
-    return f->inode != nullptr &&
-           f->inode->type() == osk::InodeType::Pipe;
-}
-
 sim::Task<std::int64_t>
 ServiceCore::executeSlotCall(const SyscallSlot &slot)
 {

@@ -108,18 +108,13 @@ class ServiceCore
     /** Completion events posted to CQs (ring mode). */
     std::uint64_t cqPosted() const { return cqPosted_; }
 
-    /**
-     * Can @p slot's call block its kernel thread indefinitely (not
-     * just for a modeled cost)? Such calls release their CPU core
-     * while blocked, and ring-mode consumers punt them to their own
-     * workqueue task instead of servicing them inline — one parked
-     * epoll_wait must not stall a shard's whole consume pipeline.
-     * The table row's may-block flag is the sysno-level superset;
-     * this refines it by fd: only sockets, pipes, and epoll instances
-     * can actually park the servicing thread, while a read(2) of a
-     * regular file is bounded IO and needs no task of its own.
-     */
-    bool mayParkIndefinitely(const SyscallSlot &slot) const;
+    /** osk::mayParkIndefinitely for @p slot's call. */
+    bool
+    mayParkIndefinitely(const SyscallSlot &slot) const
+    {
+        return osk::mayParkIndefinitely(proc_, slot.sysno(),
+                                        slot.args());
+    }
 
     // --- stats ------------------------------------------------------
     std::uint64_t processed() const { return processed_; }

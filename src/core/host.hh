@@ -123,7 +123,6 @@ class GenesysHost
     std::uint64_t ringCqPosted() const { return core_->cqPosted(); }
 
     /** The shared slot scanner/executor (backend plumbing). */
-    ServiceCore &serviceCore() { return *core_; }
     /** The currently active service backend. */
     ServiceBackend &activeBackend() { return *active_; }
 

@@ -46,17 +46,6 @@ entriesOf(SyscallClass cls)
 }
 
 const char *
-className(SyscallClass cls)
-{
-    constexpr const char *kNames[] = {
-        "readily-implementable",
-        "needs-GPU-hardware-changes",
-        "extensive-modification",
-    };
-    return kNames[static_cast<std::size_t>(cls)];
-}
-
-const char *
 typeName(SyscallType type)
 {
     // In SyscallType's order.

@@ -48,7 +48,6 @@ CensusCounts censusCounts();
 /** Rows in a class, in census order, for printing Table II. */
 std::vector<SyscallRow> entriesOf(SyscallClass cls);
 
-const char *className(SyscallClass cls);
 /** Table II's "Type" text, e.g. "thread scheduling". */
 const char *typeName(SyscallType type);
 /** Why a call is not readily implementable; "" for None. */

@@ -19,7 +19,7 @@ EpollInstance::EpollInstance(EpollSystem &sys, int id)
 {}
 
 int
-EpollInstance::ctl(int op, int fd, SockKind kind, int sock_id,
+EpollInstance::ctl(int op, int fd, FileKind kind, int sock_id,
                    std::uint32_t mask, std::uint64_t data)
 {
     switch (op) {
@@ -130,7 +130,7 @@ EpollInstance::recordEdge(Interest &in, std::uint32_t edges)
 }
 
 bool
-EpollInstance::noteEdges(SockKind kind, int sock_id)
+EpollInstance::noteEdges(FileKind kind, int sock_id)
 {
     bool wake = false;
     for (auto &[fd, in] : interests_) {
@@ -149,7 +149,7 @@ EpollInstance::noteEdges(SockKind kind, int sock_id)
 }
 
 bool
-EpollInstance::hasLtInterest(SockKind kind, int sock_id) const
+EpollInstance::hasLtInterest(FileKind kind, int sock_id) const
 {
     for (const auto &[fd, in] : interests_) {
         if (in.kind == kind && in.sockId == sock_id && !in.edgeMode())
@@ -212,13 +212,7 @@ EpollInstance::wait(EpollEvent *events, int max_events,
 }
 
 void
-EpollInstance::forgetFd(int fd)
-{
-    interests_.erase(fd);
-}
-
-void
-EpollInstance::forgetSocket(SockKind kind, int sock_id)
+EpollInstance::forgetSocket(FileKind kind, int sock_id)
 {
     bool removed = false;
     for (auto it = interests_.begin(); it != interests_.end();) {
@@ -234,7 +228,7 @@ EpollInstance::forgetSocket(SockKind kind, int sock_id)
 }
 
 bool
-EpollInstance::watches(SockKind kind, int sock_id) const
+EpollInstance::watches(FileKind kind, int sock_id) const
 {
     for (const auto &[fd, interest] : interests_) {
         if (interest.kind == kind && interest.sockId == sock_id)
@@ -249,9 +243,9 @@ EpollSystem::EpollSystem(sim::EventQueue &eq, const OskParams &params,
 {
     // Readiness changes in the stacks fan out to blocked waiters.
     udp_.setReadyCallback(
-        [this](int id) { noteEvent(SockKind::Udp, id); });
+        [this](int id) { noteEvent(FileKind::Udp, id); });
     tcp_.setReadyCallback(
-        [this](int id) { noteEvent(SockKind::Tcp, id); });
+        [this](int id) { noteEvent(FileKind::Tcp, id); });
 }
 
 int
@@ -283,7 +277,7 @@ EpollSystem::close(int id)
 }
 
 void
-EpollSystem::noteEvent(SockKind kind, int sock_id)
+EpollSystem::noteEvent(FileKind kind, int sock_id)
 {
     ++notifies_;
     for (const auto &[id, inst] : instances_) {
@@ -313,24 +307,27 @@ EpollSystem::noteEvent(SockKind kind, int sock_id)
 }
 
 void
-EpollSystem::forgetSocket(SockKind kind, int sock_id)
+EpollSystem::forgetSocket(FileKind kind, int sock_id)
 {
     for (const auto &[id, inst] : instances_)
         inst->forgetSocket(kind, sock_id);
 }
 
 std::uint32_t
-EpollSystem::probe(SockKind kind, int sock_id) const
+EpollSystem::probe(FileKind kind, int sock_id) const
 {
     std::uint32_t ready = 0;
-    if (kind == SockKind::Udp) {
+    switch (kind) {
+      case FileKind::Udp: {
         const UdpSocket *sock = udp_.socket(sock_id);
         if (sock == nullptr)
             return EPOLLERR_ | EPOLLHUP_;
         if (sock->queued() > 0)
             ready |= EPOLLIN_;
         ready |= EPOLLOUT_; // UDP sends never block
-    } else {
+        break;
+      }
+      case FileKind::Tcp: {
         const TcpSocket *sock = tcp_.socket(sock_id);
         if (sock == nullptr)
             return EPOLLERR_ | EPOLLHUP_;
@@ -343,6 +340,14 @@ EpollSystem::probe(SockKind kind, int sock_id) const
             ready |= EPOLLERR_;
         if (sock->eofPending() && sock->state() == TcpState::Closed)
             ready |= EPOLLHUP_;
+        break;
+      }
+      case FileKind::Regular:
+      case FileKind::CharDevice:
+      case FileKind::Proc:
+      case FileKind::Pipe:
+      case FileKind::Epoll:
+        break; // not pollable: epoll_ctl refuses these with -EPERM
     }
     return ready;
 }

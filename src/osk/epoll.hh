@@ -39,6 +39,7 @@
 #include <memory>
 #include <vector>
 
+#include "osk/file.hh"
 #include "osk/net.hh"
 #include "osk/params.hh"
 #include "osk/tcp.hh"
@@ -80,13 +81,6 @@ struct EpollEvent
     std::uint64_t data = 0;   ///< caller cookie from epoll_ctl.
 };
 
-/** Which socket table an interest resolves into. */
-enum class SockKind : std::uint8_t
-{
-    Udp,
-    Tcp,
-};
-
 class EpollSystem;
 
 /** One epoll instance: an interest list plus its wait queue. */
@@ -98,7 +92,7 @@ class EpollInstance
     int id() const { return id_; }
 
     /** @return 0 or negative errno (EEXIST, ENOENT, EINVAL). */
-    int ctl(int op, int fd, SockKind kind, int sock_id,
+    int ctl(int op, int fd, FileKind kind, int sock_id,
             std::uint32_t mask, std::uint64_t data);
 
     /**
@@ -112,15 +106,10 @@ class EpollInstance
                                  std::int64_t timeout_ns,
                                  std::uint64_t waiter);
 
-    /** Drop any interest registered for process fd @p fd. */
-    void forgetFd(int fd);
-
     /** Drop interests resolving to @p kind/@p sock_id. */
-    void forgetSocket(SockKind kind, int sock_id);
+    void forgetSocket(FileKind kind, int sock_id);
 
-    bool watches(SockKind kind, int sock_id) const;
-
-    std::size_t interestCount() const { return interests_.size(); }
+    bool watches(FileKind kind, int sock_id) const;
 
     /**
      * Test hook: open a simulated-time gap between the readiness probe
@@ -134,7 +123,7 @@ class EpollInstance
 
     struct Interest
     {
-        SockKind kind = SockKind::Udp;
+        FileKind kind = FileKind::Udp;
         int sockId = -1;
         std::uint32_t mask = 0;
         std::uint64_t data = 0;
@@ -162,7 +151,7 @@ class EpollInstance
      * @p kind/@p sock_id. @return true when a fresh pending edge
      * appeared on an armed interest (the waiters need a wake).
      */
-    bool noteEdges(SockKind kind, int sock_id);
+    bool noteEdges(FileKind kind, int sock_id);
 
     /**
      * Latch @p edges as pending on @p in (unless the seeded lost-edge
@@ -171,7 +160,7 @@ class EpollInstance
     bool recordEdge(Interest &in, std::uint32_t edges);
 
     /** True if a level-triggered interest watches @p kind/@p sock_id. */
-    bool hasLtInterest(SockKind kind, int sock_id) const;
+    bool hasLtInterest(FileKind kind, int sock_id) const;
 
     /** gsan readiness-channel key (instance id). */
     std::uint64_t gsanKey() const
@@ -205,10 +194,10 @@ class EpollSystem
     bool close(int id);
 
     /** Readiness change on @p kind/@p sock_id: wake watchers. */
-    void noteEvent(SockKind kind, int sock_id);
+    void noteEvent(FileKind kind, int sock_id);
 
     /** Remove a closing socket from every instance's interests. */
-    void forgetSocket(SockKind kind, int sock_id);
+    void forgetSocket(FileKind kind, int sock_id);
 
     void setSanitizer(gsan::Sanitizer *gsan) { gsan_ = gsan; }
 
@@ -252,7 +241,7 @@ class EpollSystem
     friend class EpollInstance;
 
     /** Level-triggered readiness of one socket. */
-    std::uint32_t probe(SockKind kind, int sock_id) const;
+    std::uint32_t probe(FileKind kind, int sock_id) const;
 
     sim::EventQueue &eq_;
     const OskParams &params_;

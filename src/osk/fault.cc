@@ -3,20 +3,6 @@
 namespace genesys::osk
 {
 
-const char *
-faultKindName(FaultKind kind)
-{
-    switch (kind) {
-    case FaultKind::None: return "none";
-    case FaultKind::Errno: return "errno";
-    case FaultKind::Eintr: return "eintr";
-    case FaultKind::Eagain: return "eagain";
-    case FaultKind::ShortTransfer: return "short_transfer";
-    case FaultKind::DeviceDelay: return "device_delay";
-    }
-    return "?";
-}
-
 namespace
 {
 

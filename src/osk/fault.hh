@@ -49,8 +49,6 @@ enum class FaultKind : std::uint8_t
     DeviceDelay,   ///< block-device latency spike (no error return)
 };
 
-const char *faultKindName(FaultKind kind);
-
 /** One injected fault, fully specified. */
 struct FaultDecision
 {

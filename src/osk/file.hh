@@ -35,10 +35,36 @@ inline constexpr int SEEK_SET_ = 0;
 inline constexpr int SEEK_CUR_ = 1;
 inline constexpr int SEEK_END_ = 2;
 
+/**
+ * What an open file description refers to. Set once, when the
+ * descriptor is created (open, pipe, socket, accept, epoll_create, and
+ * the stdio setup): every fd-taking handler, epoll and the service
+ * path's may-park check switch on it. There is no Directory kind
+ * because open(2) refuses directories.
+ */
+enum class FileKind : std::uint8_t
+{
+    Regular,
+    CharDevice,
+    Proc,
+    Pipe,
+    Udp,
+    Tcp,
+    Epoll,
+};
+
 /** Open file description (struct file). */
 struct OpenFile
 {
+    OpenFile(FileKind file_kind, int open_flags)
+        : kind(file_kind), flags(open_flags)
+    {}
+
+    const FileKind kind;
+    /** The inode of a Regular, CharDevice, Proc or Pipe description. */
     Inode *inode = nullptr;
+    /** The socket or epoll instance id of a Udp, Tcp or Epoll one. */
+    int id = -1;
     /** Keeps path-less inodes (pipes) alive for this description. */
     std::shared_ptr<Inode> owned;
     std::uint64_t pos = 0;
@@ -46,12 +72,6 @@ struct OpenFile
     std::string path;
     /** Snapshot for /proc files (content generated at open). */
     std::string procSnapshot;
-    /** UDP socket index when this fd is a datagram socket (-1 if not). */
-    int socketId = -1;
-    /** TCP socket index when this fd is a stream socket (-1 if not). */
-    int tcpId = -1;
-    /** Epoll instance index when this fd is an epoll fd (-1 if not). */
-    int epollId = -1;
     /**
      * Zero-copy loan generation: wire-segment buffers handed to the
      * caller by the last recvmsg(MSG_ZEROCOPY) on this description.

@@ -110,7 +110,6 @@ class MemoryManager
     std::uint64_t rssBytes() const { return rssPages_ * kPageSize; }
     std::uint64_t peakRssBytes() const { return peakRssPages_ * kPageSize; }
     std::uint64_t swappedBytes() const { return swappedPages_ * kPageSize; }
-    std::uint64_t physLimitBytes() const { return physLimit_ * kPageSize; }
     const MmStats &stats() const { return stats_; }
     std::size_t vmaCount() const { return vmas_.size(); }
 

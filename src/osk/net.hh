@@ -13,6 +13,7 @@
 #ifndef GENESYS_OSK_NET_HH
 #define GENESYS_OSK_NET_HH
 
+#include <algorithm>
 #include <cstdint>
 #include <deque>
 #include <functional>
@@ -48,6 +49,81 @@ struct IoVec
         return reinterpret_cast<void *>(
             static_cast<std::uintptr_t>(base));
     }
+
+    /** The one-segment vector over @p len bytes at @p p. */
+    static IoVec
+    of(const void *p, std::uint64_t len)
+    {
+        return {static_cast<std::uint64_t>(
+                    reinterpret_cast<std::uintptr_t>(p)),
+                len};
+    }
+};
+
+/** Total length of @p cnt iovecs; saturates rather than wraps, since
+ *  the lengths may come from a GPU wave. */
+inline std::uint64_t
+iovTotal(const IoVec *iov, int cnt)
+{
+    std::uint64_t total = 0;
+    for (int i = 0; i < cnt; ++i)
+        total += std::min(iov[i].len, ~std::uint64_t{0} - total);
+    return total;
+}
+
+/**
+ * A position in an iovec array. scatter() and gather() move bytes
+ * between it and a flat byte sequence, across segment boundaries,
+ * and leave the cursor after them; the caller keeps every move within
+ * the array's total length. A null base takes no bytes (scatter) and
+ * reads as zeros (gather).
+ */
+class IovCursor
+{
+  public:
+    explicit IovCursor(const IoVec *iov) : iov_(iov) {}
+
+    template <typename In>
+    void
+    scatter(In from, std::uint64_t n)
+    {
+        for (std::uint64_t take = 0; n > 0; n -= take, from += take) {
+            take = step(n);
+            if (auto *to = static_cast<std::uint8_t *>(iov_->asPtr()))
+                std::copy_n(from, take, to + off_);
+            off_ += take;
+        }
+    }
+
+    template <typename Out>
+    Out
+    gather(Out to, std::uint64_t n)
+    {
+        for (std::uint64_t take = 0; n > 0; n -= take) {
+            take = step(n);
+            const auto *from =
+                static_cast<const std::uint8_t *>(iov_->asPtr());
+            to = from != nullptr ? std::copy_n(from + off_, take, to)
+                                 : std::fill_n(to, take, 0);
+            off_ += take;
+        }
+        return to;
+    }
+
+  private:
+    /** Bytes (at most @p n) left in the first unfinished segment. */
+    std::uint64_t
+    step(std::uint64_t n)
+    {
+        while (off_ >= iov_->len) {
+            ++iov_;
+            off_ = 0;
+        }
+        return std::min(n, iov_->len - off_);
+    }
+
+    const IoVec *iov_;
+    std::uint64_t off_ = 0;
 };
 
 /** (address, port) endpoint; address is an opaque host id. */

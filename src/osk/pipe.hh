@@ -5,8 +5,8 @@
  * Section IV highlights that POSIX fidelity buys GENESYS "pipes
  * (including redirection of stdin, stdout, and stderr)" for free.
  * This is the kernel object behind pipe(2): a bounded byte queue with
- * blocking reads (empty) and writes (full), EOF on writer close, and
- * EPIPE on reader close.
+ * blocking reads (empty) and writes (full), EOF on writer close,
+ * EPIPE on reader close, and PIPE_BUF atomicity for small writes.
  */
 
 #ifndef GENESYS_OSK_PIPE_HH
@@ -16,6 +16,7 @@
 #include <deque>
 #include <memory>
 
+#include "osk/net.hh"
 #include "osk/vfs.hh"
 #include "sim/event_queue.hh"
 #include "sim/sync.hh"
@@ -33,18 +34,24 @@ class PipeInode : public Inode
           writeWait_(std::make_unique<sim::WaitQueue>(eq))
     {}
 
-    /**
-     * Read up to @p len bytes; waits while the pipe is empty and a
-     * writer exists. @return bytes read; 0 = EOF (no writers).
-     */
-    sim::Task<std::int64_t> readBlocking(void *dst, std::uint64_t len);
+    /// POSIX PIPE_BUF: a write of at most this many bytes (or of the
+    /// whole capacity, when that is smaller) lands contiguously.
+    static constexpr std::uint64_t kPipeBuf = 4096;
 
     /**
-     * Write @p len bytes; waits while the pipe is full and a reader
-     * exists. @return bytes written or -EPIPE (no readers).
+     * Scatter up to the iovecs' total length into them; waits while
+     * the pipe is empty and a writer exists, then takes what is
+     * buffered. @return bytes read; 0 = EOF (no writers).
      */
-    sim::Task<std::int64_t> writeBlocking(const void *src,
-                                          std::uint64_t len);
+    sim::Task<std::int64_t> readv(const IoVec *iov, int cnt);
+
+    /**
+     * Gather the iovecs into the pipe; waits while the pipe is full
+     * and a reader exists. A write of at most kPipeBuf bytes waits
+     * for room for all of it, so concurrent writers never interleave
+     * inside it. @return bytes written or -EPIPE (no readers).
+     */
+    sim::Task<std::int64_t> writev(const IoVec *iov, int cnt);
 
     void
     addReader()

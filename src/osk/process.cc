@@ -72,9 +72,9 @@ Kernel::createProcess()
     // Standard descriptors 0/1/2 are the controlling terminal, so
     // write(1, ...) prints to the console like any Unix process.
     for (int fd = 0; fd < 3; ++fd) {
-        auto file = std::make_shared<OpenFile>();
+        auto file = std::make_shared<OpenFile>(
+            FileKind::CharDevice, fd == 0 ? O_RDONLY : O_WRONLY);
         file->inode = terminal_;
-        file->flags = fd == 0 ? O_RDONLY : O_WRONLY;
         file->path = "/dev/console";
         // gstat: allow(must-release-fd) — stdio descriptors live for
         // the process's whole lifetime by design.

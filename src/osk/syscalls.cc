@@ -47,6 +47,52 @@ constexpr int kMaxEpollEvents = 4096;
 constexpr int kMaxFds = 4096;                    // RLIMIT_NOFILE stand-in
 constexpr std::uint64_t kMaxFileBytes = 1ull << 31; // RLIMIT_FSIZE stand-in
 
+/**
+ * The object behind a description, by kind: one member is set for a
+ * live description (none for Proc, whose content is its own
+ * snapshot), and none for a null one.
+ */
+struct FileObject
+{
+    RegularFile *regular = nullptr;
+    CharDevice *device = nullptr;
+    PipeInode *pipe = nullptr;
+    UdpSocket *udp = nullptr;
+    TcpSocket *tcp = nullptr;
+    EpollInstance *epoll = nullptr;
+};
+
+FileObject
+objectOf(Kernel &k, const OpenFile *file)
+{
+    FileObject o;
+    if (file == nullptr)
+        return o;
+    switch (file->kind) {
+      case FileKind::Regular:
+        o.regular = static_cast<RegularFile *>(file->inode);
+        break;
+      case FileKind::CharDevice:
+        o.device = static_cast<CharDevice *>(file->inode);
+        break;
+      case FileKind::Proc:
+        break;
+      case FileKind::Pipe:
+        o.pipe = static_cast<PipeInode *>(file->inode);
+        break;
+      case FileKind::Udp:
+        o.udp = k.udp().socket(file->id);
+        break;
+      case FileKind::Tcp:
+        o.tcp = k.tcp().socket(file->id);
+        break;
+      case FileKind::Epoll:
+        o.epoll = k.epoll().instance(file->id);
+        break;
+    }
+    return o;
+}
+
 } // namespace
 
 sim::Task<std::int64_t>
@@ -71,13 +117,27 @@ sysOpen(Kernel &k, Process &p, const SyscallArgs &args)
                inode->type() == InodeType::Regular) {
         static_cast<RegularFile *>(inode)->truncate(0);
     }
-    if (inode->type() == InodeType::Directory)
+    FileKind kind = FileKind::Regular;
+    switch (inode->type()) {
+      case InodeType::Directory:
         co_return -EISDIR;
-    auto file = std::make_shared<OpenFile>();
+      case InodeType::Regular:
+        kind = FileKind::Regular;
+        break;
+      case InodeType::CharDevice:
+        kind = FileKind::CharDevice;
+        break;
+      case InodeType::Proc:
+        kind = FileKind::Proc;
+        break;
+      case InodeType::Pipe:
+        kind = FileKind::Pipe;
+        break;
+    }
+    auto file = std::make_shared<OpenFile>(kind, flags);
     file->inode = inode;
-    file->flags = flags;
     file->path = path;
-    if (inode->type() == InodeType::Proc)
+    if (kind == FileKind::Proc)
         file->procSnapshot = static_cast<ProcFile *>(inode)->generate();
     co_return p.fds().allocate(std::move(file));
 }
@@ -94,23 +154,30 @@ sysClose(Kernel &k, Process &p, const SyscallArgs &args)
     // only the last descriptor on it tears its endpoint down.
     if (file.use_count() > 1)
         co_return 0;
-    if (file->socketId >= 0) {
-        k.epoll().forgetSocket(SockKind::Udp, file->socketId);
-        k.udp().closeSocket(file->socketId);
-    }
-    if (file->tcpId >= 0) {
-        k.epoll().forgetSocket(SockKind::Tcp, file->tcpId);
-        k.tcp().closeSocket(file->tcpId);
-    }
-    if (file->epollId >= 0)
-        k.epoll().close(file->epollId);
-    if (file->inode != nullptr &&
-        file->inode->type() == InodeType::Pipe) {
-        auto *pipe = static_cast<PipeInode *>(file->inode);
+    switch (file->kind) {
+      case FileKind::Regular:
+      case FileKind::CharDevice:
+      case FileKind::Proc:
+        break;
+      case FileKind::Pipe: {
+        PipeInode *pipe = objectOf(k, file.get()).pipe;
         if (file->writable())
             pipe->closeWriter();
         else
             pipe->closeReader();
+        break;
+      }
+      case FileKind::Udp:
+        k.epoll().forgetSocket(file->kind, file->id);
+        k.udp().closeSocket(file->id);
+        break;
+      case FileKind::Tcp:
+        k.epoll().forgetSocket(file->kind, file->id);
+        k.tcp().closeSocket(file->id);
+        break;
+      case FileKind::Epoll:
+        k.epoll().close(file->id);
+        break;
     }
     co_return 0;
 }
@@ -118,154 +185,165 @@ sysClose(Kernel &k, Process &p, const SyscallArgs &args)
 namespace
 {
 
-/** recvfrom(2) on UDP socket @p socket_id: one datagram into @p buf. */
+/**
+ * One datagram from @p sock, scattered over @p iov; the rest of a
+ * longer datagram is discarded, as in Linux.
+ */
 sim::Task<std::int64_t>
-recvDatagram(Kernel &k, int socket_id, void *buf, std::uint64_t len,
+recvDatagram(Kernel &k, UdpSocket &sock, const IoVec *iov, int cnt,
              SockAddr *src)
 {
-    Datagram dgram = co_await k.udp().socket(socket_id)->recvFrom(len);
+    Datagram dgram = co_await sock.recvFrom(iovTotal(iov, cnt));
     co_await sim::Delay(k.sim().events(), k.params().udpRecvBase);
-    if (buf != nullptr && !dgram.payload.empty())
-        std::memcpy(buf, dgram.payload.data(), dgram.payload.size());
+    IovCursor(iov).scatter(dgram.payload.data(), dgram.payload.size());
     if (src != nullptr)
         *src = dgram.from;
     co_return static_cast<std::int64_t>(dgram.payload.size());
 }
 
-/** Shared read path for read/pread64. */
-sim::Task<std::int64_t>
-doRead(Kernel &k, Process &p, int fd, void *buf, std::uint64_t count,
-       std::int64_t pos_override)
+/** Which read/write-family call a transfer serves. */
+enum class Io : std::uint8_t
 {
-    OpenFile *file = p.fds().get(fd);
-    if (file == nullptr)
-        co_return -EBADF;
-    if (!file->readable())
-        co_return -EBADF;
-    if (file->inode == nullptr) {
-        // Sockets and epoll instances: no inode, no file position.
-        if (file->epollId >= 0)
-            co_return -EINVAL;
-        if (pos_override >= 0)
-            co_return -ESPIPE;
-        if (file->socketId >= 0)
-            co_return co_await recvDatagram(k, file->socketId, buf,
-                                            count, nullptr);
-        TcpSocket *sock = k.tcp().socket(file->tcpId);
-        if (sock == nullptr)
-            co_return -EBADF;
-        co_await sim::Delay(k.sim().events(), k.params().tcpRecvBase);
-        co_return co_await sock->read(buf, count);
-    }
-    const std::uint64_t pos =
-        pos_override >= 0 ? static_cast<std::uint64_t>(pos_override)
-                          : file->pos;
+    Read,  ///< read, pread64
+    Write, ///< write, pwrite64
+    Readv,
+    Writev,
+};
 
-    std::uint64_t n = 0;
-    switch (file->inode->type()) {
-      case InodeType::Regular: {
-        auto *reg = static_cast<RegularFile *>(file->inode);
-        n = reg->readAt(pos, buf, count);
-        if (reg->backing() != nullptr && n > 0)
-            co_await reg->backing()->read(n);
-        co_await sim::Delay(k.sim().events(),
-                            k.params().pageCacheLookup +
-                                transferTicks(
-                                    n, k.params().tmpfsBytesPerSec));
-        break;
-      }
-      case InodeType::CharDevice: {
-        auto *dev = static_cast<CharDevice *>(file->inode);
-        n = dev->read(pos, buf, count);
-        co_await sim::Delay(k.sim().events(), k.params().pageCacheLookup);
-        break;
-      }
-      case InodeType::Proc: {
-        const auto &content = file->procSnapshot;
-        if (pos < content.size()) {
-            n = std::min<std::uint64_t>(count, content.size() - pos);
-            if (buf != nullptr)
-                std::memcpy(buf, content.data() + pos, n);
-        }
-        co_await sim::Delay(k.sim().events(), k.params().pageCacheLookup);
-        break;
-      }
-      case InodeType::Pipe: {
-        if (pos_override >= 0)
-            co_return -ESPIPE; // pipes are not seekable
-        auto *pipe = static_cast<PipeInode *>(file->inode);
-        co_await sim::Delay(k.sim().events(), k.params().pageCacheLookup);
-        co_return co_await pipe->readBlocking(buf, count);
-      }
-      case InodeType::Directory:
-        co_return -EISDIR;
-    }
-    if (pos_override < 0)
-        file->pos = pos + n;
-    co_return static_cast<std::int64_t>(n);
+bool
+writes(Io io)
+{
+    return io == Io::Write || io == Io::Writev;
 }
 
-/** Shared write path for write/pwrite64. */
-sim::Task<std::int64_t>
-doWrite(Kernel &k, Process &p, int fd, const void *buf,
-        std::uint64_t count, std::int64_t pos_override)
+bool
+vectored(Io io)
 {
-    OpenFile *file = p.fds().get(fd);
-    if (file == nullptr)
-        co_return -EBADF;
-    if (!file->writable())
-        co_return -EBADF;
-    if (file->inode == nullptr) {
-        if (file->epollId >= 0)
-            co_return -EINVAL;
-        if (pos_override >= 0)
-            co_return -ESPIPE;
-        if (file->socketId >= 0)
-            co_return -EDESTADDRREQ; // datagram sockets never connect
-        TcpSocket *sock = k.tcp().socket(file->tcpId);
-        if (sock == nullptr)
-            co_return -EBADF;
-        co_await sim::Delay(k.sim().events(), k.params().tcpSendBase);
-        co_return co_await sock->write(buf, count);
-    }
-    std::uint64_t pos =
-        pos_override >= 0 ? static_cast<std::uint64_t>(pos_override)
-                          : file->pos;
+    return io == Io::Readv || io == Io::Writev;
+}
 
-    std::uint64_t n = 0;
-    switch (file->inode->type()) {
-      case InodeType::Regular: {
-        auto *reg = static_cast<RegularFile *>(file->inode);
-        if (pos_override < 0 && (file->flags & O_APPEND) != 0)
-            pos = reg->size();
-        n = reg->writeAt(pos, buf, count);
-        co_await sim::Delay(k.sim().events(),
-                            k.params().pageCacheLookup +
-                                transferTicks(
-                                    n, k.params().tmpfsBytesPerSec));
-        break;
-      }
-      case InodeType::CharDevice: {
-        auto *dev = static_cast<CharDevice *>(file->inode);
-        n = dev->write(pos, buf, count);
-        co_await sim::Delay(k.sim().events(), k.params().pageCacheLookup);
-        break;
-      }
-      case InodeType::Proc:
-        co_return -EACCES;
-      case InodeType::Pipe: {
+/**
+ * A transfer on a seekable description (Regular, CharDevice, Proc):
+ * segment by segment, each charged as a read(2)/write(2) of its own.
+ * readv/writev skip empty segments; a short segment ends the call. A
+ * non-negative @p pos_override is pread/pwrite's offset and leaves the
+ * file position alone.
+ */
+sim::Task<std::int64_t>
+seekableIo(Kernel &k, OpenFile &file, const IoVec *iov, int cnt,
+           std::int64_t pos_override, Io io)
+{
+    const FileObject obj = objectOf(k, &file);
+    std::int64_t total = 0;
+    for (int i = 0; i < cnt; ++i) {
+        void *buf = iov[i].asPtr();
+        const std::uint64_t len = iov[i].len;
+        if (vectored(io) && len == 0)
+            continue;
+        std::uint64_t pos = pos_override >= 0
+                                ? static_cast<std::uint64_t>(pos_override)
+                                : file.pos;
+        std::uint64_t n = 0;
+        Tick cost = k.params().pageCacheLookup;
+        if (RegularFile *reg = obj.regular) {
+            if (writes(io)) {
+                if (pos_override < 0 && (file.flags & O_APPEND) != 0)
+                    pos = reg->size();
+                n = reg->writeAt(pos, buf, len);
+            } else {
+                n = reg->readAt(pos, buf, len);
+                if (reg->backing() != nullptr && n > 0)
+                    co_await reg->backing()->read(n);
+            }
+            cost += transferTicks(n, k.params().tmpfsBytesPerSec);
+        } else if (CharDevice *dev = obj.device) {
+            n = writes(io) ? dev->write(pos, buf, len)
+                           : dev->read(pos, buf, len);
+        } else if (pos < file.procSnapshot.size()) {
+            // Proc, read-only (doIo answers writes): the snapshot
+            // taken at open.
+            n = std::min<std::uint64_t>(len,
+                                        file.procSnapshot.size() - pos);
+            if (buf != nullptr)
+                std::memcpy(buf, file.procSnapshot.data() + pos, n);
+        }
+        co_await sim::Delay(k.sim().events(), cost);
+        if (pos_override < 0)
+            file.pos = pos + n;
+        total += static_cast<std::int64_t>(n);
+        if (n < len)
+            break;
+    }
+    co_return total;
+}
+
+/**
+ * The read/write family's shared path. read/write and pread/pwrite
+ * move one buffer, (fd, buf, count[, off]); readv/writev an iovec
+ * array, (fd, iov, iovcnt). Seekable kinds go through seekableIo;
+ * every other kind moves the whole vector at once: a pipe hands over
+ * what it holds and takes a small write whole, a UDP socket gives
+ * exactly one datagram. A non-negative @p pos_override is pread and
+ * pwrite's offset.
+ */
+sim::Task<std::int64_t>
+doIo(Kernel &k, Process &p, SyscallArgs args, std::int64_t pos_override,
+     Io io)
+{
+    const bool write = writes(io);
+    const IoVec one{args.a[1], args.a[2]};
+    const IoVec *iov = vectored(io) ? args.ptr<const IoVec>(1) : &one;
+    const int cnt = vectored(io) ? args.as<int>(2) : 1;
+    if (iov == nullptr)
+        co_return -EFAULT;
+    if (cnt < 0 || cnt > kMaxIovSegments)
+        co_return -EINVAL;
+    OpenFile *file = p.fds().get(args.as<int>(0));
+    if (file == nullptr || !(write ? file->writable() : file->readable()))
+        co_return -EBADF;
+    // Like Linux's do_iter_read/write, an empty vector reaches no file.
+    if (vectored(io) && iovTotal(iov, cnt) == 0)
+        co_return 0;
+    switch (file->kind) {
+      case FileKind::Regular:
+      case FileKind::CharDevice:
+        co_return co_await seekableIo(k, *file, iov, cnt, pos_override, io);
+      case FileKind::Proc:
+        if (write)
+            co_return -EACCES;
+        co_return co_await seekableIo(k, *file, iov, cnt, pos_override, io);
+      case FileKind::Pipe: {
         if (pos_override >= 0)
             co_return -ESPIPE;
-        auto *pipe = static_cast<PipeInode *>(file->inode);
+        PipeInode *pipe = objectOf(k, file).pipe;
         co_await sim::Delay(k.sim().events(), k.params().pageCacheLookup);
-        co_return co_await pipe->writeBlocking(buf, count);
+        if (!write)
+            co_return co_await pipe->readv(iov, cnt);
+        co_return co_await pipe->writev(iov, cnt);
       }
-      case InodeType::Directory:
-        co_return -EISDIR;
+      case FileKind::Udp: {
+        if (pos_override >= 0)
+            co_return -ESPIPE;
+        if (write)
+            co_return -EDESTADDRREQ; // datagram sockets never connect
+        co_return co_await recvDatagram(k, *objectOf(k, file).udp, iov,
+                                        cnt, nullptr);
+      }
+      case FileKind::Tcp: {
+        if (pos_override >= 0)
+            co_return -ESPIPE;
+        TcpSocket *sock = objectOf(k, file).tcp;
+        if (!write) {
+            co_await sim::Delay(k.sim().events(), k.params().tcpRecvBase);
+            co_return co_await sock->readv(iov, cnt);
+        }
+        co_await sim::Delay(k.sim().events(), k.params().tcpSendBase);
+        co_return co_await sock->writev(iov, cnt);
+      }
+      case FileKind::Epoll:
+        break;
     }
-    if (pos_override < 0)
-        file->pos = pos + n;
-    co_return static_cast<std::int64_t>(n);
+    co_return -EINVAL; // an epoll instance moves no data
 }
 
 } // namespace
@@ -273,18 +351,17 @@ doWrite(Kernel &k, Process &p, int fd, const void *buf,
 sim::Task<std::int64_t>
 sysRead(Kernel &k, Process &p, const SyscallArgs &args)
 {
-    return doRead(k, p, args.as<int>(0), args.ptr<void>(1), args.a[2], -1);
+    return doIo(k, p, args, -1, Io::Read);
 }
 
 // write() to a full pipe or TCP send buffer parks the service core
 // indefinitely; `write`'s row has the may-block flag and the backend
-// consults the fd type (ServiceCore::mayParkIndefinitely) to decide
-// whether this particular call can actually park.
+// consults the fd kind (mayParkIndefinitely) to decide whether this
+// particular call can actually park.
 sim::Task<std::int64_t>
 sysWrite(Kernel &k, Process &p, const SyscallArgs &args)
 {
-    return doWrite(k, p, args.as<int>(0), args.ptr<const void>(1),
-                   args.a[2], -1);
+    return doIo(k, p, args, -1, Io::Write);
 }
 
 sim::Task<std::int64_t>
@@ -293,8 +370,7 @@ sysPread(Kernel &k, Process &p, const SyscallArgs &args)
     const auto off = args.as<std::int64_t>(3);
     if (off < 0)
         co_return -EINVAL; // Linux rejects negative offsets up front
-    co_return co_await doRead(k, p, args.as<int>(0), args.ptr<void>(1),
-                              args.a[2], off);
+    co_return co_await doIo(k, p, args, off, Io::Read);
 }
 
 sim::Task<std::int64_t>
@@ -303,8 +379,7 @@ sysPwrite(Kernel &k, Process &p, const SyscallArgs &args)
     const auto off = args.as<std::int64_t>(3);
     if (off < 0)
         co_return -EINVAL; // Linux rejects negative offsets up front
-    co_return co_await doWrite(k, p, args.as<int>(0),
-                               args.ptr<const void>(1), args.a[2], off);
+    co_return co_await doIo(k, p, args, off, Io::Write);
 }
 
 sim::Task<std::int64_t>
@@ -317,8 +392,17 @@ sysLseek(Kernel &k, Process &p, const SyscallArgs &args)
     OpenFile *file = p.fds().get(fd);
     if (file == nullptr)
         co_return -EBADF;
-    if (file->inode == nullptr || file->inode->type() == InodeType::Pipe)
-        co_return -ESPIPE; // sockets, epoll instances and pipes
+    switch (file->kind) {
+      case FileKind::Regular:
+      case FileKind::CharDevice:
+      case FileKind::Proc:
+        break;
+      case FileKind::Pipe:
+      case FileKind::Udp:
+      case FileKind::Tcp:
+      case FileKind::Epoll:
+        co_return -ESPIPE;
+    }
     std::int64_t base = 0;
     switch (whence) {
       case SEEK_SET_:
@@ -353,10 +437,10 @@ sysMmap(Kernel &k, Process &p, const SyscallArgs &args)
         OpenFile *file = p.fds().get(fd);
         if (file == nullptr)
             co_return -EBADF;
-        if (file->inode == nullptr ||
-            file->inode->type() != InodeType::CharDevice)
-            co_return -ENODEV; // file-backed mmap not modeled
-        base = p.mm().mmapDevice(static_cast<CharDevice *>(file->inode));
+        // Only devices map; file-backed mmap is not modeled.
+        CharDevice *dev = objectOf(k, file).device;
+        if (dev != nullptr)
+            base = p.mm().mmapDevice(dev);
         if (base == 0)
             co_return -ENODEV;
     } else {
@@ -425,14 +509,12 @@ inline constexpr int SOCK_STREAM_ = 1;
 sim::Task<std::int64_t>
 sysSocket(Kernel &k, Process &p, const SyscallArgs &args)
 {
-    const int type = args.as<int>(1);
+    const bool stream = args.as<int>(1) == SOCK_STREAM_;
     co_await sim::Delay(k.sim().events(), k.params().udpSendBase);
-    auto file = std::make_shared<OpenFile>();
-    file->flags = O_RDWR;
-    if (type == SOCK_STREAM_)
-        file->tcpId = k.tcp().createSocket()->id();
-    else
-        file->socketId = k.udp().createSocket()->id();
+    auto file = std::make_shared<OpenFile>(
+        stream ? FileKind::Tcp : FileKind::Udp, O_RDWR);
+    file->id = stream ? k.tcp().createSocket()->id()
+                      : k.udp().createSocket()->id();
     co_return p.fds().allocate(std::move(file));
 }
 
@@ -442,15 +524,13 @@ sysBind(Kernel &k, Process &p, const SyscallArgs &args)
     const int fd = args.as<int>(0);
     const auto *addr = args.ptr<const SockAddr>(1);
     co_await sim::Delay(k.sim().events(), k.params().udpRecvBase);
-    OpenFile *file = p.fds().get(fd);
-    if (file == nullptr ||
-        (file->socketId < 0 && file->tcpId < 0))
+    const FileObject sock = objectOf(k, p.fds().get(fd));
+    if (sock.udp == nullptr && sock.tcp == nullptr)
         co_return -EBADF;
     if (addr == nullptr)
         co_return -EFAULT;
-    if (file->tcpId >= 0)
-        co_return k.tcp().socket(file->tcpId)->bind(*addr);
-    co_return k.udp().socket(file->socketId)->bind(*addr);
+    co_return sock.tcp != nullptr ? sock.tcp->bind(*addr)
+                                  : sock.udp->bind(*addr);
 }
 
 sim::Task<std::int64_t>
@@ -459,12 +539,12 @@ sysConnect(Kernel &k, Process &p, const SyscallArgs &args)
     const int fd = args.as<int>(0);
     const auto *addr = args.ptr<const SockAddr>(1);
     co_await sim::Delay(k.sim().events(), k.params().tcpConnectBase);
-    OpenFile *file = p.fds().get(fd);
-    if (file == nullptr || file->tcpId < 0)
+    TcpSocket *sock = objectOf(k, p.fds().get(fd)).tcp;
+    if (sock == nullptr)
         co_return -EBADF;
     if (addr == nullptr)
         co_return -EFAULT;
-    co_return co_await k.tcp().socket(file->tcpId)->connect(*addr);
+    co_return co_await sock->connect(*addr);
 }
 
 sim::Task<std::int64_t>
@@ -473,10 +553,10 @@ sysListen(Kernel &k, Process &p, const SyscallArgs &args)
     const int fd = args.as<int>(0);
     const int backlog = args.as<int>(1);
     co_await sim::Delay(k.sim().events(), k.params().udpRecvBase);
-    OpenFile *file = p.fds().get(fd);
-    if (file == nullptr || file->tcpId < 0)
+    TcpSocket *sock = objectOf(k, p.fds().get(fd)).tcp;
+    if (sock == nullptr)
         co_return -EBADF;
-    co_return k.tcp().socket(file->tcpId)->listen(backlog);
+    co_return sock->listen(backlog);
 }
 
 sim::Task<std::int64_t>
@@ -485,15 +565,14 @@ sysAccept(Kernel &k, Process &p, const SyscallArgs &args)
     const int fd = args.as<int>(0);
     auto *peer_out = args.ptr<SockAddr>(1);
     co_await sim::Delay(k.sim().events(), k.params().tcpConnectBase);
-    OpenFile *file = p.fds().get(fd);
-    if (file == nullptr || file->tcpId < 0)
+    TcpSocket *sock = objectOf(k, p.fds().get(fd)).tcp;
+    if (sock == nullptr)
         co_return -EBADF;
-    const int sid = co_await k.tcp().socket(file->tcpId)->accept();
+    const int sid = co_await sock->accept();
     if (sid < 0)
         co_return sid;
-    auto conn = std::make_shared<OpenFile>();
-    conn->flags = O_RDWR;
-    conn->tcpId = sid;
+    auto conn = std::make_shared<OpenFile>(FileKind::Tcp, O_RDWR);
+    conn->id = sid;
     if (peer_out != nullptr)
         *peer_out = k.tcp().socket(sid)->peer();
     co_return p.fds().allocate(std::move(conn));
@@ -505,19 +584,18 @@ sysShutdown(Kernel &k, Process &p, const SyscallArgs &args)
     const int fd = args.as<int>(0);
     const int how = args.as<int>(1);
     co_await sim::Delay(k.sim().events(), k.params().tcpSendBase);
-    OpenFile *file = p.fds().get(fd);
-    if (file == nullptr || file->tcpId < 0)
+    TcpSocket *sock = objectOf(k, p.fds().get(fd)).tcp;
+    if (sock == nullptr)
         co_return -EBADF;
-    co_return co_await k.tcp().socket(file->tcpId)->shutdown(how);
+    co_return co_await sock->shutdown(how);
 }
 
 sim::Task<std::int64_t>
 sysEpollCreate(Kernel &k, Process &p, const SyscallArgs &)
 {
     co_await sim::Delay(k.sim().events(), k.params().epollCtlBase);
-    auto file = std::make_shared<OpenFile>();
-    file->flags = O_RDWR;
-    file->epollId = k.epoll().create();
+    auto file = std::make_shared<OpenFile>(FileKind::Epoll, O_RDWR);
+    file->id = k.epoll().create();
     co_return p.fds().allocate(std::move(file));
 }
 
@@ -529,24 +607,18 @@ sysEpollCtl(Kernel &k, Process &p, const SyscallArgs &args)
     const int fd = args.as<int>(2);
     const auto *event = args.ptr<const EpollEvent>(3);
     co_await sim::Delay(k.sim().events(), k.params().epollCtlBase);
-    OpenFile *efile = p.fds().get(epfd);
-    if (efile == nullptr || efile->epollId < 0)
-        co_return -EBADF;
-    EpollInstance *inst = k.epoll().instance(efile->epollId);
+    EpollInstance *inst = objectOf(k, p.fds().get(epfd)).epoll;
     if (inst == nullptr)
         co_return -EBADF;
     OpenFile *target = p.fds().get(fd);
     if (target == nullptr)
         co_return -EBADF;
-    if (target->socketId < 0 && target->tcpId < 0)
+    const FileObject sock = objectOf(k, target);
+    if (sock.udp == nullptr && sock.tcp == nullptr)
         co_return -EPERM; // only sockets are pollable here
     if (event == nullptr && op != EPOLL_CTL_DEL_)
         co_return -EFAULT;
-    const SockKind kind =
-        target->tcpId >= 0 ? SockKind::Tcp : SockKind::Udp;
-    const int sock_id =
-        target->tcpId >= 0 ? target->tcpId : target->socketId;
-    co_return inst->ctl(op, fd, kind, sock_id,
+    co_return inst->ctl(op, fd, target->kind, target->id,
                         event != nullptr ? event->events : 0,
                         event != nullptr ? event->data : 0);
 }
@@ -563,10 +635,7 @@ sysEpollWait(Kernel &k, Process &p, const SyscallArgs &args)
     // syscall-area shard (kEpollHostWaiter for CPU-side callers).
     const std::uint64_t waiter = args.a[4];
     co_await sim::Delay(k.sim().events(), k.params().epollWaitBase);
-    OpenFile *efile = p.fds().get(epfd);
-    if (efile == nullptr || efile->epollId < 0)
-        co_return -EBADF;
-    EpollInstance *inst = k.epoll().instance(efile->epollId);
+    EpollInstance *inst = objectOf(k, p.fds().get(epfd)).epoll;
     if (inst == nullptr)
         co_return -EBADF;
     // max_events bounds the collectReady() walk of the caller's
@@ -588,18 +657,13 @@ sysSendto(Kernel &k, Process &p, const SyscallArgs &args)
     const auto *buf = args.ptr<const std::uint8_t>(1);
     const std::uint64_t len = args.a[2];
     const auto *dest = args.ptr<const SockAddr>(4);
-    OpenFile *file = p.fds().get(fd);
-    if (file == nullptr)
-        co_return -EBADF;
-    if (file->tcpId >= 0) {
+    const FileObject sock = objectOf(k, p.fds().get(fd));
+    if (sock.tcp != nullptr) {
         // sendto on a connected stream: the address is ignored.
-        TcpSocket *sock = k.tcp().socket(file->tcpId);
-        if (sock == nullptr)
-            co_return -EBADF;
         co_await sim::Delay(k.sim().events(), k.params().tcpSendBase);
-        co_return co_await sock->write(buf, len);
+        co_return co_await sock.tcp->write(buf, len);
     }
-    if (file->socketId < 0)
+    if (sock.udp == nullptr)
         co_return -EBADF;
     if (buf == nullptr || dest == nullptr)
         co_return -EFAULT;
@@ -607,8 +671,7 @@ sysSendto(Kernel &k, Process &p, const SyscallArgs &args)
         co_return -EMSGSIZE; // GPU-supplied length sizes this buffer
     std::vector<std::uint8_t> payload(buf, buf + len);
     co_await sim::Delay(k.sim().events(), k.params().udpSendBase);
-    co_return co_await k.udp().socket(file->socketId)
-        ->sendTo(*dest, std::move(payload));
+    co_return co_await sock.udp->sendTo(*dest, std::move(payload));
 }
 
 sim::Task<std::int64_t>
@@ -618,21 +681,17 @@ sysRecvfrom(Kernel &k, Process &p, const SyscallArgs &args)
     auto *buf = args.ptr<std::uint8_t>(1);
     const std::uint64_t len = args.a[2];
     auto *src = args.ptr<SockAddr>(4);
-    OpenFile *file = p.fds().get(fd);
-    if (file == nullptr)
-        co_return -EBADF;
-    if (file->tcpId >= 0) {
-        TcpSocket *sock = k.tcp().socket(file->tcpId);
-        if (sock == nullptr)
-            co_return -EBADF;
+    const FileObject sock = objectOf(k, p.fds().get(fd));
+    if (sock.tcp != nullptr) {
         co_await sim::Delay(k.sim().events(), k.params().tcpRecvBase);
         if (src != nullptr)
-            *src = sock->peer();
-        co_return co_await sock->read(buf, len);
+            *src = sock.tcp->peer();
+        co_return co_await sock.tcp->read(buf, len);
     }
-    if (file->socketId < 0)
+    if (sock.udp == nullptr)
         co_return -EBADF;
-    co_return co_await recvDatagram(k, file->socketId, buf, len, src);
+    const IoVec one = IoVec::of(buf, len);
+    co_return co_await recvDatagram(k, *sock.udp, &one, 1, src);
 }
 
 /**
@@ -645,73 +704,13 @@ sysRecvfrom(Kernel &k, Process &p, const SyscallArgs &args)
 sim::Task<std::int64_t>
 sysReadv(Kernel &k, Process &p, const SyscallArgs &args)
 {
-    const int fd = args.as<int>(0);
-    const auto *iov = args.ptr<const IoVec>(1);
-    const int cnt = args.as<int>(2);
-    if (iov == nullptr)
-        co_return -EFAULT;
-    if (cnt < 0 || cnt > kMaxIovSegments)
-        co_return -EINVAL;
-    OpenFile *file = p.fds().get(fd);
-    if (file == nullptr || !file->readable())
-        co_return -EBADF;
-    if (file->tcpId >= 0) {
-        TcpSocket *sock = k.tcp().socket(file->tcpId);
-        if (sock == nullptr)
-            co_return -EBADF;
-        co_await sim::Delay(k.sim().events(), k.params().tcpRecvBase);
-        co_return co_await sock->readv(iov, cnt);
-    }
-    // Non-stream fds: sequential per-iovec reads; a short read stops
-    // the scan, matching POSIX readv semantics.
-    std::int64_t total = 0;
-    for (int i = 0; i < cnt; ++i) {
-        if (iov[i].len == 0)
-            continue;
-        const auto n =
-            co_await doRead(k, p, fd, iov[i].asPtr(), iov[i].len, -1);
-        if (n < 0)
-            co_return total > 0 ? total : n;
-        total += n;
-        if (static_cast<std::uint64_t>(n) < iov[i].len)
-            break;
-    }
-    co_return total;
+    return doIo(k, p, args, -1, Io::Readv);
 }
 
 sim::Task<std::int64_t>
 sysWritev(Kernel &k, Process &p, const SyscallArgs &args)
 {
-    const int fd = args.as<int>(0);
-    const auto *iov = args.ptr<const IoVec>(1);
-    const int cnt = args.as<int>(2);
-    if (iov == nullptr)
-        co_return -EFAULT;
-    if (cnt < 0 || cnt > kMaxIovSegments)
-        co_return -EINVAL;
-    OpenFile *file = p.fds().get(fd);
-    if (file == nullptr || !file->writable())
-        co_return -EBADF;
-    if (file->tcpId >= 0) {
-        TcpSocket *sock = k.tcp().socket(file->tcpId);
-        if (sock == nullptr)
-            co_return -EBADF;
-        co_await sim::Delay(k.sim().events(), k.params().tcpSendBase);
-        co_return co_await sock->writev(iov, cnt);
-    }
-    std::int64_t total = 0;
-    for (int i = 0; i < cnt; ++i) {
-        if (iov[i].len == 0)
-            continue;
-        const auto n =
-            co_await doWrite(k, p, fd, iov[i].asPtr(), iov[i].len, -1);
-        if (n < 0)
-            co_return total > 0 ? total : n;
-        total += n;
-        if (static_cast<std::uint64_t>(n) < iov[i].len)
-            break;
-    }
-    co_return total;
+    return doIo(k, p, args, -1, Io::Writev);
 }
 
 sim::Task<std::int64_t>
@@ -723,15 +722,13 @@ sysSendmsg(Kernel &k, Process &p, const SyscallArgs &args)
     OpenFile *file = p.fds().get(fd);
     if (file == nullptr)
         co_return -EBADF;
-    if (file->tcpId < 0)
+    TcpSocket *sock = objectOf(k, file).tcp;
+    if (sock == nullptr)
         co_return -EOPNOTSUPP; // datagram msghdr routing not modeled
     if (iov == nullptr)
         co_return -EFAULT;
     if (cnt < 0 || cnt > kMaxIovSegments)
         co_return -EINVAL;
-    TcpSocket *sock = k.tcp().socket(file->tcpId);
-    if (sock == nullptr)
-        co_return -EBADF;
     co_await sim::Delay(k.sim().events(), k.params().tcpSendBase);
     co_return co_await sock->writev(iov, cnt);
 }
@@ -746,15 +743,13 @@ sysRecvmsg(Kernel &k, Process &p, const SyscallArgs &args)
     OpenFile *file = p.fds().get(fd);
     if (file == nullptr)
         co_return -EBADF;
-    if (file->tcpId < 0)
+    TcpSocket *sock = objectOf(k, file).tcp;
+    if (sock == nullptr)
         co_return -EOPNOTSUPP;
     if (iov == nullptr)
         co_return -EFAULT;
     if (cnt <= 0 || cnt > kMaxIovSegments)
         co_return -EINVAL;
-    TcpSocket *sock = k.tcp().socket(file->tcpId);
-    if (sock == nullptr)
-        co_return -EBADF;
     co_await sim::Delay(k.sim().events(), k.params().tcpRecvBase);
     const bool nonblock = (flags & MSG_DONTWAIT_) != 0;
     if ((flags & MSG_ZEROCOPY_) == 0) {
@@ -800,11 +795,10 @@ sysIoctl(Kernel &k, Process &p, const SyscallArgs &args)
     OpenFile *file = p.fds().get(fd);
     if (file == nullptr)
         co_return -EBADF;
-    if (file->inode == nullptr ||
-        file->inode->type() != InodeType::CharDevice)
+    CharDevice *dev = objectOf(k, file).device;
+    if (dev == nullptr)
         co_return -ENOTTY;
-    co_return static_cast<CharDevice *>(file->inode)
-        ->ioctl(request, argp);
+    co_return dev->ioctl(request, argp);
 }
 
 sim::Task<std::int64_t>
@@ -815,15 +809,13 @@ sysPipe(Kernel &k, Process &p, const SyscallArgs &args)
     if (fds_out == nullptr)
         co_return -EFAULT;
     auto pipe = std::make_shared<PipeInode>(k.sim().events());
-    auto rd = std::make_shared<OpenFile>();
+    auto rd = std::make_shared<OpenFile>(FileKind::Pipe, O_RDONLY);
     rd->inode = pipe.get();
     rd->owned = pipe;
-    rd->flags = O_RDONLY;
     pipe->addReader();
-    auto wr = std::make_shared<OpenFile>();
+    auto wr = std::make_shared<OpenFile>(FileKind::Pipe, O_WRONLY);
     wr->inode = pipe.get();
     wr->owned = pipe;
-    wr->flags = O_WRONLY;
     pipe->addWriter();
     fds_out[0] = p.fds().allocate(std::move(rd));
     fds_out[1] = p.fds().allocate(std::move(wr));
@@ -872,28 +864,26 @@ sysFstat(Kernel &k, Process &p, const SyscallArgs &args)
     if (out == nullptr)
         co_return -EFAULT;
     out->stSize = file->inode != nullptr ? file->inode->size() : 0;
-    if (file->socketId >= 0 || file->tcpId >= 0) {
+    switch (file->kind) {
+      case FileKind::Regular:
+        out->stMode = 1;
+        break;
+      case FileKind::CharDevice:
+        out->stMode = 3;
+        break;
+      case FileKind::Proc:
+        out->stMode = 4;
+        break;
+      case FileKind::Pipe:
+        out->stMode = 5;
+        break;
+      case FileKind::Udp:
+      case FileKind::Tcp:
         out->stMode = 6;
-    } else if (file->inode == nullptr) {
-        out->stMode = 0; // epoll: an anonymous inode has no file type
-    } else {
-        switch (file->inode->type()) {
-          case InodeType::Regular:
-            out->stMode = 1;
-            break;
-          case InodeType::Directory:
-            out->stMode = 2;
-            break;
-          case InodeType::CharDevice:
-            out->stMode = 3;
-            break;
-          case InodeType::Proc:
-            out->stMode = 4;
-            break;
-          case InodeType::Pipe:
-            out->stMode = 5;
-            break;
-        }
+        break;
+      case FileKind::Epoll:
+        out->stMode = 0; // an anonymous inode has no file type
+        break;
     }
     co_return 0;
 }
@@ -905,13 +895,13 @@ sysFtruncate(Kernel &k, Process &p, const SyscallArgs &args)
     OpenFile *file = p.fds().get(args.as<int>(0));
     if (file == nullptr || !file->writable())
         co_return -EBADF;
-    if (file->inode == nullptr ||
-        file->inode->type() != InodeType::Regular)
+    RegularFile *reg = objectOf(k, file).regular;
+    if (reg == nullptr)
         co_return -EINVAL;
     const std::uint64_t new_size = args.a[1];
     if (new_size > kMaxFileBytes)
         co_return -EFBIG; // truncate() eagerly allocates the backing
-    static_cast<RegularFile *>(file->inode)->truncate(new_size);
+    reg->truncate(new_size);
     co_return 0;
 }
 
@@ -992,6 +982,31 @@ invokeSyscall(Kernel &kernel, Process &proc, int num,
         }
     }
     co_return co_await row->handler(kernel, proc, args);
+}
+
+bool
+mayParkIndefinitely(Process &proc, int num, const SyscallArgs &args)
+{
+    const SyscallRow *row = syscallRow(num);
+    if (row == nullptr || !row->mayBlock)
+        return false;
+    if (num == sysno::nanosleep)
+        return true;
+    const OpenFile *file = proc.fds().get(args.as<int>(0));
+    if (file == nullptr)
+        return true; // bad fd: resolve conservatively, in a punt task
+    switch (file->kind) {
+      case FileKind::Regular:
+      case FileKind::CharDevice:
+      case FileKind::Proc:
+        return false; // bounded IO
+      case FileKind::Pipe:
+      case FileKind::Udp:
+      case FileKind::Tcp:
+      case FileKind::Epoll:
+        break;
+    }
+    return true;
 }
 
 } // namespace genesys::osk

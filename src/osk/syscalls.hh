@@ -199,6 +199,17 @@ sim::Task<std::int64_t> invokeSyscall(Kernel &kernel, Process &proc,
                                       int num, const SyscallArgs &args,
                                       FaultInjector *faults = nullptr);
 
+/**
+ * Can this call block its servicing kernel thread indefinitely, not
+ * just for a modeled cost? The row's may-block flag is the sysno-level
+ * superset; this refines it by the kind of the fd in arg 0: only
+ * pipes, sockets and epoll instances can park, while a read(2) of a
+ * regular file is bounded IO. The service path releases the CPU core
+ * around such calls, and ring-mode consumers punt them to their own
+ * workqueue task.
+ */
+bool mayParkIndefinitely(Process &proc, int num, const SyscallArgs &args);
+
 } // namespace genesys::osk
 
 #endif // GENESYS_OSK_SYSCALLS_HH

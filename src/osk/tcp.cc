@@ -13,28 +13,6 @@
 namespace genesys::osk
 {
 
-const char *
-tcpStateName(TcpState s)
-{
-    switch (s) {
-      case TcpState::Closed:
-        return "CLOSED";
-      case TcpState::Listen:
-        return "LISTEN";
-      case TcpState::SynSent:
-        return "SYN_SENT";
-      case TcpState::SynRcvd:
-        return "SYN_RCVD";
-      case TcpState::Established:
-        return "ESTABLISHED";
-      case TcpState::FinWait:
-        return "FIN_WAIT";
-      case TcpState::CloseWait:
-        return "CLOSE_WAIT";
-    }
-    return "?";
-}
-
 TcpSocket::TcpSocket(TcpStack &stack, int id)
     : stack_(stack), id_(id),
       rx_wait_(std::make_unique<sim::WaitQueue>(stack.events())),
@@ -201,60 +179,30 @@ TcpSocket::consumed(std::uint64_t n)
 sim::Task<std::int64_t>
 TcpSocket::read(void *buf, std::uint64_t max_len)
 {
-    if (max_len == 0)
-        co_return 0;
-    const std::int64_t rdy = co_await awaitReadable(false);
-    if (rdy <= 0)
-        co_return rdy;
-    auto *dst = static_cast<std::uint8_t *>(buf);
-    std::uint64_t n = 0;
-    while (n < max_len && !rx_.empty()) {
-        NetSeg &s = rx_.front();
-        const auto take = static_cast<std::uint32_t>(
-            std::min<std::uint64_t>(max_len - n, s.len));
-        if (dst != nullptr)
-            std::copy_n(s.bytes(), take, dst + n);
-        s.off += take;
-        s.len -= take;
-        if (s.len == 0)
-            rx_.pop_front();
-        n += take;
-    }
-    stack_.counters_.copiedBytes += n;
-    consumed(n);
-    co_return static_cast<std::int64_t>(n);
+    const IoVec one = IoVec::of(buf, max_len);
+    co_return co_await readv(&one, 1);
 }
 
 sim::Task<std::int64_t>
 TcpSocket::readv(const IoVec *iov, int iov_cnt)
 {
-    std::uint64_t cap = 0;
-    for (int i = 0; i < iov_cnt; ++i)
-        cap += iov[i].len;
+    const std::uint64_t cap = iovTotal(iov, iov_cnt);
     if (cap == 0)
         co_return 0;
     const std::int64_t rdy = co_await awaitReadable(false);
     if (rdy <= 0)
         co_return rdy;
+    IovCursor to(iov);
     std::uint64_t n = 0;
-    int vi = 0;
-    std::uint64_t voff = 0;
     while (n < cap && !rx_.empty()) {
-        while (vi < iov_cnt && voff >= iov[vi].len) {
-            ++vi;
-            voff = 0;
-        }
         NetSeg &s = rx_.front();
         const auto take = static_cast<std::uint32_t>(
-            std::min<std::uint64_t>(iov[vi].len - voff, s.len));
-        auto *dst = static_cast<std::uint8_t *>(iov[vi].asPtr());
-        if (dst != nullptr)
-            std::copy_n(s.bytes(), take, dst + voff);
+            std::min<std::uint64_t>(cap - n, s.len));
+        to.scatter(s.bytes(), take);
         s.off += take;
         s.len -= take;
         if (s.len == 0)
             rx_.pop_front();
-        voff += take;
         n += take;
     }
     stack_.counters_.copiedBytes += n;
@@ -283,8 +231,7 @@ TcpSocket::readSegments(NetSeg *out, int max_segs, bool nonblock)
 }
 
 sim::Task<std::int64_t>
-TcpSocket::gatherSend(const IoVec *iov, int iov_cnt,
-                      std::uint64_t total)
+TcpSocket::gatherSend(const IoVec *iov, std::uint64_t total)
 {
     if (error_ != 0)
         co_return -error_;
@@ -293,9 +240,8 @@ TcpSocket::gatherSend(const IoVec *iov, int iov_cnt,
     if (tcpState_ != TcpState::Established &&
         tcpState_ != TcpState::CloseWait)
         co_return -ENOTCONN;
+    IovCursor from(iov);
     std::uint64_t sent = 0;
-    int vi = 0;
-    std::uint64_t voff = 0;
     while (sent < total) {
         if (error_ != 0)
             co_return -error_;
@@ -321,24 +267,7 @@ TcpSocket::gatherSend(const IoVec *iov, int iov_cnt,
         NetSeg seg;
         seg.data = std::make_shared<std::vector<std::uint8_t>>(seg_len);
         seg.len = static_cast<std::uint32_t>(seg_len);
-        std::uint64_t filled = 0;
-        while (filled < seg_len) {
-            while (vi < iov_cnt && voff >= iov[vi].len) {
-                ++vi;
-                voff = 0;
-            }
-            const std::uint64_t take =
-                std::min(seg_len - filled, iov[vi].len - voff);
-            const auto *src =
-                static_cast<const std::uint8_t *>(iov[vi].asPtr());
-            if (src != nullptr)
-                std::copy_n(src + voff, take,
-                            seg.data->data() + filled);
-            else
-                std::fill_n(seg.data->data() + filled, take, 0);
-            voff += take;
-            filled += take;
-        }
+        from.gather(seg.data->data(), seg_len);
         bool reset = false;
         const Tick delay = stack_.segmentDelay(seg_len, reset);
         if (reset) {
@@ -366,20 +295,14 @@ TcpSocket::gatherSend(const IoVec *iov, int iov_cnt,
 sim::Task<std::int64_t>
 TcpSocket::write(const void *buf, std::uint64_t len)
 {
-    IoVec one;
-    one.base = static_cast<std::uint64_t>(
-        reinterpret_cast<std::uintptr_t>(buf));
-    one.len = len;
-    co_return co_await gatherSend(&one, 1, len);
+    const IoVec one = IoVec::of(buf, len);
+    co_return co_await gatherSend(&one, len);
 }
 
 sim::Task<std::int64_t>
 TcpSocket::writev(const IoVec *iov, int iov_cnt)
 {
-    std::uint64_t total = 0;
-    for (int i = 0; i < iov_cnt; ++i)
-        total += iov[i].len;
-    co_return co_await gatherSend(iov, iov_cnt, total);
+    co_return co_await gatherSend(iov, iovTotal(iov, iov_cnt));
 }
 
 sim::Task<int>

@@ -59,8 +59,6 @@ enum class TcpState
     CloseWait    ///< peer sent FIN; we may still send
 };
 
-const char *tcpStateName(TcpState s);
-
 // shutdown(2) `how` values (match Linux).
 inline constexpr int SHUT_RD_ = 0;
 inline constexpr int SHUT_WR_ = 1;
@@ -223,8 +221,7 @@ class TcpSocket
     void consumed(std::uint64_t n);
 
     /** Gather-send over an iovec cursor; shared by write/writev. */
-    sim::Task<std::int64_t> gatherSend(const IoVec *iov, int iov_cnt,
-                                       std::uint64_t total);
+    sim::Task<std::int64_t> gatherSend(const IoVec *iov, std::uint64_t total);
 
     TcpStack &stack_;
     int id_;

@@ -53,7 +53,6 @@ class CpuCluster
     void releaseCore();
 
     std::uint32_t cores() const { return cores_; }
-    std::uint32_t busyNow() const { return busyNow_; }
 
     /**
      * Average fraction of cores busy over [from, to], integrating the

@@ -711,7 +711,7 @@ struct EpollGsanRig
         inst = ep.instance(ep.create());
         EXPECT_NE(inst, nullptr);
         EXPECT_EQ(inst->ctl(osk::EPOLL_CTL_ADD_, 40,
-                            osk::SockKind::Tcp, sid, osk::EPOLLIN_,
+                            osk::FileKind::Tcp, sid, osk::EPOLLIN_,
                             40),
                   0);
     }

@@ -303,7 +303,7 @@ TEST_F(EpollTest, LevelTriggeredReportsUntilDrained)
 {
     auto [cli, srv] = establish(7100);
     osk::EpollInstance *inst = ep_.instance(ep_.create());
-    ASSERT_EQ(inst->ctl(osk::EPOLL_CTL_ADD_, 5, osk::SockKind::Tcp,
+    ASSERT_EQ(inst->ctl(osk::EPOLL_CTL_ADD_, 5, osk::FileKind::Tcp,
                         srv->id(), osk::EPOLLIN_, 99),
               0);
     sim_.spawn([](osk::TcpSocket *c) -> sim::Task<> {
@@ -333,10 +333,10 @@ TEST_F(EpollTest, MultiSocketReadinessCollected)
     auto [cli1, srv1] = establish(7101);
     auto [cli2, srv2] = establish(7102);
     osk::EpollInstance *inst = ep_.instance(ep_.create());
-    ASSERT_EQ(inst->ctl(osk::EPOLL_CTL_ADD_, 10, osk::SockKind::Tcp,
+    ASSERT_EQ(inst->ctl(osk::EPOLL_CTL_ADD_, 10, osk::FileKind::Tcp,
                         srv1->id(), osk::EPOLLIN_, 1),
               0);
-    ASSERT_EQ(inst->ctl(osk::EPOLL_CTL_ADD_, 11, osk::SockKind::Tcp,
+    ASSERT_EQ(inst->ctl(osk::EPOLL_CTL_ADD_, 11, osk::FileKind::Tcp,
                         srv2->id(), osk::EPOLLIN_, 2),
               0);
     sim_.spawn([](osk::TcpSocket *a, osk::TcpSocket *b) -> sim::Task<> {
@@ -353,7 +353,7 @@ TEST_F(EpollTest, BlockedWaiterWokenByDataArrival)
 {
     auto [cli, srv] = establish(7103);
     osk::EpollInstance *inst = ep_.instance(ep_.create());
-    ASSERT_EQ(inst->ctl(osk::EPOLL_CTL_ADD_, 5, osk::SockKind::Tcp,
+    ASSERT_EQ(inst->ctl(osk::EPOLL_CTL_ADD_, 5, osk::FileKind::Tcp,
                         srv->id(), osk::EPOLLIN_, 7),
               0);
     std::vector<std::uint64_t> woken;
@@ -387,7 +387,7 @@ TEST_F(EpollTest, ErrorReportedEvenWithEmptyMask)
     auto [cli, srv] = establish(7104);
     osk::EpollInstance *inst = ep_.instance(ep_.create());
     // Mask registers no interest bits at all.
-    ASSERT_EQ(inst->ctl(osk::EPOLL_CTL_ADD_, 5, osk::SockKind::Tcp,
+    ASSERT_EQ(inst->ctl(osk::EPOLL_CTL_ADD_, 5, osk::FileKind::Tcp,
                         srv->id(), 0, 13),
               0);
     tcp_.setLossPpm(1000000);
@@ -406,7 +406,7 @@ TEST_F(EpollTest, WriteReadinessFollowsWindow)
     params_.tcpWindowBytes = 64;
     auto [cli, srv] = establish(7105);
     osk::EpollInstance *inst = ep_.instance(ep_.create());
-    ASSERT_EQ(inst->ctl(osk::EPOLL_CTL_ADD_, 5, osk::SockKind::Tcp,
+    ASSERT_EQ(inst->ctl(osk::EPOLL_CTL_ADD_, 5, osk::FileKind::Tcp,
                         cli->id(), osk::EPOLLOUT_, 21),
               0);
     osk::EpollEvent ev[2];
@@ -435,21 +435,21 @@ TEST_F(EpollTest, CtlErrorContract)
     auto [cli, srv] = establish(7106);
     (void)cli;
     osk::EpollInstance *inst = ep_.instance(ep_.create());
-    ASSERT_EQ(inst->ctl(osk::EPOLL_CTL_ADD_, 5, osk::SockKind::Tcp,
+    ASSERT_EQ(inst->ctl(osk::EPOLL_CTL_ADD_, 5, osk::FileKind::Tcp,
                         srv->id(), osk::EPOLLIN_, 0),
               0);
-    EXPECT_EQ(inst->ctl(osk::EPOLL_CTL_ADD_, 5, osk::SockKind::Tcp,
+    EXPECT_EQ(inst->ctl(osk::EPOLL_CTL_ADD_, 5, osk::FileKind::Tcp,
                         srv->id(), osk::EPOLLIN_, 0),
               -EEXIST);
-    EXPECT_EQ(inst->ctl(osk::EPOLL_CTL_MOD_, 6, osk::SockKind::Tcp,
+    EXPECT_EQ(inst->ctl(osk::EPOLL_CTL_MOD_, 6, osk::FileKind::Tcp,
                         srv->id(), osk::EPOLLIN_, 0),
               -ENOENT);
-    EXPECT_EQ(inst->ctl(osk::EPOLL_CTL_DEL_, 6, osk::SockKind::Tcp,
+    EXPECT_EQ(inst->ctl(osk::EPOLL_CTL_DEL_, 6, osk::FileKind::Tcp,
                         srv->id(), 0, 0),
               -ENOENT);
-    EXPECT_EQ(inst->ctl(99, 5, osk::SockKind::Tcp, srv->id(), 0, 0),
+    EXPECT_EQ(inst->ctl(99, 5, osk::FileKind::Tcp, srv->id(), 0, 0),
               -EINVAL);
-    EXPECT_EQ(inst->ctl(osk::EPOLL_CTL_DEL_, 5, osk::SockKind::Tcp,
+    EXPECT_EQ(inst->ctl(osk::EPOLL_CTL_DEL_, 5, osk::FileKind::Tcp,
                         srv->id(), 0, 0),
               0);
 }
@@ -458,7 +458,7 @@ TEST_F(EpollTest, EdgeTriggeredFiresOncePerTransition)
 {
     auto [cli, srv] = establish(7110);
     osk::EpollInstance *inst = ep_.instance(ep_.create());
-    ASSERT_EQ(inst->ctl(osk::EPOLL_CTL_ADD_, 5, osk::SockKind::Tcp,
+    ASSERT_EQ(inst->ctl(osk::EPOLL_CTL_ADD_, 5, osk::FileKind::Tcp,
                         srv->id(), osk::EPOLLIN_ | osk::EPOLLET_, 99),
               0);
     sim_.spawn([](osk::TcpSocket *c) -> sim::Task<> {
@@ -499,7 +499,7 @@ TEST_F(EpollTest, EdgeRecordedWhileUnwatchedIsReplayed)
 {
     auto [cli, srv] = establish(7111);
     osk::EpollInstance *inst = ep_.instance(ep_.create());
-    ASSERT_EQ(inst->ctl(osk::EPOLL_CTL_ADD_, 5, osk::SockKind::Tcp,
+    ASSERT_EQ(inst->ctl(osk::EPOLL_CTL_ADD_, 5, osk::FileKind::Tcp,
                         srv->id(), osk::EPOLLIN_ | osk::EPOLLET_, 31),
               0);
     // The edge fires with nobody in epoll_wait; it must be latched as
@@ -528,7 +528,7 @@ TEST_F(EpollTest, OneshotDisarmsUntilRearmed)
     const std::uint32_t mask =
         osk::EPOLLIN_ | osk::EPOLLET_ | osk::EPOLLONESHOT_;
     // ADD probes the already-ready level as the initial edge.
-    ASSERT_EQ(inst->ctl(osk::EPOLL_CTL_ADD_, 5, osk::SockKind::Tcp,
+    ASSERT_EQ(inst->ctl(osk::EPOLL_CTL_ADD_, 5, osk::FileKind::Tcp,
                         srv->id(), mask, 55),
               0);
     osk::EpollEvent ev[2];
@@ -546,7 +546,7 @@ TEST_F(EpollTest, OneshotDisarmsUntilRearmed)
     sim_.run();
     EXPECT_EQ(waitOnce(inst, ev, 2, 1000), 0);
     // MOD re-arms and replays the current level as a fresh edge.
-    ASSERT_EQ(inst->ctl(osk::EPOLL_CTL_MOD_, 5, osk::SockKind::Tcp,
+    ASSERT_EQ(inst->ctl(osk::EPOLL_CTL_MOD_, 5, osk::FileKind::Tcp,
                         srv->id(), mask, 56),
               0);
     ASSERT_EQ(waitOnce(inst, ev, 2, 0), 1);
@@ -557,7 +557,7 @@ TEST_F(EpollTest, EtWakeSuppressedWithoutFreshEdge)
 {
     auto [cli, srv] = establish(7113);
     osk::EpollInstance *inst = ep_.instance(ep_.create());
-    ASSERT_EQ(inst->ctl(osk::EPOLL_CTL_ADD_, 5, osk::SockKind::Tcp,
+    ASSERT_EQ(inst->ctl(osk::EPOLL_CTL_ADD_, 5, osk::FileKind::Tcp,
                         srv->id(), osk::EPOLLIN_ | osk::EPOLLET_, 42),
               0);
     sim_.spawn([](osk::TcpSocket *c) -> sim::Task<> {
@@ -593,7 +593,7 @@ TEST_F(EpollTest, LostEdgeReportedBySanitizer)
 
     auto [cli, srv] = establish(7114);
     osk::EpollInstance *inst = ep_.instance(ep_.create());
-    ASSERT_EQ(inst->ctl(osk::EPOLL_CTL_ADD_, 5, osk::SockKind::Tcp,
+    ASSERT_EQ(inst->ctl(osk::EPOLL_CTL_ADD_, 5, osk::FileKind::Tcp,
                         srv->id(), osk::EPOLLIN_ | osk::EPOLLET_, 77),
               0);
     // First transition: the edge channel observes it, but the seeded
@@ -636,7 +636,7 @@ TEST_F(EpollTest, ClosedInstanceUnblocksWaiterWithEbadf)
     (void)cli;
     const int id = ep_.create();
     osk::EpollInstance *inst = ep_.instance(id);
-    ASSERT_EQ(inst->ctl(osk::EPOLL_CTL_ADD_, 5, osk::SockKind::Tcp,
+    ASSERT_EQ(inst->ctl(osk::EPOLL_CTL_ADD_, 5, osk::FileKind::Tcp,
                         srv->id(), osk::EPOLLIN_, 0),
               0);
     osk::EpollEvent ev[2];
@@ -1039,6 +1039,80 @@ TEST_F(NetSyscallTest, SocketEpollAndPipeFdsAnswerFileCallsLikeLinux)
         EXPECT_EQ(st.stMode, modes[k]) << kKindNames[k];
         EXPECT_EQ(st.stSize, sizes[k]) << kKindNames[k];
     }
+}
+
+TEST_F(NetSyscallTest, ReadvOnPipeReturnsWhatIsBuffered)
+{
+    // Linux readv on a pipe waits only while the pipe is empty: with 4
+    // bytes buffered and the writer still open, two 4-byte iovecs get
+    // the 4 bytes at once rather than parking for more.
+    int fds[2] = {-1, -1};
+    ASSERT_EQ(sys(osk::sysno::pipe, osk::makeArgs(fds)), 0);
+    ASSERT_EQ(sys(osk::sysno::write, osk::makeArgs(fds[1], "abcd", 4)),
+              4);
+    char a[5] = {};
+    char b[5] = {};
+    osk::IoVec rv[2] = {{osk::SyscallArgs::fromPtr(a), 4},
+                        {osk::SyscallArgs::fromPtr(b), 4}};
+    EXPECT_EQ(sys(osk::sysno::readv, osk::makeArgs(fds[0], rv, 2)), 4);
+    EXPECT_EQ(std::string(a), "abcd");
+    EXPECT_EQ(std::string(b), "");
+}
+
+TEST_F(NetSyscallTest, ReadvOnUdpScattersOneDatagram)
+{
+    // A datagram socket's readv takes exactly one datagram and
+    // scatters it across the iovecs; the next datagram stays queued.
+    const osk::SockAddr addr{1, 8240};
+    const auto fd = sys(osk::sysno::socket, osk::makeArgs(2, 2, 0));
+    ASSERT_EQ(sys(osk::sysno::bind, osk::makeArgs(fd, &addr, 8)), 0);
+    const auto tx = sys(osk::sysno::socket, osk::makeArgs(2, 2, 0));
+    ASSERT_EQ(sys(osk::sysno::sendto,
+                  osk::makeArgs(tx, "0123456789", 10, 0, &addr, 8)),
+              10);
+    ASSERT_EQ(sys(osk::sysno::sendto,
+                  osk::makeArgs(tx, "XY", 2, 0, &addr, 8)),
+              2);
+    char a[7] = {};
+    char b[7] = {};
+    osk::IoVec rv[2] = {{osk::SyscallArgs::fromPtr(a), 6},
+                        {osk::SyscallArgs::fromPtr(b), 6}};
+    EXPECT_EQ(sys(osk::sysno::readv, osk::makeArgs(fd, rv, 2)), 10);
+    EXPECT_EQ(std::string(a), "012345");
+    EXPECT_EQ(std::string(b), "6789");
+    char rest[8] = {};
+    EXPECT_EQ(sys(osk::sysno::read, osk::makeArgs(fd, rest, 8)), 2);
+    EXPECT_EQ(std::string(rest), "XY");
+}
+
+TEST_F(NetSyscallTest, WritevToPipeLandsContiguously)
+{
+    // POSIX: a write of at most PIPE_BUF bytes to a pipe is atomic, and
+    // writev is one write. Two concurrent 2x2-byte writevs must not
+    // interleave their records.
+    int fds[2] = {-1, -1};
+    ASSERT_EQ(sys(osk::sysno::pipe, osk::makeArgs(fds)), 0);
+    osk::IoVec a[2] = {{osk::SyscallArgs::fromPtr("A1"), 2},
+                       {osk::SyscallArgs::fromPtr("A2"), 2}};
+    osk::IoVec b[2] = {{osk::SyscallArgs::fromPtr("B1"), 2},
+                       {osk::SyscallArgs::fromPtr("B2"), 2}};
+    std::int64_t ret[2] = {-1, -1};
+    for (int w = 0; w < 2; ++w) {
+        sim_.spawn([](osk::Kernel &k, osk::Process &p,
+                      osk::SyscallArgs args,
+                      std::int64_t &out) -> sim::Task<> {
+            out = co_await k.doSyscall(p, osk::sysno::writev, args);
+        }(kernel_, *proc_, osk::makeArgs(fds[1], w == 0 ? a : b, 2),
+                                         ret[w]));
+    }
+    sim_.run();
+    EXPECT_EQ(ret[0], 4);
+    EXPECT_EQ(ret[1], 4);
+    char got[9] = {};
+    ASSERT_EQ(sys(osk::sysno::read, osk::makeArgs(fds[0], got, 8)), 8);
+    EXPECT_TRUE(std::string(got) == "A1A2B1B2" ||
+                std::string(got) == "B1B2A1A2")
+        << got;
 }
 
 TEST_F(NetSyscallTest, VectoredScatterGatherRoundTrip)

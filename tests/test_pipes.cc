@@ -118,7 +118,8 @@ TEST_F(PipeSyscallTest, WriterBlocksWhenFull)
     pipe.addWriter();
     std::int64_t wrote = -1;
     local.spawn([](PipeInode &pp, std::int64_t &out) -> sim::Task<> {
-        out = co_await pp.writeBlocking("123456", 6);
+        const IoVec v = IoVec::of("123456", 6);
+        out = co_await pp.writev(&v, 1);
     }(pipe, wrote));
     local.run();
     EXPECT_EQ(wrote, -1); // blocked: only 4 bytes fit
@@ -126,7 +127,8 @@ TEST_F(PipeSyscallTest, WriterBlocksWhenFull)
     std::int64_t got = 0;
     local.spawn([](PipeInode &pp, char *b, std::int64_t &out)
                     -> sim::Task<> {
-        out = co_await pp.readBlocking(b, 4);
+        const IoVec v = IoVec::of(b, 4);
+        out = co_await pp.readv(&v, 1);
     }(pipe, buf, got));
     local.run();
     EXPECT_EQ(got, 4);

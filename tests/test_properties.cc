@@ -762,8 +762,8 @@ TEST_P(Seeded, PipePreservesByteStreamUnderRandomInterleaving)
             const std::size_t n =
                 std::min<std::size_t>(r.below(96) + 1,
                                       data.size() - off);
-            const auto wrote =
-                co_await p.writeBlocking(data.data() + off, n);
+            const osk::IoVec v = osk::IoVec::of(data.data() + off, n);
+            const auto wrote = co_await p.writev(&v, 1);
             EXPECT_GT(wrote, 0);
             if (wrote <= 0)
                 co_return;
@@ -780,8 +780,9 @@ TEST_P(Seeded, PipePreservesByteStreamUnderRandomInterleaving)
                   -> sim::Task<> {
         std::uint8_t buf[128];
         for (;;) {
-            const auto n = co_await p.readBlocking(
-                buf, r.below(sizeof buf) + 1);
+            const osk::IoVec v =
+                osk::IoVec::of(buf, r.below(sizeof buf) + 1);
+            const auto n = co_await p.readv(&v, 1);
             if (n == 0)
                 co_return;
             out.insert(out.end(), buf, buf + n);

@@ -215,7 +215,9 @@ TEST(Devices, FramebufferFixInfo)
 TEST(FdTable, AllocatesLowestFreeDescriptor)
 {
     FdTable fds;
-    auto mk = [] { return std::make_shared<OpenFile>(); };
+    auto mk = [] {
+        return std::make_shared<OpenFile>(FileKind::Regular, O_RDONLY);
+    };
     EXPECT_EQ(fds.allocate(mk()), 0);
     EXPECT_EQ(fds.allocate(mk()), 1);
     EXPECT_EQ(fds.allocate(mk()), 2);
@@ -230,7 +232,8 @@ TEST(FdTable, GetAndCloseValidate)
     EXPECT_EQ(fds.get(0), nullptr);
     EXPECT_EQ(fds.get(-1), nullptr);
     EXPECT_FALSE(fds.close(5));
-    const int fd = fds.allocate(std::make_shared<OpenFile>());
+    const int fd = fds.allocate(
+        std::make_shared<OpenFile>(FileKind::Regular, O_RDONLY));
     EXPECT_NE(fds.get(fd), nullptr);
     EXPECT_TRUE(fds.close(fd));
     EXPECT_FALSE(fds.close(fd));
@@ -238,16 +241,13 @@ TEST(FdTable, GetAndCloseValidate)
 
 TEST(OpenFile, ReadWriteFlagChecks)
 {
-    OpenFile ro;
-    ro.flags = O_RDONLY;
+    const OpenFile ro(FileKind::Regular, O_RDONLY);
     EXPECT_TRUE(ro.readable());
     EXPECT_FALSE(ro.writable());
-    OpenFile wo;
-    wo.flags = O_WRONLY;
+    const OpenFile wo(FileKind::Regular, O_WRONLY);
     EXPECT_FALSE(wo.readable());
     EXPECT_TRUE(wo.writable());
-    OpenFile rw;
-    rw.flags = O_RDWR;
+    const OpenFile rw(FileKind::Regular, O_RDWR);
     EXPECT_TRUE(rw.readable());
     EXPECT_TRUE(rw.writable());
 }
