@@ -96,7 +96,7 @@ class IovCursor
     }
 
     template <typename Out>
-    Out
+    void
     gather(Out to, std::uint64_t n)
     {
         for (std::uint64_t take = 0; n > 0; n -= take) {
@@ -107,7 +107,6 @@ class IovCursor
                                  : std::fill_n(to, take, 0);
             off_ += take;
         }
-        return to;
     }
 
   private:
