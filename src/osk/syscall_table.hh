@@ -155,7 +155,7 @@ struct SyscallRow
     /// Can block its kernel thread indefinitely, not just for a modeled
     /// cost: an empty socket, pipe or stream, a full send window,
     /// nanosleep, epoll_wait on idle sockets. The service path narrows
-    /// this per call by fd (ServiceCore::mayParkIndefinitely).
+    /// this per call by fd kind (osk::mayParkIndefinitely).
     bool mayBlock;
 
     /**
