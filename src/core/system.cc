@@ -351,7 +351,12 @@ System::System(const SystemConfig &config)
             ++epollShardWakes_[shard];
     });
 
-    installSysfs();
+    // /sys/genesys is listed from the start; its files are built on
+    // the directory's first lookup, which most runs never make.
+    const bool installed = kernel_->vfs().install(
+        "/sys/genesys",
+        std::make_shared<osk::Directory>([this] { installSysfs(); }));
+    GENESYS_ASSERT(installed, "sysfs setup");
 
     // GENESYS_GSAN=1 turns the sanitizer on for a whole test/bench
     // run without touching code (the gsan-enabled CI job uses this).

@@ -112,7 +112,10 @@ class System
 
   private:
     sim::Task<> launchDrainTask(gpu::KernelLaunch launch);
-    /** One /sys/genesys file per metric-table row with a path. */
+    /**
+     * One /sys/genesys file per metric-table row with a path; the
+     * directory's fill, run on its first lookup.
+     */
     void installSysfs();
 
     SystemConfig config_;

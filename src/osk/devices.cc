@@ -42,16 +42,21 @@ FramebufferDevice::FramebufferDevice(std::uint32_t xres,
     var_.xres = var_.xresVirtual = xres;
     var_.yres = var_.yresVirtual = yres;
     var_.bitsPerPixel = bits_per_pixel;
-    reshape();
 }
 
-void
-FramebufferDevice::reshape()
+std::uint64_t
+FramebufferDevice::size() const
 {
-    const std::uint64_t bytes = std::uint64_t(var_.xresVirtual) *
-                                var_.yresVirtual *
-                                (var_.bitsPerPixel / 8);
-    pixels_.assign(bytes, 0);
+    return std::uint64_t(var_.xresVirtual) * var_.yresVirtual *
+           (var_.bitsPerPixel / 8);
+}
+
+std::vector<std::uint8_t> &
+FramebufferDevice::memory()
+{
+    if (pixels_.empty())
+        pixels_.assign(size(), 0);
+    return pixels_;
 }
 
 std::int64_t
@@ -75,14 +80,17 @@ FramebufferDevice::ioctl(std::uint64_t request, void *argp)
         var_ = req;
         var_.xresVirtual = std::max(req.xres, req.xresVirtual);
         var_.yresVirtual = std::max(req.yres, req.yresVirtual);
-        reshape();
+        // A mode change blanks the screen; memory not yet touched
+        // stays unallocated until its first use.
+        if (!pixels_.empty())
+            pixels_.assign(size(), 0);
         return 0;
       }
       case FBIOGET_FSCREENINFO: {
         if (argp == nullptr)
             return -EFAULT;
         auto &fix = *static_cast<FbFixScreenInfo *>(argp);
-        fix.smemLen = pixels_.size();
+        fix.smemLen = size();
         fix.lineLength = var_.xresVirtual * (var_.bitsPerPixel / 8);
         return 0;
       }
@@ -98,19 +106,21 @@ FramebufferDevice::ioctl(std::uint64_t request, void *argp)
 std::uint8_t *
 FramebufferDevice::mmapMemory(std::uint64_t &length)
 {
-    length = pixels_.size();
-    return pixels_.data();
+    std::vector<std::uint8_t> &mem = memory();
+    length = mem.size();
+    return mem.data();
 }
 
 std::uint64_t
 FramebufferDevice::write(std::uint64_t offset, const void *src,
                          std::uint64_t len)
 {
-    if (offset >= pixels_.size())
+    std::vector<std::uint8_t> &mem = memory();
+    if (offset >= mem.size())
         return 0;
     const std::uint64_t n =
-        std::min<std::uint64_t>(len, pixels_.size() - offset);
-    std::memcpy(pixels_.data() + offset, src, n);
+        std::min<std::uint64_t>(len, mem.size() - offset);
+    std::memcpy(mem.data() + offset, src, n);
     return n;
 }
 
@@ -118,11 +128,12 @@ std::uint64_t
 FramebufferDevice::read(std::uint64_t offset, void *dst,
                         std::uint64_t len)
 {
-    if (offset >= pixels_.size())
+    const std::vector<std::uint8_t> &mem = memory();
+    if (offset >= mem.size())
         return 0;
     const std::uint64_t n =
-        std::min<std::uint64_t>(len, pixels_.size() - offset);
-    std::memcpy(dst, pixels_.data() + offset, n);
+        std::min<std::uint64_t>(len, mem.size() - offset);
+    std::memcpy(dst, mem.data() + offset, n);
     return n;
 }
 

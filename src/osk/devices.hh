@@ -79,7 +79,12 @@ struct FbFixScreenInfo
     std::uint32_t lineLength = 0; ///< bytes per scanline
 };
 
-/** Framebuffer with real pixel memory (RGBA8888 or RGB565). */
+/**
+ * Framebuffer with real pixel memory (RGBA8888 or RGB565). The mode
+ * alone fixes the size; the pixel memory is allocated, zeroed, on its
+ * first mmap, read, write or pixels() call, so a run that never draws
+ * does not pay for a screenful of zeros.
+ */
 class FramebufferDevice : public CharDevice
 {
   public:
@@ -97,14 +102,15 @@ class FramebufferDevice : public CharDevice
     std::uint64_t
     read(std::uint64_t offset, void *dst, std::uint64_t len) override;
 
-    std::uint64_t size() const override { return pixels_.size(); }
+    std::uint64_t size() const override;
 
     const FbVarScreenInfo &var() const { return var_; }
-    const std::vector<std::uint8_t> &pixels() const { return pixels_; }
+    const std::vector<std::uint8_t> &pixels() { return memory(); }
     std::uint32_t panCount() const { return panCount_; }
 
   private:
-    void reshape();
+    /** The pixel memory at the current mode's size, allocated if absent. */
+    std::vector<std::uint8_t> &memory();
 
     FbVarScreenInfo var_;
     std::vector<std::uint8_t> pixels_;

@@ -54,12 +54,26 @@ constexpr std::uint64_t kMaxFileBytes = 1ull << 31; // RLIMIT_FSIZE stand-in
  */
 struct FileObject
 {
+    bool open = false; ///< the descriptor names a live description
     RegularFile *regular = nullptr;
     CharDevice *device = nullptr;
     PipeInode *pipe = nullptr;
     UdpSocket *udp = nullptr;
     TcpSocket *tcp = nullptr;
     EpollInstance *epoll = nullptr;
+
+    /**
+     * What a socket call answers before it reaches the socket: -EBADF
+     * for a closed descriptor, -ENOTSOCK for one that is not a socket,
+     * 0 for a socket.
+     */
+    std::int64_t
+    notSocket() const
+    {
+        if (!open)
+            return -EBADF;
+        return udp != nullptr || tcp != nullptr ? 0 : -ENOTSOCK;
+    }
 };
 
 FileObject
@@ -68,6 +82,7 @@ objectOf(Kernel &k, const OpenFile *file)
     FileObject o;
     if (file == nullptr)
         return o;
+    o.open = true;
     switch (file->kind) {
       case FileKind::Regular:
         o.regular = static_cast<RegularFile *>(file->inode);
@@ -525,8 +540,8 @@ sysBind(Kernel &k, Process &p, const SyscallArgs &args)
     const auto *addr = args.ptr<const SockAddr>(1);
     co_await sim::Delay(k.sim().events(), k.params().udpRecvBase);
     const FileObject sock = objectOf(k, p.fds().get(fd));
-    if (sock.udp == nullptr && sock.tcp == nullptr)
-        co_return -EBADF;
+    if (const std::int64_t err = sock.notSocket())
+        co_return err;
     if (addr == nullptr)
         co_return -EFAULT;
     co_return sock.tcp != nullptr ? sock.tcp->bind(*addr)
@@ -539,9 +554,12 @@ sysConnect(Kernel &k, Process &p, const SyscallArgs &args)
     const int fd = args.as<int>(0);
     const auto *addr = args.ptr<const SockAddr>(1);
     co_await sim::Delay(k.sim().events(), k.params().tcpConnectBase);
-    TcpSocket *sock = objectOf(k, p.fds().get(fd)).tcp;
+    const FileObject obj = objectOf(k, p.fds().get(fd));
+    if (const std::int64_t err = obj.notSocket())
+        co_return err;
+    TcpSocket *sock = obj.tcp;
     if (sock == nullptr)
-        co_return -EBADF;
+        co_return -EBADF; // UDP: this call is modeled for TCP only
     if (addr == nullptr)
         co_return -EFAULT;
     co_return co_await sock->connect(*addr);
@@ -553,9 +571,12 @@ sysListen(Kernel &k, Process &p, const SyscallArgs &args)
     const int fd = args.as<int>(0);
     const int backlog = args.as<int>(1);
     co_await sim::Delay(k.sim().events(), k.params().udpRecvBase);
-    TcpSocket *sock = objectOf(k, p.fds().get(fd)).tcp;
+    const FileObject obj = objectOf(k, p.fds().get(fd));
+    if (const std::int64_t err = obj.notSocket())
+        co_return err;
+    TcpSocket *sock = obj.tcp;
     if (sock == nullptr)
-        co_return -EBADF;
+        co_return -EBADF; // UDP: this call is modeled for TCP only
     co_return sock->listen(backlog);
 }
 
@@ -565,9 +586,12 @@ sysAccept(Kernel &k, Process &p, const SyscallArgs &args)
     const int fd = args.as<int>(0);
     auto *peer_out = args.ptr<SockAddr>(1);
     co_await sim::Delay(k.sim().events(), k.params().tcpConnectBase);
-    TcpSocket *sock = objectOf(k, p.fds().get(fd)).tcp;
+    const FileObject obj = objectOf(k, p.fds().get(fd));
+    if (const std::int64_t err = obj.notSocket())
+        co_return err;
+    TcpSocket *sock = obj.tcp;
     if (sock == nullptr)
-        co_return -EBADF;
+        co_return -EBADF; // UDP: this call is modeled for TCP only
     const int sid = co_await sock->accept();
     if (sid < 0)
         co_return sid;
@@ -584,9 +608,12 @@ sysShutdown(Kernel &k, Process &p, const SyscallArgs &args)
     const int fd = args.as<int>(0);
     const int how = args.as<int>(1);
     co_await sim::Delay(k.sim().events(), k.params().tcpSendBase);
-    TcpSocket *sock = objectOf(k, p.fds().get(fd)).tcp;
+    const FileObject obj = objectOf(k, p.fds().get(fd));
+    if (const std::int64_t err = obj.notSocket())
+        co_return err;
+    TcpSocket *sock = obj.tcp;
     if (sock == nullptr)
-        co_return -EBADF;
+        co_return -EBADF; // UDP: this call is modeled for TCP only
     co_return co_await sock->shutdown(how);
 }
 
@@ -607,9 +634,10 @@ sysEpollCtl(Kernel &k, Process &p, const SyscallArgs &args)
     const int fd = args.as<int>(2);
     const auto *event = args.ptr<const EpollEvent>(3);
     co_await sim::Delay(k.sim().events(), k.params().epollCtlBase);
-    EpollInstance *inst = objectOf(k, p.fds().get(epfd)).epoll;
-    if (inst == nullptr)
-        co_return -EBADF;
+    const FileObject ep = objectOf(k, p.fds().get(epfd));
+    EpollInstance *inst = ep.epoll;
+    if (inst == nullptr) // epfd closed, or not an epoll descriptor
+        co_return ep.open ? -EINVAL : -EBADF;
     OpenFile *target = p.fds().get(fd);
     if (target == nullptr)
         co_return -EBADF;
@@ -635,9 +663,10 @@ sysEpollWait(Kernel &k, Process &p, const SyscallArgs &args)
     // syscall-area shard (kEpollHostWaiter for CPU-side callers).
     const std::uint64_t waiter = args.a[4];
     co_await sim::Delay(k.sim().events(), k.params().epollWaitBase);
-    EpollInstance *inst = objectOf(k, p.fds().get(epfd)).epoll;
-    if (inst == nullptr)
-        co_return -EBADF;
+    const FileObject ep = objectOf(k, p.fds().get(epfd));
+    EpollInstance *inst = ep.epoll;
+    if (inst == nullptr) // epfd closed, or not an epoll descriptor
+        co_return ep.open ? -EINVAL : -EBADF;
     // max_events bounds the collectReady() walk of the caller's
     // events window; a GPU wave must not pick the bound itself.
     if (max_events <= 0 || max_events > kMaxEpollEvents)
@@ -658,13 +687,13 @@ sysSendto(Kernel &k, Process &p, const SyscallArgs &args)
     const std::uint64_t len = args.a[2];
     const auto *dest = args.ptr<const SockAddr>(4);
     const FileObject sock = objectOf(k, p.fds().get(fd));
+    if (const std::int64_t err = sock.notSocket())
+        co_return err;
     if (sock.tcp != nullptr) {
         // sendto on a connected stream: the address is ignored.
         co_await sim::Delay(k.sim().events(), k.params().tcpSendBase);
         co_return co_await sock.tcp->write(buf, len);
     }
-    if (sock.udp == nullptr)
-        co_return -EBADF;
     if (buf == nullptr || dest == nullptr)
         co_return -EFAULT;
     if (len > kMaxUdpPayload)
@@ -682,14 +711,14 @@ sysRecvfrom(Kernel &k, Process &p, const SyscallArgs &args)
     const std::uint64_t len = args.a[2];
     auto *src = args.ptr<SockAddr>(4);
     const FileObject sock = objectOf(k, p.fds().get(fd));
+    if (const std::int64_t err = sock.notSocket())
+        co_return err;
     if (sock.tcp != nullptr) {
         co_await sim::Delay(k.sim().events(), k.params().tcpRecvBase);
         if (src != nullptr)
             *src = sock.tcp->peer();
         co_return co_await sock.tcp->read(buf, len);
     }
-    if (sock.udp == nullptr)
-        co_return -EBADF;
     const IoVec one = IoVec::of(buf, len);
     co_return co_await recvDatagram(k, *sock.udp, &one, 1, src);
 }
@@ -719,10 +748,10 @@ sysSendmsg(Kernel &k, Process &p, const SyscallArgs &args)
     const int fd = args.as<int>(0);
     const auto *iov = args.ptr<const IoVec>(1);
     const int cnt = args.as<int>(2);
-    OpenFile *file = p.fds().get(fd);
-    if (file == nullptr)
-        co_return -EBADF;
-    TcpSocket *sock = objectOf(k, file).tcp;
+    const FileObject obj = objectOf(k, p.fds().get(fd));
+    if (const std::int64_t err = obj.notSocket())
+        co_return err;
+    TcpSocket *sock = obj.tcp;
     if (sock == nullptr)
         co_return -EOPNOTSUPP; // datagram msghdr routing not modeled
     if (iov == nullptr)
@@ -741,9 +770,10 @@ sysRecvmsg(Kernel &k, Process &p, const SyscallArgs &args)
     const int cnt = args.as<int>(2);
     const int flags = args.as<int>(3);
     OpenFile *file = p.fds().get(fd);
-    if (file == nullptr)
-        co_return -EBADF;
-    TcpSocket *sock = objectOf(k, file).tcp;
+    const FileObject obj = objectOf(k, file);
+    if (const std::int64_t err = obj.notSocket())
+        co_return err;
+    TcpSocket *sock = obj.tcp;
     if (sock == nullptr)
         co_return -EOPNOTSUPP;
     if (iov == nullptr)
@@ -752,15 +782,8 @@ sysRecvmsg(Kernel &k, Process &p, const SyscallArgs &args)
         co_return -EINVAL;
     co_await sim::Delay(k.sim().events(), k.params().tcpRecvBase);
     const bool nonblock = (flags & MSG_DONTWAIT_) != 0;
-    if ((flags & MSG_ZEROCOPY_) == 0) {
-        // Scatter copy-out. The DONTWAIT probe is race-free here: the
-        // sim is cooperatively scheduled, so nothing drains the chain
-        // between the probe and readv's no-wait fast path.
-        if (nonblock && sock->rxQueued() == 0 && !sock->eofPending() &&
-            !sock->errorPending())
-            co_return -EAGAIN;
-        co_return co_await sock->readv(iov, cnt);
-    }
+    if ((flags & MSG_ZEROCOPY_) == 0)
+        co_return co_await sock->readv(iov, cnt, nonblock); // copy-out
     // Zero-copy: retire the previous loan generation on this fd (the
     // caller is done parsing those segments), then hand out whole
     // segments — each iovec entry is rewritten to point INTO the

@@ -184,12 +184,12 @@ TcpSocket::read(void *buf, std::uint64_t max_len)
 }
 
 sim::Task<std::int64_t>
-TcpSocket::readv(const IoVec *iov, int iov_cnt)
+TcpSocket::readv(const IoVec *iov, int iov_cnt, bool nonblock)
 {
     const std::uint64_t cap = iovTotal(iov, iov_cnt);
     if (cap == 0)
         co_return 0;
-    const std::int64_t rdy = co_await awaitReadable(false);
+    const std::int64_t rdy = co_await awaitReadable(nonblock);
     if (rdy <= 0)
         co_return rdy;
     IovCursor to(iov);

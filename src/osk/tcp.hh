@@ -154,9 +154,11 @@ class TcpSocket
 
     /**
      * Scatter read: like read() but fills @p iov[0..iov_cnt) in order.
-     * One wait, then as many immediately-available bytes as fit.
+     * One wait, then as many immediately-available bytes as fit;
+     * @p nonblock answers -EAGAIN instead of waiting (MSG_DONTWAIT).
      */
-    sim::Task<std::int64_t> readv(const IoVec *iov, int iov_cnt);
+    sim::Task<std::int64_t> readv(const IoVec *iov, int iov_cnt,
+                                  bool nonblock = false);
 
     /**
      * Zero-copy read: pops up to @p max_segs whole segments off the

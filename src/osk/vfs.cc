@@ -7,6 +7,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <utility>
 
 #include "support/logging.hh"
 
@@ -108,61 +109,98 @@ RegularFile::truncate(std::uint64_t new_size)
 
 // -------------------------------------------------------------- Directory
 
-Inode *
-Directory::lookup(const std::string &name) const
+void
+Directory::populate() const
 {
+    // Taken out first: the fill adds through this same directory.
+    if (fill_)
+        std::exchange(fill_, nullptr)();
+}
+
+Inode *
+Directory::lookup(std::string_view name) const
+{
+    populate();
     auto it = children_.find(name);
     return it == children_.end() ? nullptr : it->second.get();
 }
 
 void
-Directory::add(const std::string &name, std::shared_ptr<Inode> child)
+Directory::add(std::string_view name, std::shared_ptr<Inode> child)
 {
-    children_[name] = std::move(child);
+    populate();
+    children_.insert_or_assign(std::string(name), std::move(child));
 }
 
 bool
-Directory::remove(const std::string &name)
+Directory::remove(std::string_view name)
 {
-    return children_.erase(name) > 0;
+    populate();
+    auto it = children_.find(name);
+    if (it == children_.end())
+        return false;
+    children_.erase(it);
+    return true;
+}
+
+const Directory::Entries &
+Directory::entries() const
+{
+    populate();
+    return children_;
 }
 
 // -------------------------------------------------------------------- Vfs
 
+namespace
+{
+
+/** The non-empty '/'-separated components of a path, front to back. */
+class PathWalk
+{
+  public:
+    explicit PathWalk(std::string_view path) : rest_(path) {}
+
+    /** Set @p part to the next component. @return false at the end. */
+    bool
+    next(std::string_view &part)
+    {
+        while (!rest_.empty() && rest_.front() == '/')
+            rest_.remove_prefix(1);
+        if (rest_.empty())
+            return false;
+        const std::size_t end = std::min(rest_.find('/'), rest_.size());
+        part = rest_.substr(0, end);
+        rest_.remove_prefix(end);
+        return true;
+    }
+
+  private:
+    std::string_view rest_;
+};
+
+} // namespace
+
 Vfs::Vfs() : root_(std::make_shared<Directory>()) {}
 
-std::vector<std::string>
-Vfs::split(const std::string &path)
-{
-    std::vector<std::string> parts;
-    std::size_t start = 0;
-    while (start < path.size()) {
-        if (path[start] == '/') {
-            ++start;
-            continue;
-        }
-        std::size_t end = path.find('/', start);
-        if (end == std::string::npos)
-            end = path.size();
-        parts.push_back(path.substr(start, end - start));
-        start = end;
-    }
-    return parts;
-}
-
 std::size_t
-Vfs::componentCount(const std::string &path)
+Vfs::componentCount(std::string_view path)
 {
-    return split(path).size();
+    PathWalk walk(path);
+    std::size_t n = 0;
+    for (std::string_view part; walk.next(part);)
+        ++n;
+    return n;
 }
 
 Inode *
-Vfs::resolve(const std::string &path) const
+Vfs::resolve(std::string_view path) const
 {
     if (path.empty() || path[0] != '/')
         return nullptr;
     Inode *cur = root_.get();
-    for (const auto &part : split(path)) {
+    PathWalk walk(path);
+    for (std::string_view part; walk.next(part);) {
         if (cur->type() != InodeType::Directory)
             return nullptr;
         cur = static_cast<Directory *>(cur)->lookup(part);
@@ -173,10 +211,11 @@ Vfs::resolve(const std::string &path) const
 }
 
 Directory *
-Vfs::ensureDir(const std::string &dirPath)
+Vfs::ensureDir(std::string_view dirPath)
 {
     Directory *cur = root_.get();
-    for (const auto &part : split(dirPath)) {
+    PathWalk walk(dirPath);
+    for (std::string_view part; walk.next(part);) {
         Inode *next = cur->lookup(part);
         if (next == nullptr) {
             auto dir = std::make_shared<Directory>();
@@ -193,16 +232,15 @@ Vfs::ensureDir(const std::string &dirPath)
 }
 
 RegularFile *
-Vfs::createFile(const std::string &path)
+Vfs::createFile(std::string_view path)
 {
     const auto slash = path.find_last_of('/');
-    if (slash == std::string::npos)
+    if (slash == std::string_view::npos)
         return nullptr;
-    const std::string dir = path.substr(0, slash);
-    const std::string name = path.substr(slash + 1);
+    const std::string_view name = path.substr(slash + 1);
     if (name.empty())
         return nullptr;
-    Directory *parent = ensureDir(dir);
+    Directory *parent = ensureDir(path.substr(0, slash));
     if (parent == nullptr)
         return nullptr;
     if (Inode *existing = parent->lookup(name)) {
@@ -219,15 +257,15 @@ Vfs::createFile(const std::string &path)
 }
 
 bool
-Vfs::install(const std::string &path, std::shared_ptr<Inode> node)
+Vfs::install(std::string_view path, std::shared_ptr<Inode> node)
 {
     const auto slash = path.find_last_of('/');
-    if (slash == std::string::npos)
+    if (slash == std::string_view::npos)
         return false;
     Directory *parent = ensureDir(path.substr(0, slash));
     if (parent == nullptr)
         return false;
-    const std::string name = path.substr(slash + 1);
+    const std::string_view name = path.substr(slash + 1);
     if (name.empty() || parent->lookup(name) != nullptr)
         return false;
     parent->add(name, std::move(node));
@@ -235,10 +273,10 @@ Vfs::install(const std::string &path, std::shared_ptr<Inode> node)
 }
 
 bool
-Vfs::unlink(const std::string &path)
+Vfs::unlink(std::string_view path)
 {
     const auto slash = path.find_last_of('/');
-    if (slash == std::string::npos)
+    if (slash == std::string_view::npos)
         return false;
     Inode *dir = resolve(slash == 0 ? "/" : path.substr(0, slash));
     if (dir == nullptr || dir->type() != InodeType::Directory)

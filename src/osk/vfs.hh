@@ -20,6 +20,7 @@
 #ifndef GENESYS_OSK_VFS_HH
 #define GENESYS_OSK_VFS_HH
 
+#include <cerrno>
 #include <cstdint>
 #include <functional>
 #include <map>
@@ -122,23 +123,34 @@ class RegularFile : public Inode
     BlockDevice *backing_ = nullptr;
 };
 
-/** Directory mapping names to child inodes. */
+/**
+ * Directory mapping names to child inodes. A directory may carry a
+ * one-shot fill that populates it on first use: it runs once, before
+ * the first lookup, add, remove or entries() call, so a generated tree
+ * (/sys/genesys) costs nothing in a run that never looks inside it.
+ */
 class Directory : public Inode
 {
   public:
-    Directory() : Inode(InodeType::Directory) {}
+    using Fill = std::function<void()>;
+    using Entries =
+        std::map<std::string, std::shared_ptr<Inode>, std::less<>>;
 
-    Inode *lookup(const std::string &name) const;
-    void add(const std::string &name, std::shared_ptr<Inode> child);
-    bool remove(const std::string &name);
-    const std::map<std::string, std::shared_ptr<Inode>> &
-    entries() const
-    {
-        return children_;
-    }
+    explicit Directory(Fill fill = {})
+        : Inode(InodeType::Directory), fill_(std::move(fill))
+    {}
+
+    Inode *lookup(std::string_view name) const;
+    void add(std::string_view name, std::shared_ptr<Inode> child);
+    bool remove(std::string_view name);
+    const Entries &entries() const;
 
   private:
-    std::map<std::string, std::shared_ptr<Inode>> children_;
+    /** Run the fill, if it has not run yet. */
+    void populate() const;
+
+    mutable Fill fill_;
+    Entries children_;
 };
 
 /** Character device: read/write/ioctl/mmap hooks. */
@@ -165,13 +177,16 @@ class CharDevice : public Inode
         return len; // default: sink
     }
 
-    /** @return negative errno or a request-specific value. */
+    /**
+     * @return negative errno or a request-specific value; a device
+     * with no ioctls answers -ENOTTY, as Linux does.
+     */
     virtual std::int64_t
     ioctl(std::uint64_t request, void *argp)
     {
         (void)request;
         (void)argp;
-        return -1;
+        return -ENOTTY;
     }
 
     /**
@@ -212,23 +227,23 @@ class Vfs
     Vfs();
 
     /** Resolve @p path to an inode, or nullptr. */
-    Inode *resolve(const std::string &path) const;
+    Inode *resolve(std::string_view path) const;
 
     /** Number of components in @p path (for open() timing). */
-    static std::size_t componentCount(const std::string &path);
+    static std::size_t componentCount(std::string_view path);
 
     /**
      * Create (or truncate) a regular file at @p path, creating parent
      * directories on demand. @return the file, or nullptr on conflict
      * (existing non-regular inode).
      */
-    RegularFile *createFile(const std::string &path);
+    RegularFile *createFile(std::string_view path);
 
     /** Install a device / proc node at @p path. */
-    bool install(const std::string &path, std::shared_ptr<Inode> node);
+    bool install(std::string_view path, std::shared_ptr<Inode> node);
 
     /** Remove the directory entry at @p path. */
-    bool unlink(const std::string &path);
+    bool unlink(std::string_view path);
 
     Directory &root() { return *root_; }
 
@@ -237,9 +252,7 @@ class Vfs
 
   private:
     Directory *
-    ensureDir(const std::string &dirPath);
-
-    static std::vector<std::string> split(const std::string &path);
+    ensureDir(std::string_view dirPath);
 
     std::shared_ptr<Directory> root_;
 };

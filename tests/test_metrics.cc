@@ -258,6 +258,21 @@ writeSysfs(System &sys, const std::string &path, const std::string &text)
     return ret;
 }
 
+TEST(SysfsWrite, FirstSysAccessIsAWriteThatSticks)
+{
+    // /sys/genesys fills on its first lookup; a write that is that
+    // lookup must land in a file the fill just made, and the tree it
+    // leaves must be the whole tree.
+    System sys;
+    EXPECT_EQ(writeSysfs(sys, "/sys/genesys/coalesce_window_ns", "2500"),
+              4);
+    EXPECT_EQ(sys.host().coalesceWindow(), ticks::ns(2500));
+    // Back to the default, so the listing compares with the golden.
+    EXPECT_EQ(writeSysfs(sys, "/sys/genesys/coalesce_window_ns", "0"), 1);
+    runFixedGkv(sys);
+    expectGolden("sysfs_default.txt", sysfsListing(sys));
+}
+
 TEST(SysfsWrite, DecimalOverflowRejected)
 {
     System sys;

@@ -935,7 +935,7 @@ TEST_F(NetSyscallTest, SocketEpollAndPipeFdsAnswerFileCallsLikeLinux)
          {0, 0, 0, 0, 0, 0, 0, 0}},
         {"ioctl", osk::sysno::ioctl,
          [&](std::int64_t fd) { return osk::makeArgs(fd, 0x5401, buf); },
-         {-ENOTTY, -ENOTTY, -1, -ENOTTY, -ENOTTY, -ENOTTY, -ENOTTY,
+         {-ENOTTY, -ENOTTY, -ENOTTY, -ENOTTY, -ENOTTY, -ENOTTY, -ENOTTY,
           -ENOTTY}},
         {"mmap", osk::sysno::mmap,
          [&](std::int64_t fd) {
@@ -959,51 +959,55 @@ TEST_F(NetSyscallTest, SocketEpollAndPipeFdsAnswerFileCallsLikeLinux)
          {0, 0, 0, 0, 0, 0, 0, 0}},
         {"bind", osk::sysno::bind,
          [&](std::int64_t fd) { return osk::makeArgs(fd, &nowhere, 8); },
-         {-EBADF, -EBADF, -EBADF, -EBADF, -EBADF, 0, 0, -EBADF}},
+         {-ENOTSOCK, -ENOTSOCK, -ENOTSOCK, -ENOTSOCK, -ENOTSOCK, 0, 0,
+          -ENOTSOCK}},
         {"connect", osk::sysno::connect,
          [&](std::int64_t fd) { return osk::makeArgs(fd, &nowhere, 8); },
-         {-EBADF, -EBADF, -EBADF, -EBADF, -EBADF, -EBADF, -ECONNREFUSED,
-          -EBADF}},
+         {-ENOTSOCK, -ENOTSOCK, -ENOTSOCK, -ENOTSOCK, -ENOTSOCK, -EBADF,
+          -ECONNREFUSED, -ENOTSOCK}},
         {"listen", osk::sysno::listen,
          [&](std::int64_t fd) { return osk::makeArgs(fd, 4); },
-         {-EBADF, -EBADF, -EBADF, -EBADF, -EBADF, -EBADF, -EINVAL,
-          -EBADF}},
+         {-ENOTSOCK, -ENOTSOCK, -ENOTSOCK, -ENOTSOCK, -ENOTSOCK, -EBADF,
+          -EINVAL, -ENOTSOCK}},
         {"accept", osk::sysno::accept,
          [&](std::int64_t fd) { return osk::makeArgs(fd, nullptr, 0); },
-         {-EBADF, -EBADF, -EBADF, -EBADF, -EBADF, -EBADF, -EINVAL,
-          -EBADF}},
+         {-ENOTSOCK, -ENOTSOCK, -ENOTSOCK, -ENOTSOCK, -ENOTSOCK, -EBADF,
+          -EINVAL, -ENOTSOCK}},
         {"shutdown", osk::sysno::shutdown,
          [&](std::int64_t fd) {
              return osk::makeArgs(fd, osk::SHUT_RDWR_);
          },
-         {-EBADF, -EBADF, -EBADF, -EBADF, -EBADF, -EBADF, -ENOTCONN,
-          -EBADF}},
+         {-ENOTSOCK, -ENOTSOCK, -ENOTSOCK, -ENOTSOCK, -ENOTSOCK, -EBADF,
+          -ENOTCONN, -ENOTSOCK}},
         {"sendto", osk::sysno::sendto,
          [&](std::int64_t fd) {
              return osk::makeArgs(fd, "abc", 3, 0, &nowhere, 8);
          },
-         {-EBADF, -EBADF, -EBADF, -EBADF, -EBADF, 3, -ENOTCONN, -EBADF}},
+         {-ENOTSOCK, -ENOTSOCK, -ENOTSOCK, -ENOTSOCK, -ENOTSOCK, 3,
+          -ENOTCONN, -ENOTSOCK}},
         {"recvfrom", osk::sysno::recvfrom,
          [&](std::int64_t fd) {
              return osk::makeArgs(fd, buf, 8, 0, nullptr, 0);
          },
-         {-EBADF, -EBADF, -EBADF, -EBADF, -EBADF, 5, -ENOTCONN, -EBADF}},
+         {-ENOTSOCK, -ENOTSOCK, -ENOTSOCK, -ENOTSOCK, -ENOTSOCK, 5,
+          -ENOTCONN, -ENOTSOCK}},
         {"sendmsg", osk::sysno::sendmsg,
          [&](std::int64_t fd) { return osk::makeArgs(fd, wv, 2, 0); },
-         {-EOPNOTSUPP, -EOPNOTSUPP, -EOPNOTSUPP, -EOPNOTSUPP,
-          -EOPNOTSUPP, -EOPNOTSUPP, -ENOTCONN, -EOPNOTSUPP}},
+         {-ENOTSOCK, -ENOTSOCK, -ENOTSOCK, -ENOTSOCK, -ENOTSOCK,
+          -EOPNOTSUPP, -ENOTCONN, -ENOTSOCK}},
         {"recvmsg", osk::sysno::recvmsg,
          [&](std::int64_t fd) {
              return osk::makeArgs(fd, rv, 2,
                                   std::uint64_t(osk::MSG_DONTWAIT_));
          },
-         {-EOPNOTSUPP, -EOPNOTSUPP, -EOPNOTSUPP, -EOPNOTSUPP,
-          -EOPNOTSUPP, -EOPNOTSUPP, -EAGAIN, -EOPNOTSUPP}},
+         {-ENOTSOCK, -ENOTSOCK, -ENOTSOCK, -ENOTSOCK, -ENOTSOCK,
+          -EOPNOTSUPP, -ENOTCONN, -ENOTSOCK}},
         {"epoll_ctl (as epfd)", osk::sysno::epoll_ctl,
          [&](std::int64_t fd) {
              return osk::makeArgs(fd, osk::EPOLL_CTL_ADD_, udp_peer, &ev);
          },
-         {-EBADF, -EBADF, -EBADF, -EBADF, -EBADF, -EBADF, -EBADF, 0}},
+         {-EINVAL, -EINVAL, -EINVAL, -EINVAL, -EINVAL, -EINVAL, -EINVAL,
+          0}},
         {"epoll_ctl (as target)", osk::sysno::epoll_ctl,
          [&](std::int64_t fd) {
              return osk::makeArgs(other_ep, osk::EPOLL_CTL_ADD_, fd, &ev);
@@ -1011,7 +1015,8 @@ TEST_F(NetSyscallTest, SocketEpollAndPipeFdsAnswerFileCallsLikeLinux)
          {-EPERM, -EPERM, -EPERM, -EPERM, -EPERM, 0, 0, -EPERM}},
         {"epoll_wait", osk::sysno::epoll_wait,
          [&](std::int64_t fd) { return osk::makeArgs(fd, evs, 4, 0); },
-         {-EBADF, -EBADF, -EBADF, -EBADF, -EBADF, -EBADF, -EBADF, 0}},
+         {-EINVAL, -EINVAL, -EINVAL, -EINVAL, -EINVAL, -EINVAL, -EINVAL,
+          0}},
     };
     for (const Row &row : rows) {
         for (int k = 0; k < kKinds; ++k) {

@@ -353,9 +353,15 @@ TEST_F(SyscallTest, FramebufferIoctlAndMmap)
               0);
     EXPECT_EQ(var.xres, 1024u);
 
+    // Before any pixel is touched, fstat and FBIOGET_FSCREENINFO
+    // already report the whole 3 MiB screen.
+    StatLite st{};
+    EXPECT_EQ(sys(sysno::fstat, makeArgs(fd, &st)), 0);
+    EXPECT_EQ(st.stSize, 1024u * 768 * 4);
     FbFixScreenInfo fix{};
     EXPECT_EQ(sys(sysno::ioctl, makeArgs(fd, FBIOGET_FSCREENINFO, &fix)),
               0);
+    EXPECT_EQ(fix.smemLen, 1024u * 768 * 4);
     const std::int64_t addr =
         sys(sysno::mmap, makeArgs(0, fix.smemLen, 3, 1, fd, 0));
     ASSERT_GT(addr, 0);
@@ -422,10 +428,12 @@ TEST_F(SyscallTest, SendtoValidation)
     kernel_.vfs().createFile("/notsock")->setData("");
     const std::int64_t fd =
         sys(sysno::open, makeArgs("/notsock", O_RDWR));
+    // send(2): "ENOTSOCK The file descriptor sockfd does not refer to
+    // a socket."
     EXPECT_EQ(sys(sysno::sendto,
                   makeArgs(fd, "x", 1, 0,
                            static_cast<SockAddr *>(nullptr), 0)),
-              -EBADF);
+              -ENOTSOCK);
 }
 
 TEST_F(SyscallTest, RtSigqueueinfoDeliversToProcess)

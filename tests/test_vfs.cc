@@ -169,13 +169,44 @@ TEST(Devices, FramebufferIoctlGetReturnsGeometry)
 
 TEST(Devices, FramebufferIoctlPutReshapes)
 {
-    FramebufferDevice fb(640, 480, 32);
+    // Pixel memory is allocated on first use. Untouched, the default
+    // 1024x768x32 screen still reports its 3 MiB (fb.size() is what
+    // fstat reports) and reads as zeros.
+    constexpr std::uint64_t kScreen = 1024u * 768 * 4;
+    FramebufferDevice fb(1024, 768, 32);
+    EXPECT_EQ(fb.size(), kScreen);
+    FbFixScreenInfo fix;
+    EXPECT_EQ(fb.ioctl(FBIOGET_FSCREENINFO, &fix), 0);
+    EXPECT_EQ(fix.smemLen, kScreen);
+    std::uint8_t tail[8];
+    std::memset(tail, 0xEE, sizeof(tail));
+    EXPECT_EQ(fb.read(kScreen - 4, tail, sizeof(tail)), 4u);
+    const std::uint8_t want[8] = {0, 0, 0, 0, 0xEE, 0xEE, 0xEE, 0xEE};
+    EXPECT_EQ(std::memcmp(tail, want, sizeof(tail)), 0);
+
+    // A mode change re-zeroes memory that exists, at the new size.
+    ASSERT_EQ(fb.write(0, "\x11", 1), 1u);
     FbVarScreenInfo var = fb.var();
     var.xres = var.xresVirtual = 800;
     var.yres = var.yresVirtual = 600;
     var.bitsPerPixel = 16;
     EXPECT_EQ(fb.ioctl(FBIOPUT_VSCREENINFO, &var), 0);
     EXPECT_EQ(fb.size(), 800u * 600 * 2);
+    EXPECT_EQ(fb.pixels().size(), 800u * 600 * 2);
+    EXPECT_EQ(fb.pixels()[0], 0);
+
+    // On a screen never touched before the mode change, mmap and write
+    // see the new size.
+    FramebufferDevice fresh(1024, 768, 32);
+    EXPECT_EQ(fresh.ioctl(FBIOPUT_VSCREENINFO, &var), 0);
+    EXPECT_EQ(fresh.size(), 800u * 600 * 2);
+    EXPECT_EQ(fresh.ioctl(FBIOGET_FSCREENINFO, &fix), 0);
+    EXPECT_EQ(fix.smemLen, 800u * 600 * 2);
+    std::uint64_t len = 0;
+    ASSERT_NE(fresh.mmapMemory(len), nullptr);
+    EXPECT_EQ(len, 800u * 600 * 2);
+    EXPECT_EQ(fresh.write(len - 2, "abcd", 4), 2u);
+    EXPECT_EQ(fresh.write(len, "abcd", 4), 0u);
 }
 
 TEST(Devices, FramebufferRejectsBadMode)
