@@ -5,21 +5,16 @@
  * Sweeps the design-space matrix (granularity × ordering × blocking ×
  * wait × shards × workers × groups) from core::gmc::smallMatrix().
  * Single-actor configs (1 shard × 1 worker × 1 group) are enumerated
- * exhaustively; multi-actor configs run bounded exploration with the
- * footprint POR heuristic. Per config the table reports schedules
+ * exhaustively; multi-actor configs run the first 512 schedules of the
+ * same depth-first search. Per config the table reports schedules
  * run, tie points, events, wall time, and schedules/second.
- *
- * For the exhaustive configs a second pass re-explores with POR on and
- * reports the reduction ratio — together with the doorbell-mutant case
- * study in DESIGN.md §11 this quantifies why POR is a sweep heuristic,
- * not a soundness-preserving optimization, in this engine.
  *
  * Any oracle violation on these (clean, unmutated) configs is a real
  * schedule-dependent protocol bug or oracle false positive: the binary
  * exits nonzero so CI fails.
  *
  * Usage:
- *   abl_gmc [--quick]                 sweep (quick = CI subset)
+ *   abl_gmc                           sweep every config
  *   abl_gmc --gmc-replay=<cfg>:<sch>  replay one schedule, e.g.
  *       --gmc-replay=wg-strong-block-poll-1x1g1:0.0.0.0.0.1.1.1
  */
@@ -98,33 +93,23 @@ replayOne(const std::string &spec)
 int
 main(int argc, char **argv)
 {
-    bool quick = false;
     for (int i = 1; i < argc; ++i) {
-        if (std::strcmp(argv[i], "--quick") == 0) {
-            quick = true;
-        } else if (std::strncmp(argv[i], "--gmc-replay=", 13) == 0) {
+        if (std::strncmp(argv[i], "--gmc-replay=", 13) == 0)
             return replayOne(argv[i] + 13);
-        } else {
-            std::fprintf(stderr,
-                         "usage: %s [--quick] "
-                         "[--gmc-replay=<config>:<schedule>]\n",
-                         argv[0]);
-            return 2;
-        }
+        std::fprintf(stderr,
+                     "usage: %s [--gmc-replay=<config>:<schedule>]\n",
+                     argv[0]);
+        return 2;
     }
 
     banner("abl_gmc",
            "schedule-space model checking of the slot protocol "
-           "(exhaustive on single-actor configs, bounded+POR beyond)");
+           "(exhaustive on single-actor configs, bounded beyond)");
 
     TextTable table("gmc sweep");
     table.setHeader({"config", "mode", "schedules", "tie points",
                      "events", "exhaustive", "violations", "wall ms",
                      "sched/s"});
-
-    TextTable ratio("POR reduction (exhaustive configs)");
-    ratio.setHeader({"config", "exhaustive", "with POR", "reduction",
-                     "verdict agrees"});
 
     bool cleanTreeViolated = false;
     std::uint64_t totalSchedules = 0;
@@ -132,16 +117,11 @@ main(int argc, char **argv)
 
     for (const core::gmc::McConfig &mc : core::gmc::smallMatrix()) {
         const bool exhaustive = isSingleActor(mc);
-        if (quick && !exhaustive)
-            continue;
-
         sim::gmc::ExploreOptions opts;
         if (!exhaustive) {
-            // Multi-actor schedule spaces explode; bound the sweep and
-            // lean on the POR heuristic for breadth. Coverage here is
-            // best-effort by construction (exhaustive=false).
-            opts.por = true;
-            opts.maxSchedules = quick ? 64 : 512;
+            // Multi-actor schedule spaces explode; bound the sweep,
+            // so coverage here is best-effort (exhaustive=false).
+            opts.maxSchedules = 512;
         }
 
         const auto t0 = std::chrono::steady_clock::now();
@@ -158,7 +138,7 @@ main(int argc, char **argv)
         char wallMs[32];
         std::snprintf(wallMs, sizeof wallMs, "%.1f", ms);
         table.addRow(
-            {mc.name(), exhaustive ? "exhaustive" : "bounded+por",
+            {mc.name(), exhaustive ? "exhaustive" : "bounded",
              std::to_string(r.stats.schedulesRun),
              std::to_string(r.stats.choicePoints),
              std::to_string(r.stats.eventsExecuted),
@@ -174,30 +154,9 @@ main(int argc, char **argv)
                         v.outcome.kind.c_str(),
                         v.outcome.detail.c_str());
         }
-
-        if (exhaustive) {
-            sim::gmc::ExploreOptions porOpts;
-            porOpts.por = true;
-            const sim::gmc::ExploreResult p =
-                core::gmc::exploreConfig(mc, porOpts);
-            char red[32];
-            std::snprintf(
-                red, sizeof red, "%.1fx",
-                p.stats.schedulesRun > 0
-                    ? static_cast<double>(r.stats.schedulesRun) /
-                          static_cast<double>(p.stats.schedulesRun)
-                    : 0.0);
-            const bool agrees = p.violations.empty() ==
-                r.violations.empty();
-            ratio.addRow({mc.name(),
-                          std::to_string(r.stats.schedulesRun),
-                          std::to_string(p.stats.schedulesRun), red,
-                          agrees ? "yes" : "NO"});
-        }
     }
 
     std::printf("%s\n", table.render().c_str());
-    std::printf("%s\n", ratio.render().c_str());
     std::printf("total: %llu schedules in %.1f ms (%.0f sched/s)\n",
                 static_cast<unsigned long long>(totalSchedules),
                 totalMs,

@@ -9,7 +9,6 @@
 #include <utility>
 
 #include "sim/sync.hh"
-#include "support/gmc_probe.hh"
 #include "support/gsan.hh"
 #include "support/logging.hh"
 #include "support/trace.hh"
@@ -30,9 +29,6 @@ InterruptBackend::onGpuInterrupt(std::uint32_t cu,
                                  std::uint32_t hw_wave_slot)
 {
     const std::uint32_t shard = core_.area().shardOfCu(cu);
-    // gmc footprint: the raising event writes the shard's doorbell
-    // line (this runs inline in the GPU publisher's event).
-    gmc::Probe::instance().touch(gmc::ProbeKind::Doorbell, shard);
     ++interrupts_;
     ++shards_[shard].interrupts;
     if (params_.useRings) {
@@ -66,7 +62,6 @@ InterruptBackend::ringArrival(std::uint32_t shard)
     const auto &osk_params = core_.kernel().params();
     co_await sim::Delay(eq, osk_params.interruptDeliver);
     co_await sim::Delay(eq, osk_params.interruptHandler);
-    gmc::Probe::instance().touch(gmc::ProbeKind::Doorbell, shard);
     // No time-window coalescing here: the SQ itself is the batch, and
     // the bulk-consume task amortizes the pipeline over every entry
     // published while it runs. The consumer is spawned as its own
@@ -86,7 +81,6 @@ InterruptBackend::ringConsumeTask(std::uint32_t shard)
                   logging::format("ring-poller-%u", shard))
             : gsan::Sanitizer::kNoThread;
     co_await kernel.cpus().acquireCore();
-    gmc::Probe::instance().touch(gmc::ProbeKind::Core, 0);
     // Poller kthread wakeup: runqueue insertion + switch, same cost
     // shape as a workqueue dispatch.
     co_await sim::Delay(kernel.sim().events(),
@@ -118,20 +112,17 @@ InterruptBackend::ringConsumeTask(std::uint32_t shard)
         // shards' consumers — are never starved by a polling idler.
         if (lingered < params_.ringConsumerGrace &&
             params_.ringConsumerPoll > 0) {
-            gmc::Probe::instance().touch(gmc::ProbeKind::Core, 0);
             kernel.cpus().releaseCore();
             co_await sim::Delay(kernel.sim().events(),
                                 params_.ringConsumerPoll);
             lingered += params_.ringConsumerPoll;
             co_await kernel.cpus().acquireCore();
-            gmc::Probe::instance().touch(gmc::ProbeKind::Core, 0);
             continue;
         }
         // Clear the pending flag, then re-check the SQ in the same
         // event: a batch published during the drain had its doorbell
         // suppressed, so it must be picked up here — and no doorbell
         // can slip between the clear and the check.
-        gmc::Probe::instance().touch(gmc::ProbeKind::Doorbell, shard);
         shards_[shard].ringConsumerPending = false;
         if (core_.area().sq(shard).empty())
             break;
@@ -142,7 +133,6 @@ InterruptBackend::ringConsumeTask(std::uint32_t shard)
     GENESYS_TRACE(kernel.sim(), "genesys",
                   "ring consume task drained %d entr%s on shard %u",
                   total, total == 1 ? "y" : "ies", shard);
-    gmc::Probe::instance().touch(gmc::ProbeKind::Core, 0);
     kernel.cpus().releaseCore();
     GENESYS_ASSERT(inFlight_ > 0, "in-flight underflow");
     --inFlight_;
@@ -212,7 +202,6 @@ InterruptBackend::ringServiceChunk(std::uint32_t shard,
             ? gsan->workerThread(worker)
             : gsan::Sanitizer::kNoThread;
     co_await kernel.cpus().acquireCore();
-    gmc::Probe::instance().touch(gmc::ProbeKind::Core, 0);
     // Service chunks run in the launching process's context, which
     // the shard's consume task already switched into — they pay
     // queue insertion but no further context switch (the resident
@@ -223,7 +212,6 @@ InterruptBackend::ringServiceChunk(std::uint32_t shard,
         co_await core_.serviceRingEntry(shard, item, servicer,
                                         ServiceCore::ScanPolicy{});
     }
-    gmc::Probe::instance().touch(gmc::ProbeKind::Core, 0);
     kernel.cpus().releaseCore();
     GENESYS_ASSERT(inFlight_ > 0, "in-flight underflow");
     --inFlight_;
@@ -239,9 +227,6 @@ InterruptBackend::interruptArrival(std::uint32_t shard,
     co_await sim::Delay(eq, osk_params.interruptDeliver);
     co_await sim::Delay(eq, osk_params.interruptHandler);
 
-    // gmc footprint: the handler reads the doorbell and mutates the
-    // shard's pending batch.
-    gmc::Probe::instance().touch(gmc::ProbeKind::Doorbell, shard);
     ShardState &ss = shards_[shard];
     ss.pendingBatch.push_back(hw_wave_slot);
     if (params_.coalesceWindow == 0 ||
@@ -264,7 +249,6 @@ InterruptBackend::interruptArrival(std::uint32_t shard,
 void
 InterruptBackend::flushPendingBatch(std::uint32_t shard)
 {
-    gmc::Probe::instance().touch(gmc::ProbeKind::Doorbell, shard);
     ShardState &ss = shards_[shard];
     if (ss.pendingBatch.empty())
         return;
@@ -306,8 +290,6 @@ InterruptBackend::serviceBatch(std::vector<std::uint32_t> waves,
     // workqueue semantics), starting with the switch into the context
     // of the process that launched the GPU kernel (Section VI).
     co_await kernel.cpus().acquireCore();
-    // gmc footprint: this continuation holds the shared core grant.
-    gmc::Probe::instance().touch(gmc::ProbeKind::Core, 0);
     co_await sim::Delay(kernel.sim().events(),
                         osk_params.workqueueEnqueue +
                             osk_params.contextSwitch);
@@ -316,7 +298,6 @@ InterruptBackend::serviceBatch(std::vector<std::uint32_t> waves,
         GENESYS_ASSERT(inFlight_ > 0, "in-flight underflow");
         --inFlight_;
     }
-    gmc::Probe::instance().touch(gmc::ProbeKind::Core, 0);
     kernel.cpus().releaseCore();
     drainWait_->notifyAll();
 }

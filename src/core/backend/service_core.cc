@@ -149,7 +149,6 @@ ServiceCore::tryPopRingEntry(std::uint32_t shard,
                              std::uint32_t servicer)
 {
     SyscallRing &sq = area_.sq(shard);
-    sq.probeTouch();
     if (sq.empty())
         return std::nullopt;
     if (gsan_ != nullptr && gsan_->enabled() &&

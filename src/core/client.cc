@@ -8,7 +8,6 @@
 #include <algorithm>
 #include <cerrno>
 
-#include "support/gmc_probe.hh"
 #include "support/gsan.hh"
 #include "support/logging.hh"
 #include "support/trace.hh"
@@ -181,10 +180,6 @@ GpuSyscalls::waitSlots(
                     area_.slotAddr(first_slot + lane),
                     gpu_.config().atomicLoad);
             }
-            // gmc footprint: the wait sweep reads the slot's state
-            // word, so it conflicts with any CPU-side transition.
-            gmc::Probe::instance().touch(gmc::ProbeKind::Slot,
-                                         first_slot + lane);
             if (slot.finished()) {
                 if (sanOn())
                     sanActor(ctx);
@@ -214,7 +209,6 @@ GpuSyscalls::waitSlots(
         SyscallRing &cq = area_.cq(shard);
         const mem::Addr caddr = area_.cqAddr(shard);
         co_await gpu_.accessLine(caddr, gpu_.config().atomicLoad);
-        cq.probeTouch();
         std::uint64_t seen = cq.loadTailAcquire();
         if (sanOn()) {
             sanActor(ctx);
@@ -226,7 +220,6 @@ GpuSyscalls::waitSlots(
         while (outstanding != 0) {
             co_await ctx.compute(params_.pollIntervalCycles);
             co_await gpu_.accessLine(caddr, gpu_.config().atomicLoad);
-            cq.probeTouch();
             const std::uint64_t tail = cq.loadTailAcquire();
             if (tail == seen)
                 continue;

@@ -13,7 +13,6 @@
 #include "osk/net.hh"
 #include "osk/tcp.hh"
 #include "osk/vfs.hh"
-#include "support/gmc_probe.hh"
 #include "support/logging.hh"
 
 namespace genesys::core::gmc
@@ -216,8 +215,8 @@ smallMatrix()
     add(Granularity::Kernel, Ordering::Relaxed, Blocking::NonBlocking,
         WaitMode::Polling, 1, 1, 1);
 
-    // Multi-actor points (bounded + POR): concurrent groups on one
-    // shard, then sharded areas with parallel workers.
+    // Multi-actor points (bounded): concurrent groups on one shard,
+    // then sharded areas with parallel workers.
     add(Granularity::WorkGroup, Ordering::Strong, Blocking::Blocking,
         WaitMode::Polling, 1, 1, 2);
     add(Granularity::WorkGroup, Ordering::Strong, Blocking::Blocking,
@@ -325,12 +324,12 @@ namespace
  * The checked-run harness every scenario shares. @p sys is the
  * scenario's collapsed System after its FIFO-only setup. The harness
  * installs @p driver as the tie-breaker, records the idle-task
- * baseline, lets @p spawn start the scenario's actors, drains the
- * footprint probe, runs under kHorizon/kMaxEventsPerRun, and applies
- * the oracles in order: panic, budget "stuck", task "stuck", gsan,
- * per-shard quiescence, and SQ idle when rings are on. A clean run is
- * fingerprinted by @p digest. @p run and @p lost name the run and its
- * most likely lost event in "stuck" details.
+ * baseline, lets @p spawn start the scenario's actors, runs under
+ * kHorizon/kMaxEventsPerRun, and applies the oracles in order: panic,
+ * budget "stuck", task "stuck", gsan, per-shard quiescence, and SQ
+ * idle when rings are on. A clean run is fingerprinted by @p digest.
+ * @p run and @p lost name the run and its most likely lost event in
+ * "stuck" details.
  */
 template <typename Spawn, typename Digest>
 sim::gmc::RunOutcome
@@ -346,10 +345,6 @@ checkedRun(System &sys, sim::gmc::ScheduleDriver &driver, const char *run,
     const std::size_t idleTasks = sys.sim().liveTasks();
     spawn();
 
-    auto &probe = genesys::gmc::Probe::instance();
-    probe.setEnabled(true);
-    (void)probe.drain(); // discard pre-run (deterministic) touches
-
     bool panicked = false;
     std::string what;
     try {
@@ -358,7 +353,6 @@ checkedRun(System &sys, sim::gmc::ScheduleDriver &driver, const char *run,
         panicked = true;
         what = e.what();
     }
-    probe.setEnabled(false);
     sys.sim().events().setTieBreaker(nullptr);
 
     out.endTick = sys.sim().now();

@@ -79,7 +79,7 @@ struct McConfig
  * The clean small-config matrix CI smoke-checks: every legal
  * granularity/ordering/blocking/wait combination at 1 shard × 1
  * worker × 1 group (exhaustively explorable), plus multi-shard /
- * multi-worker / multi-group points for bounded+POR exploration.
+ * multi-worker / multi-group points for bounded exploration.
  */
 std::vector<McConfig> smallMatrix();
 

@@ -1,6 +1,5 @@
 #include "core/ring.hh"
 
-#include "support/gmc_probe.hh"
 #include "support/gsan.hh"
 #include "support/logging.hh"
 
@@ -16,7 +15,6 @@ SyscallRing::SyscallRing(std::uint32_t capacity)
 std::optional<std::uint64_t>
 SyscallRing::tryClaim(std::uint32_t n, std::uint64_t head_obs)
 {
-    probeTouch();
     GENESYS_ASSERT(n > 0 && n <= capacity_,
                    "ring claim size out of range");
     const std::uint64_t claimed = loadClaimedRelaxed();
@@ -33,7 +31,6 @@ SyscallRing::tryClaim(std::uint32_t n, std::uint64_t head_obs)
 void
 SyscallRing::writeEntry(std::uint64_t pos, std::uint32_t value)
 {
-    probeTouch();
     GENESYS_ASSERT(pos >= loadTailAcquire() &&
                        pos < loadClaimedRelaxed(),
                    "ring write outside claimed range");
@@ -43,7 +40,6 @@ SyscallRing::writeEntry(std::uint64_t pos, std::uint32_t value)
 bool
 SyscallRing::tryPublish(std::uint64_t base, std::uint32_t n)
 {
-    probeTouch();
     const std::uint64_t tail = loadTailAcquire();
     GENESYS_ASSERT(base >= tail, "ring publish of published range");
     if (base != tail)
@@ -70,7 +66,6 @@ SyscallRing::entryAt(std::uint64_t pos) const
 std::uint32_t
 SyscallRing::popHead()
 {
-    probeTouch();
     GENESYS_ASSERT(!empty(), "ring pop on empty ring");
     const std::uint64_t pos = loadHeadAcquire();
     if (gsan_ != nullptr && gsan_->enabled())
@@ -85,7 +80,6 @@ SyscallRing::popHead()
 void
 SyscallRing::reclaimOldest()
 {
-    probeTouch();
     GENESYS_ASSERT(!empty(), "ring reclaim on empty ring");
     storeHeadRelease(loadHeadAcquire() + 1);
     ++reclaims_;
@@ -94,7 +88,6 @@ SyscallRing::reclaimOldest()
 std::uint32_t
 SyscallRing::racyPeekEntry() const
 {
-    probeTouch();
     GENESYS_ASSERT(!empty(), "ring peek on empty ring");
     // Deliberately no ringConsume() acquire: the read is not ordered
     // after the producer's publish, which gsan reports as a payload
@@ -109,12 +102,6 @@ SyscallRing::attachSanitizer(gsan::Sanitizer *gsan, std::uint64_t key)
 {
     gsan_ = gsan;
     key_ = key;
-}
-
-void
-SyscallRing::probeTouch() const
-{
-    gmc::Probe::instance().touch(gmc::ProbeKind::Ring, key_);
 }
 
 } // namespace genesys::core

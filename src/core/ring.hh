@@ -147,12 +147,8 @@ class SyscallRing
     /**
      * Attach the happens-before sanitizer; @p key names this ring's
      * channel (the area uses 2*shard for SQs, 2*shard+1 for CQs).
-     * Also keys the gmc footprint probe for this ring's counters.
      */
     void attachSanitizer(gsan::Sanitizer *gsan, std::uint64_t key);
-
-    /** gmc footprint: record a counter-line access by this event. */
-    void probeTouch() const;
 
   private:
     std::uint32_t capacity_;

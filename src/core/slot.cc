@@ -68,13 +68,12 @@ SyscallSlot::transition(SlotState to)
     }
     state_ = to;
     ++transitions_;
+    gmc::Probe::instance().touch(gmc::ProbeKind::Slot, index_);
 }
 
 bool
 SyscallSlot::claim()
 {
-    // gmc footprint: a claim (even a failed one) reads the state word.
-    gmc::Probe::instance().touch(gmc::ProbeKind::Slot, index_);
     if (state_ != SlotState::Free)
         return false;
     // Free->Populating is an atomic CAS on the slot line: the claimer
@@ -91,7 +90,6 @@ SyscallSlot::publish(int sysno, const osk::SyscallArgs &args,
                      bool blocking, WaitMode wait_mode,
                      std::uint32_t hw_wave_slot)
 {
-    gmc::Probe::instance().touch(gmc::ProbeKind::Slot, index_);
     GENESYS_ASSERT(state_ == SlotState::Populating,
                    "publish from state %s", slotStateName(state_));
     sysno_ = sysno;
@@ -110,7 +108,6 @@ SyscallSlot::publish(int sysno, const osk::SyscallArgs &args,
 bool
 SyscallSlot::beginProcessing()
 {
-    gmc::Probe::instance().touch(gmc::ProbeKind::Slot, index_);
     if (state_ != SlotState::Ready)
         return false;
     if (gsan_ && gsan_->enabled()) {
@@ -124,7 +121,6 @@ SyscallSlot::beginProcessing()
 void
 SyscallSlot::complete(std::int64_t result)
 {
-    gmc::Probe::instance().touch(gmc::ProbeKind::Slot, index_);
     GENESYS_ASSERT(state_ == SlotState::Processing,
                    "complete from state %s", slotStateName(state_));
     result_ = result;
@@ -143,7 +139,6 @@ SyscallSlot::consume()
     // Processing->Free is a legal edge (non-blocking complete), so
     // edge legality alone would let a consume() race a non-blocking
     // completion undetected.
-    gmc::Probe::instance().touch(gmc::ProbeKind::Slot, index_);
     GENESYS_ASSERT(state_ == SlotState::Finished,
                    "consume from state %s", slotStateName(state_));
     if (gsan_ && gsan_->enabled()) {
@@ -161,7 +156,6 @@ SyscallSlot::consume()
 std::int64_t
 SyscallSlot::racyPeekResult() const
 {
-    gmc::Probe::instance().touch(gmc::ProbeKind::Slot, index_);
     if (gsan_ && gsan_->enabled())
         gsan_->slotRead(index_, "result");
     return result_;

@@ -142,7 +142,8 @@ class SyscallSlot
      * through here and is validated against Fig 6, so an injected
      * fault (or a buggy recovery path) can corrupt a slot only by
      * panicking loudly, never silently. It also keeps the owning
-     * area's ready index in step with the Ready state.
+     * area's ready index in step with the Ready state and reports the
+     * slot to the gmc probe (perfbench's stage tracer reads it).
      */
     void transition(SlotState to);
 

@@ -7,7 +7,6 @@
 
 #include <algorithm>
 
-#include "support/gmc_probe.hh"
 #include "support/gsan.hh"
 #include "support/logging.hh"
 #include "support/trace.hh"
@@ -84,12 +83,7 @@ WavefrontCtx::wgBarrier()
     const auto key = reinterpret_cast<std::uint64_t>(wg_.barrier.get());
     if (on)
         g->barrierArrive(key, g->waveThread(hwSlot_));
-    // gmc footprint: barrier arrival/release touches every
-    // participating wave's context (the wake fans out from the last
-    // arrival's event).
-    gmc::Probe::instance().touch(gmc::ProbeKind::Wave, hwSlot_);
     co_await wg_.barrier->arriveAndWait();
-    gmc::Probe::instance().touch(gmc::ProbeKind::Wave, hwSlot_);
     if (on)
         g->barrierLeave(key, g->waveThread(hwSlot_));
 }
@@ -99,12 +93,8 @@ WavefrontCtx::halt()
 {
     if (gsan::Sanitizer *g = dev_.sanitizer(); g && g->enabled())
         g->waveHalt(hwSlot_);
-    // gmc footprint: halting writes this wave's halt/resume word, and
-    // so does the event that later resumes it.
-    gmc::Probe::instance().touch(gmc::ProbeKind::Wave, hwSlot_);
     halted_ = true;
     co_await haltWait_->wait();
-    gmc::Probe::instance().touch(gmc::ProbeKind::Wave, hwSlot_);
     halted_ = false;
     if (gsan::Sanitizer *g = dev_.sanitizer(); g && g->enabled())
         g->waveWake(hwSlot_);
@@ -124,10 +114,6 @@ WavefrontCtx::launchKernel(KernelLaunch child)
 void
 WavefrontCtx::resumeFromHost()
 {
-    // gmc footprint: the wake (delivered or dropped) reads the halt
-    // word; its order against the halt and the slot complete is
-    // exactly the lost-wakeup hazard gmc explores.
-    gmc::Probe::instance().touch(gmc::ProbeKind::Wave, hwSlot_);
     gsan::Sanitizer *g = dev_.sanitizer();
     const bool on = g != nullptr && g->enabled();
     if (haltWait_->waiting() > 0) {

@@ -576,7 +576,7 @@ sysListen(Kernel &k, Process &p, const SyscallArgs &args)
         co_return err;
     TcpSocket *sock = obj.tcp;
     if (sock == nullptr)
-        co_return -EBADF; // UDP: this call is modeled for TCP only
+        co_return -EOPNOTSUPP; // UDP: Linux's sock_no_listen
     co_return sock->listen(backlog);
 }
 
@@ -591,7 +591,7 @@ sysAccept(Kernel &k, Process &p, const SyscallArgs &args)
         co_return err;
     TcpSocket *sock = obj.tcp;
     if (sock == nullptr)
-        co_return -EBADF; // UDP: this call is modeled for TCP only
+        co_return -EOPNOTSUPP; // UDP: Linux's sock_no_accept
     const int sid = co_await sock->accept();
     if (sid < 0)
         co_return sid;
@@ -612,8 +612,12 @@ sysShutdown(Kernel &k, Process &p, const SyscallArgs &args)
     if (const std::int64_t err = obj.notSocket())
         co_return err;
     TcpSocket *sock = obj.tcp;
-    if (sock == nullptr)
-        co_return -EBADF; // UDP: this call is modeled for TCP only
+    if (sock == nullptr) {
+        // UDP, as inet_shutdown answers it: `how` is checked first,
+        // and a UDP socket is never connected here.
+        co_return how < SHUT_RD_ || how > SHUT_RDWR_ ? -EINVAL
+                                                     : -ENOTCONN;
+    }
     co_return co_await sock->shutdown(how);
 }
 

@@ -7,7 +7,6 @@
 
 #include <algorithm>
 
-#include "support/gmc_probe.hh"
 
 namespace genesys::osk
 {
@@ -132,8 +131,6 @@ WorkQueue::enqueueOn(std::uint32_t worker, TaskFactory factory)
             ++spills_;
         }
     }
-    // gmc footprint: the enqueuing event writes this worker's queue.
-    gmc::Probe::instance().touch(gmc::ProbeKind::Worker, target);
     queues_[target].push_back(std::move(factory));
     ++totalQueued_;
     // workerDispatch models the latency until an idle worker notices
@@ -198,8 +195,6 @@ WorkQueue::workerLoop(std::uint32_t worker)
             }
             ++steals_;
         }
-        // gmc footprint: the pickup event consumes from this queue.
-        gmc::Probe::instance().touch(gmc::ProbeKind::Worker, from);
         TaskFactory factory = std::move(queues_[from].front());
         queues_[from].pop_front();
         --totalQueued_;

@@ -64,7 +64,7 @@ class TieBreakPolicy
     /**
      * Called after every event callback finishes (including unique,
      * non-tied events). Lets a schedule recorder attribute side effects
-     * (e.g. footprint probes) to the event that produced them.
+     * (e.g. slot-probe touches) to the event that produced them.
      */
     virtual void onExecute(EventId id, Tick when) { (void)id; (void)when; }
 };

@@ -5,10 +5,8 @@
 
 #include "explore.hh"
 
-#include <algorithm>
 #include <utility>
 
-#include "support/gmc_probe.hh"
 #include "support/logging.hh"
 
 namespace genesys::sim::gmc
@@ -79,24 +77,8 @@ ScheduleDriver::pick(Tick now,
                   chosen, point, candidates.size());
         }
     }
-    ChoicePoint cp;
-    cp.execIndex = trace_.size();
-    cp.candidates.reserve(candidates.size());
-    for (const TieBreakCandidate &c : candidates)
-        cp.candidates.push_back(c.id);
-    cp.chosen = chosen;
-    points_.push_back(std::move(cp));
+    points_.push_back(ChoicePoint{candidates.size(), chosen});
     return chosen;
-}
-
-void
-ScheduleDriver::onExecute(EventId id, Tick when)
-{
-    ExecRecord rec;
-    rec.id = id;
-    rec.when = when;
-    rec.footprint = genesys::gmc::Probe::instance().drain();
-    trace_.push_back(std::move(rec));
 }
 
 Schedule
@@ -110,72 +92,6 @@ ScheduleDriver::chosenSchedule() const
         out.pop_back();
     return out;
 }
-
-namespace
-{
-
-bool
-footprintsIntersect(const std::vector<std::uint64_t> &a,
-                    const std::vector<std::uint64_t> &b)
-{
-    // Both sides are sorted (Probe::drain()).
-    std::size_t i = 0;
-    std::size_t j = 0;
-    while (i < a.size() && j < b.size()) {
-        if (a[i] == b[j])
-            return true;
-        if (a[i] < b[j])
-            ++i;
-        else
-            ++j;
-    }
-    return false;
-}
-
-/**
- * Partial-order reduction test: can the alternative candidate at
- * index @p alt of choice point @p point be skipped because running it
- * first provably commutes into an already-covered interleaving?
- *
- * The alternative commutes when every event executed from the choice
- * point until the alternative's own execution touched a disjoint
- * footprint: swapping it to the front yields a Mazurkiewicz-equivalent
- * trace *of this run*. An alternative that never executed in this run
- * (descheduled, or the run ended/violated first) must be explored.
- *
- * This is a heuristic, not a sound DPOR: equivalence of the immediate
- * commutation says nothing about the choice points that only arise
- * deeper in the pruned subtree, and a bug needing several dependent
- * flips stays hidden (observed: the doorbell-before-publish mutant is
- * found exhaustively but pruned away here). Hence ExploreOptions::por
- * defaults to off; bench/abl_gmc quantifies the reduction ratio and
- * cross-checks POR against exhaustive enumeration per config.
- */
-bool
-porPrunable(const ScheduleDriver &driver, std::size_t point,
-            std::size_t alt)
-{
-    const ChoicePoint &cp = driver.points()[point];
-    const EventId altId = cp.candidates[alt];
-    const auto &trace = driver.trace();
-    std::size_t altExec = trace.size();
-    for (std::size_t k = cp.execIndex; k < trace.size(); ++k) {
-        if (trace[k].id == altId) {
-            altExec = k;
-            break;
-        }
-    }
-    if (altExec == trace.size())
-        return false; // never executed: behavior unknown, explore it
-    const auto &altFoot = trace[altExec].footprint;
-    for (std::size_t k = cp.execIndex; k < altExec; ++k) {
-        if (footprintsIntersect(trace[k].footprint, altFoot))
-            return false; // dependent pair: order can matter
-    }
-    return true;
-}
-
-} // namespace
 
 ExploreResult
 explore(const RunFn &run, const ExploreOptions &options)
@@ -194,7 +110,7 @@ explore(const RunFn &run, const ExploreOptions &options)
         RunOutcome outcome = run(driver);
         ++result.stats.schedulesRun;
         result.stats.choicePoints += driver.points().size();
-        result.stats.eventsExecuted += driver.trace().size();
+        result.stats.eventsExecuted += driver.events();
 
         if (first) {
             result.reference = outcome;
@@ -232,25 +148,13 @@ explore(const RunFn &run, const ExploreOptions &options)
                 for (std::size_t p = point;
                      p < driver.points().size(); ++p) {
                     result.stats.branchesDeferred +=
-                        driver.points()[p].candidates.size() - 1;
+                        driver.points()[p].candidates - 1;
                 }
                 result.stats.exhaustive = false;
                 break;
             }
             const ChoicePoint &cp = driver.points()[point];
-            for (std::size_t alt = 1; alt < cp.candidates.size();
-                 ++alt) {
-                if (options.maxBranch != 0 &&
-                    alt > options.maxBranch) {
-                    result.stats.branchesDeferred +=
-                        cp.candidates.size() - alt;
-                    result.stats.exhaustive = false;
-                    break;
-                }
-                if (options.por && porPrunable(driver, point, alt)) {
-                    ++result.stats.branchesPruned;
-                    continue;
-                }
+            for (std::size_t alt = 1; alt < cp.candidates; ++alt) {
                 Schedule next;
                 next.reserve(point + 1);
                 for (std::size_t p = 0; p < point; ++p) {

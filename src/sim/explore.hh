@@ -9,8 +9,7 @@
  * prescribed choice prefix replays the run exactly up to the end of the
  * prefix; the explorer enumerates prefixes depth-first so that every
  * distinct same-tick commutation of the scenario is executed exactly
- * once, either exhaustively or pruned by footprint-based partial-order
- * reduction and bounded by depth/branch/schedule budgets.
+ * once, either exhaustively or bounded by depth/schedule budgets.
  *
  * The explorer is scenario-agnostic: callers provide a RunFn that
  * builds a fresh world, installs the given ScheduleDriver as the
@@ -55,26 +54,16 @@ bool parseSchedule(const std::string &text, Schedule &out);
 /** One tie point observed during a run. */
 struct ChoicePoint
 {
-    /// Index in the execution trace of the event chosen here.
-    std::uint64_t execIndex = 0;
-    /// Runnable events at this point, FIFO (seq) order.
-    std::vector<EventId> candidates;
-    /// Index of the candidate that was run.
+    /// Runnable events at this point.
+    std::size_t candidates = 0;
+    /// Index (FIFO order) of the candidate that was run.
     std::size_t chosen = 0;
-};
-
-/** One executed event and the protocol footprint it touched. */
-struct ExecRecord
-{
-    EventId id = 0;
-    Tick when = 0;
-    std::vector<std::uint64_t> footprint; // sorted gmc::ProbeKeys
 };
 
 /**
  * The tie-break policy a checked run installs: consumes a prescribed
  * choice prefix (FIFO beyond it) while recording every choice point
- * and, via the gmc footprint probe, every executed event's footprint.
+ * and counting executed events.
  */
 class ScheduleDriver : public TieBreakPolicy
 {
@@ -86,10 +75,10 @@ class ScheduleDriver : public TieBreakPolicy
     std::size_t pick(Tick now,
                      const std::vector<TieBreakCandidate> &candidates)
         override;
-    void onExecute(EventId id, Tick when) override;
+    void onExecute(EventId, Tick) override { ++events_; }
 
     const std::vector<ChoicePoint> &points() const { return points_; }
-    const std::vector<ExecRecord> &trace() const { return trace_; }
+    std::uint64_t events() const { return events_; }
     const Schedule &prefix() const { return prefix_; }
 
     /** Choices actually taken, trimmed to canonical form. */
@@ -98,7 +87,7 @@ class ScheduleDriver : public TieBreakPolicy
   private:
     Schedule prefix_;
     std::vector<ChoicePoint> points_;
-    std::vector<ExecRecord> trace_;
+    std::uint64_t events_ = 0;
 };
 
 /** What one scheduled execution of the scenario produced. */
@@ -124,28 +113,11 @@ using RunFn = std::function<RunOutcome(ScheduleDriver &driver)>;
 
 struct ExploreOptions
 {
-    /// Footprint-based partial-order reduction: skip an alternative
-    /// when every event executed from its choice point until its own
-    /// execution has a disjoint footprint.
-    ///
-    /// Off by default because it is a *heuristic*, not a sound DPOR:
-    /// the commutation check only covers the executed window of this
-    /// run, while the pruned subtree can branch differently deeper in
-    /// (a bug may need several dependent flips that only become
-    /// runnable after the first). Exhaustive exploration found the
-    /// doorbell-before-publish mutant in 37 schedules; POR pruned the
-    /// path to it. Use POR for bounded big-config sweeps where
-    /// exhaustive enumeration is hopeless anyway, never to certify a
-    /// config clean.
-    bool por = false;
     /// Stop after this many executed schedules (0 = unlimited).
     std::uint64_t maxSchedules = 0;
     /// Expand alternatives only at the first maxDepth choice points of
     /// each run (0 = unlimited).
     std::size_t maxDepth = 0;
-    /// Expand at most this many non-FIFO alternatives per choice point
-    /// (0 = all).
-    std::size_t maxBranch = 0;
     /// Stop after recording this many violating schedules.
     std::size_t maxCounterexamples = 8;
 };
@@ -154,14 +126,10 @@ struct ExploreStats
 {
     std::uint64_t schedulesRun = 0;
     std::uint64_t choicePoints = 0;     ///< total across all runs
-    std::uint64_t branchesPruned = 0;   ///< POR-eliminated alternatives
     std::uint64_t branchesDeferred = 0; ///< budget-skipped alternatives
     std::uint64_t eventsExecuted = 0;   ///< total across all runs
     /// True iff the schedule space was fully covered: nothing was
-    /// budget-skipped and exploration was not stopped early. POR
-    /// pruning does NOT clear this flag, so with options.por a true
-    /// value only means "exhaustive up to the heuristic" — see
-    /// ExploreOptions::por.
+    /// budget-skipped and exploration was not stopped early.
     bool exhaustive = true;
 };
 

@@ -1,6 +1,6 @@
 /**
  * @file
- * gmc footprint probe implementation.
+ * gmc slot probe implementation.
  */
 
 #include "gmc_probe.hh"

@@ -1,20 +1,17 @@
 /**
  * @file
- * gmc footprint probe: records which shared protocol objects each
- * simulated event touches.
+ * gmc slot probe: records which syscall slots each simulated event
+ * moved through the Fig 6 FSM.
  *
- * The gmc model checker (DESIGN.md §11) explores permutations of
- * same-tick event commutations. Its partial-order reduction needs to
- * know when two events are independent — i.e. touch disjoint protocol
- * state — so instrumented call sites (slot FSM entry points, doorbell
- * lines, workqueue queues, wavefront halt/resume, CPU core grants)
- * report every touch here. The ScheduleDriver drains the buffer after
- * each event callback, attributing the accumulated touches to the
- * event that just ran.
+ * SyscallSlot::transition() is the one call site. A reader that
+ * installs itself as the EventQueue's tie-break policy drains the
+ * buffer after each event callback, attributing the accumulated
+ * touches to the event that just ran (perfbench's stage tracer does
+ * this to timestamp each syscall's stages from outside the program).
  *
- * Disabled (the default) the probe is a single branch per call site;
- * nothing in the modeled-time path changes, so default-schedule runs
- * stay bit-identical.
+ * Disabled (the default) the probe is a single branch per transition;
+ * nothing in the modeled-time path changes, so runs stay
+ * bit-identical.
  */
 
 #ifndef GENESYS_SUPPORT_GMC_PROBE_HH
@@ -26,18 +23,13 @@
 namespace genesys::gmc
 {
 
-/** Classes of shared protocol objects the checker tracks. */
+/** Classes of probed objects. */
 enum class ProbeKind : std::uint8_t
 {
-    Slot = 1,     ///< one syscall-area slot (id = slot index)
-    Doorbell = 2, ///< one shard's doorbell/interrupt line (id = shard)
-    Worker = 3,   ///< one workqueue worker's queue (id = worker index)
-    Wave = 4,     ///< one wavefront's halt/resume word (id = hw slot)
-    Core = 5,     ///< the CPU core grant (id unused, always 0)
-    Ring = 6,     ///< one SQ/CQ counter line (id = 2*shard [+1 for CQ])
+    Slot = 1, ///< one syscall-area slot (id = slot index)
 };
 
-/** Packed footprint key: kind in the top byte, object id below. */
+/** Packed probe key: kind in the top byte, object id below. */
 using ProbeKey = std::uint64_t;
 
 constexpr ProbeKey
@@ -50,7 +42,7 @@ probeKey(ProbeKind kind, std::uint64_t id)
 class Probe
 {
   public:
-    /** Process-global instance shared by all instrumented sites. */
+    /** Process-global instance shared by the call site and its reader. */
     static Probe &instance();
 
     void setEnabled(bool on)

@@ -251,35 +251,6 @@ TEST(GmcMutant, SkipPostBarrierTripsGsan)
     expectMutantCaught(mc, "gsan");
 }
 
-TEST(GmcPor, FootprintPorIsHeuristicNotSound)
-{
-    // The doorbell-before-publish mutant needs several dependent
-    // same-tick flips; the footprint heuristic only sees the executed
-    // window of each run and prunes the path to it. This test pins the
-    // unsoundness that keeps ExploreOptions::por off by default — if
-    // POR ever *does* find the mutant, the heuristic got stronger and
-    // the documentation (DESIGN.md §11, explore.hh) must be revisited.
-    LeakWaiver waiver;
-    McConfig mc = baseConfig(Granularity::WorkGroup, WaitMode::Polling);
-    mc.hooks.doorbellBeforePublish = true;
-
-    ExploreOptions exhaustive;
-    const ExploreResult full = core::gmc::exploreConfig(mc, exhaustive);
-    ASSERT_FALSE(full.violations.empty());
-
-    ExploreOptions heuristic;
-    heuristic.por = true;
-    const ExploreResult pruned =
-        core::gmc::exploreConfig(mc, heuristic);
-    EXPECT_GT(pruned.stats.branchesPruned, 0u);
-    EXPECT_LT(pruned.stats.schedulesRun, full.stats.schedulesRun);
-    EXPECT_TRUE(pruned.violations.empty())
-        << "POR now finds the doorbell mutant (schedule "
-        << sim::gmc::renderSchedule(
-               pruned.violations.front().schedule)
-        << "); update the soundness caveats before relying on it";
-}
-
 TEST(GmcReplay, OutOfRangeChoiceReportsPanic)
 {
     const McConfig mc =

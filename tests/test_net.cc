@@ -967,18 +967,22 @@ TEST_F(NetSyscallTest, SocketEpollAndPipeFdsAnswerFileCallsLikeLinux)
           -ECONNREFUSED, -ENOTSOCK}},
         {"listen", osk::sysno::listen,
          [&](std::int64_t fd) { return osk::makeArgs(fd, 4); },
-         {-ENOTSOCK, -ENOTSOCK, -ENOTSOCK, -ENOTSOCK, -ENOTSOCK, -EBADF,
-          -EINVAL, -ENOTSOCK}},
+         {-ENOTSOCK, -ENOTSOCK, -ENOTSOCK, -ENOTSOCK, -ENOTSOCK,
+          -EOPNOTSUPP, -EINVAL, -ENOTSOCK}},
         {"accept", osk::sysno::accept,
          [&](std::int64_t fd) { return osk::makeArgs(fd, nullptr, 0); },
-         {-ENOTSOCK, -ENOTSOCK, -ENOTSOCK, -ENOTSOCK, -ENOTSOCK, -EBADF,
-          -EINVAL, -ENOTSOCK}},
+         {-ENOTSOCK, -ENOTSOCK, -ENOTSOCK, -ENOTSOCK, -ENOTSOCK,
+          -EOPNOTSUPP, -EINVAL, -ENOTSOCK}},
         {"shutdown", osk::sysno::shutdown,
          [&](std::int64_t fd) {
              return osk::makeArgs(fd, osk::SHUT_RDWR_);
          },
-         {-ENOTSOCK, -ENOTSOCK, -ENOTSOCK, -ENOTSOCK, -ENOTSOCK, -EBADF,
-          -ENOTCONN, -ENOTSOCK}},
+         {-ENOTSOCK, -ENOTSOCK, -ENOTSOCK, -ENOTSOCK, -ENOTSOCK,
+          -ENOTCONN, -ENOTCONN, -ENOTSOCK}},
+        {"shutdown (bad how)", osk::sysno::shutdown,
+         [&](std::int64_t fd) { return osk::makeArgs(fd, 3); },
+         {-ENOTSOCK, -ENOTSOCK, -ENOTSOCK, -ENOTSOCK, -ENOTSOCK, -EINVAL,
+          -EINVAL, -ENOTSOCK}},
         {"sendto", osk::sysno::sendto,
          [&](std::int64_t fd) {
              return osk::makeArgs(fd, "abc", 3, 0, &nowhere, 8);

@@ -6,9 +6,12 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "core/params.hh"
 #include "core/slot.hh"
 #include "gpu/gpu.hh"
+#include "support/gmc_probe.hh"
 #include "support/logging.hh"
 
 namespace genesys::core
@@ -78,6 +81,44 @@ TEST(SyscallSlot, BeginProcessingOnlyFromReady)
     slot.publish(0, someArgs(), true, WaitMode::Polling, 0);
     EXPECT_TRUE(slot.beginProcessing());
     EXPECT_FALSE(slot.beginProcessing()); // already processing
+}
+
+TEST(SyscallSlot, ProbeDrainsOnlyTransitionedSlots)
+{
+    // perfbench's stage tracer drains the probe after every event and
+    // reads each drained slot's new state: every Fig 6 step must
+    // report its slot, and a refused step or a disabled probe nothing.
+    struct ProbeOn
+    {
+        ProbeOn() { gmc::Probe::instance().setEnabled(true); }
+        ~ProbeOn() { gmc::Probe::instance().setEnabled(false); }
+    };
+    auto &probe = gmc::Probe::instance();
+    const std::vector<gmc::ProbeKey> none;
+    const std::vector<gmc::ProbeKey> mine = {
+        gmc::probeKey(gmc::ProbeKind::Slot, 70)};
+    std::uint64_t words[2] = {};
+    SyscallSlot slot(words, 70);
+
+    ASSERT_FALSE(probe.enabled());
+    ASSERT_TRUE(slot.claim());
+    EXPECT_EQ(probe.drain(), none) << "disabled probe";
+
+    ProbeOn on;
+    slot.publish(0, someArgs(), /*blocking=*/true, WaitMode::Polling, 0);
+    EXPECT_EQ(probe.drain(), mine) << "publish";
+    EXPECT_FALSE(slot.claim());
+    EXPECT_EQ(probe.drain(), none) << "failed claim";
+    ASSERT_TRUE(slot.beginProcessing());
+    EXPECT_EQ(probe.drain(), mine) << "beginProcessing";
+    EXPECT_FALSE(slot.beginProcessing());
+    EXPECT_EQ(probe.drain(), none) << "failed beginProcessing";
+    slot.complete(0);
+    EXPECT_EQ(probe.drain(), mine) << "complete";
+    slot.consume();
+    EXPECT_EQ(probe.drain(), mine) << "consume";
+    ASSERT_TRUE(slot.claim());
+    EXPECT_EQ(probe.drain(), mine) << "claim";
 }
 
 TEST(SyscallSlot, InvalidTransitionsPanic)
