@@ -169,30 +169,29 @@ GpuSyscalls::waitSlots(
     std::function<void(std::uint32_t, std::int64_t)> on_result)
 {
     std::uint64_t outstanding = lane_mask;
-    auto sweep_finished = [&](bool timed) -> sim::Task<> {
+    // Consume @p lane's slot if the host has finished it.
+    const auto consume_if_finished = [&](std::uint32_t lane) {
+        SyscallSlot &slot = area_.slot(first_slot + lane);
+        if (!slot.finished())
+            return;
+        if (sanOn())
+            sanActor(ctx);
+        if (params_.gsanTest.racyConsume) {
+            // Seeded bug: touch the result payload before the
+            // consume() acquire pairs with the CPU's release.
+            (void)slot.racyPeekResult();
+        }
+        const std::int64_t ret = slot.consume();
+        outstanding &= ~(1ull << lane);
+        if (on_result)
+            on_result(lane, ret);
+    };
+    // Untimed check of every outstanding lane's slot state.
+    const auto sweep_finished = [&] {
         for (std::uint32_t lane = 0; lane < 64 && outstanding != 0;
              ++lane) {
-            if ((outstanding & (1ull << lane)) == 0)
-                continue;
-            SyscallSlot &slot = area_.slot(first_slot + lane);
-            if (timed) {
-                co_await gpu_.accessLine(
-                    area_.slotAddr(first_slot + lane),
-                    gpu_.config().atomicLoad);
-            }
-            if (slot.finished()) {
-                if (sanOn())
-                    sanActor(ctx);
-                if (params_.gsanTest.racyConsume) {
-                    // Seeded bug: touch the result payload before the
-                    // consume() acquire pairs with the CPU's release.
-                    (void)slot.racyPeekResult();
-                }
-                const std::int64_t ret = slot.consume();
-                outstanding &= ~(1ull << lane);
-                if (on_result)
-                    on_result(lane, ret);
-            }
+            if ((outstanding & (1ull << lane)) != 0)
+                consume_if_finished(lane);
         }
     };
 
@@ -216,7 +215,7 @@ GpuSyscalls::waitSlots(
         }
         // Unconditional first sweep: completions that landed before
         // this wait began never bump the counter again.
-        co_await sweep_finished(false);
+        sweep_finished();
         while (outstanding != 0) {
             co_await ctx.compute(params_.pollIntervalCycles);
             co_await gpu_.accessLine(caddr, gpu_.config().atomicLoad);
@@ -228,11 +227,20 @@ GpuSyscalls::waitSlots(
                 sanActor(ctx);
                 gsan_->ringObserve(area_.cqRingKey(shard));
             }
-            co_await sweep_finished(false);
+            sweep_finished();
         }
     } else if (inv.waitMode == WaitMode::Polling) {
         while (outstanding != 0) {
-            co_await sweep_finished(true);
+            // One atomic load per outstanding lane per round.
+            for (std::uint32_t lane = 0; lane < 64 && outstanding != 0;
+                 ++lane) {
+                if ((outstanding & (1ull << lane)) == 0)
+                    continue;
+                co_await gpu_.accessLine(
+                    area_.slotAddr(first_slot + lane),
+                    gpu_.config().atomicLoad);
+                consume_if_finished(lane);
+            }
             if (outstanding != 0)
                 co_await ctx.compute(params_.pollIntervalCycles);
         }
@@ -244,7 +252,7 @@ GpuSyscalls::waitSlots(
             // simulated clock, which is what makes check-then-sleep
             // safe; gsan's lost-wakeup detector guards exactly this
             // invariant.
-            co_await sweep_finished(false);
+            sweep_finished();
             if (outstanding == 0)
                 break;
             if (params_.gsanTest.haltGapCycles > 0) {

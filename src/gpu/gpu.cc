@@ -303,13 +303,21 @@ GpuDevice::resumeWave(std::uint32_t hw_wave_slot)
         ctx->resumeFromHost();
 }
 
-sim::Task<>
-GpuDevice::accessLine(mem::Addr addr, Tick op_latency)
+void
+LineAccess::await_suspend(std::coroutine_handle<> h)
 {
-    const bool hit = l2_.access(addr);
-    co_await sim::Delay(sim_.events(), op_latency + config_.l2HitLatency);
-    if (!hit && memBus_ != nullptr)
-        co_await memBus_->transfer(mem::Agent::Gpu, config_.l2LineBytes);
+    const bool hit = dev_.l2_.access(addr_);
+    const Tick latency = latency_ + dev_.config_.l2HitLatency;
+    sim::EventQueue &eq = dev_.sim_.events();
+    if (hit || dev_.memBus_ == nullptr) {
+        eq.scheduleIn(latency, h);
+        return;
+    }
+    cont_ = h;
+    eq.scheduleIn(latency, [this] {
+        dev_.memBus_->request(mem::Agent::Gpu, dev_.config_.l2LineBytes,
+                              cont_);
+    });
 }
 
 } // namespace genesys::gpu

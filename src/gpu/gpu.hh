@@ -26,6 +26,7 @@
 #ifndef GENESYS_GPU_GPU_HH
 #define GENESYS_GPU_GPU_HH
 
+#include <coroutine>
 #include <cstdint>
 #include <deque>
 #include <functional>
@@ -93,6 +94,31 @@ struct GpuConfig
 
 class GpuDevice;
 class WavefrontCtx;
+
+/**
+ * Awaiter for one timed syscall-area line access (see
+ * GpuDevice::accessLine). The L2 lookup happens when the access is
+ * awaited; one event later the coroutine resumes, or on an L2 miss is
+ * handed to the memory bus, which resumes it once the line has moved.
+ */
+class [[nodiscard]] LineAccess
+{
+  public:
+    LineAccess(GpuDevice &dev, mem::Addr addr, Tick op_latency)
+        : dev_(dev), addr_(addr), latency_(op_latency)
+    {}
+
+    bool await_ready() const noexcept { return false; }
+    void await_suspend(std::coroutine_handle<> h);
+    void await_resume() const noexcept {}
+
+  private:
+    GpuDevice &dev_;
+    mem::Addr addr_;
+    Tick latency_;
+    /// The suspended accessor, held for the bus hand-off on a miss.
+    std::coroutine_handle<> cont_;
+};
 
 /** A wavefront program: executed once per wavefront. */
 using WaveProgram = std::function<sim::Task<>(WavefrontCtx &)>;
@@ -239,7 +265,11 @@ class GpuDevice
      * atomics bypass L1 and hit the coherent L2; L2 misses travel
      * over the shared memory bus (feeding Figure 9's contention).
      */
-    sim::Task<> accessLine(mem::Addr addr, Tick op_latency);
+    LineAccess
+    accessLine(mem::Addr addr, Tick op_latency)
+    {
+        return LineAccess(*this, addr, op_latency);
+    }
 
     // --- stats ------------------------------------------------------
     std::uint64_t launchedKernels() const { return launchedKernels_; }
@@ -248,6 +278,8 @@ class GpuDevice
     std::uint32_t residentWorkGroups() const { return residentWgs_; }
 
   private:
+    friend class LineAccess;
+
     struct CuState
     {
         std::uint32_t freeWgSlots = 0;

@@ -8,15 +8,44 @@
 namespace genesys::mem
 {
 
-sim::Task<>
-MemBus::transfer(Agent agent, std::uint64_t bytes)
+void
+MemBus::request(Agent agent, std::uint64_t bytes,
+                std::coroutine_handle<> cont)
 {
-    co_await gate_.acquire();
-    const Tick busy =
-        params_.requestOverhead + transferTicks(bytes, params_.bytesPerSec);
-    co_await sim::Delay(eq_, busy);
-    bytes_[static_cast<std::size_t>(agent)] += bytes;
-    gate_.release();
+    const Request r{agent, bytes, cont};
+    if (busy_) {
+        waiting_.push_back(r);
+        return;
+    }
+    busy_ = true;
+    active_ = r;
+    start();
+}
+
+void
+MemBus::start()
+{
+    const Tick busy = params_.requestOverhead +
+                      transferTicks(active_.bytes, params_.bytesPerSec);
+    eq_.scheduleIn(busy, [this] { finish(); });
+}
+
+void
+MemBus::finish()
+{
+    bytes_[static_cast<std::size_t>(active_.agent)] += active_.bytes;
+    const std::coroutine_handle<> done = active_.cont;
+    if (waiting_.empty()) {
+        busy_ = false;
+    } else {
+        // The bus passes straight to the oldest waiter, which starts
+        // from an event of its own (a permit hand-off, not a direct
+        // call), before the finished transfer's owner resumes.
+        active_ = waiting_.front();
+        waiting_.pop_front();
+        eq_.scheduleIn(0, [this] { start(); });
+    }
+    done.resume();
 }
 
 std::uint64_t

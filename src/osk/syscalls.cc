@@ -293,17 +293,14 @@ seekableIo(Kernel &k, OpenFile &file, const IoVec *iov, int cnt,
 }
 
 /**
- * The read/write family's shared path. read/write and pread/pwrite
- * move one buffer, (fd, buf, count[, off]); readv/writev an iovec
- * array, (fd, iov, iovcnt). Seekable kinds go through seekableIo;
- * every other kind moves the whole vector at once: a pipe hands over
- * what it holds and takes a small write whole, a UDP socket gives
- * exactly one datagram. A non-negative @p pos_override is pread and
- * pwrite's offset.
+ * The read/write family's shared path at the file position. read/write
+ * move one buffer, (fd, buf, count); readv/writev an iovec array, (fd,
+ * iov, iovcnt). Seekable kinds go through seekableIo; every other kind
+ * moves the whole vector at once: a pipe hands over what it holds and
+ * takes a small write whole, a UDP socket gives exactly one datagram.
  */
 sim::Task<std::int64_t>
-doIo(Kernel &k, Process &p, SyscallArgs args, std::int64_t pos_override,
-     Io io)
+doIo(Kernel &k, Process &p, SyscallArgs args, Io io)
 {
     const bool write = writes(io);
     const IoVec one{args.a[1], args.a[2]};
@@ -322,14 +319,12 @@ doIo(Kernel &k, Process &p, SyscallArgs args, std::int64_t pos_override,
     switch (file->kind) {
       case FileKind::Regular:
       case FileKind::CharDevice:
-        co_return co_await seekableIo(k, *file, iov, cnt, pos_override, io);
+        co_return co_await seekableIo(k, *file, iov, cnt, -1, io);
       case FileKind::Proc:
         if (write)
             co_return -EACCES;
-        co_return co_await seekableIo(k, *file, iov, cnt, pos_override, io);
+        co_return co_await seekableIo(k, *file, iov, cnt, -1, io);
       case FileKind::Pipe: {
-        if (pos_override >= 0)
-            co_return -ESPIPE;
         PipeInode *pipe = objectOf(k, file).pipe;
         co_await sim::Delay(k.sim().events(), k.params().pageCacheLookup);
         if (!write)
@@ -337,16 +332,12 @@ doIo(Kernel &k, Process &p, SyscallArgs args, std::int64_t pos_override,
         co_return co_await pipe->writev(iov, cnt);
       }
       case FileKind::Udp: {
-        if (pos_override >= 0)
-            co_return -ESPIPE;
         if (write)
             co_return -EDESTADDRREQ; // datagram sockets never connect
         co_return co_await recvDatagram(k, *objectOf(k, file).udp, iov,
                                         cnt, nullptr);
       }
       case FileKind::Tcp: {
-        if (pos_override >= 0)
-            co_return -ESPIPE;
         TcpSocket *sock = objectOf(k, file).tcp;
         if (!write) {
             co_await sim::Delay(k.sim().events(), k.params().tcpRecvBase);
@@ -361,12 +352,39 @@ doIo(Kernel &k, Process &p, SyscallArgs args, std::int64_t pos_override,
     co_return -EINVAL; // an epoll instance moves no data
 }
 
+/**
+ * pread64/pwrite64: one buffer, (fd, buf, count, off), at @p off,
+ * leaving the file position alone. Like ksys_pread64/ksys_pwrite64,
+ * the description's FMODE_PREAD/FMODE_PWRITE is tested before its
+ * access mode: only seekable kinds carry them, and seq_file (proc)
+ * clears FMODE_PWRITE.
+ */
+sim::Task<std::int64_t>
+positionalIo(Kernel &k, Process &p, SyscallArgs args, Io io)
+{
+    const auto off = args.as<std::int64_t>(3);
+    if (off < 0)
+        co_return -EINVAL; // Linux rejects negative offsets up front
+    OpenFile *file = p.fds().get(args.as<int>(0));
+    if (file == nullptr)
+        co_return -EBADF;
+    const bool write = writes(io);
+    const FileKind kind = file->kind;
+    if (kind != FileKind::Regular && kind != FileKind::CharDevice &&
+        (kind != FileKind::Proc || write))
+        co_return -ESPIPE;
+    if (!(write ? file->writable() : file->readable()))
+        co_return -EBADF;
+    const IoVec one{args.a[1], args.a[2]};
+    co_return co_await seekableIo(k, *file, &one, 1, off, io);
+}
+
 } // namespace
 
 sim::Task<std::int64_t>
 sysRead(Kernel &k, Process &p, const SyscallArgs &args)
 {
-    return doIo(k, p, args, -1, Io::Read);
+    return doIo(k, p, args, Io::Read);
 }
 
 // write() to a full pipe or TCP send buffer parks the service core
@@ -376,25 +394,19 @@ sysRead(Kernel &k, Process &p, const SyscallArgs &args)
 sim::Task<std::int64_t>
 sysWrite(Kernel &k, Process &p, const SyscallArgs &args)
 {
-    return doIo(k, p, args, -1, Io::Write);
+    return doIo(k, p, args, Io::Write);
 }
 
 sim::Task<std::int64_t>
 sysPread(Kernel &k, Process &p, const SyscallArgs &args)
 {
-    const auto off = args.as<std::int64_t>(3);
-    if (off < 0)
-        co_return -EINVAL; // Linux rejects negative offsets up front
-    co_return co_await doIo(k, p, args, off, Io::Read);
+    return positionalIo(k, p, args, Io::Read);
 }
 
 sim::Task<std::int64_t>
 sysPwrite(Kernel &k, Process &p, const SyscallArgs &args)
 {
-    const auto off = args.as<std::int64_t>(3);
-    if (off < 0)
-        co_return -EINVAL; // Linux rejects negative offsets up front
-    co_return co_await doIo(k, p, args, off, Io::Write);
+    return positionalIo(k, p, args, Io::Write);
 }
 
 sim::Task<std::int64_t>
@@ -737,13 +749,13 @@ sysRecvfrom(Kernel &k, Process &p, const SyscallArgs &args)
 sim::Task<std::int64_t>
 sysReadv(Kernel &k, Process &p, const SyscallArgs &args)
 {
-    return doIo(k, p, args, -1, Io::Readv);
+    return doIo(k, p, args, Io::Readv);
 }
 
 sim::Task<std::int64_t>
 sysWritev(Kernel &k, Process &p, const SyscallArgs &args)
 {
-    return doIo(k, p, args, -1, Io::Writev);
+    return doIo(k, p, args, Io::Writev);
 }
 
 sim::Task<std::int64_t>

@@ -28,34 +28,22 @@ CpuCluster::recordRelease()
 sim::Task<>
 CpuCluster::run(sim::Task<> work)
 {
-    co_await gate_.acquire();
-    recordAcquire();
+    co_await acquireCore();
     try {
         co_await std::move(work);
     } catch (...) {
-        recordRelease();
-        gate_.release();
+        releaseCore();
         throw;
     }
-    recordRelease();
-    gate_.release();
+    releaseCore();
 }
 
 sim::Task<>
 CpuCluster::compute(Tick duration)
 {
-    co_await gate_.acquire();
-    recordAcquire();
+    co_await acquireCore();
     co_await sim_.delay(duration);
-    recordRelease();
-    gate_.release();
-}
-
-sim::Task<>
-CpuCluster::acquireCore()
-{
-    co_await gate_.acquire();
-    recordAcquire();
+    releaseCore();
 }
 
 void

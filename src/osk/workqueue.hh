@@ -16,6 +16,7 @@
 #ifndef GENESYS_OSK_WORKQUEUE_HH
 #define GENESYS_OSK_WORKQUEUE_HH
 
+#include <coroutine>
 #include <cstdint>
 #include <deque>
 #include <functional>
@@ -44,12 +45,32 @@ class CpuCluster
     /** Occupy one core for a fixed compute time. */
     sim::Task<> compute(Tick duration);
 
+    /** Awaiter for one core: the acquire is recorded on resume. */
+    class CoreAcquire
+    {
+      public:
+        explicit CoreAcquire(CpuCluster &c)
+            : cluster_(c), gate_(c.gate_.acquire())
+        {}
+        bool await_ready() { return gate_.await_ready(); }
+        void
+        await_suspend(std::coroutine_handle<> h)
+        {
+            gate_.await_suspend(h);
+        }
+        void await_resume() { cluster_.recordAcquire(); }
+
+      private:
+        CpuCluster &cluster_;
+        sim::Semaphore::Acquire gate_;
+    };
+
     /**
      * Manual occupancy for run-to-completion service tasks that must
      * release the core around truly-blocking sections (e.g. recvfrom
      * with an empty queue). Pair every acquireCore with releaseCore.
      */
-    sim::Task<> acquireCore();
+    CoreAcquire acquireCore() { return CoreAcquire(*this); }
     void releaseCore();
 
     std::uint32_t cores() const { return cores_; }

@@ -35,27 +35,50 @@ EventQueue::EventQueue()
     cells_.reserve(kInitialEvents);
 }
 
-EventId
-EventQueue::schedule(Tick when, Callback cb)
+std::uint32_t
+EventQueue::claim(Tick when)
 {
     if (when < now_)
         panic("event scheduled in the past (when=%llu now=%llu)",
               static_cast<unsigned long long>(when),
               static_cast<unsigned long long>(now_));
+    GENESYS_ASSERT(nextSeq_ < kMaxSeq, "event sequence numbers exhausted");
     std::uint32_t cell = freeHead_;
     if (cell != kNoCell) {
         freeHead_ = cells_[cell].nextFree;
     } else {
-        GENESYS_ASSERT(cells_.size() < kNoCell, "event cell pool full");
+        GENESYS_ASSERT(cells_.size() < kMaxCells, "event cell pool full");
         cell = static_cast<std::uint32_t>(cells_.size());
         cells_.emplace_back();
     }
     Cell &c = cells_[cell];
     ++c.gen; // even (free) -> odd (live)
-    c.cb = std::move(cb);
+    c.seq = nextSeq_++;
     ++live_;
-    pushKey(Key{when, nextSeq_++, cell, c.gen});
-    return makeId(c.gen, cell);
+    pushKey(Key{when, c.seq << kCellBits | cell});
+    return cell;
+}
+
+EventId
+EventQueue::idOf(std::uint32_t cell) const
+{
+    return makeId(cells_[cell].gen, cell);
+}
+
+EventId
+EventQueue::schedule(Tick when, Callback cb)
+{
+    const std::uint32_t cell = claim(when);
+    cells_[cell].cb = std::move(cb);
+    return idOf(cell);
+}
+
+EventId
+EventQueue::schedule(Tick when, std::coroutine_handle<> h)
+{
+    const std::uint32_t cell = claim(when);
+    cells_[cell].handle = h;
+    return idOf(cell);
 }
 
 bool
@@ -69,6 +92,8 @@ EventQueue::deschedule(EventId id)
     if (cell >= cells_.size() || cells_[cell].gen != gen ||
         (gen & 1) == 0)
         return false;
+    cells_[cell].cb = nullptr;
+    cells_[cell].handle = nullptr;
     release(cell);
     return true;
 }
@@ -89,28 +114,33 @@ EventQueue::popKey()
     return k;
 }
 
-EventQueue::Callback
+void
 EventQueue::release(std::uint32_t cell)
 {
     Cell &c = cells_[cell];
-    Callback cb = std::move(c.cb);
+    c.seq = kFreeSeq;
     ++c.gen; // odd (live) -> even (free)
     c.nextFree = freeHead_;
     freeHead_ = cell;
     --live_;
-    return cb;
 }
 
 void
 EventQueue::execute(const Key &k)
 {
-    // Free the cell before the callback runs: the callback may
-    // schedule (reusing the cell, growing the pool) or try to
-    // deschedule its own, already-fired id.
-    Callback cb = release(k.cell);
+    // Free the cell before the event runs: it may schedule (reusing
+    // the cell, growing the pool) or try to deschedule its own,
+    // already-fired id.
+    Cell &c = cells_[k.cell()];
+    const std::coroutine_handle<> h = std::exchange(c.handle, nullptr);
+    Callback cb = h ? nullptr : std::move(c.cb);
+    release(k.cell());
     now_ = k.when;
     ++executed_;
-    cb();
+    if (h)
+        h.resume();
+    else
+        cb();
 }
 
 bool
@@ -132,44 +162,46 @@ bool
 EventQueue::runOneWithPolicy()
 {
     // Gather every live event tied at the earliest tick. Pops arrive in
-    // (when, seq) order, so `tied` is FIFO-ordered by construction.
-    std::vector<Key> tied;
+    // (when, seq) order, so `tied_` is FIFO-ordered by construction.
+    tied_.clear();
     while (!heap_.empty()) {
         const Key k = popKey();
         if (!live(k))
             continue; // tombstone of a cancelled event
-        if (!tied.empty() && k.when != tied.front().when) {
+        if (!tied_.empty() && k.when != tied_.front().when) {
             pushKey(k); // first strictly-later event
             break;
         }
-        tied.push_back(k);
+        tied_.push_back(k);
     }
-    if (tied.empty())
+    if (tied_.empty())
         return false;
 
     std::size_t choice = 0;
-    if (tied.size() > 1) {
-        std::vector<TieBreakCandidate> candidates;
-        candidates.reserve(tied.size());
-        for (const Key &k : tied)
-            candidates.push_back(
-                TieBreakCandidate{makeId(k.gen, k.cell), k.seq});
-        choice = tieBreaker_->pick(tied.front().when, candidates);
-        GENESYS_ASSERT(choice < tied.size(),
+    if (tied_.size() > 1) {
+        candidates_.clear();
+        for (const Key &k : tied_)
+            candidates_.push_back(
+                TieBreakCandidate{idOf(k.cell()), k.seq()});
+        choice = tieBreaker_->pick(tied_.front().when, candidates_);
+        GENESYS_ASSERT(choice < tied_.size(),
                        "tie-break policy chose %zu of %zu candidates",
-                       choice, tied.size());
+                       choice, tied_.size());
     }
 
     // Re-queue the losers with their original seq numbers (their FIFO
     // rank among themselves is preserved) *before* running the winner,
-    // so the callback can deschedule them normally.
-    for (std::size_t i = 0; i < tied.size(); ++i) {
+    // so the event can deschedule them normally.
+    for (std::size_t i = 0; i < tied_.size(); ++i) {
         if (i != choice)
-            pushKey(tied[i]);
+            pushKey(tied_[i]);
     }
-    const Key chosen = tied[choice];
+    // The id is read before the event runs: the event may reschedule
+    // into its own, just-freed cell and change the cell's generation.
+    const Key chosen = tied_[choice];
+    const EventId id = idOf(chosen.cell());
     execute(chosen);
-    tieBreaker_->onExecute(makeId(chosen.gen, chosen.cell), chosen.when);
+    tieBreaker_->onExecute(id, chosen.when);
     return true;
 }
 

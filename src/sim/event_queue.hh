@@ -7,11 +7,16 @@
  * memory system all interact exclusively by scheduling events. Events at
  * the same tick execute in FIFO scheduling order (a monotone sequence
  * number breaks ties), which makes every run bit-for-bit deterministic.
+ *
+ * An event is either a suspended coroutine to resume (what every
+ * awaitable delay and wake-up schedules) or a callback. Both kinds share
+ * one (when, seq) order.
  */
 
 #ifndef GENESYS_SIM_EVENT_QUEUE_HH
 #define GENESYS_SIM_EVENT_QUEUE_HH
 
+#include <coroutine>
 #include <cstdint>
 #include <functional>
 #include <vector>
@@ -22,7 +27,7 @@ namespace genesys::sim
 {
 
 /**
- * Handle for cancelling a scheduled event: the callback cell's
+ * Handle for cancelling a scheduled event: the event cell's
  * generation in the high 32 bits, the cell index in the low 32. A
  * live generation is odd, so 0 is never issued.
  */
@@ -92,6 +97,15 @@ class EventQueue
         return schedule(now_ + delay, std::move(cb));
     }
 
+    /** Schedule the suspended coroutine @p h to resume at @p when. */
+    EventId schedule(Tick when, std::coroutine_handle<> h);
+
+    /** Schedule @p h to resume @p delay ticks from now. */
+    EventId scheduleIn(Tick delay, std::coroutine_handle<> h)
+    {
+        return schedule(now_ + delay, h);
+    }
+
     /**
      * Cancel a pending event in O(1), destroying its callback now.
      * Cancelling an already-fired or unknown event is a no-op and
@@ -134,27 +148,46 @@ class EventQueue
     TieBreakPolicy *tieBreaker() const { return tieBreaker_; }
 
   private:
+    /// Cell index bits in a heap key's tag; the seq takes the rest.
+    static constexpr unsigned kCellBits = 24;
+    static constexpr std::uint32_t kMaxCells = std::uint32_t{1}
+                                               << kCellBits;
+    static constexpr std::uint64_t kMaxSeq = std::uint64_t{1}
+                                             << (64 - kCellBits);
+    /// A free cell's seq, which no key carries.
+    static constexpr std::uint64_t kFreeSeq = ~std::uint64_t{0};
+
     /**
-     * Heap entry. The callback lives in cells_[cell]; the key is a
-     * tombstone once that cell's generation no longer equals gen
-     * (the event fired or was cancelled).
+     * Heap entry: the event's tick and `seq << kCellBits | cell`. The
+     * event lives in cells_[cell()]; the key is a tombstone once that
+     * cell's seq no longer equals seq() (the event fired or was
+     * cancelled).
      */
     struct Key
     {
         Tick when;
-        std::uint64_t seq;
-        std::uint32_t cell;
-        std::uint32_t gen;
+        std::uint64_t tag;
+
+        std::uint32_t
+        cell() const
+        {
+            return static_cast<std::uint32_t>(tag & (kMaxCells - 1));
+        }
+        std::uint64_t seq() const { return tag >> kCellBits; }
     };
+    static_assert(sizeof(Key) == 16);
 
     /**
-     * A callback slot. gen is odd while an event occupies the cell
-     * and even while the cell is on the free list, so a stale or
-     * forged id never matches a free cell.
+     * An event slot: a coroutine to resume or, when handle is null, a
+     * callback. gen is odd while an event occupies the cell and even
+     * while the cell is on the free list, so a stale or forged id
+     * never matches a free cell.
      */
     struct Cell
     {
         Callback cb;
+        std::coroutine_handle<> handle;
+        std::uint64_t seq = kFreeSeq;
         std::uint32_t gen = 0;
         std::uint32_t nextFree = 0;
     };
@@ -167,16 +200,19 @@ class EventQueue
         {
             if (a.when != b.when)
                 return a.when > b.when;
-            return a.seq > b.seq;
+            return a.tag > b.tag;
         }
     };
 
     bool runOneWithPolicy();
-    bool live(const Key &k) const { return cells_[k.cell].gen == k.gen; }
+    bool live(const Key &k) const { return cells_[k.cell()].seq == k.seq(); }
+    /** Take a free cell for an event at @p when and queue its key. */
+    std::uint32_t claim(Tick when);
+    EventId idOf(std::uint32_t cell) const;
     void pushKey(const Key &k);
     Key popKey();
-    /** Take the callback out of a live cell and free the cell. */
-    Callback release(std::uint32_t cell);
+    /** Return a fired or cancelled event's cell to the free list. */
+    void release(std::uint32_t cell);
     void execute(const Key &k);
 
     Tick now_ = 0;
@@ -188,6 +224,9 @@ class EventQueue
     /// Events scheduled but neither executed nor cancelled.
     std::size_t live_ = 0;
     TieBreakPolicy *tieBreaker_ = nullptr;
+    /// runOneWithPolicy()'s scratch, kept to reuse its storage.
+    std::vector<Key> tied_;
+    std::vector<TieBreakCandidate> candidates_;
 
     static constexpr std::uint32_t kNoCell = ~std::uint32_t{0};
     /// Pending events the heap and pool hold before their first regrow.

@@ -33,7 +33,7 @@ class Delay
     void
     await_suspend(std::coroutine_handle<> h)
     {
-        eq_.scheduleIn(delay_, [h] { h.resume(); });
+        eq_.scheduleIn(delay_, h);
     }
 
     void await_resume() const noexcept {}
@@ -79,7 +79,7 @@ class WaitQueue
             return;
         auto h = waiters_.front();
         waiters_.pop_front();
-        eq_.scheduleIn(latency, [h] { h.resume(); });
+        eq_.scheduleIn(latency, h);
     }
 
     /** Wake every current waiter after @p latency ticks. */
@@ -152,7 +152,7 @@ class Semaphore
         if (!waiters_.empty()) {
             auto h = waiters_.front();
             waiters_.pop_front();
-            eq_.scheduleIn(0, [h] { h.resume(); });
+            eq_.scheduleIn(0, h);
         } else {
             ++count_;
         }
@@ -192,7 +192,7 @@ class Barrier
                 // Last arrival: wake the others, do not suspend.
                 b_.arrived_ = 0;
                 for (auto h : b_.waiters_)
-                    b_.eq_.scheduleIn(0, [h] { h.resume(); });
+                    b_.eq_.scheduleIn(0, h);
                 b_.waiters_.clear();
                 return true;
             }

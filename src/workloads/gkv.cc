@@ -5,6 +5,8 @@
 
 #include "gkv.hh"
 
+#include <algorithm>
+#include <cstring>
 #include <deque>
 #include <map>
 #include <memory>
@@ -51,15 +53,16 @@ struct Shared
     /**
      * Per-connection server state: the split-frame carry buffer, the
      * recvmsg scatter list (rewritten in place by MSG_ZEROCOPY to
-     * point into loaned wire segments), and the batched-reply frames
-     * with their writev gather list. Lives host-side so the buffers
-     * stay put across the GPU kernel's co_awaits.
+     * point into loaned wire segments), and the batched replies, frame
+     * after frame, with their writev gather list of one entry per
+     * frame. Lives host-side so the buffers stay put across the GPU
+     * kernel's co_awaits.
      */
     struct Conn
     {
         std::vector<std::uint8_t> partial;
         std::vector<osk::IoVec> rxIov;
-        std::vector<std::vector<std::uint8_t>> txFrames;
+        std::vector<std::uint8_t> tx;
         std::vector<osk::IoVec> txIov;
     };
 
@@ -93,6 +96,37 @@ gpuServeCycles(std::uint32_t value_bytes, std::uint32_t items)
         (kRequestCycles +
          static_cast<double>(value_bytes) * kCopyCyclesPerByte) /
         items);
+}
+
+/// splitmix64's increment and finalizer.
+constexpr std::uint64_t kGolden = 0x9E3779B97F4A7C15ull;
+
+std::uint64_t
+mix64(std::uint64_t z)
+{
+    z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ull;
+    z = (z ^ (z >> 27)) * 0x94D049BB133111EBull;
+    return z ^ (z >> 31);
+}
+
+/**
+ * Walk the value (key, version) names in 8-byte steps, handing
+ * @p step each step's offset, byte count and bytes. Every step is one
+ * splitmix64 output of its own, so no step waits on the one before.
+ * Stops early when @p step returns false.
+ */
+template <typename Fn>
+bool
+forValueWords(std::uint32_t key, std::uint64_t version,
+              std::uint32_t value_bytes, Fn &&step)
+{
+    const std::uint64_t seed = mix64(mix64(version) ^ key);
+    for (std::uint32_t at = 0; at < value_bytes; at += 8) {
+        const std::uint64_t word = mix64(seed + (at / 8 + 1) * kGolden);
+        if (!step(at, std::min<std::uint32_t>(8, value_bytes - at), word))
+            return false;
+    }
+    return true;
 }
 
 /**
@@ -144,9 +178,8 @@ collectRequests(Shared::Conn &cn, std::uint32_t frame_bytes,
         feedFrames(cn.partial, frame_bytes,
                    static_cast<const std::uint8_t *>(v.asPtr()),
                    v.len, [&](const std::uint8_t *f) {
-                       auto req = gkvDecode(f, kGkvHeaderBytes);
-                       if (req.has_value())
-                           out.push_back(std::move(*req));
+                       if (auto req = gkvDecode(f, kGkvHeaderBytes))
+                           out.push_back(*req);
                    });
     }
 }
@@ -172,25 +205,23 @@ serveRequest(Shared &shared, const GkvFrame &req)
         reply.op = GkvOp::Reply;
         reply.version = store.version(req.key);
     }
-    reply.value = gkvValueFor(reply.key, reply.version,
-                              store.valueBytes());
     return reply;
 }
 
-/** Stage the served replies as one writev gather list. */
+/** Encode the served replies into cn.tx, one writev entry per frame. */
 void
 batchReplies(Shared &shared, Shared::Conn &cn,
              const std::vector<GkvFrame> &reqs)
 {
-    cn.txFrames.clear();
+    const std::uint32_t value_bytes = shared.store->valueBytes();
+    const std::size_t frame_bytes = kGkvHeaderBytes + value_bytes;
+    cn.tx.resize(reqs.size() * frame_bytes);
     cn.txIov.clear();
-    for (const GkvFrame &req : reqs) {
-        cn.txFrames.push_back(gkvEncode(serveRequest(shared, req),
-                                        shared.store->valueBytes()));
-    }
-    for (const auto &f : cn.txFrames) {
-        cn.txIov.push_back(osk::IoVec{
-            osk::SyscallArgs::fromPtr(f.data()), f.size()});
+    for (std::size_t r = 0; r < reqs.size(); ++r) {
+        std::uint8_t *wire = cn.tx.data() + r * frame_bytes;
+        gkvEncode(serveRequest(shared, reqs[r]), wire, value_bytes);
+        cn.txIov.push_back(
+            osk::IoVec{osk::SyscallArgs::fromPtr(wire), frame_bytes});
     }
 }
 
@@ -344,12 +375,11 @@ gkvClient(core::System &sys, std::shared_ptr<Shared> shared,
             GkvFrame f;
             f.op = req.isSet ? GkvOp::Set : GkvOp::Get;
             f.key = req.key;
-            if (req.isSet) {
+            if (req.isSet)
                 f.version = ++shared->nextVersion;
-                f.value = gkvValueFor(f.key, f.version, value_bytes);
-            }
-            const auto wire = gkvEncode(f, value_bytes);
-            batch.insert(batch.end(), wire.begin(), wire.end());
+            batch.resize(batch.size() + frame_bytes);
+            gkvEncode(f, batch.data() + batch.size() - frame_bytes,
+                      value_bytes);
             issued.push_back(sys.sim().now());
             keys.push_back(f.key);
             ++sent;
@@ -374,21 +404,13 @@ gkvClient(core::System &sys, std::shared_ptr<Shared> shared,
             feedFrames(
                 partial, frame_bytes, segs[i].bytes(), segs[i].len,
                 [&](const std::uint8_t *f) {
-                    const auto reply = gkvDecode(f, frame_bytes);
-                    const std::uint32_t want_key = keys.front();
+                    if (!gkvReplyValid(f, keys.front(), value_bytes))
+                        ++shared->badReplies;
                     keys.pop_front();
                     shared->latencies.sample(
                         ticks::toUs(sys.sim().now() -
                                     issued.front()));
                     issued.pop_front();
-                    if (!reply.has_value() ||
-                        reply->key != want_key ||
-                        reply->op != GkvOp::Reply ||
-                        reply->value !=
-                            gkvValueFor(reply->key, reply->version,
-                                        value_bytes)) {
-                        ++shared->badReplies;
-                    }
                     ++replies;
                 });
             segs[i] = osk::NetSeg{}; // drop the loan promptly
@@ -418,10 +440,10 @@ gkvClient(core::System &sys, std::shared_ptr<Shared> shared,
 
 } // namespace
 
-std::vector<std::uint8_t>
-gkvEncode(const GkvFrame &frame, std::uint32_t value_bytes)
+void
+gkvEncode(const GkvFrame &frame, std::uint8_t *wire,
+          std::uint32_t value_bytes)
 {
-    std::vector<std::uint8_t> wire(kGkvHeaderBytes + value_bytes, 0);
     const auto op = static_cast<std::uint32_t>(frame.op);
     for (int i = 0; i < 4; ++i) {
         wire[i] = static_cast<std::uint8_t>(op >> (8 * i));
@@ -430,12 +452,17 @@ gkvEncode(const GkvFrame &frame, std::uint32_t value_bytes)
     for (int i = 0; i < 8; ++i)
         wire[8 + i] =
             static_cast<std::uint8_t>(frame.version >> (8 * i));
-    const std::size_t n =
-        frame.value.size() < value_bytes ? frame.value.size()
-                                         : value_bytes;
-    for (std::size_t i = 0; i < n; ++i)
-        wire[kGkvHeaderBytes + i] = frame.value[i];
-    return wire;
+    std::uint8_t *value = wire + kGkvHeaderBytes;
+    if (frame.op != GkvOp::Set && frame.op != GkvOp::Reply) {
+        std::memset(value, 0, value_bytes);
+        return;
+    }
+    forValueWords(frame.key, frame.version, value_bytes,
+                  [&](std::uint32_t at, std::uint32_t n,
+                      std::uint64_t word) {
+                      std::memcpy(value + at, &word, n);
+                      return true;
+                  });
 }
 
 std::optional<GkvFrame>
@@ -458,22 +485,24 @@ gkvDecode(const std::uint8_t *wire, std::size_t len)
     frame.op = static_cast<GkvOp>(op);
     frame.key = key;
     frame.version = version;
-    frame.value.assign(wire + kGkvHeaderBytes, wire + len);
     return frame;
 }
 
-std::vector<std::uint8_t>
-gkvValueFor(std::uint32_t key, std::uint64_t version,
-            std::uint32_t value_bytes)
+bool
+gkvReplyValid(const std::uint8_t *wire, std::uint32_t key,
+              std::uint32_t value_bytes)
 {
-    std::vector<std::uint8_t> v(value_bytes);
-    std::uint64_t h = 1469598103934665603ull ^ key;
-    h = (h ^ version) * 1099511628211ull;
-    for (std::uint32_t i = 0; i < value_bytes; ++i) {
-        h = (h ^ i) * 1099511628211ull;
-        v[i] = static_cast<std::uint8_t>(h >> 32);
-    }
-    return v;
+    const auto reply = gkvDecode(wire, kGkvHeaderBytes);
+    if (!reply.has_value() || reply->op != GkvOp::Reply ||
+        reply->key != key)
+        return false;
+    const std::uint8_t *value = wire + kGkvHeaderBytes;
+    return forValueWords(key, reply->version, value_bytes,
+                         [&](std::uint32_t at, std::uint32_t n,
+                             std::uint64_t word) {
+                             return std::memcmp(value + at, &word, n) ==
+                                    0;
+                         });
 }
 
 GkvStore::GkvStore(std::uint32_t num_keys, std::uint32_t value_bytes)

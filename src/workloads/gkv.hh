@@ -53,29 +53,34 @@ enum class GkvOp : std::uint32_t
  * exactly one frame). A frame fits under the TCP MSS, but pipelined
  * request trains and batched reply writes pack frames back to back
  * into MSS-sized segments, so receivers must reassemble frames that
- * straddle segment boundaries.
+ * straddle segment boundaries. GkvFrame is the header; SET and Reply
+ * payloads are the value its (key, version) names, others are zeros.
  */
 struct GkvFrame
 {
     GkvOp op = GkvOp::Get;
     std::uint32_t key = 0;
     std::uint64_t version = 0;
-    std::vector<std::uint8_t> value; ///< valueBytes long.
 };
 
 inline constexpr std::uint32_t kGkvHeaderBytes = 16;
 /** First server port; group g listens on kGkvBasePort + g. */
 inline constexpr std::uint16_t kGkvBasePort = 9100;
 
-std::vector<std::uint8_t> gkvEncode(const GkvFrame &frame,
-                                    std::uint32_t value_bytes);
+/** Write @p frame and its payload into the kGkvHeaderBytes +
+ *  @p value_bytes bytes at @p wire. */
+void gkvEncode(const GkvFrame &frame, std::uint8_t *wire,
+               std::uint32_t value_bytes);
+/** The header of the frame at @p wire; nullopt if malformed. */
 std::optional<GkvFrame> gkvDecode(const std::uint8_t *wire,
                                   std::size_t len);
 
-/** Deterministic value for (key, version), verifiable end to end. */
-std::vector<std::uint8_t> gkvValueFor(std::uint32_t key,
-                                      std::uint64_t version,
-                                      std::uint32_t value_bytes);
+/**
+ * True when the frame at @p wire is a Reply for @p key whose payload is
+ * exactly the value its (key, version) names, checked in place.
+ */
+bool gkvReplyValid(const std::uint8_t *wire, std::uint32_t key,
+                   std::uint32_t value_bytes);
 
 /** Versioned store shared by CPU and GPU servers. */
 class GkvStore

@@ -7,6 +7,7 @@
 
 #include <algorithm>
 #include <array>
+#include <bit>
 #include <cstring>
 #include <memory>
 
@@ -73,6 +74,17 @@ window(const char *p, std::size_t n)
     std::uint32_t w = 0;
     for (std::size_t b = 0; b < n && b < 4; ++b)
         w |= std::uint32_t(static_cast<unsigned char>(p[b])) << (8 * b);
+    return w;
+}
+
+/// window(p, 4) as one load.
+std::uint32_t
+load4(const char *p)
+{
+    std::uint32_t w = 0;
+    std::memcpy(&w, p, sizeof w);
+    if constexpr (std::endian::native == std::endian::big)
+        w = __builtin_bswap32(w);
     return w;
 }
 
@@ -190,23 +202,24 @@ countWordsInto(std::string_view text,
         const std::uint32_t h = filterHash(keys[w]);
         g.bits[h / 64] |= std::uint64_t(1) << (h % 64);
     }
-    std::vector<const Group *> active;
-    for (const Group &g : groups) {
-        if (!g.words.empty())
-            active.push_back(&g);
-    }
-
     // next[w]: the first position where words[w] may match again.
+    // A word's matches depend only on its own next[w], so each group
+    // scans the text on its own.
     std::vector<std::size_t> next(words.size(), 0);
     const std::size_t n = text.size();
-    std::uint32_t win = window(text.data(), n);
-    for (std::size_t i = 0; i < n; ++i) {
-        for (const Group *g : active) {
-            const std::uint32_t key = win & g->mask;
+    for (const Group &g : groups) {
+        if (g.words.empty())
+            continue;
+        for (std::size_t i = 0; i < n; ++i) {
+            // Bytes past the end read as zero.
+            const std::uint32_t key =
+                (i + 4 <= n ? load4(text.data() + i)
+                            : window(text.data() + i, n - i)) &
+                g.mask;
             const std::uint32_t h = filterHash(key);
-            if ((g->bits[h / 64] >> (h % 64) & 1) == 0)
+            if ((g.bits[h / 64] >> (h % 64) & 1) == 0)
                 continue;
-            for (const std::size_t w : g->words) {
+            for (const std::size_t w : g.words) {
                 const std::string &word = words[w];
                 if (keys[w] != key || i < next[w] ||
                     word.size() > n - i ||
@@ -217,11 +230,6 @@ countWordsInto(std::string_view text,
                 next[w] = i + word.size();
             }
         }
-        // Slide the window; bytes past the end read as zero.
-        win >>= 8;
-        if (i + 4 < n)
-            win |= std::uint32_t(static_cast<unsigned char>(text[i + 4]))
-                   << 24;
     }
 }
 

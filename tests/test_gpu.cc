@@ -344,5 +344,45 @@ TEST(GpuDevice, AccessLineSpillGeneratesBusTraffic)
     EXPECT_GT(bus.bytesMoved("gpu"), 2 * lines * 64 * 9 / 10);
 }
 
+TEST(GpuDevice, MissAndCpuTransferShareOneFifoBus)
+{
+    // A GPU L2 miss joins the bus queue one access latency after it is
+    // awaited. A CPU transfer issued at that same tick is served before
+    // or after it strictly by event order: one queue, one permit.
+    for (const bool gpu_first : {true, false}) {
+        sim::Sim s;
+        mem::MemBusParams bp;
+        bp.bytesPerSec = 1e9; // 1 byte per tick
+        bp.requestOverhead = 0;
+        mem::MemBus bus(s.events(), bp);
+        GpuDevice gpu(s, tinyGpu(), &bus);
+        const Tick at = gpu.config().atomicLoad + gpu.config().l2HitLatency;
+        Tick gpu_done = 0;
+        Tick cpu_done = 0;
+        auto gpu_side = [](GpuDevice &g, Tick &done) -> sim::Task<> {
+            co_await g.accessLine(0x1000, g.config().atomicLoad);
+            done = g.sim().now();
+        };
+        auto cpu_side = [](sim::Sim &sm, mem::MemBus &b, Tick when,
+                           Tick &done) -> sim::Task<> {
+            co_await sm.delay(when);
+            co_await b.transfer(mem::Agent::Cpu, 100);
+            done = sm.now();
+        };
+        if (gpu_first) {
+            s.spawn(gpu_side(gpu, gpu_done));
+            s.spawn(cpu_side(s, bus, at, cpu_done));
+        } else {
+            s.spawn(cpu_side(s, bus, at, cpu_done));
+            s.spawn(gpu_side(gpu, gpu_done));
+        }
+        s.run();
+        EXPECT_EQ(gpu_done, gpu_first ? at + 64 : at + 164);
+        EXPECT_EQ(cpu_done, gpu_first ? at + 164 : at + 100);
+        EXPECT_EQ(bus.bytesMoved("gpu"), 64u);
+        EXPECT_EQ(bus.bytesMoved("cpu"), 100u);
+    }
+}
+
 } // namespace
 } // namespace genesys::gpu

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <coroutine>
 #include <memory>
 #include <string>
 #include <vector>
@@ -175,6 +176,85 @@ TEST(EventQueue, SameTickFifoAfterCancellations)
         eq.schedule(50, [&order, i] { order.push_back(i); });
     eq.run();
     EXPECT_EQ(order, (std::vector<int>{1, 2, 4, 5, 7, 8, 10, 11, 12}));
+}
+
+TEST(EventQueue, HandleAndCallbackEventsShareOneFifo)
+{
+    // Coroutines the queue resumes and plain callbacks run in one
+    // (when, seq) order, whichever kind each event is.
+    Sim s;
+    std::vector<std::string> order;
+    auto sleeper = [](Sim &sm, std::vector<std::string> &out,
+                      const char *name, Tick d) -> Task<> {
+        co_await sm.delay(d);
+        out.emplace_back(name);
+    };
+    s.events().schedule(10, [&] { order.emplace_back("cb-a"); });
+    s.spawn(sleeper(s, order, "co-a", 10));
+    s.events().schedule(10, [&] { order.emplace_back("cb-b"); });
+    s.spawn(sleeper(s, order, "co-b", 5));
+    s.run();
+    EXPECT_EQ(order, (std::vector<std::string>{"co-b", "cb-a", "co-a",
+                                               "cb-b"}));
+}
+
+/** Suspends, scheduling its own resumption and reporting the id. */
+struct ParkFor
+{
+    EventQueue &eq;
+    Tick delay;
+    EventId &id;
+    bool await_ready() const noexcept { return false; }
+    void await_suspend(std::coroutine_handle<> h)
+    {
+        id = eq.scheduleIn(delay, h);
+    }
+    void await_resume() const noexcept {}
+};
+
+TEST(EventQueue, DescheduleCancelsHandleEvent)
+{
+    Sim s;
+    EventId id = 0;
+    bool resumed = false;
+    s.spawn([](Sim &sm, EventId &out, bool &flag) -> Task<> {
+        co_await ParkFor{sm.events(), 5, out};
+        flag = true;
+    }(s, id, resumed));
+    EXPECT_EQ(s.events().pendingEvents(), 1u);
+    EXPECT_TRUE(s.events().deschedule(id));
+    EXPECT_FALSE(s.events().deschedule(id));
+    EXPECT_EQ(s.run(), 0u);
+    EXPECT_FALSE(resumed);
+    EXPECT_EQ(s.events().executedEvents(), 0u);
+    EXPECT_EQ(s.liveTasks(), 1u); // still parked; teardown destroys it
+}
+
+TEST(EventQueue, PolicySeesTheIdOfAnEventThatReusesItsCell)
+{
+    // An event that schedules another one hands it its own, just-freed
+    // cell under a new generation. onExecute must still report the id
+    // the first event was scheduled under.
+    struct Recorder : TieBreakPolicy
+    {
+        std::size_t
+        pick(Tick, const std::vector<TieBreakCandidate> &) override
+        {
+            return 0;
+        }
+        void onExecute(EventId id, Tick) override { ran.push_back(id); }
+        std::vector<EventId> ran;
+    } policy;
+    EventQueue eq;
+    eq.setTieBreaker(&policy);
+    EventId second = 0;
+    const EventId first =
+        eq.schedule(1, [&] { second = eq.scheduleIn(1, [] {}); });
+    eq.run();
+    EXPECT_EQ(static_cast<std::uint32_t>(second),
+              static_cast<std::uint32_t>(first));
+    EXPECT_NE(second, first);
+    EXPECT_EQ(policy.ran, (std::vector<EventId>{first, second}));
 }
 
 // ------------------------------------------------------------------ tasks
