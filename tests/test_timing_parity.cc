@@ -23,8 +23,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
+#include <string>
 #include <vector>
 
 #include "core/system.hh"
@@ -93,26 +95,38 @@ inv(Granularity g, Ordering o, Blocking b,
     return i;
 }
 
-/** One work-group: open + pwrite + close, returns the final tick. */
+/** One work-group: open + pwrite + close, returns the final tick.
+ *  The first @p eagains pwrite64 dispatches answer -EAGAIN; the tick
+ *  the last wave finishes goes to @p wave_done when it is given. */
 Tick
-runBasicWorkGroup(const SystemConfig &cfg, Invocation i)
+runBasicWorkGroup(const SystemConfig &cfg, Invocation i, int eagains = 0,
+                  Tick *wave_done = nullptr)
 {
     System sys(cfg);
     sys.kernel().vfs().createFile("/p");
+    for (int n = 1; n <= eagains; ++n) {
+        sys.kernel().faults().planFault(osk::sysno::pwrite64, n,
+                                        {osk::FaultKind::Eagain});
+    }
     static const char payload[] = "parity-check-abcdef";
     gpu::KernelLaunch k;
     k.workItems = 256; // one group, 4 waves: barriers span waves
     k.wgSize = 256;
-    k.program = [&sys, i](gpu::WavefrontCtx &ctx) -> sim::Task<> {
+    k.program = [&sys, i,
+                 wave_done](gpu::WavefrontCtx &ctx) -> sim::Task<> {
         auto open_inv = i;
         open_inv.blocking = Blocking::Blocking; // fd consumed below
         const auto fd =
             co_await sys.gpuSys().open(ctx, open_inv, "/p", 1);
         co_await sys.gpuSys().pwrite(ctx, i, static_cast<int>(fd),
                                      payload, 16, 0);
+        if (wave_done != nullptr)
+            *wave_done = std::max(*wave_done, ctx.sim().now());
     };
     sys.launchGpuAndDrain(std::move(k));
-    return sys.run();
+    const Tick end = sys.run();
+    EXPECT_EQ(sys.kernel().faults().plannedRemaining(), 0u);
+    return end;
 }
 
 TEST(TimingParity, OrderingBlockingWaitMatrix)
@@ -166,31 +180,108 @@ TEST(TimingParity, KernelGranularityManyGroups)
     checkTick("kernel_granularity", sys.run(), 30230);
 }
 
-TEST(TimingParity, WorkItemPerLanePwrites)
+/** One wave, one pwrite64 per lane, returns the final tick. The
+ *  first-serviced lane's request answers -EAGAIN in its first
+ *  @p eagains rounds; the tick the wave finishes goes to @p wave_done
+ *  when it is given. */
+Tick
+runWorkItemPwrites(const SystemConfig &cfg, WaitMode w, int eagains = 0,
+                   Tick *wave_done = nullptr)
 {
-    const SystemConfig cfg = smallConfig();
     System sys(cfg);
     sys.kernel().vfs().createFile("/wi");
+    // Each later round re-dispatches only that lane, after the first
+    // round's 64.
+    for (int r = 0; r < eagains; ++r) {
+        sys.kernel().faults().planFault(osk::sysno::pwrite64,
+                                        r == 0 ? 1 : 64 + r,
+                                        {osk::FaultKind::Eagain});
+    }
     static char lane_bytes[64];
     for (int i = 0; i < 64; ++i)
         lane_bytes[i] = static_cast<char>('A' + (i % 26));
     gpu::KernelLaunch k;
     k.workItems = 64;
     k.wgSize = 64;
-    k.program = [&sys](gpu::WavefrontCtx &ctx) -> sim::Task<> {
+    k.program = [&sys, w,
+                 wave_done](gpu::WavefrontCtx &ctx) -> sim::Task<> {
         auto i = inv(Granularity::WorkGroup, Ordering::Strong,
                      Blocking::Blocking);
         const auto fd = co_await sys.gpuSys().open(ctx, i, "/wi", 1);
         Invocation wi = inv(Granularity::WorkItem, Ordering::Strong,
-                            Blocking::Blocking);
+                            Blocking::Blocking, w);
         co_await sys.gpuSys().invokeWorkItems(
             ctx, wi, osk::sysno::pwrite64, [fd](std::uint32_t lane) {
                 return std::optional(osk::makeArgs(
                     static_cast<int>(fd), &lane_bytes[lane], 1, lane));
             });
+        if (wave_done != nullptr)
+            *wave_done = ctx.sim().now();
     };
     sys.launchGpuAndDrain(std::move(k));
-    checkTick("workitem_lane_pwrites", sys.run(), 264398);
+    const Tick end = sys.run();
+    EXPECT_EQ(sys.kernel().faults().plannedRemaining(), 0u);
+    return end;
+}
+
+TEST(TimingParity, WorkItemPerLanePwrites)
+{
+    checkTick("workitem_lane_pwrites",
+              runWorkItemPwrites(smallConfig(), WaitMode::Polling),
+              264398);
+}
+
+TEST(TimingParity, RingModeWorkGroupAndWorkItem)
+{
+    // Ring submission: SQ batches, one doorbell per batch, CQ polling.
+    // The consume task lingers after the last batch, so the final
+    // tick follows the last submission; the waves' own finish ticks
+    // pin the completion side.
+    SystemConfig cfg = smallConfig();
+    cfg.genesys.useRings = true;
+    struct Case
+    {
+        const char *name;
+        bool workItem;
+        WaitMode w;
+        Tick golden;
+        Tick goldenDone;
+    };
+    const Case cases[] = {
+        {"ring_wg_poll", false, WaitMode::Polling, 63970, 48129},
+        {"ring_wg_halt", false, WaitMode::HaltResume, 67470, 55272},
+        {"ring_wi_poll", true, WaitMode::Polling, 148139, 128350},
+        {"ring_wi_halt", true, WaitMode::HaltResume, 148139, 133139},
+    };
+    for (const Case &c : cases) {
+        Tick done = 0;
+        const Tick end =
+            c.workItem
+                ? runWorkItemPwrites(cfg, c.w, 0, &done)
+                : runBasicWorkGroup(cfg,
+                                    inv(Granularity::WorkGroup,
+                                        Ordering::Strong,
+                                        Blocking::Blocking, c.w),
+                                    0, &done);
+        checkTick(c.name, end, c.golden);
+        checkTick((std::string(c.name) + "_done").c_str(), done,
+                  c.goldenDone);
+    }
+}
+
+TEST(TimingParity, EagainBackoffShapes)
+{
+    // Two consecutive -EAGAINs: the leader's backoff doubles, a
+    // wavefront's shared stall stays flat.
+    const SystemConfig cfg = smallConfig();
+    checkTick("eagain_wg",
+              runBasicWorkGroup(cfg,
+                                inv(Granularity::WorkGroup,
+                                    Ordering::Strong, Blocking::Blocking),
+                                2),
+              107136);
+    checkTick("eagain_wi",
+              runWorkItemPwrites(cfg, WaitMode::Polling, 2), 315638);
 }
 
 TEST(TimingParity, CoalescedInterruptBatches)
