@@ -6,6 +6,8 @@
 #include "client.hh"
 
 #include <algorithm>
+#include <array>
+#include <bit>
 #include <cerrno>
 
 #include "support/gsan.hh"
@@ -14,6 +16,19 @@
 
 namespace genesys::core
 {
+
+namespace
+{
+
+/** The lowest lane set in @p mask; clearing it with `mask &= mask - 1`
+ *  walks a lane mask in the SIMD unit's ascending lane order. */
+std::uint32_t
+lowestLane(std::uint64_t mask)
+{
+    return static_cast<std::uint32_t>(std::countr_zero(mask));
+}
+
+} // namespace
 
 const char *
 granularityName(Granularity g)
@@ -59,30 +74,6 @@ GpuSyscalls::sanActor(gpu::WavefrontCtx &ctx)
     // Re-established before every instrumented slot op: any co_await
     // in between may have interleaved another wave or CPU worker.
     gsan_->setActor(gsan_->waveThread(ctx.hwWaveSlot()));
-}
-
-sim::Task<>
-GpuSyscalls::claimSlot(gpu::WavefrontCtx &ctx, std::uint32_t item_slot)
-{
-    SyscallSlot &slot = area_.slot(item_slot);
-    const mem::Addr addr = area_.slotAddr(item_slot);
-    for (;;) {
-        // Ring mode: the SQ claim inside ringSubmit is the one fabric
-        // atomic that serializes this call against other agents; the
-        // slot claim is a CAS on the lane's own statically-assigned
-        // line (it only ever races the host recycling that same
-        // slot), so it is charged at populate cost, not as a second
-        // global round-trip.
-        co_await gpu_.accessLine(addr, params_.useRings
-                                           ? params_.perLanePopulate
-                                           : gpu_.config().atomicCmpSwap);
-        if (sanOn())
-            sanActor(ctx);
-        if (slot.claim())
-            co_return;
-        // Slot still owned by an earlier (non-blocking) call; retry.
-        co_await ctx.compute(params_.pollIntervalCycles);
-    }
 }
 
 sim::Task<>
@@ -266,103 +257,6 @@ GpuSyscalls::waitSlots(
     }
 }
 
-sim::Task<std::int64_t>
-GpuSyscalls::issueOnce(gpu::WavefrontCtx &ctx, Invocation inv,
-                       int sysno, const osk::SyscallArgs &args,
-                       std::uint32_t item_slot)
-{
-    SyscallSlot &slot = area_.slot(item_slot);
-    const mem::Addr addr = area_.slotAddr(item_slot);
-
-    co_await claimSlot(ctx, item_slot);
-    co_await sim::Delay(ctx.sim().events(), params_.perLanePopulate);
-    if (!params_.useRings && params_.gsanTest.doorbellBeforePublish) {
-        // Seeded bug (gmc mutant): ring the doorbell before the slot
-        // is published. Under FIFO tie-breaking the publish still wins
-        // the race against the interrupt pipeline, but an adversarial
-        // schedule services the wave while the slot is Populating,
-        // stranding the request.
-        gpu_.sendInterrupt(ctx.hwWaveSlot());
-    }
-    if (params_.useRings) {
-        // Ring mode: the slot payload is plain stores into space this
-        // lane exclusively claimed — the SQ tail release (+ one
-        // doorbell per batch) inside ringSubmit below is the batch's
-        // single visibility point, so the slot's own publish needs no
-        // fabric round-trip of its own.
-        co_await gpu_.accessLine(addr, params_.perLanePopulate);
-    } else {
-        co_await gpu_.accessLine(addr, gpu_.config().atomicSwap);
-    }
-    if (sanOn())
-        sanActor(ctx);
-    slot.publish(sysno, args, inv.blocking == Blocking::Blocking,
-                 inv.waitMode, ctx.hwWaveSlot());
-    ++issued_;
-    area_.noteIssued(area_.shardOfWave(ctx.hwWaveSlot()));
-    GENESYS_TRACE(ctx.sim(), "genesys",
-                  "wave %u publishes sysno %d (%s, %s, %s)",
-                  ctx.hwWaveSlot(), sysno, orderingName(inv.ordering),
-                  blockingName(inv.blocking),
-                  waitModeName(inv.waitMode));
-    if (params_.useRings) {
-        // Ring path: enqueue the slot index on the shard SQ; the
-        // doorbell rings once per batch inside ringSubmit.
-        const std::uint32_t batch[1] = {item_slot};
-        co_await ringSubmit(ctx, batch, 1);
-    } else if (!params_.gsanTest.doorbellBeforePublish) {
-        gpu_.sendInterrupt(ctx.hwWaveSlot());
-    }
-
-    if (params_.gsanTest.racyPeekBeforeFinished &&
-        inv.blocking == Blocking::Blocking) {
-        // Seeded bug: read the result payload right after publishing,
-        // without waiting for the Finished state. gsan reports the
-        // race when the CPU's result write lands.
-        if (sanOn())
-            sanActor(ctx);
-        (void)slot.racyPeekResult();
-    }
-
-    if (inv.blocking == Blocking::NonBlocking)
-        co_return 0;
-
-    std::int64_t result = 0;
-    const std::uint32_t lane_in_wave =
-        item_slot - area_.firstItemSlotOfWave(ctx.hwWaveSlot());
-    co_await waitSlots(ctx, inv, area_.firstItemSlotOfWave(
-                                     ctx.hwWaveSlot()),
-                       1ull << lane_in_wave,
-                       [&result](std::uint32_t, std::int64_t r) {
-                           result = r;
-                       });
-    co_return result;
-}
-
-sim::Task<std::int64_t>
-GpuSyscalls::issueAndWait(gpu::WavefrontCtx &ctx, Invocation inv,
-                          int sysno, osk::SyscallArgs args,
-                          std::uint32_t item_slot)
-{
-    // Non-blocking requesters never see the result, so there is
-    // nothing to recover here; the host restarts those on our behalf.
-    if (inv.blocking == Blocking::NonBlocking)
-        co_return co_await issueOnce(ctx, inv, sysno, args, item_slot);
-
-    Recovery rec(osk::syscallRow(sysno), args);
-    for (;;) {
-        std::int64_t ret =
-            co_await issueOnce(ctx, inv, sysno, args, item_slot);
-        const Next next = recover(sysno, args, rec, ret);
-        if (next == Next::Finish)
-            co_return ret;
-        if (next == Next::Backoff) {
-            co_await ctx.compute(params_.eagainBackoffCycles
-                                 << (rec.congested - 1));
-        }
-    }
-}
-
 GpuSyscalls::Next
 GpuSyscalls::recover(int sysno, osk::SyscallArgs &args, Recovery &rec,
                      std::int64_t &ret)
@@ -408,6 +302,141 @@ GpuSyscalls::recover(int sysno, osk::SyscallArgs &args, Recovery &rec,
     return Next::Reissue;
 }
 
+sim::Task<>
+GpuSyscalls::issueRounds(
+    gpu::WavefrontCtx &ctx, Invocation inv, int sysno,
+    std::uint64_t pending, osk::SyscallArgs *args, Recovery *rec,
+    std::function<void(std::uint32_t, std::int64_t)> on_result)
+{
+    const std::uint32_t first_slot =
+        area_.firstItemSlotOfWave(ctx.hwWaveSlot());
+    while (pending != 0) {
+        // Claim every pending lane's slot. The SIMD unit issues the
+        // cmp-swaps as one wavefront instruction: the first lane pays
+        // the full fabric latency, the rest pipeline behind it. Ring
+        // mode: the SQ claim inside ringSubmit is the one fabric
+        // atomic that serializes the round against other agents; a
+        // slot claim is a CAS on the lane's own statically-assigned
+        // line (it only ever races the host recycling that same
+        // slot), so it is charged at populate cost.
+        bool first = true;
+        for (std::uint64_t m = pending; m != 0; m &= m - 1) {
+            const std::uint32_t lane = lowestLane(m);
+            SyscallSlot &slot = area_.slot(first_slot + lane);
+            const mem::Addr addr = area_.slotAddr(first_slot + lane);
+            for (;;) {
+                co_await gpu_.accessLine(
+                    addr, first && !params_.useRings
+                              ? gpu_.config().atomicCmpSwap
+                              : params_.perLanePopulate);
+                if (sanOn())
+                    sanActor(ctx);
+                if (slot.claim())
+                    break;
+                // Slot still owned by an earlier (non-blocking) call.
+                co_await ctx.compute(params_.pollIntervalCycles);
+            }
+            first = false;
+        }
+
+        // A leader stores its arguments as a serial step; a
+        // wavefront's argument stores pipeline into the publishes.
+        if (inv.granularity != Granularity::WorkItem)
+            co_await sim::Delay(ctx.sim().events(), params_.perLanePopulate);
+        if (!params_.useRings && params_.gsanTest.doorbellBeforePublish) {
+            // Seeded bug (gmc mutant): ring the doorbell before the
+            // slots are published. Under FIFO tie-breaking the publish
+            // still wins the race against the interrupt pipeline, but
+            // an adversarial schedule services the wave while a slot
+            // is Populating, stranding the request.
+            gpu_.sendInterrupt(ctx.hwWaveSlot());
+        }
+
+        // Publish each slot; again pipelined across lanes. Ring mode:
+        // the SQ tail release (+ one doorbell per batch) inside
+        // ringSubmit is the round's single visibility point, so the
+        // per-slot publishes are plain stores into space each lane
+        // exclusively claimed (no leading fabric atomic).
+        first = true;
+        for (std::uint64_t m = pending; m != 0; m &= m - 1) {
+            const std::uint32_t lane = lowestLane(m);
+            SyscallSlot &slot = area_.slot(first_slot + lane);
+            co_await gpu_.accessLine(
+                area_.slotAddr(first_slot + lane),
+                first && !params_.useRings ? gpu_.config().atomicSwap
+                                           : params_.perLanePopulate);
+            if (sanOn())
+                sanActor(ctx);
+            slot.publish(sysno, args[lane],
+                         inv.blocking == Blocking::Blocking,
+                         inv.waitMode, ctx.hwWaveSlot());
+            ++issued_;
+            area_.noteIssued(area_.shardOfWave(ctx.hwWaveSlot()));
+            first = false;
+        }
+        GENESYS_TRACE(ctx.sim(), "genesys",
+                      "wave %u publishes sysno %d (%s, %s, %s)",
+                      ctx.hwWaveSlot(), sysno, orderingName(inv.ordering),
+                      blockingName(inv.blocking),
+                      waitModeName(inv.waitMode));
+
+        if (params_.useRings) {
+            // The whole round is one SQ batch: every pending lane's
+            // slot index, one doorbell.
+            std::array<std::uint32_t, 64> batch;
+            std::uint32_t n = 0;
+            for (std::uint64_t m = pending; m != 0; m &= m - 1)
+                batch[n++] = first_slot + lowestLane(m);
+            co_await ringSubmit(ctx, batch.data(), n);
+        } else if (!params_.gsanTest.doorbellBeforePublish) {
+            // One scalar s_sendmsg for the whole wavefront.
+            gpu_.sendInterrupt(ctx.hwWaveSlot());
+        }
+
+        if (inv.blocking == Blocking::NonBlocking)
+            co_return; // fire-and-forget: host recovers on our behalf
+
+        if (params_.gsanTest.racyPeekBeforeFinished) {
+            // Seeded bug: read the result payloads right after
+            // publishing, without waiting for the Finished state. gsan
+            // reports the race when the CPU's result write lands.
+            if (sanOn())
+                sanActor(ctx);
+            for (std::uint64_t m = pending; m != 0; m &= m - 1)
+                (void)area_.slot(first_slot + lowestLane(m)).racyPeekResult();
+        }
+
+        std::uint64_t next = 0;
+        bool backoff = false;
+        co_await waitSlots(
+            ctx, inv, first_slot, pending,
+            [&](std::uint32_t lane, std::int64_t ret) {
+                switch (recover(sysno, args[lane], rec[lane], ret)) {
+                  case Next::Backoff:
+                    backoff = true;
+                    [[fallthrough]];
+                  case Next::Reissue:
+                    next |= 1ull << lane;
+                    return;
+                  case Next::Finish:
+                    if (on_result)
+                        on_result(lane, ret);
+                    return;
+                }
+            });
+        if (backoff) {
+            // A leader's lone request backs off exponentially; one
+            // flat stall covers a wavefront's congested lanes, which
+            // retry together anyway.
+            co_await ctx.compute(
+                inv.granularity != Granularity::WorkItem
+                    ? params_.eagainBackoffCycles << (rec[0].congested - 1)
+                    : params_.eagainBackoffCycles);
+        }
+        pending = next;
+    }
+}
+
 sim::Task<std::int64_t>
 GpuSyscalls::invokeWorkGroup(gpu::WavefrontCtx &ctx,
                              Invocation inv, int sysno,
@@ -439,9 +468,14 @@ GpuSyscalls::invokeWorkGroup(gpu::WavefrontCtx &ctx,
             // the buffer this call consumes (Section VI).
             co_await sim::Delay(ctx.sim().events(), params_.l1FlushCost);
         }
-        ret = co_await issueAndWait(
-            ctx, inv, sysno, args,
-            area_.firstItemSlotOfWave(ctx.hwWaveSlot()));
+        // The leader's call is a one-lane round on lane 0's slot. Its
+        // whole recovery loop runs in this serial section, so no
+        // barrier is ever re-crossed.
+        Recovery rec(osk::syscallRow(sysno), args);
+        co_await issueRounds(ctx, inv, sysno, 1, &args, &rec,
+                             [&ret](std::uint32_t, std::int64_t r) {
+                                 ret = r;
+                             });
     }
 
     if (sanOn()) {
@@ -472,9 +506,13 @@ GpuSyscalls::invokeKernel(gpu::WavefrontCtx &ctx, Invocation inv,
         co_return 0;
     if (inv.role == Role::Consumer)
         co_await sim::Delay(ctx.sim().events(), params_.l1FlushCost);
-    co_return co_await issueAndWait(
-        ctx, inv, sysno, args,
-        area_.firstItemSlotOfWave(ctx.hwWaveSlot()));
+    std::int64_t ret = 0;
+    Recovery rec(osk::syscallRow(sysno), args);
+    co_await issueRounds(ctx, inv, sysno, 1, &args, &rec,
+                         [&ret](std::uint32_t, std::int64_t r) {
+                             ret = r;
+                         });
+    co_return ret;
 }
 
 sim::Task<>
@@ -492,13 +530,18 @@ GpuSyscalls::invokeWorkItems(
               "(Section V-A)");
     }
 
-    const std::uint32_t first_slot =
-        area_.firstItemSlotOfWave(ctx.hwWaveSlot());
+    // Per-lane recovery state: each lane runs its own readn/writen
+    // continuation + EINTR/EAGAIN retry budget, but rounds stay
+    // wavefront-wide (all still-pending lanes reissue together, one
+    // interrupt per round) to keep the SIMD issue model.
+    const osk::SyscallRow *row = osk::syscallRow(sysno);
+    std::array<osk::SyscallArgs, 64> args;
+    std::array<Recovery, 64> rec;
     std::uint64_t mask = 0;
-    std::vector<osk::SyscallArgs> args(ctx.laneCount());
     for (std::uint32_t lane = 0; lane < ctx.laneCount(); ++lane) {
         if (auto a = lane_args(lane)) {
             args[lane] = *a;
+            rec[lane] = Recovery(row, *a);
             mask |= 1ull << lane;
         }
     }
@@ -507,115 +550,8 @@ GpuSyscalls::invokeWorkItems(
 
     if (inv.role == Role::Consumer)
         co_await sim::Delay(ctx.sim().events(), params_.l1FlushCost);
-
-    // Per-lane recovery state: each lane runs its own readn/writen
-    // continuation + EINTR/EAGAIN retry budget, but rounds stay
-    // wavefront-wide (all still-pending lanes reissue together, one
-    // interrupt per round) to keep the SIMD issue model.
-    const osk::SyscallRow *row = osk::syscallRow(sysno);
-    std::vector<Recovery> rec;
-    rec.reserve(ctx.laneCount());
-    for (std::uint32_t lane = 0; lane < ctx.laneCount(); ++lane)
-        rec.emplace_back(row, args[lane]);
-
-    std::uint64_t pending = mask;
-    while (pending != 0) {
-        // Claim every pending lane's slot. The SIMD unit issues the
-        // cmp-swaps as one wavefront instruction: the first lane pays
-        // the full fabric latency, the rest pipeline behind it.
-        bool first = true;
-        for (std::uint32_t lane = 0; lane < ctx.laneCount(); ++lane) {
-            if ((pending & (1ull << lane)) == 0)
-                continue;
-            SyscallSlot &slot = area_.slot(first_slot + lane);
-            const mem::Addr addr = area_.slotAddr(first_slot + lane);
-            for (;;) {
-                // Ring mode: the round's SQ claim carries the fabric
-                // serialization (see claimSlot), so no leading CAS.
-                co_await gpu_.accessLine(
-                    addr, first && !params_.useRings
-                              ? gpu_.config().atomicCmpSwap
-                              : params_.perLanePopulate);
-                if (sanOn())
-                    sanActor(ctx);
-                if (slot.claim())
-                    break;
-                co_await ctx.compute(params_.pollIntervalCycles);
-            }
-            first = false;
-        }
-
-        // Populate and publish each slot; again pipelined across
-        // lanes.
-        first = true;
-        for (std::uint32_t lane = 0; lane < ctx.laneCount(); ++lane) {
-            if ((pending & (1ull << lane)) == 0)
-                continue;
-            SyscallSlot &slot = area_.slot(first_slot + lane);
-            const mem::Addr addr = area_.slotAddr(first_slot + lane);
-            // Ring mode: the round's SQ publish is the visibility
-            // point for every lane's slot, so the per-slot publishes
-            // are plain stores (no leading fabric atomic).
-            co_await gpu_.accessLine(
-                addr, first && !params_.useRings
-                          ? gpu_.config().atomicSwap
-                          : params_.perLanePopulate);
-            if (sanOn())
-                sanActor(ctx);
-            slot.publish(sysno, args[lane],
-                         inv.blocking == Blocking::Blocking,
-                         inv.waitMode, ctx.hwWaveSlot());
-            ++issued_;
-            area_.noteIssued(area_.shardOfWave(ctx.hwWaveSlot()));
-            first = false;
-        }
-
-        if (params_.useRings) {
-            // The whole round is one SQ batch: every pending lane's
-            // slot index, one doorbell.
-            std::vector<std::uint32_t> batch;
-            batch.reserve(ctx.laneCount());
-            for (std::uint32_t lane = 0; lane < ctx.laneCount();
-                 ++lane) {
-                if (pending & (1ull << lane))
-                    batch.push_back(first_slot + lane);
-            }
-            co_await ringSubmit(ctx, batch.data(),
-                                static_cast<std::uint32_t>(
-                                    batch.size()));
-        } else {
-            // One scalar s_sendmsg for the whole wavefront.
-            gpu_.sendInterrupt(ctx.hwWaveSlot());
-        }
-
-        if (inv.blocking == Blocking::NonBlocking)
-            co_return; // fire-and-forget: host recovers on our behalf
-
-        std::uint64_t next = 0;
-        bool backoff = false;
-        co_await waitSlots(
-            ctx, inv, first_slot, pending,
-            [&](std::uint32_t lane, std::int64_t ret) {
-                switch (recover(sysno, args[lane], rec[lane], ret)) {
-                  case Next::Backoff:
-                    backoff = true;
-                    [[fallthrough]];
-                  case Next::Reissue:
-                    next |= 1ull << lane;
-                    return;
-                  case Next::Finish:
-                    if (on_result)
-                        on_result(lane, ret);
-                    return;
-                }
-            });
-        if (backoff) {
-            // One wavefront-wide stall covers every congested lane
-            // (they retry together anyway).
-            co_await ctx.compute(params_.eagainBackoffCycles);
-        }
-        pending = next;
-    }
+    co_await issueRounds(ctx, inv, sysno, mask, args.data(), rec.data(),
+                         std::move(on_result));
 }
 
 sim::Task<std::int64_t>

@@ -346,13 +346,14 @@ class GpuSyscalls
     /** One blocking request's POSIX recovery state across rounds. */
     struct Recovery
     {
+        Recovery() = default;
         Recovery(const osk::SyscallRow *row, const osk::SyscallArgs &args)
             : transfer(row != nullptr && row->transfer),
               want(transfer ? args.a[2] : 0)
         {}
 
-        bool transfer;      ///< the call's row has the transfer flag
-        std::uint64_t want; ///< bytes a transfer call asks for
+        bool transfer = false; ///< the call's row has the transfer flag
+        std::uint64_t want = 0; ///< bytes a transfer call asks for
         std::uint64_t done = 0;
         std::uint32_t restarts = 0;
         std::uint32_t congested = 0;
@@ -368,41 +369,28 @@ class GpuSyscalls
 
     /**
      * The GPU libc layer's POSIX recovery decision for one round's
-     * result @p ret of a blocking request, shared by the leader lane
-     * and the per-lane work-item path: restart -EINTR (SA_RESTART),
+     * result @p ret of a blocking request: restart -EINTR (SA_RESTART),
      * retry -EAGAIN unless the call passed MSG_DONTWAIT (then -EAGAIN
      * is its normal "drained" return), and continue short read/write
      * transfers by advancing @p args. On Finish, @p ret holds the
-     * call's result; on Backoff each caller stalls its own way.
+     * call's result; on Backoff the round stalls before reissuing.
      */
     Next recover(int sysno, osk::SyscallArgs &args, Recovery &rec,
                  std::int64_t &ret);
 
     /**
-     * Leader-lane recovery loop: recover() with bounded exponential
-     * backoff on -EAGAIN. Runs entirely in the leader's serial
-     * section, so no barrier in the granularity wrappers is ever
-     * re-crossed.
+     * The issue path of every granularity: rounds of claim, populate,
+     * publish and one doorbell (or SQ batch) for the lanes in
+     * @p pending, then, for blocking calls, wait, consume and apply
+     * recover() per lane until every lane finishes. A work-group or
+     * kernel leader runs it with lane 0 alone. @p args and @p rec are
+     * indexed by lane; @p on_result gets each lane's final result at
+     * the tick its slot is consumed.
      */
-    sim::Task<std::int64_t> issueAndWait(gpu::WavefrontCtx &ctx,
-                                         Invocation inv,
-                                         int sysno,
-                                         osk::SyscallArgs args,
-                                         std::uint32_t item_slot);
-
-    /**
-     * One issue round: claim slot, populate, publish, raise the
-     * interrupt, and (for blocking calls) wait and consume the result.
-     */
-    sim::Task<std::int64_t> issueOnce(gpu::WavefrontCtx &ctx,
-                                      Invocation inv,
-                                      int sysno,
-                                      const osk::SyscallArgs &args,
-                                      std::uint32_t item_slot);
-
-    /** Claim the slot, retrying while it is busy. */
-    sim::Task<> claimSlot(gpu::WavefrontCtx &ctx,
-                          std::uint32_t item_slot);
+    sim::Task<> issueRounds(
+        gpu::WavefrontCtx &ctx, Invocation inv, int sysno,
+        std::uint64_t pending, osk::SyscallArgs *args, Recovery *rec,
+        std::function<void(std::uint32_t, std::int64_t)> on_result);
 
     /**
      * Ring-mode batch submission (DESIGN.md §13): claim a range of SQ
