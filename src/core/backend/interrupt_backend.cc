@@ -88,13 +88,14 @@ InterruptBackend::ringConsumeTask(std::uint32_t shard)
                             osk_params.contextSwitch);
     int total = 0;
     Tick lingered = 0;
+    std::vector<std::uint32_t> batch;
     for (;;) {
         // Bulk-consume: pop everything published so far in one
         // sweep, then fan the entries out — servicing inline would
         // serialize the whole shard behind one core, forfeiting the
         // parallelism the per-slot path gets from one workqueue task
         // per interrupt.
-        std::vector<std::uint32_t> batch;
+        batch.clear();
         while (auto item = core_.tryPopRingEntry(shard, servicer))
             batch.push_back(*item);
         if (!batch.empty()) {
