@@ -249,7 +249,10 @@ collapsedConfig(const McConfig &mc)
     g.numCus = mc.areaShards; // one CU per shard
     g.wavefrontSize = 2;      // two lanes: minimal work-item fan-out
     g.maxWavesPerCu = 2;      // up to two single-wave groups per CU
-    g.maxWorkGroupsPerCu = 2;
+    // Dispatch is first-fit, so with two groups per CU every group of
+    // a multi-shard config would land on CU 0, i.e. shard 0. One group
+    // per CU there gives each shard its own requester.
+    g.maxWorkGroupsPerCu = mc.areaShards > 1 ? 1 : 2;
     g.kernelLaunchLatency = 0;
     g.waveResumeLatency = 0;
     g.dynamicLaunchLatency = 0;

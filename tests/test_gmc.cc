@@ -122,6 +122,42 @@ TEST(GmcSchedule, ConfigNamesAreUniqueAndLookupWorks)
               nullptr);
 }
 
+TEST(GmcSchedule, MultiShardConfigsReachEveryShard)
+{
+    // A multi-shard point must check shards that are really distinct:
+    // a FIFO run of its collapsed System, each single-wave group
+    // making one call, rings every shard's doorbell.
+    int checked = 0;
+    for (const McConfig &mc : core::gmc::smallMatrix()) {
+        if (mc.areaShards < 2)
+            continue;
+        core::System sys(core::gmc::collapsedConfig(mc));
+        sys.kernel().vfs().createFile("/gmc/data");
+        const std::uint32_t wave = sys.config().gpu.wavefrontSize;
+        gpu::KernelLaunch launch;
+        launch.workItems = static_cast<std::uint64_t>(mc.groups) * wave;
+        launch.wgSize = wave;
+        launch.program = [&sys, mc](gpu::WavefrontCtx &ctx)
+            -> sim::Task<> {
+            core::Invocation inv;
+            inv.granularity = mc.granularity;
+            inv.ordering = mc.ordering;
+            inv.blocking = mc.blocking;
+            inv.waitMode = mc.wait;
+            co_await sys.gpuSys().open(ctx, inv, "/gmc/data",
+                                       osk::O_WRONLY);
+        };
+        sys.launchGpuAndDrain(std::move(launch));
+        sys.run();
+        for (std::uint32_t s = 0; s < mc.areaShards; ++s) {
+            EXPECT_GT(sys.host().interruptsOnShard(s), 0u)
+                << mc.name() << " shard " << s;
+        }
+        ++checked;
+    }
+    EXPECT_GT(checked, 0);
+}
+
 // ------------------------------------------------ clean exploration
 
 TEST(GmcClean, FifoRunIsDeterministic)
