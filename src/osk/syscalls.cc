@@ -931,11 +931,15 @@ sim::Task<std::int64_t>
 sysFtruncate(Kernel &k, Process &p, const SyscallArgs &args)
 {
     co_await sim::Delay(k.sim().events(), k.params().lseek);
+    // do_sys_ftruncate: a negative length fails before the fd lookup,
+    // and any open fd but a writable regular file answers -EINVAL.
+    if (args.as<std::int64_t>(1) < 0)
+        co_return -EINVAL;
     OpenFile *file = p.fds().get(args.as<int>(0));
-    if (file == nullptr || !file->writable())
+    if (file == nullptr)
         co_return -EBADF;
     RegularFile *reg = objectOf(k, file).regular;
-    if (reg == nullptr)
+    if (reg == nullptr || !file->writable())
         co_return -EINVAL;
     const std::uint64_t new_size = args.a[1];
     if (new_size > kMaxFileBytes)

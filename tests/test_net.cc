@@ -945,7 +945,7 @@ TEST_F(NetSyscallTest, SocketEpollAndPipeFdsAnswerFileCallsLikeLinux)
           -ENODEV}},
         {"ftruncate", osk::sysno::ftruncate,
          [&](std::int64_t fd) { return osk::makeArgs(fd, 2); },
-         {0, -EBADF, -EINVAL, -EBADF, -EINVAL, -EINVAL, -EINVAL,
+         {0, -EINVAL, -EINVAL, -EINVAL, -EINVAL, -EINVAL, -EINVAL,
           -EINVAL}},
         {"dup", osk::sysno::dup,
          [&](std::int64_t fd) { return osk::makeArgs(fd); },

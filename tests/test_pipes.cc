@@ -216,9 +216,14 @@ TEST_F(PipeSyscallTest, FtruncateAndUnlink)
     EXPECT_EQ(sys(sysno::ftruncate, makeArgs(fd, 4)), 0);
     auto *f = static_cast<RegularFile *>(kernel_.vfs().resolve("/t"));
     EXPECT_EQ(f->size(), 4u);
-    // Read-only fd cannot truncate.
+    // As do_sys_ftruncate: a read-only fd answers -EINVAL, a closed
+    // one -EBADF, and a negative length -EINVAL before the fd lookup.
     const auto ro = sys(sysno::open, makeArgs("/t", O_RDONLY));
-    EXPECT_EQ(sys(sysno::ftruncate, makeArgs(ro, 1)), -EBADF);
+    EXPECT_EQ(sys(sysno::ftruncate, makeArgs(ro, 1)), -EINVAL);
+    EXPECT_EQ(sys(sysno::ftruncate, makeArgs(99, 1)), -EBADF);
+    EXPECT_EQ(sys(sysno::ftruncate, makeArgs(fd, -1)), -EINVAL);
+    EXPECT_EQ(sys(sysno::ftruncate, makeArgs(99, -1)), -EINVAL);
+    EXPECT_EQ(f->size(), 4u);
 
     EXPECT_EQ(sys(sysno::unlink, makeArgs("/t")), 0);
     EXPECT_EQ(kernel_.vfs().resolve("/t"), nullptr);
