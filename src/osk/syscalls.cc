@@ -424,10 +424,15 @@ sysLseek(Kernel &k, Process &p, const SyscallArgs &args)
       case FileKind::CharDevice:
       case FileKind::Proc:
         break;
+      case FileKind::Epoll:
+        // noop_llseek: the position stays put and is the answer, for
+        // any whence ksys_lseek accepts (up to SEEK_MAX, 4).
+        if (whence < 0 || whence > 4)
+            co_return -EINVAL;
+        co_return static_cast<std::int64_t>(file->pos);
       case FileKind::Pipe:
       case FileKind::Udp:
       case FileKind::Tcp:
-      case FileKind::Epoll:
         co_return -ESPIPE;
     }
     std::int64_t base = 0;
@@ -439,6 +444,10 @@ sysLseek(Kernel &k, Process &p, const SyscallArgs &args)
         base = static_cast<std::int64_t>(file->pos);
         break;
       case SEEK_END_:
+        // seq_lseek, behind every proc file, takes only SEEK_SET and
+        // SEEK_CUR.
+        if (file->kind == FileKind::Proc)
+            co_return -EINVAL;
         base = static_cast<std::int64_t>(file->inode->size());
         break;
       default:
