@@ -74,9 +74,10 @@ struct GenesysParams
     /// A blocking requester transparently restarts -EINTR results up
     /// to this many times per call before surfacing the error.
     std::uint32_t eintrMaxRestarts = 64;
-    /// -EAGAIN is retried with exponential backoff at most this many
-    /// times; the first wait is eagainBackoffCycles GPU cycles and
-    /// doubles per consecutive retry.
+    /// -EAGAIN is retried at most this many times, each after a stall
+    /// of eagainBackoffCycles GPU cycles. A work-group or kernel
+    /// leader's stall doubles per consecutive retry; a work-item
+    /// round's stall, shared by its congested lanes, stays flat.
     std::uint32_t eagainMaxRetries = 8;
     std::uint64_t eagainBackoffCycles = 1024;
 

@@ -135,6 +135,10 @@ GpuDevice::GpuDevice(sim::Sim &sim, const GpuConfig &config,
                      mem::MemBus *mem_bus)
     : sim_(sim), config_(config), l2_(l2Params(config)), memBus_(mem_bus)
 {
+    // Lane masks are 64-bit, and so is per-lane storage in the issue
+    // path (core/client.cc).
+    GENESYS_ASSERT(config_.wavefrontSize >= 1 && config_.wavefrontSize <= 64,
+                   "wavefrontSize %u outside 1..64", config_.wavefrontSize);
     cus_.resize(config_.numCus);
     for (std::uint32_t cu = 0; cu < config_.numCus; ++cu) {
         cus_[cu].freeWgSlots = config_.maxWorkGroupsPerCu;

@@ -40,6 +40,19 @@ TEST(GpuConfig, DerivedQuantities)
                 1e9, 1e6); // one second of cycles at 758 MHz
 }
 
+TEST(GpuDevice, WavefrontMustFitA64BitLaneMask)
+{
+    sim::Sim s;
+    for (const std::uint32_t lanes : {0u, 65u}) {
+        GpuConfig cfg = tinyGpu();
+        cfg.wavefrontSize = lanes;
+        EXPECT_THROW({ GpuDevice gpu(s, cfg); }, PanicError) << lanes;
+    }
+    GpuConfig cfg = tinyGpu();
+    cfg.wavefrontSize = 64;
+    EXPECT_NO_THROW({ GpuDevice gpu(s, cfg); });
+}
+
 TEST(GpuDevice, LaunchRunsEveryWorkItemExactlyOnce)
 {
     sim::Sim s;
