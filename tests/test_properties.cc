@@ -7,6 +7,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <functional>
+#include <iterator>
 #include <list>
 #include <map>
 #include <set>
@@ -156,6 +158,168 @@ TEST_P(Seeded, FifoTieBreakPolicyReproducesPolicyFreeRunWithTombstones)
             labeledRan.push_back(id);
     }
     EXPECT_EQ(labeledRan, fifo.ids);
+}
+
+/** Always picks the newest candidate, so every tie reorders. */
+class LastCandidatePolicy : public sim::TieBreakPolicy
+{
+  public:
+    std::size_t
+    pick(Tick, const std::vector<sim::TieBreakCandidate> &c) override
+    {
+        return c.size() - 1;
+    }
+};
+
+TEST_P(Seeded, EventQueueMatchesReferenceAcrossNearAndFarDelays)
+{
+    // A seeded script of schedules (delays on both sides of 2048 ticks
+    // and far beyond), cancellations of near and far events, runOne()
+    // and run(limit, max_events) stops between events, checked against
+    // a reference: the pending events sorted by (when, schedule order),
+    // and ids from a LIFO free list of cells whose generation advances
+    // on every claim and release. It runs with no policy, the FIFO
+    // policy and a newest-first policy; the first two must agree on
+    // order, ids and clock.
+    static constexpr Tick kDelays[] = {0,    1,    2047,     2048,
+                                       2049, 6144, 50'000};
+    enum class Policy
+    {
+        None,
+        First,
+        Last,
+    };
+    struct Run
+    {
+        std::vector<int> labels;
+        std::vector<sim::EventId> ids;
+        std::vector<Tick> clocks;
+    };
+    auto script = [seed = GetParam()](Policy which) {
+        Random rng(seed * 131 + 5);
+        FirstCandidatePolicy first;
+        LastCandidatePolicy last;
+        sim::EventQueue eq;
+        if (which == Policy::First)
+            eq.setTieBreaker(&first);
+        else if (which == Policy::Last)
+            eq.setTieBreaker(&last);
+
+        std::set<std::pair<Tick, int>> pending; // (when, label)
+        std::vector<Tick> whenOf;
+        std::vector<std::uint32_t> cellOf;
+        std::vector<sim::EventId> idOf;
+        std::vector<std::uint32_t> gens;
+        std::vector<std::uint32_t> freeCells;
+        Run out;
+
+        const auto release = [&](int label) {
+            const std::uint32_t cell = cellOf[label];
+            ++gens[cell];
+            freeCells.push_back(cell);
+            pending.erase({whenOf[label], label});
+        };
+        // The event the reference runs next: the oldest at the
+        // earliest tick, or the newest there under Policy::Last.
+        const auto expectedNext = [&] {
+            auto it = pending.begin();
+            if (which == Policy::Last) {
+                auto after = pending.lower_bound({it->first + 1, 0});
+                it = std::prev(after);
+            }
+            return it->second;
+        };
+        std::function<void(Tick)> add = [&](Tick delay) {
+            const int label = static_cast<int>(whenOf.size());
+            const Tick when = eq.now() + delay;
+            std::uint32_t cell;
+            if (freeCells.empty()) {
+                cell = static_cast<std::uint32_t>(gens.size());
+                gens.push_back(0);
+            } else {
+                cell = freeCells.back();
+                freeCells.pop_back();
+            }
+            ++gens[cell];
+            const sim::EventId expectedId =
+                sim::EventId{gens[cell]} << 32 | cell;
+            whenOf.push_back(when);
+            cellOf.push_back(cell);
+            pending.insert({when, label});
+            const sim::EventId id = eq.schedule(when, [&, label] {
+                ASSERT_FALSE(pending.empty());
+                EXPECT_EQ(expectedNext(), label);
+                EXPECT_EQ(eq.now(), whenOf[label]);
+                release(label);
+                out.labels.push_back(label);
+                // Events schedule more events, near and far.
+                if (rng.chance(0.3))
+                    add(kDelays[rng.below(std::size(kDelays))]);
+            });
+            EXPECT_EQ(id, expectedId);
+            idOf.push_back(id);
+        };
+
+        for (int i = 0; i < 3000; ++i) {
+            const int action = static_cast<int>(rng.below(20));
+            if (action < 9) {
+                add(rng.chance(0.7) ? kDelays[rng.below(std::size(kDelays))]
+                                    : rng.below(3 * 2048));
+            } else if (action < 13 && !whenOf.empty()) {
+                // Half the time a still-pending event, near or far.
+                int label = static_cast<int>(rng.below(whenOf.size()));
+                if (rng.chance(0.5) && !pending.empty()) {
+                    auto it = pending.begin();
+                    std::advance(it, rng.below(pending.size()));
+                    label = it->second;
+                }
+                const bool held = pending.count({whenOf[label], label}) > 0;
+                EXPECT_EQ(eq.deschedule(idOf[label]), held);
+                if (held)
+                    release(label);
+            } else if (action < 17) {
+                const bool any = !pending.empty();
+                EXPECT_EQ(eq.runOne(), any);
+            } else {
+                const Tick limit =
+                    eq.now() + (rng.chance(0.5)
+                                    ? kDelays[rng.below(std::size(kDelays))]
+                                    : rng.below(4 * 2048));
+                const std::uint64_t budget = rng.below(4);
+                const Tick before = eq.now();
+                const std::size_t ranBefore = out.labels.size();
+                const Tick end = eq.run(limit, budget);
+                EXPECT_EQ(end, eq.now());
+                // Time moves to the limit only when live events remain
+                // beyond it; otherwise it rests on the last event run.
+                Tick expected = out.labels.size() > ranBefore
+                                    ? whenOf[out.labels.back()]
+                                    : before;
+                if (!pending.empty() && pending.begin()->first > limit)
+                    expected = limit;
+                EXPECT_EQ(eq.now(), expected);
+            }
+            EXPECT_EQ(eq.pendingEvents(), pending.size());
+            out.clocks.push_back(eq.now());
+        }
+        eq.run();
+        EXPECT_TRUE(pending.empty());
+        EXPECT_TRUE(eq.empty());
+        if (which == Policy::First) {
+            EXPECT_GT(first.choicePoints, 0u);
+        }
+        for (const int label : out.labels)
+            out.ids.push_back(idOf[label]);
+        out.clocks.push_back(eq.now());
+        return out;
+    };
+    const Run plain = script(Policy::None);
+    const Run fifo = script(Policy::First);
+    EXPECT_EQ(fifo.labels, plain.labels);
+    EXPECT_EQ(fifo.ids, plain.ids);
+    EXPECT_EQ(fifo.clocks, plain.clocks);
+    const Run newest = script(Policy::Last);
+    EXPECT_FALSE(newest.labels.empty());
 }
 
 // ------------------------------------------- file ops vs reference model

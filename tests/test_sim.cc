@@ -86,6 +86,31 @@ TEST(EventQueue, RunHonorsLimit)
     EXPECT_EQ(fired, 2);
 }
 
+TEST(EventQueue, RunLimitMovesTimeOnlyPastLiveEvents)
+{
+    EventQueue eq;
+    int fired = 0;
+    eq.schedule(10, [&] { ++fired; });
+    const EventId near = eq.schedule(20, [&] { ++fired; });
+    const EventId far = eq.schedule(10'000, [&] { ++fired; });
+    // Live events beyond the limit: time moves to the limit.
+    EXPECT_EQ(eq.run(5), 5u);
+    EXPECT_EQ(fired, 0);
+    // Only cancelled events beyond the limit: time stays on the last
+    // event run, never on the limit or a cancelled event's tick.
+    EXPECT_TRUE(eq.deschedule(near));
+    EXPECT_TRUE(eq.deschedule(far));
+    EXPECT_EQ(eq.run(50), 10u);
+    EXPECT_EQ(fired, 1);
+    EXPECT_EQ(eq.run(20'000), 10u);
+    EXPECT_EQ(eq.run(), 10u);
+    // A live event far beyond the limit.
+    eq.schedule(9'000, [&] { ++fired; });
+    EXPECT_EQ(eq.run(3'000), 3'000u);
+    EXPECT_EQ(eq.run(), 9'000u);
+    EXPECT_EQ(fired, 2);
+}
+
 TEST(EventQueue, EventsCanScheduleEvents)
 {
     EventQueue eq;

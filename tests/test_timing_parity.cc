@@ -183,10 +183,10 @@ TEST(TimingParity, KernelGranularityManyGroups)
 /** One wave, one pwrite64 per lane, returns the final tick. The
  *  first-serviced lane's request answers -EAGAIN in its first
  *  @p eagains rounds; the tick the wave finishes goes to @p wave_done
- *  when it is given. */
+ *  when it is given. Only the lanes in @p lanes call. */
 Tick
 runWorkItemPwrites(const SystemConfig &cfg, WaitMode w, int eagains = 0,
-                   Tick *wave_done = nullptr)
+                   Tick *wave_done = nullptr, std::uint64_t lanes = ~0ull)
 {
     System sys(cfg);
     sys.kernel().vfs().createFile("/wi");
@@ -203,17 +203,20 @@ runWorkItemPwrites(const SystemConfig &cfg, WaitMode w, int eagains = 0,
     gpu::KernelLaunch k;
     k.workItems = 64;
     k.wgSize = 64;
-    k.program = [&sys, w,
-                 wave_done](gpu::WavefrontCtx &ctx) -> sim::Task<> {
+    k.program = [&sys, w, wave_done,
+                 lanes](gpu::WavefrontCtx &ctx) -> sim::Task<> {
         auto i = inv(Granularity::WorkGroup, Ordering::Strong,
                      Blocking::Blocking);
         const auto fd = co_await sys.gpuSys().open(ctx, i, "/wi", 1);
         Invocation wi = inv(Granularity::WorkItem, Ordering::Strong,
                             Blocking::Blocking, w);
         co_await sys.gpuSys().invokeWorkItems(
-            ctx, wi, osk::sysno::pwrite64, [fd](std::uint32_t lane) {
-                return std::optional(osk::makeArgs(
-                    static_cast<int>(fd), &lane_bytes[lane], 1, lane));
+            ctx, wi, osk::sysno::pwrite64,
+            [fd, lanes](std::uint32_t lane) -> std::optional<osk::SyscallArgs> {
+                if ((lanes >> lane & 1) == 0)
+                    return std::nullopt;
+                return osk::makeArgs(static_cast<int>(fd),
+                                     &lane_bytes[lane], 1, lane);
             });
         if (wave_done != nullptr)
             *wave_done = ctx.sim().now();
@@ -229,6 +232,18 @@ TEST(TimingParity, WorkItemPerLanePwrites)
     checkTick("workitem_lane_pwrites",
               runWorkItemPwrites(smallConfig(), WaitMode::Polling),
               264398);
+}
+
+TEST(TimingParity, WorkItemSparseLaneMaskPolling)
+{
+    // Three scattered lanes poll their own slots: each round visits
+    // only the outstanding lanes, in lane order.
+    const std::uint64_t lanes = 1ull << 1 | 1ull << 40 | 1ull << 63;
+    Tick done = 0;
+    const Tick end = runWorkItemPwrites(smallConfig(), WaitMode::Polling,
+                                        0, &done, lanes);
+    checkTick("workitem_sparse_poll", end, 60157);
+    checkTick("workitem_sparse_poll_done", done, 60157);
 }
 
 TEST(TimingParity, RingModeWorkGroupAndWorkItem)
