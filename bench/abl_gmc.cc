@@ -5,9 +5,11 @@
  * Sweeps the design-space matrix (granularity × ordering × blocking ×
  * wait × shards × workers × groups) from core::gmc::smallMatrix().
  * Single-actor configs (1 shard × 1 worker × 1 group) are enumerated
- * exhaustively; multi-actor configs run the first 512 schedules of the
- * same depth-first search. Per config the table reports schedules
- * run, tie points, events, wall time, and schedules/second.
+ * exhaustively; multi-actor configs run at most the first 2048
+ * schedules of the same depth-first search, which covers the two halt
+ * rows' whole space (1106 schedules) and bounds the poll rows. Per
+ * config the table reports schedules run, tie points, events, wall
+ * time, and schedules/second.
  *
  * Any oracle violation on these (clean, unmutated) configs is a real
  * schedule-dependent protocol bug or oracle false positive: the binary
@@ -119,9 +121,10 @@ main(int argc, char **argv)
         const bool exhaustive = isSingleActor(mc);
         sim::gmc::ExploreOptions opts;
         if (!exhaustive) {
-            // Multi-actor schedule spaces explode; bound the sweep,
-            // so coverage here is best-effort (exhaustive=false).
-            opts.maxSchedules = 512;
+            // Multi-actor schedule spaces explode; bound the sweep.
+            // The halt rows still finish inside the budget and print
+            // exhaustive=yes; the poll rows are best-effort.
+            opts.maxSchedules = 2048;
         }
 
         const auto t0 = std::chrono::steady_clock::now();

@@ -163,7 +163,7 @@ InterruptBackend::dispatchRingBatch(
             (base_worker + spread++) % active,
             [this, shard,
              item](std::uint32_t worker) mutable -> sim::Task<> {
-                return ringServiceChunk(shard, {item}, worker);
+                return ringServiceChunk(shard, item, {}, worker);
             });
     }
     if (fast.empty())
@@ -175,16 +175,17 @@ InterruptBackend::dispatchRingBatch(
         std::min<std::size_t>(fast.size(), active);
     const std::size_t per = (fast.size() + chunks - 1) / chunks;
     for (std::size_t base = 0; base < fast.size(); base += per) {
-        std::vector<std::uint32_t> part(
-            fast.begin() + static_cast<std::ptrdiff_t>(base),
+        const std::uint32_t first = fast[base];
+        std::vector<std::uint32_t> rest(
+            fast.begin() + static_cast<std::ptrdiff_t>(base + 1),
             fast.begin() + static_cast<std::ptrdiff_t>(
                                std::min(base + per, fast.size())));
         ++inFlight_;
         core_.kernel().workqueue().enqueueOn(
             (base_worker + spread++) % active,
-            [this, shard, part = std::move(part)](
+            [this, shard, first, rest = std::move(rest)](
                 std::uint32_t worker) mutable -> sim::Task<> {
-                return ringServiceChunk(shard, std::move(part),
+                return ringServiceChunk(shard, first, std::move(rest),
                                         worker);
             });
     }
@@ -192,7 +193,8 @@ InterruptBackend::dispatchRingBatch(
 
 sim::Task<>
 InterruptBackend::ringServiceChunk(std::uint32_t shard,
-                                   std::vector<std::uint32_t> items,
+                                   std::uint32_t first,
+                                   std::vector<std::uint32_t> rest,
                                    std::uint32_t worker)
 {
     auto &kernel = core_.kernel();
@@ -209,7 +211,9 @@ InterruptBackend::ringServiceChunk(std::uint32_t shard,
     // poller-thread shape, DESIGN.md §13).
     co_await sim::Delay(kernel.sim().events(),
                         osk_params.workqueueEnqueue);
-    for (std::uint32_t item : items) {
+    co_await core_.serviceRingEntry(shard, first, servicer,
+                                    ServiceCore::ScanPolicy{});
+    for (std::uint32_t item : rest) {
         co_await core_.serviceRingEntry(shard, item, servicer,
                                         ServiceCore::ScanPolicy{});
     }

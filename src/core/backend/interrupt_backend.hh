@@ -87,9 +87,11 @@ class InterruptBackend : public ServiceBackend
      *  punted one per task, the rest split into per-worker chunks. */
     void dispatchRingBatch(std::uint32_t shard,
                            const std::vector<std::uint32_t> &batch);
-    /** Ring mode: service one dispatched chunk of popped entries. */
-    sim::Task<> ringServiceChunk(std::uint32_t shard,
-                                 std::vector<std::uint32_t> items,
+    /** Ring mode: service one dispatched chunk of popped entries,
+     *  @p first and then @p rest (empty for a punted entry, so a lone
+     *  entry builds no vector). */
+    sim::Task<> ringServiceChunk(std::uint32_t shard, std::uint32_t first,
+                                 std::vector<std::uint32_t> rest,
                                  std::uint32_t worker);
     /** Shard -> preferred workqueue worker: shard s prefers worker
      *  s % activeWorkers, so a shard's batches serialize on "its"

@@ -179,11 +179,8 @@ GpuSyscalls::waitSlots(
     };
     // Untimed check of every outstanding lane's slot state.
     const auto sweep_finished = [&] {
-        for (std::uint32_t lane = 0; lane < 64 && outstanding != 0;
-             ++lane) {
-            if ((outstanding & (1ull << lane)) != 0)
-                consume_if_finished(lane);
-        }
+        for (std::uint64_t m = outstanding; m != 0; m &= m - 1)
+            consume_if_finished(lowestLane(m));
     };
 
     if (inv.waitMode == WaitMode::Polling && params_.useRings) {
@@ -222,11 +219,11 @@ GpuSyscalls::waitSlots(
         }
     } else if (inv.waitMode == WaitMode::Polling) {
         while (outstanding != 0) {
-            // One atomic load per outstanding lane per round.
-            for (std::uint32_t lane = 0; lane < 64 && outstanding != 0;
-                 ++lane) {
-                if ((outstanding & (1ull << lane)) == 0)
-                    continue;
+            // One atomic load per outstanding lane per round. A lane
+            // clears only its own bit, so walking a snapshot's set bits
+            // visits the same lanes in the same order.
+            for (std::uint64_t m = outstanding; m != 0; m &= m - 1) {
+                const std::uint32_t lane = lowestLane(m);
                 co_await gpu_.accessLine(
                     area_.slotAddr(first_slot + lane),
                     gpu_.config().atomicLoad);

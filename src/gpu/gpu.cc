@@ -318,10 +318,14 @@ LineAccess::await_suspend(std::coroutine_handle<> h)
         return;
     }
     cont_ = h;
-    eq.scheduleIn(latency, [this] {
-        dev_.memBus_->request(mem::Agent::Gpu, dev_.config_.l2LineBytes,
-                              cont_);
-    });
+    eq.scheduleIn(
+        latency,
+        [](void *access) {
+            const auto &a = *static_cast<LineAccess *>(access);
+            a.dev_.memBus_->request(mem::Agent::Gpu,
+                                    a.dev_.config_.l2LineBytes, a.cont_);
+        },
+        this);
 }
 
 } // namespace genesys::gpu

@@ -27,7 +27,9 @@ MemBus::start()
 {
     const Tick busy = params_.requestOverhead +
                       transferTicks(active_.bytes, params_.bytesPerSec);
-    eq_.scheduleIn(busy, [this] { finish(); });
+    eq_.scheduleIn(
+        busy, [](void *bus) { static_cast<MemBus *>(bus)->finish(); },
+        this);
 }
 
 void
@@ -43,7 +45,9 @@ MemBus::finish()
         // call), before the finished transfer's owner resumes.
         active_ = waiting_.front();
         waiting_.pop_front();
-        eq_.scheduleIn(0, [this] { start(); });
+        eq_.scheduleIn(
+            0, [](void *bus) { static_cast<MemBus *>(bus)->start(); },
+            this);
     }
     done.resume();
 }

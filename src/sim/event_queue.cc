@@ -6,6 +6,7 @@
 #include "event_queue.hh"
 
 #include <algorithm>
+#include <bit>
 #include <utility>
 
 #include "support/logging.hh"
@@ -22,17 +23,23 @@ makeId(std::uint32_t gen, std::uint32_t cell)
     return EventId{gen} << 32 | cell;
 }
 
+void
+resumeFrame(void *frame)
+{
+    std::coroutine_handle<>::from_address(frame).resume();
+}
+
 } // namespace
 
-EventQueue::EventQueue()
+EventQueue::EventQueue() : buckets_(new Bucket[kSpan])
 {
     // Sized for a System's steady state (a Fig 13b wordcount run peaks
     // at ~110 pending events), so a run's ramp-up does not regrow the
     // vectors through a series of small reallocations. Those regrowths
     // fragmented the heap across back-to-back Systems enough to raise
     // the wordcount benchmark's peak RSS by 4-7%.
-    heap_.reserve(kInitialEvents);
     cells_.reserve(kInitialEvents);
+    far_.reserve(kInitialEvents);
 }
 
 std::uint32_t
@@ -45,7 +52,7 @@ EventQueue::claim(Tick when)
     GENESYS_ASSERT(nextSeq_ < kMaxSeq, "event sequence numbers exhausted");
     std::uint32_t cell = freeHead_;
     if (cell != kNoCell) {
-        freeHead_ = cells_[cell].nextFree;
+        freeHead_ = cells_[cell].next;
     } else {
         GENESYS_ASSERT(cells_.size() < kMaxCells, "event cell pool full");
         cell = static_cast<std::uint32_t>(cells_.size());
@@ -54,8 +61,14 @@ EventQueue::claim(Tick when)
     Cell &c = cells_[cell];
     ++c.gen; // even (free) -> odd (live)
     c.seq = nextSeq_++;
+    c.when = when;
     ++live_;
-    pushKey(Key{when, c.seq << kCellBits | cell});
+    if (inWheel(when)) {
+        append(cell);
+    } else {
+        far_.push_back(Key{when, c.seq << kCellBits | cell});
+        std::push_heap(far_.begin(), far_.end(), Later{});
+    }
     return cell;
 }
 
@@ -76,8 +89,15 @@ EventQueue::schedule(Tick when, Callback cb)
 EventId
 EventQueue::schedule(Tick when, std::coroutine_handle<> h)
 {
+    return schedule(when, resumeFrame, h.address());
+}
+
+EventId
+EventQueue::schedule(Tick when, Action fn, void *ctx)
+{
     const std::uint32_t cell = claim(when);
-    cells_[cell].handle = h;
+    cells_[cell].fn = fn;
+    cells_[cell].ctx = ctx;
     return idOf(cell);
 }
 
@@ -85,33 +105,111 @@ bool
 EventQueue::deschedule(EventId id)
 {
     // Only ids that are still pending can be cancelled; already-fired
-    // or already-cancelled ids are a no-op. The heap key remains as a
-    // tombstone and is dropped when popped.
+    // or already-cancelled ids are a no-op. A wheel event leaves its
+    // bucket now; a far key remains as a tombstone and is dropped when
+    // it reaches the top of the heap.
     const auto cell = static_cast<std::uint32_t>(id);
     const auto gen = static_cast<std::uint32_t>(id >> 32);
     if (cell >= cells_.size() || cells_[cell].gen != gen ||
         (gen & 1) == 0)
         return false;
-    cells_[cell].cb = nullptr;
-    cells_[cell].handle = nullptr;
+    Cell &c = cells_[cell];
+    if (inWheel(c.when))
+        unlink(cell);
+    c.cb = nullptr;
+    c.fn = nullptr;
     release(cell);
     return true;
 }
 
 void
-EventQueue::pushKey(const Key &k)
+EventQueue::append(std::uint32_t cell)
 {
-    heap_.push_back(k);
-    std::push_heap(heap_.begin(), heap_.end(), Later{});
+    Cell &c = cells_[cell];
+    const auto b = static_cast<std::uint32_t>(c.when & (kSpan - 1));
+    std::uint64_t &word = occupied_[b / 64];
+    const std::uint64_t bit = std::uint64_t{1} << (b % 64);
+    c.next = kNoCell;
+    if ((word & bit) != 0) {
+        c.prev = buckets_[b].tail;
+        cells_[c.prev].next = cell;
+        buckets_[b].tail = cell;
+    } else {
+        c.prev = kNoCell;
+        buckets_[b] = Bucket{cell, cell};
+        word |= bit;
+        occupiedWords_ |= 1u << (b / 64);
+    }
 }
 
-EventQueue::Key
-EventQueue::popKey()
+void
+EventQueue::unlink(std::uint32_t cell)
 {
-    std::pop_heap(heap_.begin(), heap_.end(), Later{});
-    const Key k = heap_.back();
-    heap_.pop_back();
-    return k;
+    const Cell &c = cells_[cell];
+    const auto b = static_cast<std::uint32_t>(c.when & (kSpan - 1));
+    Bucket &bucket = buckets_[b];
+    if (c.prev != kNoCell)
+        cells_[c.prev].next = c.next;
+    else
+        bucket.head = c.next;
+    if (c.next != kNoCell) {
+        cells_[c.next].prev = c.prev;
+    } else {
+        bucket.tail = c.prev;
+    }
+    if (bucket.head == kNoCell) {
+        std::uint64_t &word = occupied_[b / 64];
+        word &= ~(std::uint64_t{1} << (b % 64));
+        if (word == 0)
+            occupiedWords_ &= ~(1u << (b / 64));
+    }
+}
+
+bool
+EventQueue::nextTick(Tick &when)
+{
+    if (occupiedWords_ != 0) {
+        // The first non-empty bucket at or after now_'s, wrapping:
+        // buckets before it hold ticks a whole span later.
+        const auto from = static_cast<std::uint32_t>(now_ & (kSpan - 1));
+        std::uint32_t w = from / 64;
+        std::uint64_t bits = occupied_[w] & (~std::uint64_t{0} << (from % 64));
+        if (bits == 0) {
+            const std::uint32_t later =
+                occupiedWords_ & ~((2u << w) - 1u);
+            w = static_cast<std::uint32_t>(
+                std::countr_zero(later != 0 ? later : occupiedWords_));
+            bits = occupied_[w];
+        }
+        const std::uint32_t b =
+            w * 64 + static_cast<std::uint32_t>(std::countr_zero(bits));
+        when = now_ + ((b - from) & (kSpan - 1));
+        return true;
+    }
+    while (!far_.empty() && !live(far_.front())) {
+        std::pop_heap(far_.begin(), far_.end(), Later{});
+        far_.pop_back();
+    }
+    if (far_.empty())
+        return false;
+    when = far_.front().when;
+    return true;
+}
+
+void
+EventQueue::advanceTo(Tick when)
+{
+    now_ = when;
+    // The buckets the window just opened are empty: their previous
+    // ticks are all past. Filling them before any event runs at the
+    // new time keeps each bucket in seq order.
+    while (!far_.empty() && inWheel(far_.front().when)) {
+        const Key k = far_.front();
+        std::pop_heap(far_.begin(), far_.end(), Later{});
+        far_.pop_back();
+        if (live(k))
+            append(k.cell());
+    }
 }
 
 void
@@ -120,88 +218,70 @@ EventQueue::release(std::uint32_t cell)
     Cell &c = cells_[cell];
     c.seq = kFreeSeq;
     ++c.gen; // odd (live) -> even (free)
-    c.nextFree = freeHead_;
+    c.next = freeHead_;
     freeHead_ = cell;
     --live_;
 }
 
 void
-EventQueue::execute(const Key &k)
+EventQueue::execute(std::uint32_t cell)
 {
     // Free the cell before the event runs: it may schedule (reusing
     // the cell, growing the pool) or try to deschedule its own,
     // already-fired id.
-    Cell &c = cells_[k.cell()];
-    const std::coroutine_handle<> h = std::exchange(c.handle, nullptr);
-    Callback cb = h ? nullptr : std::move(c.cb);
-    release(k.cell());
-    now_ = k.when;
+    Cell &c = cells_[cell];
     ++executed_;
-    if (h)
-        h.resume();
-    else
-        cb();
+    if (c.fn != nullptr) {
+        const Action fn = std::exchange(c.fn, nullptr);
+        void *const ctx = c.ctx;
+        release(cell);
+        fn(ctx);
+        return;
+    }
+    Callback cb = std::move(c.cb);
+    release(cell);
+    cb();
+}
+
+void
+EventQueue::runAt(Tick when)
+{
+    if (when != now_)
+        advanceTo(when);
+    const std::uint32_t head = buckets_[when & (kSpan - 1)].head;
+    if (tieBreaker_ == nullptr) {
+        unlink(head);
+        execute(head);
+        return;
+    }
+    // Every live event tied at this tick is in the bucket, in seq
+    // (FIFO) order. The losers keep their places.
+    std::uint32_t chosen = head;
+    if (cells_[head].next != kNoCell) {
+        candidates_.clear();
+        for (std::uint32_t c = head; c != kNoCell; c = cells_[c].next)
+            candidates_.push_back(TieBreakCandidate{idOf(c), cells_[c].seq});
+        const std::size_t choice = tieBreaker_->pick(when, candidates_);
+        GENESYS_ASSERT(choice < candidates_.size(),
+                       "tie-break policy chose %zu of %zu candidates",
+                       choice, candidates_.size());
+        chosen = static_cast<std::uint32_t>(candidates_[choice].id);
+    }
+    // The id is read before the event runs: the event may reschedule
+    // into its own, just-freed cell and change the cell's generation.
+    const EventId id = idOf(chosen);
+    unlink(chosen);
+    execute(chosen);
+    tieBreaker_->onExecute(id, when);
 }
 
 bool
 EventQueue::runOne()
 {
-    if (tieBreaker_ != nullptr)
-        return runOneWithPolicy();
-    while (!heap_.empty()) {
-        const Key k = popKey();
-        if (!live(k))
-            continue; // tombstone of a cancelled event
-        execute(k);
-        return true;
-    }
-    return false;
-}
-
-bool
-EventQueue::runOneWithPolicy()
-{
-    // Gather every live event tied at the earliest tick. Pops arrive in
-    // (when, seq) order, so `tied_` is FIFO-ordered by construction.
-    tied_.clear();
-    while (!heap_.empty()) {
-        const Key k = popKey();
-        if (!live(k))
-            continue; // tombstone of a cancelled event
-        if (!tied_.empty() && k.when != tied_.front().when) {
-            pushKey(k); // first strictly-later event
-            break;
-        }
-        tied_.push_back(k);
-    }
-    if (tied_.empty())
+    Tick when;
+    if (!nextTick(when))
         return false;
-
-    std::size_t choice = 0;
-    if (tied_.size() > 1) {
-        candidates_.clear();
-        for (const Key &k : tied_)
-            candidates_.push_back(
-                TieBreakCandidate{idOf(k.cell()), k.seq()});
-        choice = tieBreaker_->pick(tied_.front().when, candidates_);
-        GENESYS_ASSERT(choice < tied_.size(),
-                       "tie-break policy chose %zu of %zu candidates",
-                       choice, tied_.size());
-    }
-
-    // Re-queue the losers with their original seq numbers (their FIFO
-    // rank among themselves is preserved) *before* running the winner,
-    // so the event can deschedule them normally.
-    for (std::size_t i = 0; i < tied_.size(); ++i) {
-        if (i != choice)
-            pushKey(tied_[i]);
-    }
-    // The id is read before the event runs: the event may reschedule
-    // into its own, just-freed cell and change the cell's generation.
-    const Key chosen = tied_[choice];
-    const EventId id = idOf(chosen.cell());
-    execute(chosen);
-    tieBreaker_->onExecute(id, chosen.when);
+    runAt(when);
     return true;
 }
 
@@ -209,19 +289,16 @@ Tick
 EventQueue::run(Tick limit, std::uint64_t max_events)
 {
     std::uint64_t ran = 0;
-    while (!heap_.empty()) {
-        // Skip tombstones without advancing time.
-        if (!live(heap_.front())) {
-            popKey();
-            continue;
-        }
-        if (heap_.front().when > limit) {
-            now_ = limit;
+    Tick when;
+    while (nextTick(when)) {
+        if (when > limit) {
+            if (limit > now_)
+                advanceTo(limit);
             return now_;
         }
         if (max_events != 0 && ran >= max_events)
             return now_;
-        runOne();
+        runAt(when);
         ++ran;
     }
     return now_;
