@@ -31,7 +31,8 @@ resumeFrame(void *frame)
 
 } // namespace
 
-EventQueue::EventQueue() : buckets_(new Bucket[kSpan])
+EventQueue::EventQueue()
+    : buckets_(std::make_unique_for_overwrite<Bucket[]>(kSpan))
 {
     // Sized for a System's steady state (a Fig 13b wordcount run peaks
     // at ~110 pending events), so a run's ramp-up does not regrow the
@@ -152,11 +153,10 @@ EventQueue::unlink(std::uint32_t cell)
         cells_[c.prev].next = c.next;
     else
         bucket.head = c.next;
-    if (c.next != kNoCell) {
+    if (c.next != kNoCell)
         cells_[c.next].prev = c.prev;
-    } else {
+    else
         bucket.tail = c.prev;
-    }
     if (bucket.head == kNoCell) {
         std::uint64_t &word = occupied_[b / 64];
         word &= ~(std::uint64_t{1} << (b % 64));

@@ -212,7 +212,8 @@ runWorkItemPwrites(const SystemConfig &cfg, WaitMode w, int eagains = 0,
                             Blocking::Blocking, w);
         co_await sys.gpuSys().invokeWorkItems(
             ctx, wi, osk::sysno::pwrite64,
-            [fd, lanes](std::uint32_t lane) -> std::optional<osk::SyscallArgs> {
+            [fd, lanes](
+                std::uint32_t lane) -> std::optional<osk::SyscallArgs> {
                 if ((lanes >> lane & 1) == 0)
                     return std::nullopt;
                 return osk::makeArgs(static_cast<int>(fd),
