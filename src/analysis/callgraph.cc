@@ -1,28 +1,9 @@
 #include "analysis/callgraph.hh"
 
-#include <algorithm>
-#include <cctype>
 #include <sstream>
 
 namespace genesys::analysis
 {
-
-namespace
-{
-
-/// Memo key component: the sign context, joined deterministically.
-std::string
-ctxKey(const std::set<std::string> &ctx)
-{
-    std::string key;
-    for (const std::string &s : ctx) {
-        key += s;
-        key += ',';
-    }
-    return key;
-}
-
-} // namespace
 
 const char *
 parkKindName(ParkKind k)
@@ -48,12 +29,10 @@ CallGraph::CallGraph(const Program &prog) : prog_(prog)
     seeds_["epoll_wait"] = ParkKind::Indefinite;
     seeds_["acquire"] = ParkKind::Bounded;
     seeds_["acquireCore"] = ParkKind::Bounded;
-    seeds_["wait_for"] = ParkKind::Bounded;
-    seeds_["wait_until"] = ParkKind::Bounded;
 
     // Noreturn terminators: the program is dead past these, so their
     // bodies (error printing through the stdio model) must not feed
-    // park or lock facts into the callers' summaries.
+    // park facts into the callers' summaries.
     terminals_.insert("panic");
     terminals_.insert("fatal");
     terminals_.insert("abort");
@@ -153,50 +132,12 @@ CallGraph::syncCalls(int idx)
     return syncMemo_.emplace(idx, std::move(out)).first->second;
 }
 
-std::set<std::string>
-CallGraph::calleeCtx(const CallSite &call, int def,
-                     const std::set<std::string> &ctx) const
-{
-    std::set<std::string> out;
-    const Function &cf =
-        prog_.functions[static_cast<std::size_t>(def)];
-    const std::size_t n =
-        std::min(call.args.size(), cf.params.size());
-    for (std::size_t p = 0; p < n; ++p) {
-        const std::string &a = call.args[p];
-        if (a.empty() || cf.params[p].empty())
-            continue;
-        // Number tokens never carry a sign, so a literal argument is
-        // always non-negative.
-        const bool literal =
-            std::isdigit(static_cast<unsigned char>(a[0])) != 0;
-        if (literal || call.nonNegHere.count(a) != 0 ||
-            ctx.count(a) != 0)
-            out.insert(cf.params[p]);
-    }
-    return out;
-}
-
 ParkSummary
 CallGraph::callParkSummary(int fromIdx, const CallSite &call)
-{
-    static const std::set<std::string> empty;
-    return callParkSummary(fromIdx, call, empty);
-}
-
-ParkSummary
-CallGraph::callParkSummary(int fromIdx, const CallSite &call,
-                           const std::set<std::string> &ctx)
 {
     ParkSummary best;
     if (terminals_.count(call.callee) != 0)
         return best;
-    // Unreachable under this context: the site sits behind an
-    // `x >= 0` early return while the caller guarantees x >= 0.
-    for (const std::string &n : call.negHere) {
-        if (ctx.count(n) != 0)
-            return best;
-    }
     auto seed = seeds_.find(call.callee);
     if (seed != seeds_.end() && call.qualifier.empty()) {
         best.kind = seed->second;
@@ -212,8 +153,7 @@ CallGraph::callParkSummary(int fromIdx, const CallSite &call,
     for (int def : resolveDefs(call)) {
         if (def == fromIdx)
             continue;
-        const ParkSummary &sub =
-            parkSummary(def, calleeCtx(call, def, ctx));
+        const ParkSummary &sub = parkSummary(def);
         if (sub.kind > best.kind) {
             best.kind = sub.kind;
             best.witness.clear();
@@ -229,15 +169,7 @@ CallGraph::callParkSummary(int fromIdx, const CallSite &call,
 const ParkSummary &
 CallGraph::parkSummary(int idx)
 {
-    static const std::set<std::string> empty;
-    return parkSummary(idx, empty);
-}
-
-const ParkSummary &
-CallGraph::parkSummary(int idx, const std::set<std::string> &ctx)
-{
-    auto key = std::make_pair(idx, ctxKey(ctx));
-    auto it = parkMemo_.find(key);
+    auto it = parkMemo_.find(idx);
     if (it != parkMemo_.end())
         return it->second;
     if (onStack_[idx]) {
@@ -246,87 +178,23 @@ CallGraph::parkSummary(int idx, const std::set<std::string> &ctx)
         return none;
     }
     onStack_[idx] = true;
-    ParkSummary result = computePark(idx, ctx);
+    ParkSummary result = computePark(idx);
     onStack_[idx] = false;
-    return parkMemo_.emplace(std::move(key), std::move(result))
-        .first->second;
+    return parkMemo_.emplace(idx, std::move(result)).first->second;
 }
 
 ParkSummary
-CallGraph::computePark(int idx, const std::set<std::string> &ctx)
+CallGraph::computePark(int idx)
 {
     ParkSummary best;
     for (const CallSite &c : syncCalls(idx)) {
-        ParkSummary s = callParkSummary(idx, c, ctx);
+        ParkSummary s = callParkSummary(idx, c);
         if (s.kind > best.kind)
             best = std::move(s);
         if (best.kind == ParkKind::Indefinite)
             break; // cannot get stronger
     }
     return best;
-}
-
-const std::map<std::string, LockAcq> &
-CallGraph::lockSummary(int idx)
-{
-    auto it = lockMemo_.find(idx);
-    if (it != lockMemo_.end())
-        return it->second;
-    if (onStack_[idx]) {
-        static const std::map<std::string, LockAcq> none;
-        return none;
-    }
-    onStack_[idx] = true;
-    auto result = computeLocks(idx);
-    onStack_[idx] = false;
-    return lockMemo_.emplace(idx, std::move(result)).first->second;
-}
-
-std::map<std::string, LockAcq>
-CallGraph::computeLocks(int idx)
-{
-    std::map<std::string, LockAcq> out;
-    const Function &f = prog_.functions[static_cast<std::size_t>(idx)];
-    // Direct acquisitions in this body and non-deferred lambdas.
-    std::vector<int> bodies{idx};
-    auto kids = lambdas_.find(idx);
-    if (kids != lambdas_.end()) {
-        for (int kid : kids->second) {
-            if (!prog_.functions[static_cast<std::size_t>(kid)]
-                     .deferred)
-                bodies.push_back(kid);
-        }
-    }
-    for (int b : bodies) {
-        const Function &bf =
-            prog_.functions[static_cast<std::size_t>(b)];
-        for (const LockEvent &e : bf.lockEvents) {
-            if (!e.acquire || out.count(e.lockId) != 0)
-                continue;
-            std::ostringstream os;
-            os << prog_.fileOf(bf).path << ":" << e.line << ": "
-               << f.qualName << " acquires " << e.lockId;
-            out[e.lockId].witness.push_back(os.str());
-        }
-    }
-    // Transitive acquisitions through synchronous calls.
-    for (const CallSite &c : syncCalls(idx)) {
-        for (int def : resolveDefs(c)) {
-            if (def == idx)
-                continue;
-            for (const auto &entry : lockSummary(def)) {
-                if (out.count(entry.first) != 0)
-                    continue;
-                LockAcq acq;
-                acq.witness.push_back(callStep(idx, c));
-                acq.witness.insert(acq.witness.end(),
-                                   entry.second.witness.begin(),
-                                   entry.second.witness.end());
-                out.emplace(entry.first, std::move(acq));
-            }
-        }
-    }
-    return out;
 }
 
 } // namespace genesys::analysis

@@ -6,33 +6,19 @@
  * extracted definition whose short name is `f` (a may-call
  * over-approximation), refined by arity — a call spelling k arguments
  * only targets definitions whose parameter count admits k. On top of
- * that graph this layer computes, per function:
- *
- *  - a **park summary**: the strongest parking behavior reachable
- *    through synchronous edges (direct calls plus non-deferred lambda
- *    bodies), with a witness call chain to the parking primitive.
- *    Primitives are seeded by name — WaitQueue::wait /
- *    Barrier::arriveAndWait / condition_variable wait are indefinite,
- *    Semaphore::acquire / CpuCluster::acquireCore and timed waits are
- *    bounded (a core eventually frees; a peer may never send bytes);
- *  - a **lock summary**: every lock id the function may acquire
- *    (directly or transitively), with a witness chain to the
- *    acquisition site.
+ * that graph this layer computes, per function, a **park summary**:
+ * the strongest parking behavior reachable through synchronous edges
+ * (direct calls plus non-deferred lambda bodies), with a witness call
+ * chain to the parking primitive. Primitives are seeded by name —
+ * WaitQueue::wait / Barrier::arriveAndWait / epoll_wait are
+ * indefinite, Semaphore::acquire / CpuCluster::acquireCore are bounded
+ * (a core eventually frees; a peer may never send bytes).
  *
  * Edges through deferral sinks (WorkQueue::enqueue*, scheduleIn,
  * spawn, ...) are excluded: that work runs later on another logical
  * thread and must not be charged to the caller's synchronous flow.
  * Recursion is handled by treating back edges as contributing nothing
  * (a cycle alone cannot introduce a park the cycle body lacks).
- *
- * Park summaries are additionally **sign-context sensitive**: the
- * extractor records, per call site, identifiers a dominating
- * `if (x < 0) return ...;` / `if (x >= 0) return ...;` guard proves
- * non-negative / negative, and simple positional argument forwarding
- * carries the facts across calls. A handler that rejects `off < 0`
- * with -EINVAL before forwarding `off` therefore does not inherit
- * parks that sit behind the callee's `pos_override >= 0` -ESPIPE
- * early return (the pread/pwrite seekable-flow false positives).
  */
 
 #ifndef GENESYS_ANALYSIS_CALLGRAPH_HH
@@ -66,11 +52,6 @@ struct ParkSummary
     std::vector<std::string> witness;
 };
 
-struct LockAcq
-{
-    std::vector<std::string> witness; ///< chain to the acquisition
-};
-
 class CallGraph
 {
   public:
@@ -78,35 +59,6 @@ class CallGraph
 
     /** Park summary of functions[idx] (memoized). */
     const ParkSummary &parkSummary(int idx);
-
-    /**
-     * Park summary of functions[idx] under a sign context: @p ctx
-     * names parameters of functions[idx] known non-negative at the
-     * call being analyzed. Call sites dominated by an
-     * `if (param >= 0) return ...;` guard on a ctx member are
-     * unreachable and contribute nothing; the context propagates
-     * through simple argument forwarding (an argument that is a
-     * non-negative literal, locally guarded, or itself a ctx member
-     * makes the callee's parameter a ctx member in turn).
-     */
-    const ParkSummary &parkSummary(int idx,
-                                   const std::set<std::string> &ctx);
-
-    /**
-     * Park behavior of a single call site resolved in @p fromIdx:
-     * seed-name parks resolve at the site itself, otherwise the
-     * strongest summary among same-named definitions. Returns a
-     * summary whose witness starts at the call site.
-     */
-    ParkSummary callParkSummary(int fromIdx, const CallSite &call);
-
-    /** callParkSummary under a sign context (see parkSummary). */
-    ParkSummary callParkSummary(int fromIdx, const CallSite &call,
-                                const std::set<std::string> &ctx);
-
-    /** lockId -> witness chain for every lock functions[idx] may
-     *  acquire, directly or transitively (memoized). */
-    const std::map<std::string, LockAcq> &lockSummary(int idx);
 
     /** Synchronous call sites of functions[idx]: its own non-deferred
      *  calls plus those of non-deferred child lambdas. */
@@ -126,27 +78,26 @@ class CallGraph
 
     const Program &program() const { return prog_; }
 
+  private:
     /** "path:line: caller -> callee" step for a witness chain. */
     std::string callStep(int fromIdx, const CallSite &call) const;
-
-  private:
-    ParkSummary computePark(int idx, const std::set<std::string> &ctx);
-    std::map<std::string, LockAcq> computeLocks(int idx);
+    ParkSummary computePark(int idx);
+    /**
+     * Park behavior of a single call site resolved in @p fromIdx:
+     * seed-name parks resolve at the site itself, otherwise the
+     * strongest summary among same-named definitions. Returns a
+     * summary whose witness starts at the call site.
+     */
+    ParkSummary callParkSummary(int fromIdx, const CallSite &call);
     /// Can @p call's spelled arity target functions[def]?
     bool arityOk(const CallSite &call, int def) const;
-    /// The callee-side sign context induced by @p call under @p ctx.
-    std::set<std::string> calleeCtx(const CallSite &call, int def,
-                                    const std::set<std::string> &ctx)
-        const;
 
     const Program &prog_;
     /// Seed park kinds by callee short name.
     std::map<std::string, ParkKind> seeds_;
     /// Noreturn terminators: calls to these propagate nothing.
     std::set<std::string> terminals_;
-    /// Keyed by (function index, joined sign context).
-    std::map<std::pair<int, std::string>, ParkSummary> parkMemo_;
-    std::map<int, std::map<std::string, LockAcq>> lockMemo_;
+    std::map<int, ParkSummary> parkMemo_;
     std::map<int, std::vector<CallSite>> syncMemo_;
     std::map<int, bool> onStack_;
     /// Child lambdas per function index.

@@ -63,12 +63,6 @@ struct OpenParen
     bool deferral = false;
 };
 
-struct Guard
-{
-    std::string lockId;
-    int depth = 0; ///< brace depth the guard dies at; 0 = manual
-};
-
 class FileExtractor
 {
   public:
@@ -83,7 +77,6 @@ class FileExtractor
     {
         std::size_t i = 0;
         parseDeclScope(i, toks_.size(), {});
-        markGuardFacts();
     }
 
   private:
@@ -554,48 +547,11 @@ class FileExtractor
     }
 
     // ---- body scanning --------------------------------------------
-    std::string
-    qualifyLock(const std::string &expr,
-                const std::string &ownerQual) const
-    {
-        // A simple identifier that is plausibly a member (and the
-        // owner is a member function) is qualified by the class so
-        // `mu_` means the same lock from every method. Everything
-        // else keeps its spelled form.
-        const bool simple =
-            !expr.empty() &&
-            expr.find_first_of(".:-<>()[]") == std::string::npos;
-        auto pos = ownerQual.rfind("::");
-        if (simple && pos != std::string::npos)
-            return ownerQual.substr(0, pos) + "::" + expr;
-        return expr;
-    }
-
-    /// Root (non-lambda) ancestor qual name, for lock qualification.
-    std::string
-    rootQual(int funcIdx) const
-    {
-        const Function *f =
-            &prog_.functions[static_cast<std::size_t>(funcIdx)];
-        while (f->parent >= 0)
-            f = &prog_.functions[static_cast<std::size_t>(f->parent)];
-        return f->qualName;
-    }
-
-    std::vector<std::string>
-    heldNow(const std::vector<Guard> &guards) const
-    {
-        std::vector<std::string> held;
-        held.reserve(guards.size());
-        for (const auto &g : guards)
-            held.push_back(g.lockId);
-        return held;
-    }
-
     /**
      * Scan a function body starting at its '{' (index @p lbrace).
-     * Records call sites, lock events, lambdas (recursively) and
-     * entries_ accesses into function @p funcIdx. Returns the index of the matching '}'.
+     * Records call sites, lambdas (recursively) and entries_
+     * accesses into function @p funcIdx. Returns the index of the
+     * matching '}'.
      */
     std::size_t
     scanBody(std::size_t lbrace, std::size_t limit, int funcIdx,
@@ -603,7 +559,6 @@ class FileExtractor
     {
         int depth = 0;
         std::vector<OpenParen> parens;
-        std::vector<Guard> guards;
         std::size_t i = lbrace;
 
         auto fn = [this, funcIdx]() -> Function & {
@@ -623,15 +578,7 @@ class FileExtractor
                 continue;
             }
             if (isPunct(t, "}")) {
-                --depth;
-                // Block-scoped guards die with their block.
-                guards.erase(
-                    std::remove_if(guards.begin(), guards.end(),
-                                   [depth](const Guard &g) {
-                                       return g.depth > depth;
-                                   }),
-                    guards.end());
-                if (depth == 0)
+                if (--depth == 0)
                     return i;
                 continue;
             }
@@ -707,16 +654,9 @@ class FileExtractor
                     cs.line = toks_[nameIdx].line;
                     cs.tokenIndex = nameIdx;
                     cs.deferred = inDeferral();
-                    cs.heldLocks = heldNow(guards);
                     captureArgs(i, matchForward(i, "(", ")", limit),
                                 cs);
-                    // lock()/unlock() through a receiver are lock
-                    // events, not interesting call sites.
-                    if (cs.callee == "lock" || cs.callee == "unlock") {
-                        handleManualLock(i, funcIdx, guards);
-                    } else {
-                        fn().calls.push_back(std::move(cs));
-                    }
+                    fn().calls.push_back(std::move(cs));
                 }
                 parens.push_back(op);
                 continue;
@@ -745,11 +685,8 @@ class FileExtractor
                 }
                 continue;
             }
-            if (!isIdent(t))
-                continue;
-
             // entries_[...] read/write.
-            if (t.text == "entries_" && i + 1 < limit &&
+            if (isIdent(t) && t.text == "entries_" && i + 1 < limit &&
                 isPunct(toks_[i + 1], "[")) {
                 std::size_t rb = matchForward(i + 1, "[", "]", limit);
                 bool write = false;
@@ -757,124 +694,9 @@ class FileExtractor
                     !(rb + 2 < limit && isPunct(toks_[rb + 2], "=")))
                     write = true;
                 fn().entriesAccesses.push_back({write, t.line, i});
-                continue;
-            }
-            // Scoped guard declarations.
-            if (t.text == "lock_guard" || t.text == "unique_lock" ||
-                t.text == "scoped_lock") {
-                i = handleGuardDecl(i, limit, funcIdx, depth,
-                                    guards);
-                continue;
             }
         }
         return limit == 0 ? 0 : limit - 1;
-    }
-
-    /**
-     * Parse `lock_guard<T> name(args)` (and unique_lock/scoped_lock)
-     * starting at the template name token @p i. Records acquisitions
-     * and guard lifetimes. Returns the index to resume from.
-     */
-    std::size_t
-    handleGuardDecl(std::size_t i, std::size_t limit, int funcIdx,
-                    int depth, std::vector<Guard> &guards)
-    {
-        Function &fn =
-            prog_.functions[static_cast<std::size_t>(funcIdx)];
-        const bool scoped = toks_[i].text == "scoped_lock";
-        std::size_t j = i + 1;
-        if (j < limit && isPunct(toks_[j], "<"))
-            j = skipAngles(j, limit);
-        if (j >= limit || !isIdent(toks_[j]))
-            return i; // a mention, not a declaration
-        const int line = toks_[j].line;
-        ++j;
-        if (j >= limit || !isPunct(toks_[j], "("))
-            return i;
-        std::size_t close = matchForward(j, "(", ")", limit);
-        // Split args on top-level commas.
-        std::vector<std::string> exprs;
-        std::string cur;
-        int pdepth = 0;
-        for (std::size_t k = j + 1; k < close; ++k) {
-            const Token &a = toks_[k];
-            if (isPunct(a, "(") || isPunct(a, "[") || isPunct(a, "{"))
-                ++pdepth;
-            else if (isPunct(a, ")") || isPunct(a, "]") ||
-                     isPunct(a, "}"))
-                --pdepth;
-            if (isPunct(a, ",") && pdepth == 0) {
-                exprs.push_back(cur);
-                cur.clear();
-                continue;
-            }
-            cur += a.text;
-        }
-        if (!cur.empty())
-            exprs.push_back(cur);
-        // std::defer_lock: no acquisition happens here.
-        for (const auto &e : exprs) {
-            if (e.find("defer_lock") != std::string::npos)
-                return close;
-        }
-        const std::string root = rootQual(funcIdx);
-        // Snapshot once: members of a scoped_lock group are acquired
-        // atomically, so no member is "held before" another.
-        const std::vector<std::string> held = heldNow(guards);
-        for (const auto &e : exprs) {
-            if (e.find("adopt_lock") != std::string::npos ||
-                e.find("try_to_lock") != std::string::npos)
-                continue;
-            LockEvent ev;
-            ev.lockId = qualifyLock(e, root);
-            ev.acquire = true;
-            ev.line = line;
-            ev.tokenIndex = j;
-            ev.heldBefore = held;
-            ev.atomicGroup = scoped && exprs.size() > 1;
-            fn.lockEvents.push_back(ev);
-            guards.push_back({ev.lockId, depth});
-        }
-        return close;
-    }
-
-    /** Manual x.lock() / x->unlock(); @p lparen is the '(' index. */
-    void
-    handleManualLock(std::size_t lparen, int funcIdx,
-                     std::vector<Guard> &guards)
-    {
-        // toks_[lparen-1] is lock/unlock; receiver sits before a
-        // '.'/'->' at lparen-2.
-        if (lparen < 3)
-            return;
-        const Token &dot = toks_[lparen - 2];
-        if (!isPunct(dot, ".") && !isPunct(dot, "->"))
-            return; // free lock()/unlock(): not a mutex op we model
-        const Token &recv = toks_[lparen - 3];
-        if (!isIdent(recv))
-            return;
-        Function &fn =
-            prog_.functions[static_cast<std::size_t>(funcIdx)];
-        const std::string lockId =
-            qualifyLock(recv.text, rootQual(funcIdx));
-        if (toks_[lparen - 1].text == "lock") {
-            LockEvent ev;
-            ev.lockId = lockId;
-            ev.acquire = true;
-            ev.line = recv.line;
-            ev.tokenIndex = lparen - 1;
-            ev.heldBefore = heldNow(guards);
-            fn.lockEvents.push_back(ev);
-            guards.push_back({lockId, 0});
-            return;
-        }
-        // unlock: drop the most recent matching guard.
-        for (auto it = guards.rbegin(); it != guards.rend(); ++it) {
-            if (it->lockId == lockId) {
-                guards.erase(std::next(it).base());
-                break;
-            }
-        }
     }
 
     /**
@@ -929,107 +751,6 @@ class FileExtractor
         prog_.functions[static_cast<std::size_t>(funcIdx)].bodyEnd =
             end;
         return end;
-    }
-
-    /// A dominating sign guard and the token range it covers.
-    struct GuardRange
-    {
-        std::string name;
-        bool nonNeg = false; ///< true: name >= 0 past the guard
-        std::size_t begin = 0;
-        std::size_t end = 0; ///< inclusive (the block's '}')
-    };
-
-    /**
-     * Find dominating sign guards and stamp their facts onto call
-     * sites: `if (x < 0) return ...;` proves x non-negative from the
-     * guard to the end of its enclosing brace block, and
-     * `if (x >= 0) return ...;` proves it negative. The guarded
-     * statement must divert control (a lone return/co_return, or a
-     * block starting with one); anything else contributes no fact.
-     * The callgraph uses these to prune sites unreachable under a
-     * caller-provided sign context — the pread/pwrite handlers guard
-     * `off < 0` with -EINVAL, so the stream/pipe parks behind the
-     * callee's `pos_override >= 0` -ESPIPE return cannot be reached.
-     */
-    void
-    markGuardFacts()
-    {
-        std::vector<GuardRange> ranges;
-        std::vector<std::size_t> braces;
-        for (std::size_t i = 0; i < toks_.size(); ++i) {
-            const Token &t = toks_[i];
-            if (isPunct(t, "{")) {
-                braces.push_back(i);
-                continue;
-            }
-            if (isPunct(t, "}")) {
-                if (!braces.empty())
-                    braces.pop_back();
-                continue;
-            }
-            if (!isIdent(t) || t.text != "if" || braces.empty())
-                continue;
-            if (i + 5 >= toks_.size() || !isPunct(toks_[i + 1], "(") ||
-                !isIdent(toks_[i + 2]))
-                continue;
-            std::size_t r = 0; // index of the condition's ')'
-            bool nonNeg = false;
-            if (isPunct(toks_[i + 3], "<") &&
-                toks_[i + 4].kind == TokKind::Number &&
-                toks_[i + 4].text == "0" && isPunct(toks_[i + 5], ")")) {
-                r = i + 5;
-                nonNeg = true;
-            } else if (i + 6 < toks_.size() &&
-                       isPunct(toks_[i + 3], ">") &&
-                       isPunct(toks_[i + 4], "=") &&
-                       toks_[i + 5].kind == TokKind::Number &&
-                       toks_[i + 5].text == "0" &&
-                       isPunct(toks_[i + 6], ")")) {
-                r = i + 6;
-                nonNeg = false;
-            } else {
-                continue;
-            }
-            std::size_t stmtEnd = 0;
-            if (r + 1 < toks_.size() && isIdent(toks_[r + 1]) &&
-                (toks_[r + 1].text == "return" ||
-                 toks_[r + 1].text == "co_return")) {
-                std::size_t s = r + 1;
-                while (s < toks_.size() && !isPunct(toks_[s], ";"))
-                    ++s;
-                stmtEnd = s;
-            } else if (r + 2 < toks_.size() &&
-                       isPunct(toks_[r + 1], "{") &&
-                       isIdent(toks_[r + 2]) &&
-                       (toks_[r + 2].text == "return" ||
-                        toks_[r + 2].text == "co_return")) {
-                stmtEnd = matchForward(r + 1, "{", "}", toks_.size());
-            } else {
-                continue;
-            }
-            const std::size_t blockEnd =
-                matchForward(braces.back(), "{", "}", toks_.size());
-            if (stmtEnd + 1 >= blockEnd)
-                continue;
-            ranges.push_back(
-                {toks_[i + 2].text, nonNeg, stmtEnd + 1, blockEnd});
-        }
-        if (ranges.empty())
-            return;
-        for (Function &f : prog_.functions) {
-            if (f.fileIndex != fileIndex_)
-                continue;
-            for (CallSite &c : f.calls) {
-                for (const GuardRange &g : ranges) {
-                    if (c.tokenIndex < g.begin ||
-                        c.tokenIndex > g.end)
-                        continue;
-                    (g.nonNeg ? c.nonNegHere : c.negHere)
-                        .insert(g.name);
-                }
-            }
-        }
     }
 
     Program &prog_;

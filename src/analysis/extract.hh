@@ -7,22 +7,18 @@
  * [qualifiers] {` shape (including out-of-class `Class::name` and
  * constructor-initializer lists), and scans every body for:
  *
- *  - call sites (`ident(`), with the set of locks held at the call and
- *    a `deferred` bit when the call is an argument to a deferral sink
+ *  - call sites (`ident(`), with their arguments and a `deferred` bit
+ *    when the call is an argument to a deferral sink
  *    (WorkQueue::enqueue/enqueueOn, EventQueue::scheduleIn, spawn, …);
  *  - lambda bodies, extracted as child functions of their enclosing
  *    function; a lambda handed to a deferral sink is marked deferred —
  *    its calls run later on another logical thread, so the may-park
- *    and lock passes must not charge them to the parent;
- *  - lock events: `std::lock_guard/unique_lock/scoped_lock` guards
- *    (block-scoped) and manual `x.lock()/x.unlock()` (function-scoped),
- *    with member locks qualified by the enclosing class;
+ *    pass must not charge them to the parent;
  *  - `entries_[...]` accesses (read vs write) for the ordering pass.
  *
  * Known soundness limits (documented in DESIGN.md §14): resolution is
- * name-based, operator overloads and function pointers are not modeled,
- * and a lock's identity is its spelled expression (qualified by class
- * for simple member names).
+ * name-based, and operator overloads and function pointers are not
+ * modeled.
  */
 
 #ifndef GENESYS_ANALYSIS_EXTRACT_HH

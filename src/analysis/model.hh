@@ -1,6 +1,6 @@
 /**
  * @file
- * gstat's program model: functions, call sites, lock events, findings.
+ * gstat's program model: functions, call sites, findings.
  *
  * The extractor (extract.cc) populates a Program from lexed files; the
  * call graph (callgraph.cc) and the passes (passes.cc) consume it.
@@ -45,8 +45,6 @@ struct CallSite
     /// (WorkQueue::enqueue*, EventQueue::scheduleIn, Sim::spawn, ...):
     /// runs later on another logical thread, not synchronously here.
     bool deferred = false;
-    /// Lock ids held at this call site (empty for most).
-    std::vector<std::string> heldLocks;
     /// Number of top-level arguments spelled at the site, for
     /// arity-refined resolution; -1 when the list was unparseable.
     int argCount = -1;
@@ -60,27 +58,6 @@ struct CallSite
     /// passes use roots to follow a resource or a tainted value
     /// through a call boundary.
     std::vector<std::string> argRoots;
-    /// Identifiers a dominating `if (x < 0) return ...;` guard proves
-    /// non-negative at this site.
-    std::set<std::string> nonNegHere;
-    /// Identifiers a dominating `if (x >= 0) return ...;` guard
-    /// proves negative at this site — the site is unreachable when a
-    /// caller guarantees x >= 0 (the pread/pwrite -ESPIPE flow).
-    std::set<std::string> negHere;
-};
-
-/** One lock acquisition event, in body token order. */
-struct LockEvent
-{
-    std::string lockId;
-    bool acquire = true;
-    int line = 0;
-    std::size_t tokenIndex = 0;
-    /// Locks already held when this acquisition happened.
-    std::vector<std::string> heldBefore;
-    /// True for std::scoped_lock groups (deadlock-avoiding: members
-    /// of one group get no pairwise order edges).
-    bool atomicGroup = false;
 };
 
 /** An `entries_[...]` access, classified read vs write. */
@@ -116,7 +93,6 @@ struct Function
     int maxArgs = -1;
 
     std::vector<CallSite> calls;
-    std::vector<LockEvent> lockEvents;
     std::vector<EntriesAccess> entriesAccesses;
 };
 

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <map>
 #include <set>
-#include <sstream>
 #include <string_view>
 
 #include "analysis/flowpasses.hh"
@@ -64,26 +63,6 @@ scanHandlerRows(const Program &prog)
     return rows;
 }
 
-// ---- pass 2: lock order ----------------------------------------------
-
-struct LockEdge
-{
-    std::string from;
-    std::string to;
-    std::string path;
-    int line = 0;
-    std::vector<std::string> witness;
-};
-
-void
-addEdge(std::map<std::pair<std::string, std::string>, LockEdge> &edges,
-        LockEdge edge)
-{
-    auto key = std::make_pair(edge.from, edge.to);
-    if (edges.count(key) == 0)
-        edges.emplace(std::move(key), std::move(edge));
-}
-
 } // namespace
 
 std::vector<Finding>
@@ -120,179 +99,22 @@ runMayParkPass(CallGraph &cg)
         }
     }
 
+    // Rule drain-loop-park: the ring consumer must stay runnable; an
+    // indefinite park wedges every shard behind this one.
     for (std::size_t i = 0; i < prog.functions.size(); ++i) {
         const Function &f = prog.functions[i];
-        const int idx = static_cast<int>(i);
-
-        // Rule drain-loop-park: the ring consumer must stay runnable;
-        // an indefinite park wedges every shard behind this one.
-        if (f.shortName == "ringConsumeTask") {
-            const ParkSummary &s = cg.parkSummary(idx);
-            if (s.kind == ParkKind::Indefinite) {
-                Finding fd;
-                fd.path = prog.fileOf(f).path;
-                fd.line = f.line;
-                fd.rule = "drain-loop-park";
-                fd.message = "ring consumer drain loop " + f.qualName +
-                             " can park indefinitely";
-                fd.witness = s.witness;
-                findings.push_back(std::move(fd));
-            }
-        }
-
-        // Rule park-under-lock: no park of any kind with a lock held.
-        for (const CallSite &c : f.calls) {
-            if (c.deferred || c.heldLocks.empty())
-                continue;
-            ParkSummary s = cg.callParkSummary(idx, c);
-            if (s.kind == ParkKind::None)
-                continue;
-            Finding fd;
-            fd.path = prog.fileOf(f).path;
-            fd.line = c.line;
-            fd.rule = "park-under-lock";
-            fd.message = f.qualName + " may park (" +
-                         parkKindName(s.kind) + ") while holding " +
-                         c.heldLocks.front();
-            fd.witness = s.witness;
-            findings.push_back(std::move(fd));
-        }
-    }
-    return findings;
-}
-
-std::vector<Finding>
-runLockOrderPass(CallGraph &cg)
-{
-    const Program &prog = cg.program();
-    std::map<std::pair<std::string, std::string>, LockEdge> edges;
-
-    for (std::size_t i = 0; i < prog.functions.size(); ++i) {
-        const Function &f = prog.functions[i];
-        const int idx = static_cast<int>(i);
-        const std::string &path = prog.fileOf(f).path;
-
-        // Direct acquisition-order edges within one body.
-        for (const LockEvent &e : f.lockEvents) {
-            if (!e.acquire)
-                continue;
-            for (const std::string &held : e.heldBefore) {
-                LockEdge edge;
-                edge.from = held;
-                edge.to = e.lockId;
-                edge.path = path;
-                edge.line = e.line;
-                std::ostringstream os;
-                os << path << ":" << e.line << ": " << f.qualName
-                   << " acquires " << e.lockId << " while holding "
-                   << held;
-                edge.witness.push_back(os.str());
-                addEdge(edges, std::move(edge));
-            }
-        }
-
-        // Edges through calls made with locks held: the callee may
-        // acquire more locks (transitively).
-        for (const CallSite &c : f.calls) {
-            if (c.deferred || c.heldLocks.empty())
-                continue;
-            for (int def : cg.resolveDefs(c)) {
-                if (def == idx)
-                    continue;
-                for (const auto &acq : cg.lockSummary(def)) {
-                    for (const std::string &held : c.heldLocks) {
-                        LockEdge edge;
-                        edge.from = held;
-                        edge.to = acq.first;
-                        edge.path = path;
-                        edge.line = c.line;
-                        edge.witness.push_back(
-                            cg.callStep(idx, c) + " (holding " +
-                            held + ")");
-                        edge.witness.insert(
-                            edge.witness.end(),
-                            acq.second.witness.begin(),
-                            acq.second.witness.end());
-                        addEdge(edges, std::move(edge));
-                    }
-                }
-            }
-        }
-    }
-
-    // Cycle detection: for each node (in sorted order), BFS for the
-    // shortest path back to itself; report the cycle only from its
-    // lexicographically smallest member so each cycle appears once.
-    std::map<std::string, std::vector<std::string>> adj;
-    for (const auto &entry : edges)
-        adj[entry.first.first].push_back(entry.first.second);
-
-    std::vector<Finding> findings;
-    std::set<std::string> reported;
-    for (const auto &node : adj) {
-        const std::string &start = node.first;
-        // BFS from start; parent map reconstructs the cycle.
-        std::map<std::string, std::string> parent;
-        std::vector<std::string> queue{start};
-        std::set<std::string> seen{start};
-        std::string last; // predecessor of start on the cycle
-        bool closed = false;
-        for (std::size_t qi = 0; qi < queue.size() && !closed; ++qi) {
-            const std::string cur = queue[qi];
-            auto next = adj.find(cur);
-            if (next == adj.end())
-                continue;
-            for (const std::string &to : next->second) {
-                if (to == start) {
-                    last = cur;
-                    closed = true;
-                    break;
-                }
-                if (seen.insert(to).second) {
-                    parent[to] = cur;
-                    queue.push_back(to);
-                }
-            }
-        }
-        if (!closed)
+        if (f.shortName != "ringConsumeTask")
             continue;
-        // Reconstruct start -> ... -> last -> start.
-        std::vector<std::string> cycle;
-        for (std::string cur = last; cur != start; cur = parent[cur])
-            cycle.push_back(cur);
-        cycle.push_back(start);
-        std::reverse(cycle.begin(), cycle.end());
-        // Only report from the smallest member (self-loops trivially
-        // qualify), and only once per member set.
-        if (*std::min_element(cycle.begin(), cycle.end()) != start)
+        const ParkSummary &s = cg.parkSummary(static_cast<int>(i));
+        if (s.kind != ParkKind::Indefinite)
             continue;
-        std::string canon;
-        for (const auto &n : std::set<std::string>(cycle.begin(),
-                                                   cycle.end()))
-            canon += n + "|";
-        if (!reported.insert(canon).second)
-            continue;
-
         Finding fd;
-        fd.rule = "lock-order-cycle";
-        std::string order;
-        for (const std::string &n : cycle)
-            order += n + " -> ";
-        order += start;
-        fd.message = "lock acquisition order cycle: " + order;
-        for (std::size_t k = 0; k < cycle.size(); ++k) {
-            const std::string &from = cycle[k];
-            const std::string &to =
-                cycle[(k + 1) % cycle.size()];
-            const LockEdge &e = edges.at({from, to});
-            if (k == 0) {
-                fd.path = e.path;
-                fd.line = e.line;
-            }
-            fd.witness.push_back("edge " + from + " -> " + to + ":");
-            fd.witness.insert(fd.witness.end(), e.witness.begin(),
-                              e.witness.end());
-        }
+        fd.path = prog.fileOf(f).path;
+        fd.line = f.line;
+        fd.rule = "drain-loop-park";
+        fd.message =
+            "ring consumer drain loop " + f.qualName + " can park indefinitely";
+        fd.witness = s.witness;
         findings.push_back(std::move(fd));
     }
     return findings;
@@ -301,7 +123,7 @@ runLockOrderPass(CallGraph &cg)
 namespace
 {
 
-// ---- pass 3: token rules ----------------------------------------------
+// ---- pass 2: token rules ----------------------------------------------
 
 /// Does @p path name the tree file @p file ("core/slot.cc")? True for
 /// the file itself and for any root in front of it ("src/core/slot.cc",
@@ -330,6 +152,17 @@ tokIs(const std::vector<Token> &toks, std::size_t k, std::string_view text)
 {
     return k < toks.size() && toks[k].kind != TokKind::String &&
            toks[k].kind != TokKind::CharLit && toks[k].text == text;
+}
+
+/// The host locking vocabulary the `host-lock` rule bans.
+const std::set<std::string> &
+hostLockNames()
+{
+    static const std::set<std::string> names = {
+        "mutex",        "shared_mutex", "recursive_mutex", "timed_mutex",
+        "lock_guard",   "unique_lock",  "scoped_lock",     "shared_lock",
+    };
+    return names;
 }
 
 /// Names declared `unordered_{map,set,multimap,multiset}<...> name`
@@ -480,8 +313,6 @@ runTokenRules(const Program &prog, std::vector<Finding> &findings)
         if (auto it = unordered.find(pair); it != unordered.end())
             names.insert(it->second.begin(), it->second.end());
 
-        const bool fsmFile =
-            isAnyFile(file.path, {"core/slot.cc", "core/slot.hh"});
         const bool doorbellFile = isAnyFile(
             file.path, {"gpu/gpu.cc", "gpu/gpu.hh", "core/client.cc"});
         // The audited direct consumers of the zero-copy segment loan:
@@ -492,7 +323,6 @@ runTokenRules(const Program &prog, std::vector<Finding> &findings)
         const bool loanFile =
             isAnyFile(file.path, {"osk/tcp.hh", "osk/tcp.cc",
                                   "osk/syscalls.cc", "workloads/gkv.cc"});
-        const bool ringFile = isFile(file.path, "core/ring.hh");
 
         // Directive bodies (a macro's expansion) get the same rules;
         // only code holds the extractor's lambdas.
@@ -504,11 +334,13 @@ runTokenRules(const Program &prog, std::vector<Finding> &findings)
                     continue;
                 const std::string &t = toks[i].text;
                 const int line = toks[i].line;
-                if (t == "state_" && !fsmFile && tokIs(toks, i + 1, "=") &&
-                    !tokIs(toks, i + 2, "="))
-                    add(line, "slot-state",
-                        "slot state words may be mutated only via the FSM "
-                        "transition API in core/slot.cc");
+                if (hostLockNames().count(t) != 0)
+                    add(line, "host-lock",
+                        "std::" + t +
+                            " locks between host threads, but the "
+                            "simulated machine runs on one; model "
+                            "exclusion with sim::Semaphore, as "
+                            "MemoryManager's mmap_sem does");
                 if (t == "sendInterrupt" && !doorbellFile &&
                     tokIs(toks, i + 1, "("))
                     add(line, "doorbell-callers",
@@ -523,14 +355,6 @@ runTokenRules(const Program &prog, std::vector<Finding> &findings)
                         "osk/syscalls.cc, workloads/gkv.cc) may call it; "
                         "use recvmsg(MSG_ZEROCOPY), which retires its "
                         "loans on the next call");
-                if ((t == "headRaw_" || t == "tailRaw_" ||
-                     t == "claimedRaw_") &&
-                    !ringFile)
-                    add(line, "raw-counter-access",
-                        "raw ring counter " + t +
-                            " outside core/ring.hh; go through its "
-                            "acquire/release accessors (loadHeadAcquire / "
-                            "storeTailRelease / ...)");
                 // time(), time(NULL), time(nullptr), time(0).
                 const bool timeCall =
                     t == "time" && tokIs(toks, i + 1, "(") &&
@@ -727,7 +551,6 @@ runAllPasses(const Program &prog)
                         std::make_move_iterator(more.end()));
     };
     append(runMayParkPass(cg));
-    append(runLockOrderPass(cg));
     append(runOrderingPass(prog));
     append(runOwnershipPass(cg));
     append(runTaintPass(cg));

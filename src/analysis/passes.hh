@@ -2,48 +2,41 @@
  * @file
  * gstat's structural analysis passes (DESIGN.md §14). The two gflow
  * dataflow passes (ownership, GPU taint — DESIGN.md §16) are declared
- * in flowpasses.hh; runAllPasses runs all five.
+ * in flowpasses.hh; runAllPasses runs all four.
  *
- * 1. May-park (`nonblocking-handler-parks`, `drain-loop-park`,
- *    `park-under-lock`): transitive reachability to parking primitives
- *    over synchronous call edges. The syscall blocking classification
- *    is recovered from the tree itself: each implemented row of the
- *    syscall table, `impl(num, "name", type, role, sysX, flags)`,
- *    binds a call to its handler, and `kMayBlock` in its flags is
- *    what the runtime treats as may-block. A handler whose row lacks
- *    the flag but can reach an indefinite park is a classification
- *    bug: the ring consumer would service it inline and wedge a
- *    shared OS core. The same reachability must not hold from the
- *    ring consumer's drain loop (`ringConsumeTask`), and no park of
- *    any kind may happen while a lock is held.
+ * 1. May-park (`nonblocking-handler-parks`, `drain-loop-park`):
+ *    transitive reachability to parking primitives over synchronous
+ *    call edges. The syscall blocking classification is recovered
+ *    from the tree itself: each implemented row of the syscall table,
+ *    `impl(num, "name", type, role, sysX, flags)`, binds a call to its
+ *    handler, and `kMayBlock` in its flags is what the runtime treats
+ *    as may-block. A handler whose row lacks the flag but can reach an
+ *    indefinite park is a classification bug: the ring consumer would
+ *    service it inline and wedge a shared OS core. The same
+ *    reachability must not hold from the ring consumer's drain loop
+ *    (`ringConsumeTask`).
  *
- * 2. Lock order (`lock-order-cycle`): acquisition-order edges from
- *    held-set snapshots at acquisition sites and at call sites
- *    (through callee lock summaries), cycle detection over the edge
- *    graph, and a witness path per edge. std::scoped_lock groups are
- *    acquired atomically and produce no intra-group edges.
- *
- * 3. Ordering discipline (`unpaired-release`,
- *    `unpaired-hb-annotation`, `unannotated-consume`,
- *    `raw-counter-access`): flow-sensitive per-body pairing of ring
- *    counter accesses. A release store must be ordered after an
- *    acquire load in the same body (the load may appear inside the
- *    store's own argument list, as in
+ * 2. Ordering discipline (`unpaired-release`,
+ *    `unpaired-hb-annotation`, `unannotated-consume`): flow-sensitive
+ *    per-body pairing of ring counter accesses. A release store must
+ *    be ordered after an acquire load in the same body (the load may
+ *    appear inside the store's own argument list, as in
  *    `storeHeadRelease(loadHeadAcquire() + 1)`); a gsan ring
- *    annotation must sit next to the counter operation it models;
- *    an `entries_[...]` read needs a `ringConsume()` acquire in the
- *    same body. The same group runs the token rules over every token
- *    of every file (DESIGN.md §11): raw counter members are touched
- *    only inside core/ring.hh (`raw-counter-access`); slot state
- *    words are written only by the FSM in core/slot.* (`slot-state`);
- *    the doorbell rings only from gpu/gpu.* and core/client.cc
- *    (`doorbell-callers`); zero-copy loans are taken only on the
- *    audited paths (`segment-loan`); no iteration over an
- *    std::unordered_* container (`unordered-iteration`); no wall
- *    clock and no unseeded randomness (`wall-clock`, `raw-rand`);
- *    and no lambda with owning captures inside a co_await
- *    full-expression (`coawait-owning-lambda`). File allowlists match
- *    by path suffix, so the verdict does not depend on the root.
+ *    annotation must sit next to the counter operation it models; an
+ *    `entries_[...]` read needs a `ringConsume()` acquire in the same
+ *    body. The same group runs the token rules over every token of
+ *    every file (DESIGN.md §11): no host locking, since the simulated
+ *    machine runs on one host thread (`host-lock`); the doorbell rings
+ *    only from gpu/gpu.* and core/client.cc (`doorbell-callers`);
+ *    zero-copy loans are taken only on the audited paths
+ *    (`segment-loan`); no iteration over an std::unordered_* container
+ *    (`unordered-iteration`); no wall clock and no unseeded randomness
+ *    (`wall-clock`, `raw-rand`); and no lambda with owning captures
+ *    inside a co_await full-expression (`coawait-owning-lambda`). File
+ *    allowlists match by path suffix, so the verdict does not depend
+ *    on the root. Slot state and the raw ring counters need no rule:
+ *    they are private members (SyscallSlot::state_, RingCounters in
+ *    core/ring.hh), and the access-control ctests pin that.
  */
 
 #ifndef GENESYS_ANALYSIS_PASSES_HH
@@ -58,7 +51,6 @@ namespace genesys::analysis
 {
 
 std::vector<Finding> runMayParkPass(CallGraph &cg);
-std::vector<Finding> runLockOrderPass(CallGraph &cg);
 std::vector<Finding> runOrderingPass(const Program &prog);
 
 /** All passes, sorted for stable output. */

@@ -6,8 +6,8 @@
  * must catch (with a witness path for the interprocedural rules) and a
  * nearby negative the analyzer must stay silent on. The corpus is the
  * regression net for the extractor and passes: a lexer desync, a
- * broken deferral edge, or a lost lock snapshot all surface here as a
- * missing or spurious finding.
+ * broken deferral edge, or a lost directive body all surface here as
+ * a missing or spurious finding.
  */
 
 #include "analysis/analyzer.hh"
@@ -45,7 +45,6 @@ witnessRules()
 {
     static const std::set<std::string> rules = {
         "nonblocking-handler-parks", "drain-loop-park",
-        "park-under-lock", "lock-order-cycle",
         "must-release-fd", "must-release-ring-claim",
         "must-release-slot", "must-release-netseg",
         "must-release-epoll", "gpu-taint-mem", "gpu-taint-alloc",
@@ -109,60 +108,6 @@ inline constexpr SyscallRow kRows[] = {
 };
 )src"}},
          {{"nonblocking-handler-parks", 2}}});
-
-    // ---- may-park: sign-context sensitivity -------------------------
-    // The pread/pwrite -ESPIPE flow: the handler rejects a negative
-    // offset up front, and the shared path's parks all sit behind an
-    // `off >= 0` early return, so the handler can never reach them.
-    cases.push_back(
-        {"sign-guard-flow-clean",
-         {{"corpus/sign_guard.cc", R"src(
-long
-doStreamRead(WaitQueue &wq, long pos_override)
-{
-    if (pos_override >= 0)
-        return -29; // -ESPIPE: streams are not seekable
-    return wq.wait(); // only reachable with pos_override < 0
-}
-
-long
-sysPread(WaitQueue &wq, long off)
-{
-    if (off < 0)
-        return -22; // -EINVAL: negative offsets rejected up front
-    return doStreamRead(wq, off); // negative: the park is dead here
-}
-
-inline constexpr SyscallRow kRows[] = {
-    impl(17, "pread64", Filesystem, Producer, sysPread, kTransfer),
-};
-)src"}},
-         {}});
-
-    // Without the caller-side guard the same callee park is live: the
-    // handler can forward a negative offset straight into the wait.
-    cases.push_back(
-        {"sign-guard-flow-unguarded",
-         {{"corpus/sign_unguarded.cc", R"src(
-long
-doStreamRead(WaitQueue &wq, long pos_override)
-{
-    if (pos_override >= 0)
-        return -29;
-    return wq.wait();
-}
-
-long
-sysPread(WaitQueue &wq, long off)
-{
-    return doStreamRead(wq, off); // seeded defect: off may be < 0
-}
-
-inline constexpr SyscallRow kRows[] = {
-    impl(17, "pread64", Filesystem, Producer, sysPread, kTransfer),
-};
-)src"}},
-         {{"nonblocking-handler-parks", 1}}});
 
     // ---- may-park: arity-refined resolution -------------------------
     // Two definitions share a short name; only the arity-matching one
@@ -229,132 +174,6 @@ InterruptBackend::ringConsumeTask(unsigned shard)
 )src"}},
          {}});
 
-    // ---- may-park: park while holding a lock ------------------------
-    cases.push_back(
-        {"park-under-lock",
-         {{"corpus/park_lock.cc", R"src(
-struct Shard
-{
-    std::mutex mu_;
-    WaitQueue wq_;
-
-    void direct()
-    {
-        std::lock_guard<std::mutex> g(mu_);
-        wq_.wait(); // seeded defect: indefinite park under mu_
-    }
-
-    void parkHelper() { wq_.wait(); }
-
-    void transitive()
-    {
-        std::lock_guard<std::mutex> g(mu_);
-        parkHelper(); // seeded defect: callee parks under mu_
-    }
-
-    void released()
-    {
-        {
-            std::lock_guard<std::mutex> g(mu_);
-        }
-        wq_.wait(); // negative: the guard died with its block
-    }
-};
-)src"}},
-         {{"park-under-lock", 2}}});
-
-    // ---- lock order -------------------------------------------------
-    cases.push_back(
-        {"lock-order",
-         {{"corpus/locks.cc", R"src(
-struct Inverted
-{
-    std::mutex a_;
-    std::mutex b_;
-    void ab()
-    {
-        std::lock_guard<std::mutex> g1(a_);
-        std::lock_guard<std::mutex> g2(b_);
-    }
-    void ba()
-    {
-        std::lock_guard<std::mutex> g1(b_);
-        std::lock_guard<std::mutex> g2(a_); // seeded defect: AB/BA
-    }
-};
-
-struct Triangle
-{
-    std::mutex a_;
-    std::mutex b_;
-    std::mutex c_;
-    void ab()
-    {
-        std::lock_guard<std::mutex> g1(a_);
-        std::lock_guard<std::mutex> g2(b_);
-    }
-    void bc()
-    {
-        std::lock_guard<std::mutex> g1(b_);
-        std::lock_guard<std::mutex> g2(c_);
-    }
-    void ca()
-    {
-        std::lock_guard<std::mutex> g1(c_);
-        std::lock_guard<std::mutex> g2(a_); // seeded defect: 3-cycle
-    }
-};
-
-struct Recursive
-{
-    std::mutex m_;
-    void again()
-    {
-        std::lock_guard<std::mutex> g(m_);
-        std::lock_guard<std::mutex> h(m_); // seeded defect: self-lock
-    }
-};
-
-struct ThroughCalls
-{
-    std::mutex x_;
-    std::mutex y_;
-    void takeY() { std::lock_guard<std::mutex> g(y_); }
-    void lockX() { std::lock_guard<std::mutex> g(x_); }
-    void first()
-    {
-        std::lock_guard<std::mutex> g(x_);
-        takeY();
-    }
-    void second()
-    {
-        std::lock_guard<std::mutex> g(y_);
-        lockX(); // seeded defect: inversion through the call graph
-    }
-};
-
-struct Consistent
-{
-    std::mutex a_;
-    std::mutex b_;
-    void one()
-    {
-        std::lock_guard<std::mutex> g1(a_);
-        std::lock_guard<std::mutex> g2(b_);
-    }
-    void two()
-    {
-        std::lock_guard<std::mutex> g1(a_);
-        std::lock_guard<std::mutex> g2(b_); // negative: same order
-    }
-    void atomicPair(std::mutex &m, std::mutex &n)
-    {
-        std::scoped_lock<std::mutex, std::mutex> g(m, n); // negative
-    }
-};
-)src"}},
-         {{"lock-order-cycle", 4}}});
-
     // ---- ordering discipline ----------------------------------------
     cases.push_back(
         {"ordering-discipline",
@@ -397,72 +216,58 @@ struct Ring
         return v;
     }
 };
-
-void
-touchRaw(Ring &r)
-{
-    r.headRaw_ = 1; // seeded defect: raw counter outside core/ring.hh
-}
 )src"}},
          {{"unannotated-consume", 1},
           {"unpaired-hb-annotation", 1},
-          {"unpaired-release", 1},
-          {"raw-counter-access", 1}}});
+          {"unpaired-release", 1}}});
 
     // ---- token rules (DESIGN.md §11) ---------------------------------
-    // Allowlists match by path suffix: "src/core/slot.cc" is the FSM's
-    // own file under any root.
+    // The simulated machine runs on one host thread: exclusion is a
+    // sim::Semaphore, and any host lock type is a finding, one a line.
     cases.push_back(
-        {"raw-counter-anywhere",
-         {{"src/core/ring.hh", R"src(
-struct SyscallRing
+        {"host-lock",
+         {{"src/osk/x.cc", R"src(
+struct Shard
 {
-    std::uint64_t headRaw_ = 0;
-    std::uint64_t loadHeadAcquire() const { return headRaw_; } // negative
+    std::mutex mu_;       // seeded defect
+    sim::Semaphore sem_{1};
+    WaitQueue wq_;
+
+    void direct()
+    {
+        std::lock_guard<std::mutex> g(mu_); // seeded defect: once a line
+        wq_.wait();
+    }
+
+    sim::Task<>
+    modeled()
+    {
+        co_await sem_.acquire(); // negative: the modeled lock
+        sem_.release();
+    }
 };
-)src"},
-          {"src/core/client.cc", R"src(
-// reads headRaw_ via loadHeadAcquire()
-constexpr auto kTailAt = offsetof(SyscallRing, tailRaw_); // seeded defect
-void
-advance(SyscallRing &r)
-{
-    r.storeTailRelease(r.loadHeadAcquire() + 1); // negative: accessors
-}
-)src"},
-          {"src/core/backend/service_core.cc", R"src(
-bool
-drained(const SyscallRing &r)
-{
-    return r.headRaw_ == r.claimedRaw_; // seeded defect: one per line
-}
 )src"}},
-         {{"raw-counter-access", 2}}});
+         {{"host-lock", 2}}});
 
     cases.push_back(
-        {"slot-state",
-         {{"src/core/client.cc", R"src(
+        {"host-lock-spellings",
+         {{"src/core/x.hh", R"src(
+// a std::mutex named in a comment is not code
+const char *kWhy = "std::lock_guard needs a second host thread";
+std::shared_mutex tableMu; // seeded defect
 void
-publish(SyscallSlot &slot)
+both(std::recursive_mutex &a, Other &b) // seeded defect
 {
-    slot.state_ = SlotState::Ready; // seeded defect: bypasses the FSM
+    std::scoped_lock g(a, b);                   // seeded defect
+    std::unique_lock<Other> u(b, std::defer_lock); // seeded defect
+    b.lock();                                   // negative: not a lock type
 }
-
-bool
-ready(const SyscallSlot &slot)
-{
-    return slot.state_ == SlotState::Ready; // negative: a compare
-}
-)src"},
-          {"src/core/slot.cc", R"src(
-void
-SyscallSlot::transition(SlotState to)
-{
-    state_ = to; // negative: the FSM itself
-}
+#define GUARD(m) std::lock_guard<Other> guard_##m(m) // seeded defect
 )src"}},
-         {{"slot-state", 1}}});
+         {{"host-lock", 5}}});
 
+    // Allowlists match by path suffix: "src/core/client.cc" is the
+    // doorbell's own file under any root.
     cases.push_back(
         {"doorbell-callers",
          {{"src/osk/workqueue.cc", R"src(
@@ -637,7 +442,7 @@ struct Far
 };
 
 int r = rand(); // gstat: allow(raw-rand)
-auto h = r.headRaw_; // gstat: allow(raw-counter-access)
+std::mutex m; // gstat: allow(host-lock)
 sim::Task<>
 drain(osk::TcpSocket *s, OpenFile *file)
 {
@@ -660,7 +465,7 @@ const char *kRaw = R"(calls rand() at time(nullptr))";
 const char *kQuoted = R"(a "quoted" word)"; int r1 = rand(); // seeded
 const char *kDelim = R"x(ends with )" but not here)x";
 int r2 = rand(); // seeded defect: the custom delimiter closed
-auto s = u8R"(state_ = "fake")"; auto t = LR"(srand(7))";
+auto s = u8R"(std::mutex "fake")"; auto t = LR"(srand(7))";
 void tag() { LOG_ERROR"tag"; int r3 = rand(); } // seeded: not raw
 
 struct Q

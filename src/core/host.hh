@@ -122,7 +122,6 @@ class GenesysHost
     /** Ring mode: completion events posted to shard CQs. */
     std::uint64_t ringCqPosted() const { return core_->cqPosted(); }
 
-    /** The shared slot scanner/executor (backend plumbing). */
     /** The currently active service backend. */
     ServiceBackend &activeBackend() { return *active_; }
 

@@ -25,10 +25,11 @@
  *   head     consume cursor — a RELEASE store by the consumer; a
  *            producer ACQUIRE-loads it to reuse entry storage
  *
- * The raw counters are touched only through the load/store accessor
- * helpers below; every protocol method and every out-of-class user
- * goes through them (enforced tree-wide by gstat's raw-counter-access
- * rule), so each access carries its ordering annotation in its name.
+ * The raw counters live in RingCounters, private behind its load/store
+ * accessors; SyscallRing's own members reach them only through those
+ * accessors too, so each access carries its ordering annotation in its
+ * name and the compiler rejects any other (the access_ring_counter
+ * ctests pin that).
  */
 
 #ifndef GENESYS_CORE_RING_HH
@@ -46,24 +47,34 @@ class Sanitizer;
 namespace genesys::core
 {
 
-class SyscallRing
+/**
+ * A ring's three free-running counter words, reachable only through
+ * the accessors. The simulator is single-threaded, so the
+ * acquire/release names document the modeled hardware ordering rather
+ * than emit fences.
+ */
+class RingCounters
 {
   public:
-    explicit SyscallRing(std::uint32_t capacity);
-
-    std::uint32_t capacity() const { return capacity_; }
-
-    // ---- counter accessors ----------------------------------------
-    // The ONLY sanctioned access to the raw counters (gstat:
-    // raw-counter-access). The simulator is single-threaded, so the
-    // acquire/release names document the modeled hardware ordering
-    // rather than emit fences.
     std::uint64_t loadHeadAcquire() const { return headRaw_; }
     std::uint64_t loadTailAcquire() const { return tailRaw_; }
     std::uint64_t loadClaimedRelaxed() const { return claimedRaw_; }
     void storeHeadRelease(std::uint64_t v) { headRaw_ = v; }
     void storeTailRelease(std::uint64_t v) { tailRaw_ = v; }
     void storeClaimedRelaxed(std::uint64_t v) { claimedRaw_ = v; }
+
+  private:
+    std::uint64_t headRaw_ = 0;
+    std::uint64_t tailRaw_ = 0;
+    std::uint64_t claimedRaw_ = 0;
+};
+
+class SyscallRing : public RingCounters
+{
+  public:
+    explicit SyscallRing(std::uint32_t capacity);
+
+    std::uint32_t capacity() const { return capacity_; }
 
     // ---- geometry --------------------------------------------------
     /** Array index of free-running position @p pos. */
@@ -153,9 +164,6 @@ class SyscallRing
   private:
     std::uint32_t capacity_;
     std::vector<std::uint32_t> entries_;
-    std::uint64_t headRaw_ = 0;
-    std::uint64_t tailRaw_ = 0;
-    std::uint64_t claimedRaw_ = 0;
     std::uint64_t reclaims_ = 0;
     gsan::Sanitizer *gsan_ = nullptr;
     std::uint64_t key_ = 0;

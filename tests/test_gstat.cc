@@ -6,10 +6,10 @@
  * broad regression net; these tests pin the analyzer's contract at the
  * API level: witness chains, the suppression window, and the
  * resolution-hygiene mechanisms (noreturn terminators, explicit
- * qualifiers, opaque API-boundary classes, arity-refined resolution,
- * sign-context pruning) that keep the real tree free of false park
- * chains, and the real tree itself: clean, and caught when mutated,
- * under a relative and an absolute root.
+ * qualifiers, opaque API-boundary classes, arity-refined resolution)
+ * that keep the real tree free of false park chains, and the real tree
+ * itself: clean, and caught when mutated (a doorbell, a host lock, a
+ * raw rand()), under a relative and an absolute root.
  */
 
 #include "analysis/analyzer.hh"
@@ -155,41 +155,6 @@ long sysIoctl(WaitQueue &wq) { panic(wq); return 0; }
     EXPECT_TRUE(r.findings.empty());
 }
 
-TEST(Gstat, SignGuardFlowPrunesDeadPark)
-{
-    // The pread-style flow: caller rejects off < 0, callee's park is
-    // dead behind an off >= 0 early return. Guarded: clean.
-    const char *callee = R"src(
-long helper(WaitQueue &wq, long pos)
-{
-    if (pos >= 0)
-        return -29;
-    return wq.wait();
-}
-)src";
-    const AnalysisResult guarded =
-        analyze(std::string(kTablePrologue) + callee + R"src(
-long sysIoctl(WaitQueue &wq, long off)
-{
-    if (off < 0)
-        return -22;
-    return helper(wq, off);
-}
-)src");
-    EXPECT_TRUE(guarded.findings.empty());
-
-    // Without the caller guard a negative offset reaches the park.
-    const AnalysisResult unguarded =
-        analyze(std::string(kTablePrologue) + callee + R"src(
-long sysIoctl(WaitQueue &wq, long off)
-{
-    return helper(wq, off);
-}
-)src");
-    EXPECT_EQ(rulesOf(unguarded),
-              std::vector<std::string>{"nonblocking-handler-parks"});
-}
-
 TEST(Gstat, ArityRefinedResolution)
 {
     // A one-argument call must not resolve to the parking
@@ -207,29 +172,6 @@ struct Device
 long sysIoctl(Device &dev) { return dev.read(16); }
 )src");
     EXPECT_TRUE(r.findings.empty());
-}
-
-TEST(Gstat, LockOrderCycleReportedOnceWithEdgeWitness)
-{
-    const AnalysisResult r = analyze(R"src(
-struct S
-{
-    void ab()
-    {
-        std::lock_guard<std::mutex> g1(a_);
-        std::lock_guard<std::mutex> g2(b_);
-    }
-    void ba()
-    {
-        std::lock_guard<std::mutex> g1(b_);
-        std::lock_guard<std::mutex> g2(a_);
-    }
-    std::mutex a_;
-    std::mutex b_;
-};
-)src");
-    ASSERT_EQ(rulesOf(r), std::vector<std::string>{"lock-order-cycle"});
-    EXPECT_FALSE(r.findings[0].witness.empty());
 }
 
 TEST(Gstat, UnpairedReleaseStore)
@@ -261,8 +203,8 @@ TEST(Gstat, LoadTreeRejectsMissingRoot)
 
 // The real tree, analyzed in memory under the relative root CI passes
 // ("src") and under the absolute root ctest passes: clean as it stands
-// (one justified suppression), and a raw rand() plus a doorbell rung
-// from the workqueue each give exactly one finding.
+// (one justified suppression), and a doorbell rung from the workqueue,
+// a host lock and a raw rand() each give exactly one finding.
 TEST(Gstat, TreeIsCleanAndCatchesMutationsUnderAnyRoot)
 {
     const std::string absRoot = GENESYS_SOURCE_DIR;
@@ -287,11 +229,12 @@ TEST(Gstat, TreeIsCleanAndCatchesMutationsUnderAnyRoot)
         ASSERT_NE(wq, tree.end());
         wq->text += "\nvoid\nmutant(GpuDevice &gpu)\n{\n"
                     "    gpu.sendInterrupt(0);\n"
+                    "    std::lock_guard<std::mutex> g(mu_);\n"
                     "    int r = rand();\n}\n";
         const AnalysisResult mutated = analyzeSources(tree);
         EXPECT_EQ(rulesOf(mutated),
                   (std::vector<std::string>{"doorbell-callers",
-                                            "raw-rand"}));
+                                            "host-lock", "raw-rand"}));
         for (const Finding &f : mutated.findings)
             EXPECT_EQ(f.path, wq->path);
     }

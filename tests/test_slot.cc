@@ -11,6 +11,7 @@
 #include "core/params.hh"
 #include "core/slot.hh"
 #include "gpu/gpu.hh"
+#include "mem/cache_model.hh"
 #include "support/gmc_probe.hh"
 #include "support/logging.hh"
 
@@ -234,6 +235,33 @@ TEST(SyscallArea, WaveSlotMapping)
     // Distinct waves own disjoint slot ranges.
     EXPECT_GE(area.firstItemSlotOfWave(1),
               area.firstItemSlotOfWave(0) + 64);
+}
+
+// Work-group and kernel leaders poll lane 0's slot. Those slots sit 64
+// slots (4 KiB) apart, so the default GPU L2's modulo set index maps
+// every leader line to 4 of its 256 sets: leader polls get 4 x 16 = 64
+// lines of the L2's 4096.
+TEST(SyscallArea, LeaderSlotsGetSixtyFourL2Lines)
+{
+    gpu::GpuConfig gpu_cfg;
+    GenesysParams params;
+    SyscallArea area(gpu_cfg, params);
+    mem::CacheModel l2({.sizeBytes = gpu_cfg.l2Bytes,
+                        .lineBytes = gpu_cfg.l2LineBytes,
+                        .associativity = gpu_cfg.l2Assoc});
+    ASSERT_EQ(l2.lineCapacity(), 4096u);
+    auto leader = [&area](std::uint32_t wave) {
+        return area.slotAddr(area.firstItemSlotOfWave(wave));
+    };
+    for (std::uint32_t w = 0; w < 64; ++w)
+        EXPECT_FALSE(l2.access(leader(w)));
+    for (std::uint32_t w = 0; w < 64; ++w)
+        EXPECT_TRUE(l2.access(leader(w))) << "leader " << w;
+    // A 65th leader lands in leader 0's set and evicts its LRU line,
+    // leader 0; the other sets keep their lines.
+    EXPECT_FALSE(l2.access(leader(64)));
+    EXPECT_FALSE(l2.access(leader(0)));
+    EXPECT_TRUE(l2.access(leader(1)));
 }
 
 TEST(SyscallArea, OutOfRangeSlotPanics)
