@@ -15,6 +15,7 @@ update=0
 if [ "${1:-}" = "--update" ]; then
     update=1
 fi
+mkdir -p .bench_build
 status=0
 for w in gkv_serve wordcount_ssd pread_daemon gmc_explore; do
     golden="tests/golden/perfbench_$w.txt"

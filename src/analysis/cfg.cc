@@ -297,26 +297,6 @@ class Lowerer
             FlowStmt s;
             s.kind = StmtKind::RangeFor;
             s.line = line;
-            // Loop variable: last identifier before the ':'.
-            for (std::size_t k = colon; k > lp; --k) {
-                if (toks_[k - 1].kind == TokKind::Ident) {
-                    s.loopVar = toks_[k - 1].text;
-                    break;
-                }
-            }
-            // Range root: first identifier after the ':' that is not
-            // a qualifier or call head.
-            for (std::size_t k = colon + 1; k < rp; ++k) {
-                const Token &tk = toks_[k];
-                if (tk.kind != TokKind::Ident)
-                    continue;
-                if (k + 1 < rp && (isPunct(toks_[k + 1], "::") ||
-                                   isPunct(toks_[k + 1], "<") ||
-                                   isPunct(toks_[k + 1], "(")))
-                    continue;
-                s.rangeRoot = tk.text;
-                break;
-            }
             s.thenBody = parseArm(j, limit);
             out.push_back(std::move(s));
             i = j;

@@ -13,9 +13,7 @@
  * What the lowering models:
  *  - `if (c) A else B` with full condition spans (else-if chains
  *    nest in elseBody);
- *  - `while` / `for` / range-`for` / `do-while` loops, with the
- *    range-for's loop variable and range root recovered so a client
- *    can alias them (`for (auto &seg : segs)`);
+ *  - `while` / `for` / range-`for` / `do-while` loops;
  *  - `switch` lowered to one alternative per case label, where an
  *    alternative runs from its label to the end of the switch so
  *    fallthrough is modeled exactly (a `break` ends it);
@@ -30,7 +28,6 @@
 #define GENESYS_ANALYSIS_CFG_HH
 
 #include <cstddef>
-#include <string>
 #include <vector>
 
 #include "analysis/model.hh"
@@ -43,7 +40,7 @@ enum class StmtKind
     Simple,   ///< expression / declaration statement
     If,       ///< cond + thenBody / elseBody
     Loop,     ///< while / for / do-while; cond + thenBody
-    RangeFor, ///< range-for; thenBody, loopVar/rangeRoot set
+    RangeFor, ///< range-for; thenBody
     Switch,   ///< cond + one alternatives entry per case label
     Try,      ///< thenBody = try block, alternatives = handlers
     Return,   ///< return / co_return; span covers the value tokens
@@ -74,10 +71,6 @@ struct FlowStmt
     /// Switch: true when one of the labels is `default:` (without it
     /// the walker adds a no-case-taken path).
     bool hasDefault = false;
-    /// RangeFor: `for (auto &seg : segs)` binds loopVar "seg" to
-    /// rangeRoot "segs".
-    std::string loopVar;
-    std::string rangeRoot;
 };
 
 /// A lowered function body.

@@ -255,36 +255,12 @@ collect(const std::vector<Token> &toks, std::size_t b, std::size_t e,
         }
     }
 
-    // Atom: a plain variable or a member-call truthiness test.
+    // Atom: a plain variable (or call) truthiness test.
     CondFact f;
     f.kind = sense ? CondFact::Kind::Truthy : CondFact::Kind::Falsy;
     f.subject = spanRoot(toks, b, e);
-    if (f.subject.empty())
-        return;
-    if (isP(toks[e - 1], ")")) {
-        // `recv.callee(...)` (possibly chained): the callee is the
-        // identifier before the '(' matching the final ')'.
-        int depth = 0;
-        std::size_t open = e;
-        for (std::size_t j = e; j > b; --j) {
-            const Token &t = toks[j - 1];
-            if (isP(t, ")"))
-                ++depth;
-            else if (isP(t, "(") && --depth == 0) {
-                open = j - 1;
-                break;
-            }
-        }
-        if (open < e && open > b &&
-            toks[open - 1].kind == TokKind::Ident) {
-            f.callCallee = toks[open - 1].text;
-            if (open >= b + 3 && (isP(toks[open - 2], ".") ||
-                                  isP(toks[open - 2], "->")) &&
-                toks[open - 3].kind == TokKind::Ident)
-                f.callReceiver = toks[open - 3].text;
-        }
-    }
-    out.push_back(std::move(f));
+    if (!f.subject.empty())
+        out.push_back(std::move(f));
 }
 
 } // namespace

@@ -5,11 +5,11 @@
  * PathWalker enumerates acyclic paths through a FlowTree by
  * depth-first continuation passing: at every If/Loop/Switch the state
  * forks, loops contribute a zero-iteration and a one-iteration path
- * (enough for acquire/release and taint lattices, which are
- * idempotent over repetition), and break/continue/return resolve
- * lexically through continuation records instead of CFG edges. The
- * walk is deterministic (source order, then-edge before else-edge)
- * and budgeted: past maxPaths only the first branch of each fork is
+ * (enough for the taint lattice, which is idempotent over
+ * repetition), and break/continue/return resolve lexically through
+ * continuation records instead of CFG edges. The walk is
+ * deterministic (source order, then-edge before else-edge) and
+ * budgeted: past maxPaths only the first branch of each fork is
  * followed, so pathological functions degrade to a single-path scan
  * instead of exploding.
  *
@@ -18,15 +18,13 @@
  *   void onSimple(const FlowStmt &s, State &st);
  *   void onCondition(const FlowStmt &s, State &st);   // both edges
  *   void onBranch(const FlowStmt &s, bool sense, State &st);
- *   void onRangeFor(const FlowStmt &s, State &st);    // alias bind
- *   void onExit(const FlowStmt *s, ExitKind k, State &st,
- *               const std::vector<PathStep> &trace);
+ *   void onExit(const FlowStmt &s, State &st);        // return/throw
  *
  * onCondition sees the condition span once per fork — side effects
- * that happen regardless of the edge taken (a `tryPublish` spelled
- * inside an `if`) belong there. onBranch then asserts the edge.
- * onExit receives the branch-decision trace that led to this path
- * end; pass it through condFacts-driven state to build witnesses.
+ * that happen regardless of the edge taken belong there. onBranch
+ * then asserts the edge. onExit sees the value span of a `return` or
+ * `throw`; a path that falls off the end or enters an infinite loop
+ * ends without it.
  */
 
 #ifndef GENESYS_ANALYSIS_DATAFLOW_HH
@@ -41,22 +39,6 @@
 
 namespace genesys::analysis
 {
-
-/** How a path ended. */
-enum class ExitKind
-{
-    Fall,         ///< fell off the end of the function
-    Return,       ///< return / co_return statement
-    Throw,        ///< throw statement
-    InfiniteLoop, ///< entered a condition-less loop with no break
-};
-
-/** One branch decision on the way to a path end. */
-struct PathStep
-{
-    int line = 0;     ///< line of the condition
-    bool sense = false; ///< edge taken: condition true or false
-};
 
 /**
  * A single asserted fact derived from a branch condition under a
@@ -75,11 +57,6 @@ struct CondFact
     Kind kind = Kind::Truthy;
     /// The variable the fact is about (root identifier of the lhs).
     std::string subject;
-    /// Truthy/Falsy only: when the atom was a member call
-    /// `recv.callee(...)`, the receiver and callee ("slot",
-    /// "beginProcessing"); empty for plain variables.
-    std::string callReceiver;
-    std::string callCallee;
     /// Cmp only: the asserted operator after sense folding —
     /// `!(a < b)` on the true edge and `a < b` on the false edge both
     /// yield op ">=".
@@ -94,8 +71,7 @@ struct CondFact
  * Decompose the condition tokens [begin, end) under edge @p sense
  * into asserted facts. Returns an empty vector when the condition is
  * too rich to decompose (the client then learns nothing — sound for
- * both the ownership lattice and the taint lattice, which only act
- * on known facts).
+ * the taint lattice, which only acts on known facts).
  */
 std::vector<CondFact> parseCondFacts(const std::vector<Token> &toks,
                                      std::size_t begin,
@@ -103,8 +79,8 @@ std::vector<CondFact> parseCondFacts(const std::vector<Token> &toks,
 
 /**
  * Root identifier of an expression span: the first identifier that is
- * not a qualifier (`std::`), template head, or call head — the same
- * notion CallSite::argRoots uses. "" when none exists.
+ * not a qualifier (`std::`), template head, or call head — `*base` and
+ * `base` root at "base", `fd + 1` at "fd". "" when none exists.
  */
 std::string spanRoot(const std::vector<Token> &toks, std::size_t begin,
                      std::size_t end);
@@ -121,15 +97,9 @@ template <typename State, typename Client> class PathWalker
     void
     run(State initial)
     {
-        Cont atEnd = [this](State st) {
-            client_.onExit(nullptr, ExitKind::Fall, st, trace_);
-            ++paths_;
-        };
+        Cont atEnd = [this](State) { ++paths_; };
         walkSeq(tree_.body, 0, std::move(initial), atEnd, nullptr);
     }
-
-    /// Paths enumerated so far (diagnostic).
-    std::size_t pathCount() const { return paths_; }
 
   private:
     using Cont = std::function<void(State)>;
@@ -166,11 +136,8 @@ template <typename State, typename Client> class PathWalker
             rest(std::move(st));
             return;
         case StmtKind::Return:
-            client_.onExit(&s, ExitKind::Return, st, trace_);
-            ++paths_;
-            return;
         case StmtKind::Throw:
-            client_.onExit(&s, ExitKind::Throw, st, trace_);
+            client_.onExit(s, st);
             ++paths_;
             return;
         case StmtKind::Break:
@@ -211,17 +178,13 @@ template <typename State, typename Client> class PathWalker
         {
             State thenSt = st;
             client_.onBranch(s, true, thenSt);
-            trace_.push_back({s.line, true});
             walkSeq(s.thenBody, 0, std::move(thenSt), rest, ctx);
-            trace_.pop_back();
         }
         if (!forkAllowed())
             return;
         State elseSt = std::move(st);
         client_.onBranch(s, false, elseSt);
-        trace_.push_back({s.line, false});
         walkSeq(s.elseBody, 0, std::move(elseSt), rest, ctx);
-        trace_.pop_back();
     }
 
     void
@@ -237,9 +200,7 @@ template <typename State, typename Client> class PathWalker
         if (!infinite && !s.bodyFirst) {
             State zero = st;
             client_.onBranch(s, false, zero);
-            trace_.push_back({s.line, false});
             rest(std::move(zero));
-            trace_.pop_back();
             if (!forkAllowed())
                 return;
         }
@@ -249,8 +210,6 @@ template <typename State, typename Client> class PathWalker
         // edge; an infinite loop never exits except by break.
         Cont endIter = [this, &s, &rest, infinite](State st2) {
             if (infinite) {
-                client_.onExit(&s, ExitKind::InfiniteLoop, st2,
-                               trace_);
                 ++paths_;
                 return;
             }
@@ -263,9 +222,7 @@ template <typename State, typename Client> class PathWalker
         State once = std::move(st);
         if (!infinite)
             client_.onBranch(s, true, once);
-        trace_.push_back({s.line, true});
         walkSeq(s.thenBody, 0, std::move(once), endIter, &loopCtx);
-        trace_.pop_back();
     }
 
     void
@@ -273,23 +230,13 @@ template <typename State, typename Client> class PathWalker
                  const FlowCtx *ctx)
     {
         (void)ctx;
-        // Empty-range path.
-        {
-            State zero = st;
-            trace_.push_back({s.line, false});
-            rest(std::move(zero));
-            trace_.pop_back();
-            if (!forkAllowed())
-                return;
-        }
+        rest(st); // empty range
+        if (!forkAllowed())
+            return;
         FlowCtx loopCtx;
         loopCtx.onBreak = &rest;
         loopCtx.onContinue = &rest;
-        State once = std::move(st);
-        client_.onRangeFor(s, once);
-        trace_.push_back({s.line, true});
-        walkSeq(s.thenBody, 0, std::move(once), rest, &loopCtx);
-        trace_.pop_back();
+        walkSeq(s.thenBody, 0, std::move(st), rest, &loopCtx);
     }
 
     void
@@ -309,15 +256,10 @@ template <typename State, typename Client> class PathWalker
                 return;
             first = false;
             State altSt = st;
-            trace_.push_back({s.line, true});
             walkSeq(alt, 0, std::move(altSt), rest, &swCtx);
-            trace_.pop_back();
         }
-        if (!s.hasDefault && (first || forkAllowed())) {
-            trace_.push_back({s.line, false});
+        if (!s.hasDefault && (first || forkAllowed()))
             rest(std::move(st));
-            trace_.pop_back();
-        }
     }
 
     void
@@ -334,9 +276,7 @@ template <typename State, typename Client> class PathWalker
             if (!forkAllowed())
                 return;
             State hSt = st;
-            trace_.push_back({s.line, false});
             walkSeq(handler, 0, std::move(hSt), rest, ctx);
-            trace_.pop_back();
         }
     }
 
@@ -344,7 +284,6 @@ template <typename State, typename Client> class PathWalker
     Client &client_;
     std::size_t maxPaths_;
     std::size_t paths_ = 0;
-    std::vector<PathStep> trace_;
 };
 
 } // namespace genesys::analysis

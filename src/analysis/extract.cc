@@ -463,16 +463,13 @@ class FileExtractor
     }
 
     /**
-     * Split a call's argument list [@p lparen, @p rparen] on
-     * top-level commas into @p cs: the arity plus, per position, the
-     * spelled name when the argument is a single identifier or number
-     * token. Template argument sections after an identifier
-     * (`as<int>(0)`) are skipped; a lone `<` with no matching `>`
-     * stays an ordinary comparison.
+     * Count a call's top-level arguments in [@p lparen, @p rparen]
+     * into @p cs.argCount. Template argument sections after an
+     * identifier (`as<int>(0)`) are skipped; a lone `<` with no
+     * matching `>` stays an ordinary comparison.
      */
     void
-    captureArgs(std::size_t lparen, std::size_t rparen, CallSite &cs)
-        const
+    countArgs(std::size_t lparen, std::size_t rparen, CallSite &cs) const
     {
         if (rparen <= lparen)
             return; // unbalanced: leave argCount unknown
@@ -480,16 +477,8 @@ class FileExtractor
             cs.argCount = 0;
             return;
         }
-        auto flush = [&](std::size_t b, std::size_t e) {
-            if (e == b + 1 && (isIdent(toks_[b]) ||
-                               toks_[b].kind == TokKind::Number))
-                cs.args.push_back(toks_[b].text);
-            else
-                cs.args.push_back("");
-            cs.argRoots.push_back(argRoot(b, e));
-        };
         int depth = 0;
-        std::size_t b = lparen + 1;
+        int count = 1;
         for (std::size_t k = lparen + 1; k < rparen; ++k) {
             const Token &t = toks_[k];
             if (isPunct(t, "(") || isPunct(t, "[") ||
@@ -512,38 +501,10 @@ class FileExtractor
                     continue;
                 }
             }
-            if (isPunct(t, ",")) {
-                flush(b, k);
-                b = k + 1;
-            }
+            if (isPunct(t, ","))
+                ++count;
         }
-        flush(b, rparen);
-        cs.argCount = static_cast<int>(cs.args.size());
-    }
-
-    /**
-     * The identifier an argument expression [@p b, @p e) is "about":
-     * the first identifier that is not a qualifier (`std::`), not a
-     * template/cast head (`min<`), not a function name (`move(`) and
-     * not itself qualified (`::ptrdiff_t`). `*base` roots at "base",
-     * `std::move(seg.data)` at "seg", `segs.data()` at "segs".
-     */
-    std::string
-    argRoot(std::size_t b, std::size_t e) const
-    {
-        for (std::size_t k = b; k < e; ++k) {
-            const Token &t = toks_[k];
-            if (!isIdent(t) || keywords().count(t.text) != 0)
-                continue;
-            if (k + 1 < e && (isPunct(toks_[k + 1], "::") ||
-                              isPunct(toks_[k + 1], "<") ||
-                              isPunct(toks_[k + 1], "(")))
-                continue;
-            if (k > b && isPunct(toks_[k - 1], "::"))
-                continue;
-            return t.text;
-        }
-        return "";
+        cs.argCount = count;
     }
 
     // ---- body scanning --------------------------------------------
@@ -654,8 +615,7 @@ class FileExtractor
                     cs.line = toks_[nameIdx].line;
                     cs.tokenIndex = nameIdx;
                     cs.deferred = inDeferral();
-                    captureArgs(i, matchForward(i, "(", ")", limit),
-                                cs);
+                    countArgs(i, matchForward(i, "(", ")", limit), cs);
                     fn().calls.push_back(std::move(cs));
                 }
                 parens.push_back(op);

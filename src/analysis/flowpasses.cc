@@ -1,12 +1,10 @@
 /**
  * @file
- * gflow's ownership and GPU-taint dataflow passes (DESIGN.md §16).
+ * gflow's GPU-taint dataflow pass (DESIGN.md §16).
  *
- * Both passes lower each root function (lambda bodies stay inside
- * their parent's statement spans; their call sites are merged back by
- * token index) and enumerate paths with the PathWalker. Ownership
- * tracks an acquire→release lattice per resource variable with
- * branch-edge kill semantics for conditional acquires; taint tracks a
+ * The pass lowers each root function (lambda bodies stay inside their
+ * parent's statement spans; their call sites are merged back by token
+ * index), enumerates paths with the PathWalker, and tracks a
  * tainted/bounded/window lattice with direction-aware sanitizers and
  * bottom-up callee parameter summaries.
  */
@@ -19,7 +17,6 @@
 #include <optional>
 #include <set>
 #include <string>
-#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -156,27 +153,6 @@ lhsVar(const std::vector<Token> &toks, std::size_t b, std::size_t eq)
     return last;
 }
 
-/** Variable bound by the nearest '=' left of token @p at inside
- *  [b, at): handles parenthesized forms like `while ((x = f()))`. */
-std::string
-boundVarBefore(const std::vector<Token> &toks, std::size_t b,
-               std::size_t at)
-{
-    for (std::size_t j = at; j > b; --j) {
-        if (!isP(toks[j - 1], "="))
-            continue;
-        if (j >= 2 && (isP(toks[j - 2], "=") || isP(toks[j - 2], "!") ||
-                       isP(toks[j - 2], "<") || isP(toks[j - 2], ">")))
-            continue;
-        if (j < at && isP(toks[j], "="))
-            continue;
-        if (j >= 2 && isId(toks[j - 2]))
-            return toks[j - 2].text;
-        return "";
-    }
-    return "";
-}
-
 /** Per-position argument token spans of a call site. Template heads
  *  (`as<int>(0)`) are skipped so their commas don't split. */
 std::vector<std::pair<std::size_t, std::size_t>>
@@ -239,627 +215,6 @@ argSpans(const std::vector<Token> &toks, const CallSite &cs)
     }
     return out;
 }
-
-bool
-spanHasIdent(const std::vector<Token> &toks, std::size_t b,
-             std::size_t e, const char *name)
-{
-    for (std::size_t j = b; j < e; ++j)
-        if (isId(toks[j], name))
-            return true;
-    return false;
-}
-
-// ====================================================================
-// Ownership pass
-// ====================================================================
-
-enum class ResKind
-{
-    Fd = 0,
-    RingClaim,
-    Slot,
-    NetSeg,
-    Epoll,
-};
-
-const char *
-resKindName(ResKind k)
-{
-    switch (k) {
-    case ResKind::Fd:
-        return "fd";
-    case ResKind::RingClaim:
-        return "ring-claim";
-    case ResKind::Slot:
-        return "slot";
-    case ResKind::NetSeg:
-        return "netseg-loan";
-    case ResKind::Epoll:
-        return "epoll-interest";
-    }
-    return "?";
-}
-
-const char *
-resRule(ResKind k)
-{
-    switch (k) {
-    case ResKind::Fd:
-        return "must-release-fd";
-    case ResKind::RingClaim:
-        return "must-release-ring-claim";
-    case ResKind::Slot:
-        return "must-release-slot";
-    case ResKind::NetSeg:
-        return "must-release-netseg";
-    case ResKind::Epoll:
-        return "must-release-epoll";
-    }
-    return "?";
-}
-
-const char *
-resReleaseName(ResKind k)
-{
-    switch (k) {
-    case ResKind::Fd:
-        return "close()";
-    case ResKind::RingClaim:
-        return "tryPublish()";
-    case ResKind::Slot:
-        return "complete()";
-    case ResKind::NetSeg:
-        return "transferring the loaned segments to an owner";
-    case ResKind::Epoll:
-        return "EPOLL_CTL_DEL";
-    }
-    return "?";
-}
-
-struct Res
-{
-    ResKind kind = ResKind::Fd;
-    std::string var;
-    int line = 0;
-    /// Acquire may have failed; killed by the failure edge
-    /// (Falsy / negative-result facts) until confirmed.
-    bool conditional = false;
-};
-
-struct OwnState
-{
-    std::map<std::string, Res> live;
-    /// aliasVar -> live key (`auto &seg = segs[i]`).
-    std::map<std::string, std::string> alias;
-    /// guardVar -> live key: a variable whose sign decides whether
-    /// the acquire happened (`got = readSegments(...)`).
-    std::map<std::string, std::string> guard;
-    std::set<std::string> posKnown; ///< proven > 0
-    std::set<std::string> zeroInit; ///< last assigned literal 0
-    bool dead = false;              ///< contradictory branch facts
-};
-
-/// Container-handoff callees that transfer ownership of an argument.
-const std::set<std::string> &
-escapeSinks()
-{
-    static const std::set<std::string> s = {
-        "push_back", "emplace_back", "insert", "emplace", "assign",
-    };
-    return s;
-}
-
-class OwnershipPass
-{
-  public:
-    explicit OwnershipPass(CallGraph &cg)
-        : cg_(cg), prog_(cg.program())
-    {
-    }
-
-    std::vector<Finding>
-    run()
-    {
-        for (std::size_t i = 0; i < prog_.functions.size(); ++i) {
-            const Function &fn = prog_.functions[i];
-            if (fn.isLambda || fn.parent >= 0 ||
-                fn.bodyEnd <= fn.bodyBegin + 1)
-                continue;
-            analyze(static_cast<int>(i));
-        }
-        sortFindings(findings_);
-        return std::move(findings_);
-    }
-
-    // --- PathWalker client interface -------------------------------
-    void
-    onSimple(const FlowStmt &s, OwnState &st)
-    {
-        processSpan(s.begin, s.end, st, false);
-    }
-
-    void
-    onCondition(const FlowStmt &s, OwnState &st)
-    {
-        processSpan(s.condBegin, s.condEnd, st, false);
-    }
-
-    void
-    onBranch(const FlowStmt &s, bool sense, OwnState &st)
-    {
-        const auto facts =
-            parseCondFacts(*toks_, s.condBegin, s.condEnd, sense);
-        for (const CondFact &f : facts)
-            applyFact(f, st);
-    }
-
-    void
-    onRangeFor(const FlowStmt &s, OwnState &st)
-    {
-        if (s.loopVar.empty())
-            return;
-        const std::string key = resolve(st, s.rangeRoot);
-        if (!key.empty())
-            st.alias[s.loopVar] = key;
-    }
-
-    void
-    onExit(const FlowStmt *s, ExitKind kind, OwnState &st,
-           const std::vector<PathStep> &trace)
-    {
-        if (st.dead || kind == ExitKind::InfiniteLoop ||
-            st.live.empty())
-            return;
-        // A resource whose root appears in the return (or throw)
-        // value transfers to the caller.
-        if (s != nullptr) {
-            for (std::size_t j = s->begin; j < s->end; ++j) {
-                if (!isId((*toks_)[j]))
-                    continue;
-                const std::string key =
-                    resolve(st, (*toks_)[j].text);
-                if (!key.empty())
-                    st.live.erase(key);
-            }
-        }
-        const int exitLine =
-            s != nullptr ? s->line : (*toks_)[fn_->bodyEnd].line;
-        const char *how = kind == ExitKind::Return ? "return"
-                          : kind == ExitKind::Throw
-                              ? "throw"
-                              : "end of function";
-        for (const auto &[var, res] : st.live) {
-            const std::string key = path_ + ":" +
-                                    std::to_string(res.line) + ":" +
-                                    resRule(res.kind);
-            if (!reported_.insert(key).second)
-                continue;
-            Finding f;
-            f.path = path_;
-            f.line = res.line;
-            f.rule = resRule(res.kind);
-            f.message = std::string(resKindName(res.kind)) + " '" +
-                        var + "' acquired in " + fn_->qualName +
-                        " leaks on a path ending at line " +
-                        std::to_string(exitLine) + " (" + how +
-                        ") without " + resReleaseName(res.kind);
-            f.witness.push_back(fmtStep(
-                path_, res.line,
-                std::string("acquired ") + resKindName(res.kind) +
-                    " '" + var + "' here"));
-            appendTrace(f.witness, trace);
-            f.witness.push_back(fmtStep(
-                path_, exitLine,
-                std::string("path ends (") + how + ") with '" + var +
-                    "' unreleased"));
-            findings_.push_back(std::move(f));
-        }
-    }
-
-  private:
-    void
-    analyze(int fnIdx)
-    {
-        fn_ = &prog_.functions[static_cast<std::size_t>(fnIdx)];
-        toks_ = &prog_.fileOf(*fn_).tokens;
-        path_ = prog_.fileOf(*fn_).path;
-        calls_ = collectCalls(prog_, fnIdx);
-        const FlowTree tree = lowerFunction(prog_, fnIdx);
-        PathWalker<OwnState, OwnershipPass> walker(tree, *this, 200);
-        walker.run(OwnState{});
-    }
-
-    void
-    appendTrace(std::vector<std::string> &witness,
-                const std::vector<PathStep> &trace) const
-    {
-        // Keep the witness compact: first and last few decisions.
-        const std::size_t n = trace.size();
-        for (std::size_t j = 0; j < n; ++j) {
-            if (n > 6 && j == 3) {
-                witness.push_back("    ...");
-                j = n - 3;
-            }
-            witness.push_back(fmtStep(path_, trace[j].line,
-                                      trace[j].sense
-                                          ? "branch taken"
-                                          : "branch not taken"));
-        }
-    }
-
-    /// Resolve a name through aliases to a live-resource key ("" if
-    /// it doesn't name a live resource).
-    std::string
-    resolve(const OwnState &st, const std::string &name) const
-    {
-        if (name.empty())
-            return "";
-        auto a = st.alias.find(name);
-        const std::string &key =
-            a != st.alias.end() ? a->second : name;
-        return st.live.count(key) != 0 ? key : "";
-    }
-
-    void
-    release(OwnState &st, const std::string &key)
-    {
-        st.live.erase(key);
-    }
-
-    void
-    processSpan(std::size_t b, std::size_t e, OwnState &st,
-                bool isReturn)
-    {
-        if (st.dead || b >= e)
-            return;
-        forCallsIn(calls_, b, e, [&](const CallSite &cs) {
-            if (cs.callee == "GENESYS_ASSERT") {
-                // The asserted condition holds from here on: sign
-                // facts (`got > 0`) feed guard confirmation and the
-                // zero-iteration infeasibility check.
-                const auto spans = argSpans(*toks_, cs);
-                if (!spans.empty())
-                    for (const CondFact &f :
-                         parseCondFacts(*toks_, spans[0].first,
-                                        spans[0].second, true))
-                        applyFact(f, st);
-                return;
-            }
-            handleRelease(cs, st);
-            if (!isReturn)
-                handleAcquire(cs, b, st);
-        });
-        handleAssign(b, e, st);
-    }
-
-    void
-    handleRelease(const CallSite &cs, OwnState &st)
-    {
-        auto releaseArgRoot = [&](ResKind kind) {
-            for (std::size_t p = 0; p < cs.argRoots.size(); ++p) {
-                const std::string key = resolve(st, cs.argRoots[p]);
-                if (key.empty())
-                    continue;
-                if (st.live[key].kind == kind) {
-                    release(st, key);
-                    return true;
-                }
-            }
-            return false;
-        };
-        if (cs.callee == "close") {
-            if (!cs.argRoots.empty()) {
-                const std::string key = resolve(st, cs.argRoots[0]);
-                if (!key.empty() &&
-                    (st.live[key].kind == ResKind::Fd ||
-                     st.live[key].kind == ResKind::Epoll))
-                    release(st, key);
-            }
-            return;
-        }
-        if (cs.callee == "tryPublish") {
-            releaseArgRoot(ResKind::RingClaim);
-            return;
-        }
-        if (cs.callee == "complete") {
-            const std::string key = resolve(st, cs.receiver);
-            if (!key.empty() && st.live[key].kind == ResKind::Slot)
-                release(st, key);
-            return;
-        }
-        if (escapeSinks().count(cs.callee) != 0) {
-            releaseArgRoot(ResKind::NetSeg);
-            releaseArgRoot(ResKind::Fd);
-            return;
-        }
-        if (cs.callee == "ctl") {
-            for (std::size_t p = 0; p < cs.args.size(); ++p) {
-                if (cs.args[p].rfind("EPOLL_CTL_DEL", 0) != 0)
-                    continue;
-                const std::string key =
-                    p + 1 < cs.argRoots.size()
-                        ? resolve(st, cs.argRoots[p + 1])
-                        : std::string();
-                if (!key.empty() &&
-                    st.live[key].kind == ResKind::Epoll)
-                    release(st, key);
-                return;
-            }
-            return;
-        }
-        // std::move(x) into any call transfers ownership.
-        for (std::size_t p = 0; p < cs.argRoots.size(); ++p) {
-            const std::string key = resolve(st, cs.argRoots[p]);
-            if (key.empty())
-                continue;
-            const auto spans = argSpans(*toks_, cs);
-            if (p < spans.size() &&
-                spanHasIdent(*toks_, spans[p].first, spans[p].second,
-                             "move"))
-                release(st, key);
-        }
-        // Callee-release summary: does the callee release this
-        // argument (transitively)?
-        for (std::size_t p = 0; p < cs.argRoots.size(); ++p) {
-            const std::string key = resolve(st, cs.argRoots[p]);
-            if (key.empty())
-                continue;
-            const ResKind kind = st.live[key].kind;
-            for (int def : cg_.resolveDefs(cs)) {
-                if (calleeReleasesParam(def, static_cast<int>(p),
-                                        kind, 3)) {
-                    release(st, key);
-                    break;
-                }
-            }
-        }
-    }
-
-    void
-    handleAcquire(const CallSite &cs, std::size_t spanBegin,
-                  OwnState &st)
-    {
-        auto bind = [&](ResKind kind, const std::string &var,
-                        bool conditional,
-                        const std::string &guardVar) {
-            if (var.empty())
-                return;
-            Res r;
-            r.kind = kind;
-            r.var = var;
-            r.line = cs.line;
-            r.conditional = conditional;
-            st.live[var] = r;
-            st.alias.erase(var);
-            if (!guardVar.empty() && guardVar != var)
-                st.guard[guardVar] = var;
-        };
-        if (cs.callee == "allocate" && cs.receiver == "fds") {
-            bind(ResKind::Fd,
-                 boundVarBefore(*toks_, spanBegin, cs.tokenIndex),
-                 false, "");
-            return;
-        }
-        if (cs.callee == "tryClaim") {
-            bind(ResKind::RingClaim,
-                 boundVarBefore(*toks_, spanBegin, cs.tokenIndex),
-                 true, "");
-            return;
-        }
-        if (cs.callee == "beginProcessing" && !cs.receiver.empty()) {
-            const std::string bound =
-                boundVarBefore(*toks_, spanBegin, cs.tokenIndex);
-            bind(ResKind::Slot, cs.receiver, true, bound);
-            return;
-        }
-        if (cs.callee == "readSegments" && !cs.argRoots.empty() &&
-            !cs.argRoots[0].empty()) {
-            const std::string bound =
-                boundVarBefore(*toks_, spanBegin, cs.tokenIndex);
-            bind(ResKind::NetSeg, cs.argRoots[0], true, bound);
-            return;
-        }
-        if (cs.callee == "ctl") {
-            for (std::size_t p = 0; p < cs.args.size(); ++p) {
-                if (cs.args[p].rfind("EPOLL_CTL_ADD", 0) != 0)
-                    continue;
-                const std::string key =
-                    p + 1 < cs.argRoots.size() ? cs.argRoots[p + 1]
-                                               : std::string();
-                bind(ResKind::Epoll,
-                     key.empty() ? cs.receiver : key, false, "");
-                return;
-            }
-        }
-    }
-
-    void
-    handleAssign(std::size_t b, std::size_t e, OwnState &st)
-    {
-        const auto [eq, compound] = findAssign(*toks_, b, e);
-        if (eq >= e || compound)
-            return;
-        const std::string lhs = lhsVar(*toks_, b, eq);
-        if (lhs.empty()) {
-            // Member/subscript store: a tracked resource on the rhs
-            // escapes into an owner.
-            for (std::size_t j = eq + 1; j < e; ++j) {
-                if (!isId((*toks_)[j]))
-                    continue;
-                const std::string key =
-                    resolve(st, (*toks_)[j].text);
-                if (!key.empty())
-                    release(st, key);
-            }
-            // `segs[i] = NetSeg{}`: a subscript store INTO the loan
-            // container overwrites that slot, dropping its loan by
-            // hand (the gkv zero-copy reclaim idiom).
-            for (std::size_t j = b; j + 1 < eq; ++j) {
-                if (!isId((*toks_)[j]) || !isP((*toks_)[j + 1], "["))
-                    continue;
-                const std::string key =
-                    resolve(st, (*toks_)[j].text);
-                if (!key.empty() &&
-                    st.live[key].kind == ResKind::NetSeg)
-                    release(st, key);
-            }
-            return;
-        }
-        // Literal-zero inits feed the loop-infeasibility check.
-        if (e == eq + 2 && (*toks_)[eq + 1].kind == TokKind::Number &&
-            (*toks_)[eq + 1].text == "0")
-            st.zeroInit.insert(lhs);
-        else
-            st.zeroInit.erase(lhs);
-        // `auto &seg = segs[i]` aliases the element to the resource.
-        if (st.live.count(lhs) == 0) {
-            const std::string rhsRoot = spanRoot(*toks_, eq + 1, e);
-            const std::string key = resolve(st, rhsRoot);
-            if (!key.empty() && key != lhs)
-                st.alias[lhs] = key;
-            else
-                st.alias.erase(lhs);
-        }
-    }
-
-    void
-    applyFact(const CondFact &f, OwnState &st)
-    {
-        if (st.dead)
-            return;
-        // Call-atom: `if (!slot.beginProcessing())` — the receiver's
-        // acquire is decided by this edge.
-        if (!f.callCallee.empty() &&
-            f.callCallee == "beginProcessing") {
-            const std::string key = resolve(st, f.callReceiver);
-            if (!key.empty() && st.live[key].conditional) {
-                if (f.kind == CondFact::Kind::Falsy)
-                    release(st, key);
-                else if (f.kind == CondFact::Kind::Truthy)
-                    st.live[key].conditional = false;
-            }
-            return;
-        }
-        // Guard variables decide the acquire they guard.
-        std::string target = resolve(st, f.subject);
-        auto g = st.guard.find(f.subject);
-        if (target.empty() && g != st.guard.end() &&
-            st.live.count(g->second) != 0)
-            target = g->second;
-        if (!target.empty() && st.live[target].conditional) {
-            switch (f.kind) {
-            case CondFact::Kind::Falsy:
-                release(st, target);
-                break;
-            case CondFact::Kind::Truthy:
-                st.live[target].conditional = false;
-                break;
-            case CondFact::Kind::Cmp:
-                if (f.rhsIsZero &&
-                    (f.op == "<" || f.op == "<=" || f.op == "=="))
-                    release(st, target); // error/empty result
-                else if (f.rhsIsZero &&
-                         (f.op == ">" || f.op == ">="))
-                    st.live[target].conditional = false;
-                break;
-            }
-        }
-        // Sign facts and path infeasibility.
-        if (f.kind == CondFact::Kind::Cmp && f.rhsIsZero &&
-            f.op == ">")
-            st.posKnown.insert(f.subject);
-        if (f.kind == CondFact::Kind::Cmp &&
-            st.posKnown.count(f.subject) != 0 && f.rhsIsZero &&
-            (f.op == "<" || f.op == "<=" || f.op == "=="))
-            st.dead = true; // contradicts subject > 0
-        if (f.kind == CondFact::Kind::Falsy &&
-            st.posKnown.count(f.subject) != 0)
-            st.dead = true;
-        // Zero-init loop counter vs a proven-positive bound: the
-        // zero-iteration edge `i >= got` with i == 0 and got > 0 is
-        // infeasible (the recvmsg loan-distribution loop).
-        if (f.kind == CondFact::Kind::Cmp && f.op == ">=" &&
-            st.zeroInit.count(f.subject) != 0 &&
-            st.posKnown.count(f.rhsRoot) != 0)
-            st.dead = true;
-        if (f.kind == CondFact::Kind::Cmp && f.op == "<=" &&
-            st.posKnown.count(f.subject) != 0 &&
-            st.zeroInit.count(f.rhsRoot) != 0)
-            st.dead = true;
-    }
-
-    /// Does functions[def] release parameter @p paramIdx of kind
-    /// @p kind on some path (a may-release used to credit the
-    /// caller)? Transitive through simple argument forwarding.
-    bool
-    calleeReleasesParam(int def, int paramIdx, ResKind kind,
-                        int depth)
-    {
-        if (depth <= 0)
-            return false;
-        const Function &fn =
-            prog_.functions[static_cast<std::size_t>(def)];
-        if (paramIdx < 0 ||
-            paramIdx >= static_cast<int>(fn.params.size()))
-            return false;
-        const std::string &p =
-            fn.params[static_cast<std::size_t>(paramIdx)];
-        if (p.empty())
-            return false;
-        const auto memoKey = std::make_tuple(def, paramIdx,
-                                             static_cast<int>(kind));
-        auto it = releaseMemo_.find(memoKey);
-        if (it != releaseMemo_.end())
-            return it->second;
-        releaseMemo_[memoKey] = false; // recursion guard
-        bool releases = false;
-        for (const CallSite &c : fn.calls) {
-            const bool onParam =
-                (!c.argRoots.empty() && c.argRoots[0] == p) ||
-                c.receiver == p;
-            if (onParam) {
-                if ((kind == ResKind::Fd && c.callee == "close") ||
-                    (kind == ResKind::RingClaim &&
-                     c.callee == "tryPublish") ||
-                    (kind == ResKind::Slot && c.callee == "complete" &&
-                     c.receiver == p) ||
-                    (kind == ResKind::NetSeg &&
-                     escapeSinks().count(c.callee) != 0)) {
-                    releases = true;
-                    break;
-                }
-            }
-            for (std::size_t q = 0; q < c.argRoots.size() && !releases;
-                 ++q) {
-                if (c.argRoots[q] != p)
-                    continue;
-                for (int sub : cg_.resolveDefs(c)) {
-                    if (calleeReleasesParam(sub,
-                                            static_cast<int>(q), kind,
-                                            depth - 1)) {
-                        releases = true;
-                        break;
-                    }
-                }
-            }
-            if (releases)
-                break;
-        }
-        releaseMemo_[memoKey] = releases;
-        return releases;
-    }
-
-    CallGraph &cg_;
-    const Program &prog_;
-    const Function *fn_ = nullptr;
-    const std::vector<Token> *toks_ = nullptr;
-    std::string path_;
-    std::vector<const CallSite *> calls_;
-    std::vector<Finding> findings_;
-    std::set<std::string> reported_;
-    std::map<std::tuple<int, int, int>, bool> releaseMemo_;
-};
 
 // ====================================================================
 // Taint pass
@@ -928,20 +283,9 @@ class TaintPass
     }
 
     void
-    onRangeFor(const FlowStmt &s, TaintState &st)
+    onExit(const FlowStmt &s, TaintState &st)
     {
-        (void)s;
-        (void)st;
-    }
-
-    void
-    onExit(const FlowStmt *s, ExitKind kind, TaintState &st,
-           const std::vector<PathStep> &trace)
-    {
-        (void)kind;
-        (void)trace;
-        if (s != nullptr && s->begin < s->end)
-            scanSinks(s->begin, s->end, st);
+        scanSinks(s.begin, s.end, st);
     }
 
   private:
@@ -1628,13 +972,6 @@ class TaintPass
 };
 
 } // namespace
-
-std::vector<Finding>
-runOwnershipPass(CallGraph &cg)
-{
-    OwnershipPass pass(cg);
-    return pass.run();
-}
 
 std::vector<Finding>
 runTaintPass(CallGraph &cg)

@@ -1,23 +1,12 @@
 /**
  * @file
- * gflow's dataflow passes (DESIGN.md §16).
- *
- * Two pass families over the PathWalker:
- *
- *  - runOwnershipPass: resource-lifecycle / must-release checking.
- *    Acquire sites (fd allocation, ring claim, slot beginProcessing,
- *    zero-copy segment loans, epoll interest registration) must reach
- *    a matching release on every path that ends the function; a path
- *    that returns, throws, or falls off the end with a live resource
- *    is reported with the acquire site and the branch decisions that
- *    led there as witness.
- *
- *  - runTaintPass: GPU-argument taint. Slot/ring payload reads
- *    (`args.a[i]`, `args.as<T>(i)`, SQ ring entries, loads through
- *    `args.ptr<T>(i)` windows) are untrusted; flows into memory-op
- *    sizes, allocation sizes, container indexing, or GPU-window walks
- *    with no dominating bounds guard are reported, including through
- *    calls via bottom-up parameter summaries.
+ * gflow's dataflow pass (DESIGN.md §16): GPU-argument taint over the
+ * PathWalker. Slot/ring payload reads (`args.a[i]`, `args.as<T>(i)`,
+ * SQ ring entries, loads through `args.ptr<T>(i)` windows) are
+ * untrusted; flows into memory-op sizes, allocation sizes, container
+ * indexing, or GPU-window walks with no dominating bounds guard are
+ * reported, including through calls via bottom-up parameter
+ * summaries.
  */
 
 #ifndef GENESYS_ANALYSIS_FLOWPASSES_HH
@@ -30,9 +19,6 @@
 
 namespace genesys::analysis
 {
-
-/** Must-release resource-lifecycle pass. */
-std::vector<Finding> runOwnershipPass(CallGraph &cg);
 
 /** GPU-argument taint pass. */
 std::vector<Finding> runTaintPass(CallGraph &cg);

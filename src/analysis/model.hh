@@ -36,7 +36,7 @@ struct CallSite
     /// Receiver identifier for member calls: the `x` of `x.f(...)` /
     /// `x->f(...)`. When the receiver is itself a call chain
     /// (`p.fds().allocate(...)`), the name of the innermost call
-    /// ("fds") — enough for the flow passes to recognize the API
+    /// ("fds") — enough for the taint pass to recognize the API
     /// without a type system. Empty for free calls.
     std::string receiver;
     int line = 0;
@@ -48,16 +48,6 @@ struct CallSite
     /// Number of top-level arguments spelled at the site, for
     /// arity-refined resolution; -1 when the list was unparseable.
     int argCount = -1;
-    /// Per-position arguments: the spelled name when the argument is
-    /// a single identifier or number token, "" for anything richer.
-    std::vector<std::string> args;
-    /// Per-position argument root: the identifier an argument
-    /// expression is "about" — `*base` and `base` root at "base",
-    /// `segs.data()` and `std::move(seg.data)` at "segs"/"seg",
-    /// `fd + 1` at "fd". "" when no plausible root exists. The flow
-    /// passes use roots to follow a resource or a tainted value
-    /// through a call boundary.
-    std::vector<std::string> argRoots;
 };
 
 /** An `entries_[...]` access, classified read vs write. */

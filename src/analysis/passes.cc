@@ -552,7 +552,6 @@ runAllPasses(const Program &prog)
     };
     append(runMayParkPass(cg));
     append(runOrderingPass(prog));
-    append(runOwnershipPass(cg));
     append(runTaintPass(cg));
     sortFindings(findings);
     return findings;

@@ -1,8 +1,8 @@
 /**
  * @file
- * gstat's structural analysis passes (DESIGN.md §14). The two gflow
- * dataflow passes (ownership, GPU taint — DESIGN.md §16) are declared
- * in flowpasses.hh; runAllPasses runs all four.
+ * gstat's structural analysis passes (DESIGN.md §14). The gflow
+ * GPU-taint dataflow pass (DESIGN.md §16) is declared in
+ * flowpasses.hh; runAllPasses runs all three.
  *
  * 1. May-park (`nonblocking-handler-parks`, `drain-loop-park`):
  *    transitive reachability to parking primitives over synchronous

@@ -39,16 +39,13 @@ struct CorpusCase
 };
 
 // Rules whose findings must carry a witness (an interprocedural call
-// chain, or a gflow path trace from acquire/source to exit/sink).
+// chain, or a gflow source-to-sink trace).
 const std::set<std::string> &
 witnessRules()
 {
     static const std::set<std::string> rules = {
-        "nonblocking-handler-parks", "drain-loop-park",
-        "must-release-fd", "must-release-ring-claim",
-        "must-release-slot", "must-release-netseg",
-        "must-release-epoll", "gpu-taint-mem", "gpu-taint-alloc",
-        "gpu-taint-index", "gpu-taint-window"};
+        "nonblocking-handler-parks", "drain-loop-park", "gpu-taint-mem",
+        "gpu-taint-alloc", "gpu-taint-index", "gpu-taint-window"};
     return rules;
 }
 
@@ -479,190 +476,6 @@ struct Q
 };
 )src"}},
          {{"unpaired-release", 1}, {"raw-rand", 3}}});
-
-    // ---- gflow: fd lifecycle ----------------------------------------
-    cases.push_back(
-        {"flow-fd-lifecycle",
-         {{"corpus/flow_fd.cc", R"src(
-long
-leakOnError(Proc &p, File f, bool bad)
-{
-    const int fd = p.fds().allocate(f);
-    if (bad)
-        return -1; // seeded defect: fd leaks on the error path
-    p.fds().close(fd);
-    return fd;
-}
-
-long
-closedOnAllPaths(Proc &p, File f, bool bad)
-{
-    const int fd = p.fds().allocate(f);
-    if (bad) {
-        p.fds().close(fd);
-        return -1; // negative: error path closes first
-    }
-    p.fds().close(fd);
-    return 0;
-}
-
-long
-transferred(Proc &p, File f)
-{
-    return p.fds().allocate(f); // negative: ownership moves up
-}
-
-void
-shutdownFd(Proc &p, int fd)
-{
-    p.fds().close(fd);
-}
-
-long
-releasedViaHelper(Proc &p, File f)
-{
-    const int fd = p.fds().allocate(f);
-    shutdownFd(p, fd); // negative: the helper closes it
-    return 0;
-}
-)src"}},
-         {{"must-release-fd", 1}}});
-
-    // ---- gflow: ring claim ------------------------------------------
-    cases.push_back(
-        {"flow-ring-claim",
-         {{"corpus/flow_claim.cc", R"src(
-struct CompletionRing
-{
-    std::optional<unsigned long> tryClaim(unsigned long n,
-                                          unsigned long head);
-    unsigned long loadHeadAcquire() const;
-    void writeEntry(unsigned long pos, unsigned v);
-    bool tryPublish(unsigned long base, unsigned long n);
-};
-
-bool
-claimDroppedOnThrow(CompletionRing &cq, unsigned v, bool full)
-{
-    auto base = cq.tryClaim(1, cq.loadHeadAcquire());
-    if (!base)
-        return false; // negative edge: the claim never happened
-    cq.writeEntry(*base, v);
-    if (full)
-        throw RingOverflow{}; // seeded defect: claimed, not published
-    cq.tryPublish(*base, 1);
-    return true;
-}
-
-bool
-publishedOnAllPaths(CompletionRing &cq, unsigned v)
-{
-    auto base = cq.tryClaim(1, cq.loadHeadAcquire());
-    if (!base)
-        return false;
-    cq.writeEntry(*base, v);
-    cq.tryPublish(*base, 1); // negative: straight-line publish
-    return true;
-}
-)src"}},
-         {{"must-release-ring-claim", 1}}});
-
-    // ---- gflow: slot FSM --------------------------------------------
-    cases.push_back(
-        {"flow-slot-fsm",
-         {{"corpus/flow_slot.cc", R"src(
-sim::Task<bool>
-abandonedSlot(SyscallSlot &slot, bool fail)
-{
-    if (!slot.beginProcessing())
-        co_return false; // negative edge: never acquired
-    const long ret = runHandler(slot);
-    if (fail)
-        co_return false; // seeded defect: slot never completed
-    slot.complete(ret);
-    co_return true;
-}
-
-sim::Task<bool>
-completedSlot(SyscallSlot &slot, bool fail)
-{
-    if (!slot.beginProcessing())
-        co_return false;
-    const long ret = runHandler(slot);
-    if (fail) {
-        slot.complete(-4); // negative: error path completes too
-        co_return false;
-    }
-    slot.complete(ret);
-    co_return true;
-}
-)src"}},
-         {{"must-release-slot", 1}}});
-
-    // ---- gflow: zero-copy segment loans -----------------------------
-    // At the syscall layer's path: an audited segment-loan caller.
-    cases.push_back(
-        {"flow-netseg-loan",
-         {{"corpus/osk/syscalls.cc", R"src(
-sim::Task<long>
-loanDropped(TcpSocket *sock, OpenFile *file)
-{
-    std::vector<NetSeg> segs(16);
-    const auto got = co_await sock->readSegments(segs.data(), 16);
-    if (got <= 0)
-        co_return got; // negative edge: nothing was loaned
-    if (got > 8)
-        co_return -1; // seeded defect: loaned segments dropped
-    for (int i = 0; i < got; ++i) {
-        auto &seg = segs[i];
-        file->loanedSegs.push_back(std::move(seg.data));
-    }
-    co_return got;
-}
-
-sim::Task<long>
-loanDistributed(TcpSocket *sock, OpenFile *file)
-{
-    std::vector<NetSeg> segs(16);
-    const auto got = co_await sock->readSegments(segs.data(), 16);
-    if (got <= 0)
-        co_return got;
-    for (int i = 0; i < got; ++i) {
-        auto &seg = segs[i];
-        file->loanedSegs.push_back(std::move(seg.data));
-    }
-    co_return got; // negative: every loan reached an owner
-}
-)src"}},
-         {{"must-release-netseg", 1}}});
-
-    // ---- gflow: epoll interest registration -------------------------
-    cases.push_back(
-        {"flow-epoll-interest",
-         {{"corpus/flow_epoll.cc", R"src(
-long
-interestLeaked(EpollInstance &ep, OpenFile *target, bool fail)
-{
-    ep.ctl(EPOLL_CTL_ADD_, target, 7);
-    if (fail)
-        return -1; // seeded defect: interest never deregistered
-    ep.ctl(EPOLL_CTL_DEL_, target, 0);
-    return 0;
-}
-
-long
-interestBalanced(EpollInstance &ep, OpenFile *target, bool fail)
-{
-    ep.ctl(EPOLL_CTL_ADD_, target, 7);
-    if (fail) {
-        ep.ctl(EPOLL_CTL_DEL_, target, 0); // negative: balanced
-        return -1;
-    }
-    ep.ctl(EPOLL_CTL_DEL_, target, 0);
-    return 0;
-}
-)src"}},
-         {{"must-release-epoll", 1}}});
 
     // ---- gflow: taint into memory ops -------------------------------
     cases.push_back(

@@ -211,12 +211,9 @@ InterruptBackend::ringServiceChunk(std::uint32_t shard,
     // poller-thread shape, DESIGN.md §13).
     co_await sim::Delay(kernel.sim().events(),
                         osk_params.workqueueEnqueue);
-    co_await core_.serviceRingEntry(shard, first, servicer,
-                                    ServiceCore::ScanPolicy{});
-    for (std::uint32_t item : rest) {
-        co_await core_.serviceRingEntry(shard, item, servicer,
-                                        ServiceCore::ScanPolicy{});
-    }
+    co_await core_.serviceRingEntry(shard, first, servicer);
+    for (std::uint32_t item : rest)
+        co_await core_.serviceRingEntry(shard, item, servicer);
     kernel.cpus().releaseCore();
     GENESYS_ASSERT(inFlight_ > 0, "in-flight underflow");
     --inFlight_;

@@ -75,11 +75,7 @@ PollingDaemonBackend::daemonLoop(std::uint32_t shard)
     const std::uint32_t lanes = area.wavefrontSize();
     // Daemons pay the user/kernel crossing per call and hold their
     // core across the whole sweep (no release around blocking calls).
-    const ServiceCore::ScanPolicy policy{
-        .chargeSyscallBase = true,
-        .releaseCoreOnBlocking = false,
-        .tracePerCall = false,
-    };
+    constexpr bool kDaemon = true;
     // The final iteration after requestStop() still sweeps once, so
     // requests published while the stop raced in are not stranded.
     bool last_sweep = false;
@@ -94,7 +90,7 @@ PollingDaemonBackend::daemonLoop(std::uint32_t shard)
             // shard SQ and bulk-service the published entries rather
             // than sweeping every slot; completions ride the CQ, so
             // waiters never need a wakeup from this loop.
-            const int n = co_await core_.serviceRing(shard, actor, policy);
+            const int n = co_await core_.serviceRing(shard, actor, kDaemon);
             any = n > 0;
         } else {
             // The cursor visits Ready slots in index order, as a scan
@@ -105,7 +101,7 @@ PollingDaemonBackend::daemonLoop(std::uint32_t shard)
             for (std::uint32_t i = area.nextReady(first, end); i < end;
                  i = area.nextReady(i + 1, end)) {
                 const bool did = co_await core_.serviceSlot(
-                    area.slot(i), actor, i / lanes, i % lanes, policy);
+                    area.slot(i), actor, i / lanes, i % lanes, kDaemon);
                 any = any || did;
             }
         }
@@ -129,7 +125,7 @@ sim::Task<>
 PollingDaemonBackend::drain()
 {
     // The daemon has no in-flight counter; poll area quiescence
-    // (including, in ring mode, unconsumed SQ entries).
+    // (including, in ring mode, claimed or unconsumed SQ entries).
     while (!core_.area().quiescent() || !core_.area().ringsIdle())
         co_await sim::Delay(core_.kernel().sim().events(),
                             ticks::us(10));

@@ -60,7 +60,7 @@ ServiceCore::executeSlotCall(const SyscallSlot &slot)
 sim::Task<bool>
 ServiceCore::serviceSlot(SyscallSlot &slot, std::uint32_t servicer,
                          std::uint32_t hw_wave_slot, std::uint32_t lane,
-                         ScanPolicy policy)
+                         bool daemon)
 {
     const bool san = gsan_ != nullptr && gsan_->enabled() &&
                      servicer != gsan::Sanitizer::kNoThread;
@@ -68,7 +68,7 @@ ServiceCore::serviceSlot(SyscallSlot &slot, std::uint32_t servicer,
         gsan_->setActor(servicer);
     if (!slot.beginProcessing())
         co_return false;
-    if (policy.chargeSyscallBase) {
+    if (daemon) {
         // Thunking into the kernel costs a user/kernel crossing
         // beyond the syscall itself (Section IX, related work).
         co_await sim::Delay(kernel_.sim().events(),
@@ -79,14 +79,13 @@ ServiceCore::serviceSlot(SyscallSlot &slot, std::uint32_t servicer,
     // decision is fd-aware: write to a regular file never parks, so
     // the core is kept; write to a full pipe or stream window parks,
     // so it is released.
-    const bool may_block =
-        policy.releaseCoreOnBlocking && mayParkIndefinitely(slot);
+    const bool may_block = !daemon && mayParkIndefinitely(slot);
     if (may_block)
         kernel_.cpus().releaseCore();
     const std::int64_t ret = co_await executeSlotCall(slot);
     if (may_block)
         co_await kernel_.cpus().acquireCore();
-    if (policy.tracePerCall) {
+    if (!daemon) {
         GENESYS_TRACE(kernel_.sim(), "syscall",
                       "wave %u lane %u: %s -> %lld", hw_wave_slot, lane,
                       osk::syscallName(slot.sysno()).c_str(),
@@ -94,6 +93,7 @@ ServiceCore::serviceSlot(SyscallSlot &slot, std::uint32_t servicer,
     }
     const bool wake = slot.blocking() &&
                       slot.waitMode() == WaitMode::HaltResume;
+    const bool wake_early = wake && params_.gsanTest.wakeBeforeComplete;
     // Read the requester id BEFORE complete(): completing a
     // blocking slot publishes Finished, after which the GPU may
     // consume and even recycle the slot under a new requester —
@@ -102,7 +102,7 @@ ServiceCore::serviceSlot(SyscallSlot &slot, std::uint32_t servicer,
     const std::uint32_t requester = slot.hwWaveSlot();
     if (san)
         gsan_->setActor(servicer);
-    if (wake && params_.gsanTest.wakeBeforeComplete) {
+    if (wake_early) {
         // Seeded bug (gmc mutant): wake the halted requester before
         // the result lands, yielding so the woken wave can observe the
         // still-Processing slot and halt again — the complete() below
@@ -111,15 +111,11 @@ ServiceCore::serviceSlot(SyscallSlot &slot, std::uint32_t servicer,
         co_await sim::Delay(kernel_.sim().events(), 0);
         if (san)
             gsan_->setActor(servicer);
-        slot.complete(ret);
-        ++processed_;
-        area_.noteProcessed(area_.shardOfWave(requester));
-        co_return true;
     }
     slot.complete(ret);
     ++processed_;
     area_.noteProcessed(area_.shardOfWave(requester));
-    if (wake)
+    if (wake && !wake_early)
         gpu_.resumeWave(requester);
     co_return true;
 }
@@ -128,19 +124,7 @@ void
 ServiceCore::postCompletion(std::uint32_t shard,
                             std::uint32_t item_slot)
 {
-    SyscallRing &cq = area_.cq(shard);
-    auto base = cq.tryClaim(1, cq.loadHeadAcquire());
-    if (!base) {
-        // Lossy overflow: the completion signal is the monotone tail
-        // counter, so dropping the oldest un-reaped payload is safe
-        // (DESIGN.md §13) — waiters sweep their own slot states.
-        cq.reclaimOldest();
-        base = cq.tryClaim(1, cq.loadHeadAcquire());
-    }
-    cq.writeEntry(*base, item_slot);
-    const bool ok = cq.tryPublish(*base, 1);
-    GENESYS_ASSERT(ok, "CQ publish raced: shard %u has multiple "
-                       "completion posters", shard);
+    area_.cq(shard).postLossy(item_slot);
     ++cqPosted_;
 }
 
@@ -166,8 +150,7 @@ ServiceCore::tryPopRingEntry(std::uint32_t shard,
 sim::Task<int>
 ServiceCore::serviceRingEntry(std::uint32_t shard,
                               std::uint32_t item_slot,
-                              std::uint32_t servicer,
-                              ScanPolicy policy)
+                              std::uint32_t servicer, bool daemon)
 {
     const bool san = gsan_ != nullptr && gsan_->enabled() &&
                      servicer != gsan::Sanitizer::kNoThread;
@@ -190,13 +173,13 @@ ServiceCore::serviceRingEntry(std::uint32_t shard,
         if (san)
             gsan_->setActor(servicer);
         co_return co_await serviceSlot(slot, servicer, wave, lane,
-                                       policy)
+                                       daemon)
             ? 1
             : 0;
     }
 
     const bool did =
-        co_await serviceSlot(slot, servicer, wave, lane, policy);
+        co_await serviceSlot(slot, servicer, wave, lane, daemon);
     if (did && was_blocking) {
         // The CQ post must happen AFTER the slot's complete()
         // release: waiters elide re-sweeps while the tail is
@@ -211,12 +194,12 @@ ServiceCore::serviceRingEntry(std::uint32_t shard,
 
 sim::Task<int>
 ServiceCore::serviceRing(std::uint32_t shard, std::uint32_t servicer,
-                         ScanPolicy policy)
+                         bool daemon)
 {
     int handled = 0;
     while (auto item = tryPopRingEntry(shard, servicer)) {
         handled +=
-            co_await serviceRingEntry(shard, *item, servicer, policy);
+            co_await serviceRingEntry(shard, *item, servicer, daemon);
     }
     co_return handled;
 }
@@ -236,8 +219,7 @@ ServiceCore::serviceWaveSlots(std::uint32_t hw_wave_slot,
     int handled = 0;
     for (std::uint32_t lane = 0; lane < area_.wavefrontSize(); ++lane) {
         const bool did = co_await serviceSlot(
-            area_.slot(first + lane), servicer, hw_wave_slot, lane,
-            ScanPolicy{});
+            area_.slot(first + lane), servicer, hw_wave_slot, lane);
         if (did)
             ++handled;
     }

@@ -7,8 +7,8 @@
  * each carried their own near-identical slot-scan loop in
  * GenesysHost — and they drifted (the latched-hwWaveSlot fix had to
  * land twice). serviceSlot() is now the single per-slot service step;
- * the backends differ only in the ScanPolicy they pass and in how they
- * discover slots to scan.
+ * the backends differ only in whether they service as a polling daemon
+ * and in how they discover slots to scan.
  */
 
 #ifndef GENESYS_CORE_BACKEND_SERVICE_CORE_HH
@@ -28,20 +28,6 @@ namespace genesys::core
 class ServiceCore
 {
   public:
-    /**
-     * How a backend's scan loop services each slot. The interrupt
-     * path's workers release their CPU core around potentially
-     * indefinitely-blocking calls and trace per call; the daemon pays
-     * the user/kernel crossing (syscallBase) that the interrupt path's
-     * in-kernel worker does not.
-     */
-    struct ScanPolicy
-    {
-        bool chargeSyscallBase = false;
-        bool releaseCoreOnBlocking = true;
-        bool tracePerCall = true;
-    };
-
     ServiceCore(osk::Kernel &kernel, gpu::GpuDevice &gpu,
                 SyscallArea &area, osk::Process &proc,
                 const GenesysParams &params)
@@ -55,13 +41,17 @@ class ServiceCore
      * and wake a halt-resume requester. @p servicer is the gsan thread
      * of the servicing CPU context (kNoThread when the sanitizer is
      * off); @p hw_wave_slot / @p lane only label the trace line.
+     * The interrupt path's in-kernel workers release their CPU core
+     * around potentially indefinitely-blocking calls and trace each
+     * call. A polling @p daemon instead pays the user/kernel crossing
+     * (syscallBase) per call, holds its core across the whole sweep
+     * and does not trace.
      * @return true when a ready slot was handled.
      */
     sim::Task<bool> serviceSlot(SyscallSlot &slot,
                                 std::uint32_t servicer,
                                 std::uint32_t hw_wave_slot,
-                                std::uint32_t lane,
-                                ScanPolicy policy);
+                                std::uint32_t lane, bool daemon = false);
 
     /**
      * Interrupt-path scan: process every ready slot of the signalled
@@ -80,8 +70,7 @@ class ServiceCore
      * consumer per shard at a time. @return entries handled.
      */
     sim::Task<int> serviceRing(std::uint32_t shard,
-                               std::uint32_t servicer,
-                               ScanPolicy policy);
+                               std::uint32_t servicer, bool daemon);
 
     /**
      * Acquire-pop the oldest published SQ entry of @p shard, or
@@ -103,7 +92,7 @@ class ServiceCore
     sim::Task<int> serviceRingEntry(std::uint32_t shard,
                                     std::uint32_t item_slot,
                                     std::uint32_t servicer,
-                                    ScanPolicy policy);
+                                    bool daemon = false);
 
     /** Completion events posted to CQs (ring mode). */
     std::uint64_t cqPosted() const { return cqPosted_; }
@@ -140,10 +129,8 @@ class ServiceCore
     sim::Task<std::int64_t> executeSlotCall(const SyscallSlot &slot);
 
     /**
-     * Post a completion event on @p shard's CQ. The CQ is lossy by
-     * design: on overflow the oldest event is reclaimed, because the
-     * completion signal waiters consume is the monotone tail counter,
-     * not the entry payloads (DESIGN.md §13).
+     * Post a completion event on @p shard's CQ (SyscallRing::postLossy:
+     * on overflow the oldest event is reclaimed, DESIGN.md §13).
      */
     void postCompletion(std::uint32_t shard, std::uint32_t item_slot);
 

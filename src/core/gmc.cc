@@ -400,7 +400,8 @@ checkedRun(System &sys, sim::gmc::ScheduleDriver &driver, const char *run,
     if (area.ringsEnabled() && !area.ringsIdle()) {
         out.kind = "quiescence";
         out.detail =
-            "SQ entries left published but unconsumed after drain";
+            "SQ entries left claimed or published but unconsumed "
+            "after drain";
         return out;
     }
 

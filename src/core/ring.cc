@@ -52,6 +52,22 @@ SyscallRing::tryPublish(std::uint64_t base, std::uint32_t n)
     return true;
 }
 
+void
+SyscallRing::postLossy(std::uint32_t value)
+{
+    auto base = tryClaim(1, loadHeadAcquire());
+    if (!base) {
+        // Lossy overflow: the completion signal is the monotone tail
+        // counter, so dropping the oldest un-reaped payload is safe
+        // (DESIGN.md §13) — waiters sweep their own slot states.
+        reclaimOldest();
+        base = tryClaim(1, loadHeadAcquire());
+    }
+    writeEntry(*base, value);
+    const bool ok = tryPublish(*base, 1);
+    GENESYS_ASSERT(ok, "lossy ring post raced: more than one poster");
+}
+
 std::uint32_t
 SyscallRing::entryAt(std::uint64_t pos) const
 {

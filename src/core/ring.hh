@@ -108,8 +108,8 @@ class SyscallRing : public RingCounters
      * unconsumed entries. @return the base position, or nullopt when
      * the ring (as observed) lacks room.
      */
-    std::optional<std::uint64_t> tryClaim(std::uint32_t n,
-                                          std::uint64_t head_obs);
+    [[nodiscard]] std::optional<std::uint64_t>
+    tryClaim(std::uint32_t n, std::uint64_t head_obs);
 
     /** Fill a claimed entry (plain store; ordered by the publish). */
     void writeEntry(std::uint64_t pos, std::uint32_t value);
@@ -120,6 +120,14 @@ class SyscallRing : public RingCounters
      * claimant has not published yet (caller retries).
      */
     bool tryPublish(std::uint64_t base, std::uint32_t n);
+
+    /**
+     * Lossy post by the ring's single poster (the completion queue):
+     * claim one entry, reclaiming the oldest when the ring is full
+     * (see reclaimOldest()), fill it with @p value and publish it. No
+     * claim outlives the call.
+     */
+    void postLossy(std::uint32_t value);
 
     // ---- consumer protocol ----------------------------------------
     /** Peek a published-but-unconsumed position (bounds-asserted). */

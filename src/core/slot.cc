@@ -243,7 +243,7 @@ bool
 SyscallArea::ringsIdle() const
 {
     for (const auto &sq : sqRings_) {
-        if (!sq.empty())
+        if (sq.claimedInFlight() != 0)
             return false;
     }
     return true;

@@ -93,7 +93,7 @@ class SyscallSlot
 
     /** CPU: atomically take a ready request for processing.
      *  @return false if the slot is not ready. */
-    bool beginProcessing();
+    [[nodiscard]] bool beginProcessing();
 
     /**
      * CPU: deposit the result. Blocking requests go to Finished and
@@ -276,7 +276,8 @@ class SyscallArea
     mem::Addr sqAddr(std::uint32_t shard) const;
     mem::Addr cqAddr(std::uint32_t shard) const;
 
-    /** True when every shard's SQ has no published, unconsumed entry. */
+    /** True when no shard's SQ holds an entry that is claimed (reserved
+     *  or published) and not yet consumed. */
     bool ringsIdle() const;
 
     // --- per-shard ring stats --------------------------------------

@@ -98,7 +98,7 @@ class FdTable
 {
   public:
     /** Allocate the lowest free descriptor for @p file. */
-    int allocate(std::shared_ptr<OpenFile> file);
+    [[nodiscard]] int allocate(std::shared_ptr<OpenFile> file);
 
     /** @return the open file, or nullptr for a bad descriptor. */
     OpenFile *get(int fd) const;

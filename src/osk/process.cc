@@ -76,8 +76,6 @@ Kernel::createProcess()
             FileKind::CharDevice, fd == 0 ? O_RDONLY : O_WRONLY);
         file->inode = terminal_;
         file->path = "/dev/console";
-        // gstat: allow(must-release-fd) — stdio descriptors live for
-        // the process's whole lifetime by design.
         const int got = proc.fds().allocate(std::move(file));
         GENESYS_ASSERT(got == fd, "stdio setup");
     }

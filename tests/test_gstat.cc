@@ -203,7 +203,7 @@ TEST(Gstat, LoadTreeRejectsMissingRoot)
 
 // The real tree, analyzed in memory under the relative root CI passes
 // ("src") and under the absolute root ctest passes: clean as it stands
-// (one justified suppression), and a doorbell rung from the workqueue,
+// (no suppression), and a doorbell rung from the workqueue,
 // a host lock and a raw rand() each give exactly one finding.
 TEST(Gstat, TreeIsCleanAndCatchesMutationsUnderAnyRoot)
 {
@@ -220,7 +220,7 @@ TEST(Gstat, TreeIsCleanAndCatchesMutationsUnderAnyRoot)
         const AnalysisResult clean = analyzeSources(tree);
         for (const Finding &f : clean.findings)
             ADD_FAILURE() << f.render();
-        EXPECT_EQ(clean.suppressed, 1);
+        EXPECT_EQ(clean.suppressed, 0);
 
         const auto wq = std::find_if(
             tree.begin(), tree.end(), [](const SourceFile &f) {
@@ -245,26 +245,7 @@ TEST(Gstat, SeededDefectCorpusPasses)
     EXPECT_EQ(runSelfTest(), 0);
 }
 
-// ---- gflow: path-sensitive ownership / taint (DESIGN.md §16) ----------
-
-TEST(Gflow, FdLeakOnErrorPathCarriesWitness)
-{
-    const AnalysisResult r = analyze(R"src(
-int handler(Proc &p, File f) {
-    int fd = p.fds.allocate(f);
-    if (fd > 2)
-        return -1;
-    p.fds.close(fd);
-    return 0;
-}
-)src");
-    ASSERT_EQ(rulesOf(r),
-              std::vector<std::string>{"must-release-fd"});
-    const Finding &f = r.findings[0];
-    ASSERT_GE(f.witness.size(), 2u);
-    EXPECT_NE(f.witness.front().find("acquired"), std::string::npos);
-    EXPECT_NE(f.witness.back().find("unreleased"), std::string::npos);
-}
+// ---- gflow: path-sensitive GPU taint (DESIGN.md §16) -----------------
 
 TEST(Gflow, UnboundedGpuLengthReachesMemcpy)
 {
@@ -335,26 +316,6 @@ void track(const SyscallArgs &args, Reg &r) {
     r.interests[fd] = 1;
 }
 )src");
-    EXPECT_TRUE(r.findings.empty());
-}
-
-TEST(Gflow, NetSegSlotOverwriteReleasesLoan)
-{
-    // The gkv reclaim idiom: a subscript store INTO the loan
-    // container drops that slot's loan; the assert's sign fact rules
-    // out the zero-iteration path. The snippet sits at gkv's path, an
-    // audited segment-loan caller.
-    const AnalysisResult r = analyze(R"src(
-long drain(Sock &s) {
-    NetSeg segs[4];
-    long got = s.readSegments(segs, 4, false);
-    GENESYS_ASSERT(got > 0, "drain");
-    for (long i = 0; i < got; ++i)
-        segs[i] = NetSeg{};
-    return got;
-}
-)src",
-                                     "src/workloads/gkv.cc");
     EXPECT_TRUE(r.findings.empty());
 }
 

@@ -1022,16 +1022,23 @@ TEST_F(NetSyscallTest, SocketEpollAndPipeFdsAnswerFileCallsLikeLinux)
          {-EINVAL, -EINVAL, -EINVAL, -EINVAL, -EINVAL, -EINVAL, -EINVAL,
           0}},
     };
+    // A call that answers an errno leaves the descriptor table as it
+    // found it: no handler allocates an fd and then fails.
     for (const Row &row : rows) {
         for (int k = 0; k < kKinds; ++k) {
             const auto fd = fresh(static_cast<Kind>(k));
             ASSERT_GE(fd, 0) << kKindNames[k];
+            const std::size_t open_before = proc_->fds().openCount();
             const auto got = sys(row.num, row.args(fd));
             if (row.expect[k] == kNewFd)
                 EXPECT_GE(got, 0) << row.call << " on " << kKindNames[k];
             else
                 EXPECT_EQ(got, row.expect[k])
                     << row.call << " on " << kKindNames[k];
+            if (got < 0) {
+                EXPECT_EQ(proc_->fds().openCount(), open_before)
+                    << row.call << " on " << kKindNames[k];
+            }
         }
     }
 

@@ -671,7 +671,7 @@ TEST_P(Seeded, ShardedAreaQuiescenceMatchesPerSlotModel)
             model[i] = core::SlotState::Ready;
         }
         if (model[i] == core::SlotState::Ready) {
-            slot.beginProcessing();
+            ASSERT_TRUE(slot.beginProcessing());
             model[i] = core::SlotState::Processing;
         }
         if (model[i] == core::SlotState::Processing) {

@@ -65,7 +65,7 @@ TEST(SyscallSlot, ClaimFailsUnlessFree)
     EXPECT_FALSE(slot.claim()); // populating
     slot.publish(0, someArgs(), true, WaitMode::Polling, 0);
     EXPECT_FALSE(slot.claim()); // ready
-    slot.beginProcessing();
+    ASSERT_TRUE(slot.beginProcessing());
     EXPECT_FALSE(slot.claim()); // processing
     slot.complete(0);
     EXPECT_FALSE(slot.claim()); // finished
@@ -366,12 +366,38 @@ TEST(SyscallAreaShards, PerShardQuiescenceTracksOccupancy)
 
     area.slot(s1).publish(osk::sysno::write, someArgs(), true,
                           WaitMode::Polling, 0);
-    area.slot(s1).beginProcessing();
+    ASSERT_TRUE(area.slot(s1).beginProcessing());
     area.slot(s1).complete(0);
     EXPECT_FALSE(area.quiescent(1)); // finished, not yet consumed
     area.slot(s1).consume();
     EXPECT_TRUE(area.quiescent(1));
     EXPECT_TRUE(area.quiescent());
+}
+
+// ringsIdle() is gmc's quiescence oracle for the SQs: an entry claimed
+// but not yet published (a producer stranded between tryClaim and
+// tryPublish) keeps the rings busy, as a published one does.
+TEST(SyscallAreaShards, ClaimedUnpublishedSqEntryIsNotIdle)
+{
+    gpu::GpuConfig gpu_cfg;
+    gpu_cfg.numCus = 4;
+    gpu_cfg.maxWavesPerCu = 2;
+    GenesysParams params;
+    params.areaShards = 2;
+    SyscallArea area(gpu_cfg, params);
+    EXPECT_TRUE(area.ringsIdle());
+
+    SyscallRing &sq = area.sq(1);
+    const auto base = sq.tryClaim(1, sq.loadHeadAcquire());
+    ASSERT_TRUE(base.has_value());
+    EXPECT_TRUE(sq.empty()); // claimed, nothing published
+    EXPECT_FALSE(area.ringsIdle());
+
+    sq.writeEntry(*base, 7);
+    ASSERT_TRUE(sq.tryPublish(*base, 1));
+    EXPECT_FALSE(area.ringsIdle());
+    EXPECT_EQ(sq.popHead(), 7u);
+    EXPECT_TRUE(area.ringsIdle());
 }
 
 TEST(SyscallAreaShards, PerShardCountersAreIndependent)
